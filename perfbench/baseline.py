@@ -1,15 +1,20 @@
-"""Record the benchmark's baseline: every end-to-end metric over several
-seeds, one traced run per workload with its layer predictions, and
-optionally the per-check ``elapsed`` of one ``verify-all`` pass.
+"""Record the benchmark's baseline and check that it is steady.
 
-    python3 perfbench/baseline.py --seeds 1-10 --out perfbench/baseline.json
+    python3 perfbench/baseline.py
 
-Runs are made one after another, never side by side.
+Runs every workload on seeds 1-10, twice over as two sets, then one traced
+run per workload and one ``verify-all`` pass, whose per-check ``elapsed`` is
+informational.  For every end-to-end metric it checks the two sets against
+the metric's bound in BENCHMARK.json: each set's spread, the distance
+between the first and third quartiles as a share of the median, must stay
+within the bound (setup_s is exempt), and the second set's median must not
+be worse than the first's by more than the bound.  Writes
+perfbench/baseline.json and exits non-zero when a check fails.  Runs are
+made one after another, never side by side.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -23,6 +28,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("certify-cold", "profile-warm", "moments-mix", "montecarlo")
+SEEDS = tuple(range(1, 11))
+SETS = 2
 
 # (workloads, metric, expected, what the layer table predicts).  "== 0"
 # means the layer does no work in the timed loop of those workloads.
@@ -53,13 +60,6 @@ PREDICTIONS = (
     (("montecarlo",), "cutoff.omega_value.calls", "> 0",
      "montecarlo evaluates the observable per path"),
 )
-
-
-def _seeds(text: str) -> list:
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
 
 
 def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -98,48 +98,83 @@ def _verify_all() -> list:
              "elapsed_s": float(r["seconds"])} for r in rows]
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", default="1-10")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify-all", action="store_true",
-                   help="also time one verify-all pass (informational)")
-    args = p.parse_args(argv)
+def _set(seconds: int) -> dict:
+    """Every workload on every seed: run counts, metric summaries and the
+    environment of the set's first run."""
+    out = {"workloads": {}}
+    for workload in WORKLOADS:
+        started = time.time()
+        runs = [_run(workload, seed, seconds, 0) for seed in SEEDS]
+        out.setdefault("environment", runs[0]["info"]["environment"])
+        runs = [r["result"] for r in runs]
+        out["workloads"][workload] = {
+            "failed": sum(r["failed"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "end_to_end": {
+                name: {"unit": m["unit"],
+                       **_summary([r["metrics"][name]["value"] for r in runs])}
+                for name, m in runs[0]["metrics"].items()},
+        }
+        print(f"{workload}: {len(runs)} runs in {time.time() - started:.0f} s",
+              file=sys.stderr)
+    return out
+
+
+def _agreement(spec: dict, sets: list) -> dict:
+    """Each end-to-end metric's spreads and cross-set median change against
+    its bound.  A change is signed so that positive is worse."""
+    out = {}
+    for workload in WORKLOADS:
+        rows = {}
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            first, second = (s["workloads"][workload]["end_to_end"][name]
+                             for s in sets)
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            change = sign * (second["median"] - first["median"]) / first["median"]
+            spreads = [first["spread"], second["spread"]]
+            held = change <= bound and (
+                name == "setup_s" or max(spreads) <= bound)
+            rows[name] = {"bound": bound, "spreads": spreads,
+                          "median_change": change, "held": held}
+        out[workload] = rows
+    return out
+
+
+def _traced(seconds: int) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        traced = _run(workload, SEEDS[0], seconds, 1)
+        layers = {k: v["value"] for k, v in traced["result"]["metrics"].items()}
+        out[workload] = {
+            "seed": SEEDS[0],
+            "failed": traced["result"]["failed"],
+            "per_layer": traced["result"]["metrics"],
+            "predictions": [
+                {"metric": metric, "expected": expected, "why": why,
+                 "value": layers[metric],
+                 "held": _holds(layers[metric], expected)}
+                for wls, metric, expected, why in PREDICTIONS
+                if workload in wls],
+        }
+    return out
+
+
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    seeds = _seeds(args.seeds)
-    record = {"run_seconds": seconds, "seeds": seeds, "workloads": {}}
-    for workload in args.workloads.split(","):
-        started = time.time()
-        runs = [_run(workload, seed, seconds, 0) for seed in seeds]
-        names = runs[0]["result"]["metrics"]
-        end_to_end = {
-            name: {"unit": runs[0]["result"]["metrics"][name]["unit"],
-                   **_summary([r["result"]["metrics"][name]["value"]
-                               for r in runs])}
-            for name in names}
-        traced = _run(workload, seeds[0], seconds, 1)
-        layers = {k: v["value"] for k, v in traced["result"]["metrics"].items()}
-        predictions = [
-            {"metric": metric, "expected": expected, "why": why,
-             "value": layers[metric], "held": _holds(layers[metric], expected)}
-            for wls, metric, expected, why in PREDICTIONS if workload in wls]
-        record["workloads"][workload] = {
-            "failed": sum(r["result"]["failed"] for r in runs),
-            "attempted": sum(r["result"]["attempted"] for r in runs),
-            "end_to_end": end_to_end,
-            "traced_seed": seeds[0],
-            "per_layer": traced["result"]["metrics"],
-            "predictions": predictions,
-        }
-        record["environment"] = runs[0]["info"]["environment"]
-        print(f"{workload}: {len(runs)} runs and one traced run in "
-              f"{time.time() - started:.0f} s", file=sys.stderr)
-    if args.verify_all:
-        record["verify_all_informational"] = _verify_all()
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    sets = [_set(seconds) for _ in range(SETS)]
+    agreement = _agreement(spec, sets)
+    held = all(row["held"] for rows in agreement.values()
+               for row in rows.values())
+    record = {
+        "run_seconds": seconds, "seeds": list(SEEDS),
+        "agreement_held": held, "agreement": agreement, "sets": sets,
+        "traced": _traced(seconds),
+        "verify_all_informational": _verify_all(),
+    }
+    (HERE / "baseline.json").write_text(json.dumps(record, indent=1) + "\n")
+    return 0 if held else 1
 
 
 if __name__ == "__main__":

@@ -71,17 +71,32 @@ def _setup(workload: str, seed: int, started: float):
     return plan, workloads, time.perf_counter() - started
 
 
+def _setup_sample(setup_s: float) -> dict:
+    """A set-up time, and the same scaled to the reference host speed by
+    kernel samples taken right after it in the same process: a process's
+    speed differs from its parent's."""
+    import hostspeed
+    took = statistics.median(hostspeed.burst())
+    return {"setup_s": setup_s, "scaled": setup_s * hostspeed.REF_S / took}
+
+
 def run_loop(plan, workloads, seconds: float, passes: int = 0,
              recorder=None) -> dict:
     """The timed closed loop.  Runs the op list once, or with
-    ``plan.repeat`` until ``seconds`` have passed and the kept half of the
-    executions (see ``_measured``) holds at least MIN_OPS ops, or exactly
-    ``passes`` passes when given.  Outputs are checked after the loop."""
-    latencies, results = [], []
+    ``plan.repeat`` until ``seconds`` have passed and at least MIN_OPS ops
+    have run, or exactly ``passes`` passes when given.  The host-speed
+    kernel runs between ops (see hostspeed.py).  Outputs are checked after
+    the loop."""
+    import hostspeed
+    speed = hostspeed.Speed()
+    spans, results = [], []
     done = 0
+    speed.sample()
     start = time.perf_counter()
     while True:
         for op in plan.ops:
+            if speed.due():
+                speed.sample()
             if recorder is not None:
                 recorder.op = len(results)
             t0 = time.perf_counter()
@@ -89,7 +104,9 @@ def run_loop(plan, workloads, seconds: float, passes: int = 0,
                 out, err = workloads.execute(op), None
             except Exception as exc:  # counted as a failed op
                 out, err = None, exc
-            latencies.append(time.perf_counter() - t0)
+            spans.append((t0, time.perf_counter()))
+            if recorder is not None:
+                recorder.op = -1
             results.append((op, out, err))
         done += 1
         if not plan.repeat:
@@ -98,13 +115,14 @@ def run_loop(plan, workloads, seconds: float, passes: int = 0,
             if done >= passes:
                 break
         elif (time.perf_counter() - start >= seconds
-              and len(plan.ops) * ((done + 1) // 2) >= MIN_OPS):
+              and len(results) >= MIN_OPS):
             break
     wall = time.perf_counter() - start
-    if recorder is not None:
-        recorder.op = -1
-    return {"latencies": latencies, "results": results, "wall": wall,
-            "passes": done}
+    speed.sample()
+    # each op's wall time, scaled to the reference host speed
+    scaled = [(end - t0) * speed.scale(t0, end) for t0, end in spans]
+    return {"latencies": [end - t0 for t0, end in spans], "scaled": scaled,
+            "results": results, "wall": wall, "passes": done}
 
 
 def evaluate(plan, workloads, loop: dict) -> dict:
@@ -157,29 +175,17 @@ def _environment(cpu: int) -> dict:
             **{var: os.environ[var] for var in PINNED_ENV}}
 
 
-def _measured(loop: dict, round_size: int) -> list:
-    """Sorted latencies (ms) from which throughput and latency are reported.
-
-    The ops at one position of a round are the same op (a repeated round)
-    or twins of the same cost (certify-cold's halves), run seconds apart.
-    The host's speed switches between regimes that last seconds, so each
-    position keeps the faster half of its executions: the program's cost
-    rather than its neighbours' load."""
-    lat = loop["latencies"]
-    kept = []
-    for pos in range(round_size):
-        runs = sorted(lat[pos::round_size])
-        kept += runs[:(len(runs) + 1) // 2]
-    return sorted(1e3 * x for x in kept)
+def _timings(latencies, setup_times) -> dict:
+    lat_ms = [1e3 * x for x in latencies]
+    return {"setup_s": statistics.median(setup_times),
+            "ops_per_s": 1e3 * len(lat_ms) / sum(lat_ms),
+            "latency_p50_ms": statistics.median(lat_ms),
+            "latency_p90_ms": statistics.quantiles(lat_ms, n=10)[8]}
 
 
-def _end_to_end(lat_ms, quality, setup_times) -> dict:
-    deciles = statistics.quantiles(lat_ms, n=10)
+def _end_to_end(loop, quality, setups) -> dict:
     values = {
-        "setup_s": statistics.median(setup_times),
-        "ops_per_s": 1e3 * len(lat_ms) / sum(lat_ms),
-        "latency_p50_ms": statistics.median(lat_ms),
-        "latency_p90_ms": deciles[8],
+        **_timings(loop["scaled"], [s["scaled"] for s in setups]),
         "success_rate": 1.0 - quality["failed"] / quality["attempted"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "bound_mean": quality["bound_mean"],
@@ -208,7 +214,7 @@ def main(argv=None) -> int:
 
     if args.role == "setup":
         _, _, setup_s = _setup(args.workload, args.seed, started)
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps(_setup_sample(setup_s)))
         return 0
 
     if args.role == "main" and args.trace == 1:
@@ -226,7 +232,7 @@ def main(argv=None) -> int:
         quality = evaluate(plan, workloads, loop)
         OUT_DIR.mkdir(exist_ok=True)
         recorder.write(OUT_DIR / f"spans-{args.workload}-{args.seed}.jsonl")
-        layer = recorder.metrics(loop["wall"], plain["wall"])
+        layer = recorder.metrics(sum(loop["scaled"]), plain["scaled_s"])
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in layer.items()}
         info = {"workload": args.workload, "seed": args.seed, "trace": 1,
                 "passes": loop["passes"], "traced_wall_s": loop["wall"],
@@ -234,20 +240,21 @@ def main(argv=None) -> int:
     else:
         plan, workloads, setup_s = _setup(args.workload, args.seed, started)
         if args.role == "main":
-            setup_times = [setup_s] + [
-                _child(args, "setup")["setup_s"]
-                for _ in range(SETUP_SAMPLES - 1)]
+            setups = [_setup_sample(setup_s)] + [
+                _child(args, "setup") for _ in range(SETUP_SAMPLES - 1)]
         loop = run_loop(plan, workloads, args.seconds)
         if args.role == "plain":
-            print(json.dumps({"passes": loop["passes"], "wall": loop["wall"]}))
+            print(json.dumps({"passes": loop["passes"], "wall": loop["wall"],
+                              "scaled_s": sum(loop["scaled"])}))
             return 0
         quality = evaluate(plan, workloads, loop)
-        lat_ms = _measured(loop, plan.round_size)
-        metrics = _end_to_end(lat_ms, quality, setup_times)
+        metrics = _end_to_end(loop, quality, setups)
         info = {"workload": args.workload, "seed": args.seed, "trace": 0,
                 "passes": loop["passes"], "loop_wall_s": loop["wall"],
-                "latency_samples": len(lat_ms),
-                "setup_samples_s": setup_times, "digest": quality["digest"]}
+                "latency_samples": len(loop["latencies"]),
+                "unscaled": _timings(loop["latencies"],
+                                     [s["setup_s"] for s in setups]),
+                "setup_samples": setups, "digest": quality["digest"]}
 
     info["environment"] = _environment(cpu)
     print(json.dumps(info))

@@ -39,9 +39,6 @@ TRACED = (
     ("sampler", "estimate"),
 )
 
-# the first size cap of the certified series when the caller gives none
-FIRST_SIZE_CAP = 40
-
 # counters derived from arguments and results, beside calls and self time
 COUNTERS = ("partitions.labels", "heatseries.terms_used",
             "heatseries.escalated", "moments.tensor_dim_sum",
@@ -104,7 +101,11 @@ class Recorder:
             if after is not None:
                 bound = signature.bind(*args, **kwargs)
                 bound.apply_defaults()
-                after(self.counters, bound.arguments, result)
+                op, self.op = self.op, -1  # a counter's own calls are not spans
+                try:
+                    after(self.counters, bound.arguments, result)
+                finally:
+                    self.op = op
             return iter(result) if consume else result
 
         return wrapper
@@ -123,7 +124,9 @@ class Recorder:
             out[name][1] += (end - start) - child_time[span]
         return out
 
-    def metrics(self, traced_wall: float, untraced_wall: float) -> dict:
+    def metrics(self, traced_s: float, untraced_s: float) -> dict:
+        """Per-layer metrics; ``traced_s`` and ``untraced_s`` are the summed
+        op times of the traced loop and of the same passes untraced."""
         layers = self.self_times()
         c = self.counters
         m = {}
@@ -145,7 +148,7 @@ class Recorder:
         m["sampler.us_per_path_step"] = (
             1e6 * layers["sampler.simulate_endpoints"][1] / steps
             if steps else 0.0, "us")
-        m["trace.overhead_ratio"] = (traced_wall / untraced_wall, "ratio")
+        m["trace.overhead_ratio"] = (traced_s / untraced_s, "ratio")
         return m
 
     def write(self, path) -> None:
@@ -165,9 +168,12 @@ def _labels(counters, args, result) -> None:
 
 
 def _series(counters, args, result) -> None:
+    from cutofflab import heatseries
     cap = args["size_cap"]
+    if cap is None:  # the series starts at the first cap of its schedule
+        cap = heatseries._cap_schedule(args["descriptor"])[0]
     counters["heatseries.terms_used"] += result.terms_used
-    if result.size_cap > (FIRST_SIZE_CAP if cap is None else cap):
+    if result.size_cap > cap:
         counters["heatseries.escalated"] += 1
 
 

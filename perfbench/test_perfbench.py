@@ -49,11 +49,7 @@ def test_certify_cold_never_repeats_a_descriptor():
         plan = workloads.generate("certify-cold", seed)
         descriptors = [(op.family, op.n, op.q) for op in plan.ops]
         assert len(descriptors) == len(set(descriptors))
-        # two halves of twins, each half enough for p90 on its own
-        assert len(plan.ops) == 2 * plan.round_size >= 2 * run.MIN_OPS
-        for op, twin in zip(plan.ops, plan.ops[plan.round_size:]):
-            assert (op.kind, op.family, op.q, op.extra) == (
-                twin.kind, twin.family, twin.q, twin.extra)
+        assert len(plan.ops) >= run.MIN_OPS
 
 
 def test_generated_times_are_finite_and_positive():
@@ -171,3 +167,13 @@ def test_metric_names_and_units_match_the_benchmark_spec():
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == {
         name: unit for name, (_, unit) in layer.items()}
     assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
+
+
+def test_host_speed_scales_by_the_nearest_kernel_samples():
+    import hostspeed
+    speed = hostspeed.Speed()
+    speed.at = [0.0, 0.1, 10.0]
+    speed.took = [1.0, 3.0, 5.0]
+    assert speed.scale(0.05, 0.06) == hostspeed.REF_S / 2.0
+    # no sample within the window: the nearest ones on either side
+    assert speed.scale(5.0, 5.2) == hostspeed.REF_S / 4.0

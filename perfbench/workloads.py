@@ -3,10 +3,10 @@ execution and output checks.
 
 Every workload is a closed loop: one op at a time in one process, with the
 sampler's ``threads`` left at its default of 1.  ``certify-cold`` runs its
-op list once, in two halves of twin ops, because no descriptor may repeat.
-The other workloads repeat one identical round until the run's time is up,
-so each repetition does the same work and the quality metrics do not depend
-on how many rounds fit into a run.
+op list once, because no descriptor may repeat.  The other workloads repeat
+one identical round until the run's time is up, so each repetition does the
+same work and the quality metrics do not depend on how many rounds fit into
+a run.
 
 Why these four workloads:
 
@@ -64,12 +64,11 @@ class Op:
 
 @dataclass
 class Plan:
-    """The ops of one workload, split into rounds of ``round_size`` ops.
-    With ``repeat`` the rounds start over until the run's time is up."""
+    """The ops of one workload.  With ``repeat`` the list is a round that
+    starts over until the run's time is up."""
 
     workload: str
     ops: list
-    round_size: int
     repeat: bool
 
 
@@ -90,21 +89,15 @@ def _distinct_from_bins(rng: random.Random, count: int, lo: int,
     return [rng.randrange(edges[i], edges[i + 1]) for i in range(count)]
 
 
-# certify-cold runs its op list in two halves, one after the other.  Op i
-# of the second half is the twin of op i of the first: same family, kind
-# and q, with a rank from the neighbouring bin, so the two cost about the
-# same.  Twins run seconds apart, and each position keeps the faster of its
-# two latencies (see run.py), so an op slowed by the host's neighbours does
-# not count.
-#
-# Group families: fixed twin pairs (family, rank, twin rank, kind), every
-# rank whose cold build stays under about a second and a half.
-_COLD_GROUPS = (("SO", 10, 11, "tv"), ("SO", 12, 13, "sweep"),
-                ("SU", 2, 3, "tv"), ("SU", 4, 5, "sweep"), ("SU", 6, 7, "tv"),
-                ("USp", 3, 4, "tv"), ("USp", 5, 6, "sweep"))
+# Group families: (family, ranks, kind), every rank whose cold build stays
+# under about a second and a half.
+_COLD_GROUPS = (("SO", (10, 11), "tv"), ("SO", (12, 13), "sweep"),
+                ("SU", (2, 3), "tv"), ("SU", (4, 5), "sweep"),
+                ("SU", (6, 7), "tv"), ("USp", (3, 4), "tv"),
+                ("USp", (5, 6), "sweep"))
 # Quotient families: (family, n range, q values, slots).  Slot j takes a
-# seeded rank from the j-th of ``slots`` equal bins of the range; slots j
-# and j + 2 (j = 0, 1 mod 4) are twins, with one kind and one q.  Bins are
+# seeded rank from the j-th of ``slots`` equal bins of the range; even slots
+# are tv ops and odd slots sweeps, and q changes every four slots.  Bins are
 # a few ranks wide, so an op costs about the same on every seed.  No range
 # crosses a size-cap escalation for eps in COLD_EPS, where one descriptor's
 # cost would jump tenfold.
@@ -121,43 +114,35 @@ COLD_EPS = (0.8, 1.0)  # t = (1 + eps) t0, beyond the cut-off
 SWEEP_CAP = 40
 
 
-def _cold_twins(family: str, n: int, twin: int, q: Optional[int], kind: str,
-                eps: float) -> tuple:
-    if kind == "tv":
-        return (Op("tv", family, n, q, extra=(eps,)),
-                Op("tv", family, twin, q, extra=(eps,)))
-    return (Op("sweep", family, n, q, extra=(SWEEP_CAP,)),
-            Op("sweep", family, twin, q, extra=(SWEEP_CAP,)))
+def _cold_op(family: str, n: int, q: Optional[int], eps: Optional[float]) -> Op:
+    """A tv op at t = (1 + eps) t0, or a sweep when ``eps`` is None."""
+    if eps is None:
+        return Op("sweep", family, n, q, extra=(SWEEP_CAP,))
+    return Op("tv", family, n, q, extra=(eps,))
 
 
 def _certify_cold(rng: random.Random) -> list:
-    pairs = []  # (position, family index, op, twin)
+    ops = []  # (position, family index, op)
     # eps from equal bins of COLD_EPS, in rank order within each family
-    group_eps = iter(_binned(rng, sum(g[3] == "tv" for g in _COLD_GROUPS),
-                             *COLD_EPS))
-    for f, (family, n, twin, kind) in enumerate(_COLD_GROUPS):
-        eps = next(group_eps) if kind == "tv" else None
-        pairs.append((f / len(_COLD_GROUPS), -1,
-                      *_cold_twins(family, n, twin, None, kind, eps)))
+    group_eps = iter(_binned(
+        rng, sum(len(g[1]) for g in _COLD_GROUPS if g[2] == "tv"), *COLD_EPS))
+    for f, (family, ranks, kind) in enumerate(_COLD_GROUPS):
+        for i, n in enumerate(ranks):
+            eps = next(group_eps) if kind == "tv" else None
+            ops.append(((i + f / len(_COLD_GROUPS)) / len(ranks), -1,
+                        _cold_op(family, n, None, eps)))
     for f, (family, (lo, hi), qs, slots) in enumerate(_COLD_QUOTIENTS):
         ranks = _distinct_from_bins(rng, slots, lo, hi)
-        eps = iter(_binned(rng, slots // 4, *COLD_EPS))
-        for j in range(slots):
-            if j % 4 >= 2:
-                continue
+        eps = iter(_binned(rng, slots // 2, *COLD_EPS))
+        for j, n in enumerate(ranks):
             q = None if qs is None else qs[(j // 4) % len(qs)]
-            first, second = ranks[j], ranks[j + 2]
-            if (j // 4) % 2:  # alternate which half gets the lower rank
-                first, second = second, first
-            kind = "tv" if j % 2 == 0 else "sweep"
-            # spread each family evenly over the half, so expensive ops and
+            # spread each family evenly over the list, so expensive ops and
             # the tables they leave in the cache fall at the same places on
             # every seed
-            pairs.append(((j + 0.5) / slots, f, *_cold_twins(
-                family, first, second, q, kind,
-                next(eps) if kind == "tv" else None)))
-    pairs.sort(key=lambda item: item[:2])
-    return [p[2] for p in pairs] + [p[3] for p in pairs]
+            ops.append(((j + 0.5) / slots, f, _cold_op(
+                family, n, q, next(eps) if j % 2 == 0 else None)))
+    ops.sort(key=lambda item: item[:2])
+    return [op for _, _, op in ops]
 
 
 # profile-warm: a fixed pool, one descriptor per family, with tables small
@@ -270,21 +255,19 @@ def _montecarlo(rng: random.Random) -> list:
     return ops
 
 
-# workload -> (op generator, rounds in the op list, whether rounds repeat)
-_GENERATORS: dict[str, tuple[Callable, int, bool]] = {
-    "certify-cold": (_certify_cold, 2, False),
-    "profile-warm": (_profile_warm, 1, True),
-    "moments-mix": (_moments_mix, 1, True),
-    "montecarlo": (_montecarlo, 1, True),
+# workload -> (op generator, whether its op list repeats)
+_GENERATORS: dict[str, tuple[Callable, bool]] = {
+    "certify-cold": (_certify_cold, False),
+    "profile-warm": (_profile_warm, True),
+    "moments-mix": (_moments_mix, True),
+    "montecarlo": (_montecarlo, True),
 }
 
 
 def generate(workload: str, seed: int) -> Plan:
     """The op list of a workload, from its seed alone."""
-    build, rounds, repeat = _GENERATORS[workload]
-    rng = random.Random(f"{workload}:{seed}")
-    ops = build(rng)
-    return Plan(workload, ops, len(ops) // rounds, repeat)
+    build, repeat = _GENERATORS[workload]
+    return Plan(workload, build(random.Random(f"{workload}:{seed}")), repeat)
 
 
 # -- set-up ------------------------------------------------------------------
