@@ -44,7 +44,9 @@ def _default_threads() -> int:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a non-finite float raises here instead of printing NaN or Infinity
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -490,7 +492,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _RUNNERS[args.verb](parser, args)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    except CutoffLabError as exc:
+    except (CutoffLabError, ValueError) as exc:
+        # the library raises ValueError for out-of-domain arguments, and
+        # _json_text for a non-finite value: both are domain errors
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FieldMismatch, InvalidRank, UnsupportedSpace
+from .errors import FieldMismatch, InvalidRank, UnsupportedSpace, require_time
 from .heatseries import t_zero, tv_upper_bound
 from .moments import moment, zonal_square_expansion
 from .partitions import Weight, WeightKind
@@ -174,8 +174,7 @@ def mean_variance(descriptor: SpaceDescriptor, t: float) -> tuple[float, float]:
     For a complex-valued observable the variance is the second absolute
     central moment.
     """
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    require_time(t, allow_zero=True)
     if descriptor.n < (3 if descriptor.family is Family.SO else 2):
         raise InvalidRank(str(descriptor))
     lam_min, a_min, b_min = minimal_weight(descriptor)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the time-domain check."""
 
 from __future__ import annotations
+
+import math
 
 
 class CutoffLabError(Exception):
@@ -29,6 +31,18 @@ class HalfPartitionUnsupported(CutoffLabError):
 
 class TailNotControllable(CutoffLabError):
     """No certified tail bound exists at this time parameter."""
+
+
+class InvalidTime(CutoffLabError, ValueError):
+    """A time parameter that is not finite or lies outside its domain."""
+
+
+def require_time(t: float, allow_zero: bool = False) -> None:
+    """Raise InvalidTime unless t is finite and t > 0 (t >= 0 with
+    ``allow_zero``)."""
+    if not math.isfinite(t) or t < 0.0 or (t == 0.0 and not allow_zero):
+        domain = "t >= 0" if allow_zero else "t > 0"
+        raise InvalidTime(f"time must be finite with {domain}, got {t}")
 
 
 class TooLarge(CutoffLabError):

@@ -11,8 +11,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HalfPartitionUnsupported, InvalidRank, UnsupportedSpace
-from .partitions import LastSign, Weight, enumerate_by_size, partition_counts
+from .errors import (HalfPartitionUnsupported, InvalidRank, UnsupportedSpace,
+                     require_time)
+from .partitions import (Weight, WeightKind, enumerate_by_size, label_rows,
+                         partition_counts)
 from .repchar import CharType, casimir_exponent, dimension, schur
 from .spaces import Family, SpaceDescriptor, indexing_set
 
@@ -116,13 +118,12 @@ class TruncationReport:
 
 def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]:
     """All non-trivial series terms with |lambda| <= size_cap, size-ordered,
-    with exact rational coefficients."""
-    idx = indexing_set(descriptor)
+    with exact rational coefficients: the rows of the term table."""
+    table = _term_table(descriptor, size_cap)
     factor_two = descriptor.family is Family.SO and descriptor.n % 2 == 0
     out: list[SeriesTerm] = []
-    for w in enumerate_by_size(idx, size_cap):
-        if w.is_zero:
-            continue
+    for row in range(len(table.parts2)):
+        w = table.weight(row)
         dim = dimension(descriptor, w)
         if descriptor.is_group:
             a = dim * dim
@@ -140,11 +141,16 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
 
 @dataclass(frozen=True)
 class _TermTable:
-    weights: tuple[Weight, ...]
+    kind: WeightKind
+    parts2: np.ndarray    # doubled parts, one row per non-trivial label
+    size2: np.ndarray     # 2|lambda|
+    is_half: np.ndarray   # bool mask
     log_dim: np.ndarray   # log D^lambda
     b: np.ndarray         # B_n(lambda)
-    is_half: np.ndarray   # bool mask
     log_a: np.ndarray     # log A_n(lambda) with group squaring / factor 2
+
+    def weight(self, row: int) -> Weight:
+        return Weight.doubled(self.parts2[row].tolist(), self.kind)
 
 
 def _pad_lambda(parts2: np.ndarray, width: int) -> np.ndarray:
@@ -241,17 +247,10 @@ def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     idx = indexing_set(descriptor)
-    weights = tuple(w for w in enumerate_by_size(idx, size_cap)
-                    if not w.is_zero)
-    n_rows = len(weights)
-    parts2 = np.zeros((n_rows, idx.length), dtype=np.int64)
-    is_half = np.zeros(n_rows, dtype=bool)
-    for r, w in enumerate(weights):
-        parts2[r] = w.parts2
-        is_half[r] = not w.is_integer
-    if n_rows == 0:
-        empty = np.zeros(0)
-        return _TermTable(weights, empty, empty, is_half, empty)
+    parts2 = label_rows(idx, size_cap)[1:]  # row 0 is the zero label
+    size2 = parts2.sum(axis=1)
+    # a label's parts are all integers or all half-integers
+    is_half = parts2[:, 0] % 2 == 1
     log_dim = _vector_log_dim(descriptor, parts2)
     b = _vector_b(descriptor, parts2)
     if descriptor.is_group:
@@ -260,7 +259,7 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
             log_a = log_a + math.log(2.0)
     else:
         log_a = log_dim
-    return _TermTable(weights, log_dim, b, is_half, log_a)
+    return _TermTable(idx.kind, parts2, size2, is_half, log_dim, b, log_a)
 
 
 # -- certified tails -------------------------------------------------------
@@ -408,8 +407,7 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
                       size_cap: Optional[int] = None) -> TruncationReport:
     """Sum of A_n(lambda) e^{-t B_n(lambda)} over non-trivial labels, with a
     certified tail; tail_bound is the +inf sentinel at or below cut-off time."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    require_time(t)
     caps = [size_cap] if size_cap is not None else _cap_schedule(descriptor)
     t0 = t_zero(descriptor)
     report = None
@@ -417,14 +415,11 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
         if cap < 1:
             raise ValueError("size_cap must be >= 1")
         table = _term_table(descriptor, cap)
-        if len(table.weights):
-            with np.errstate(under="ignore"):
-                partial = float(np.exp(table.log_a - t * table.b).sum())
-        else:
-            partial = 0.0
+        with np.errstate(under="ignore"):
+            partial = float(np.exp(table.log_a - t * table.b).sum())
         tail = _tail_bound(descriptor, t, cap, t0) if t > t0 else math.inf
         report = TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
-                                  terms_used=len(table.weights), size_cap=cap)
+                                  terms_used=len(table.parts2), size_cap=cap)
         if not math.isfinite(tail):
             break  # a larger cap cannot rescue a missing certificate
         if tail < 1e-6 * max(partial, 1e-30):
@@ -515,21 +510,20 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     table = _term_table(descriptor, size_cap)
     log_param = math.log(descriptor.param)
     values = np.exp(table.log_dim - table.b * log_param)
-    sizes = np.array([float(w.size) for w in table.weights])
 
     def pick(mask: np.ndarray) -> tuple[Optional[float], Optional[Weight]]:
         idxs = np.nonzero(mask)[0]
         if len(idxs) == 0:
             return None, None
         best = idxs[np.argmax(values[idxs])]
-        return float(values[best]), table.weights[best]
+        return float(values[best]), table.weight(best)
 
     max_all, arg_all = pick(np.ones(len(values), dtype=bool))
     max_int, arg_int = pick(~table.is_half)
     max_half, arg_half = pick(table.is_half)
     if max_all is None or max_int is None:
         raise ValueError("size_cap leaves no labels to sweep")
-    boundary = values[sizes > size_cap - 2] if len(values) else np.zeros(0)
+    boundary = values[table.size2 > 2 * (size_cap - 2)]
     boundary_max = float(boundary.max()) if len(boundary) else 0.0
     const_int, const_half = _per_term_constants(descriptor)
     certified = (n >= _PROVEN_MIN_N[fam] and size_cap >= 40
@@ -565,9 +559,7 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
         raise ValueError("base must be flat across the grown block")
 
     def with_top(v2: int) -> Weight:
-        parts2 = (v2,) * l + p[l:]
-        sign = LastSign.plus if parts2[-1] != 0 else LastSign.zero
-        return Weight(parts2, base_weight.kind, sign)
+        return Weight.doubled((v2,) * l + p[l:], base_weight.kind)
 
     prev = with_top(top + 2 * (k - 1))
     grown = with_top(top + 2 * k)
@@ -627,8 +619,7 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
             size_cap: int = 40) -> float:
     """Heat-kernel density for group families (eigenvalue alphabets) and the
     rank-one special cases (angle or caller-supplied zonal values)."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    require_time(t)
     if isinstance(descriptor, str):
         if descriptor != "circle":
             raise UnsupportedSpace(f"unknown special space {descriptor!r}")

@@ -26,6 +26,7 @@ from .errors import (
     TooLarge,
     UnsupportedPattern,
     UnsupportedSpace,
+    require_time,
 )
 from .partitions import Weight, WeightKind
 from .spaces import Family, SpaceDescriptor
@@ -289,8 +290,10 @@ def moment(algebra: str, n: int, pattern: Iterable, t: float) -> complex:
 
     Each pattern item is (row, col) for a plain factor or (row, col, True)
     for a conjugated factor (complex entries only).  Indices are 0-based in
-    the defining dimension (2n for the quaternionic embedding).
+    the defining dimension (2n for the quaternionic embedding).  The time
+    must be finite with t >= 0.
     """
+    require_time(t, allow_zero=True)
     plain, conj = _split_pattern(pattern)
     degree = len(plain) + len(conj)
     if degree == 0:

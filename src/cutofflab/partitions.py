@@ -5,9 +5,12 @@ with size-ordered enumeration and the layer-by-layer growth decomposition."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class WeightKind(enum.Enum):
@@ -136,6 +139,14 @@ class Weight:
         return Weight(parts2, kind, sign)
 
     @staticmethod
+    def doubled(parts2: Sequence[int], kind: WeightKind = WeightKind.Y) -> "Weight":
+        """Build a weight from doubled parts; a non-zero last part gets sign
+        'plus'."""
+        parts2 = tuple(parts2)
+        sign = LastSign.plus if parts2[-1] != 0 else LastSign.zero
+        return Weight(parts2, kind, sign)
+
+    @staticmethod
     def zero(length: int, kind: WeightKind = WeightKind.Y) -> "Weight":
         return Weight((0,) * length, kind, LastSign.zero)
 
@@ -222,9 +233,7 @@ class GrowthStep:
         top = p[0]
         if any(v != top for v in p[: self.l]):
             raise ValueError("top block must be constant to grow")
-        grown = (top + 2,) * self.l + p[self.l:]
-        sign = LastSign.plus if grown[-1] != 0 else LastSign.zero
-        return Weight(grown, self.base.kind, sign)
+        return Weight.doubled((top + 2,) * self.l + p[self.l:], self.base.kind)
 
 
 def size_of(weight: Weight) -> Fraction:
@@ -233,23 +242,6 @@ def size_of(weight: Weight) -> Fraction:
 
 
 # -- enumeration -----------------------------------------------------------
-
-
-def _int_partitions(total: int, max_len: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Non-increasing integer tuples summing to ``total`` with <= max_len parts."""
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    first_cap = total if max_part is None else min(total, max_part)
-    for first in range(first_cap, 0, -1):
-        for rest in _int_partitions(total - first, max_len - 1, first):
-            yield (first,) + rest
-
-
-def _pad(p: Sequence[int], length: int) -> tuple[int, ...]:
-    return tuple(p) + (0,) * (length - len(p))
 
 
 def partition_counts(max_size: int, max_len: int) -> list[int]:
@@ -272,78 +264,96 @@ def partition_counts(max_size: int, max_len: int) -> list[int]:
     return table[max_len][: max_size + 1]
 
 
-def _group_sizes(pairs: list[tuple[Fraction, Weight]]) -> Iterator[Weight]:
-    pairs.sort(key=lambda sw: (sw[0], sw[1].parts2, sw[1].last_sign.value))
-    for _, w in pairs:
-        yield w
+def _partition_rows(max_total: int, length: int) -> np.ndarray:
+    """Every partition with at most ``length`` parts and size <= max_total,
+    one zero-padded int64 row each, in ascending lexicographic order.
+
+    Built column by column: a row whose latest part is v and whose remaining
+    budget is r gets one child for each next part 0..min(v, r).
+    """
+    if max_total < 0:
+        return np.zeros((0, length), dtype=np.int64)
+    if length == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    values = [np.arange(max_total + 1, dtype=np.int64)]
+    parents = []
+    budget = max_total - values[0]
+    for _ in range(1, length):
+        width = np.minimum(values[-1], budget) + 1
+        parent = np.repeat(np.arange(len(width)), width)
+        first_child = np.cumsum(width) - width
+        value = np.arange(len(parent), dtype=np.int64) - first_child[parent]
+        budget = budget[parent] - value
+        values.append(value)
+        parents.append(parent)
+    rows = np.empty((len(values[-1]), length), dtype=np.int64)
+    pick = np.arange(len(values[-1]))
+    for col in range(length - 1, -1, -1):
+        rows[:, col] = values[col][pick]
+        if col:
+            pick = parents[col - 1][pick]
+    return rows
 
 
-def enumerate_by_size(indexing: IndexingSetKind, max_size: Fraction | int) -> Iterator[Weight]:
-    """Every weight of the kind with |lambda| <= max_size, grouped by increasing size."""
+def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarray:
+    """Doubled parts (2*lambda_i) of every label of the kind with
+    |lambda| <= max_size, one int64 row per label, ordered by size and then
+    ascending lexicographically.
+
+    Signed labels (kind signedLastPart) share the rows of halfY; the sign is
+    attached by ``enumerate_by_size``.
+    """
     max_size = Fraction(max_size)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     kind, length = indexing.kind, indexing.length
     cap = int(max_size)  # integer component sizes
-    out: list[tuple[Fraction, Weight]] = []
-
-    def add(parts: Sequence[int], k: WeightKind, doubled_already: bool = False,
-            minus: bool = False) -> None:
-        parts2 = tuple(parts) if doubled_already else tuple(2 * v for v in parts)
-        sign = LastSign.zero
-        if parts2[-1] != 0:
-            sign = LastSign.minus if minus else LastSign.plus
-        w = Weight(parts2, k, sign)
-        out.append((w.size, w))
-
     if kind is WeightKind.Y:
-        for s in range(cap + 1):
-            for p in _int_partitions(s, length):
-                add(_pad(p, length), kind)
-    elif kind is WeightKind.evenY:
-        for s in range(0, cap // 2 + 1):
-            for p in _int_partitions(s, length):
-                add(tuple(2 * v for v in _pad(p, length)), kind)
-    elif kind is WeightKind.doubledY:
-        pairs = length // 2
-        for s in range(0, cap // 2 + 1):
-            for p in _int_partitions(s, pairs):
-                doubled = []
-                for v in _pad(p, pairs):
-                    doubled += [v, v]
-                add(_pad(doubled[:length], length), kind)
-    elif kind is WeightKind.evenOrOddY:
-        for s in range(0, cap // 2 + 1):
-            for p in _int_partitions(s, length):
-                add(tuple(2 * v for v in _pad(p, length)), kind)
-        # odd component: every coordinate odd, i.e. 1 added to an all-even label
-        if length <= cap:
-            for s in range(0, (cap - length) // 2 + 1):
-                for p in _int_partitions(s, length):
-                    add(tuple(2 * v + 1 for v in _pad(p, length)), kind)
+        blocks = [2 * _partition_rows(cap, length)]
     elif kind in (WeightKind.halfY, WeightKind.signedLastPart):
-        signed = kind is WeightKind.signedLastPart
-        for s in range(cap + 1):
-            for p in _int_partitions(s, length):
-                padded = _pad(p, length)
-                add(padded, kind)
-                if signed and padded[-1] != 0:
-                    add(padded, kind, minus=True)
-        half_budget = max_size - Fraction(length, 2)
-        if half_budget >= 0:
-            for s in range(int(half_budget) + 1):
-                for p in _int_partitions(s, length):
-                    parts2 = tuple(2 * v + 1 for v in _pad(p, length))
-                    add(parts2, kind, doubled_already=True)
-                    if signed:
-                        add(parts2, kind, doubled_already=True, minus=True)
+        # half labels: 1/2 added to every part of an integer label
+        half_cap = math.floor(max_size - Fraction(length, 2))
+        blocks = [2 * _partition_rows(cap, length),
+                  2 * _partition_rows(half_cap, length) + 1]
+    elif kind is WeightKind.evenY:
+        blocks = [4 * _partition_rows(cap // 2, length)]
+    elif kind is WeightKind.doubledY:
+        pairs = _partition_rows(cap // 2, length // 2)
+        rows = np.zeros((len(pairs), length), dtype=np.int64)
+        rows[:, :2 * pairs.shape[1]] = 2 * np.repeat(pairs, 2, axis=1)
+        blocks = [rows]
+    elif kind is WeightKind.evenOrOddY:
+        # odd component: every coordinate odd, i.e. 1 added to an all-even label
+        blocks = [4 * _partition_rows(cap // 2, length),
+                  4 * _partition_rows((cap - length) // 2, length) + 2]
     elif kind is WeightKind.Z:
         raise NotImplementedError(
             "Z-sequence enumeration is out of scope; use the dedicated constructors")
     else:  # pragma: no cover
         raise ValueError(f"unhandled kind {kind}")
+    rows = np.concatenate(blocks)
+    # Each block is in ascending lexicographic order, and rows of different
+    # blocks differ in their first part (parity, or residue mod 4), so a stable
+    # sort by (size, first part) leaves every row in (size, lexicographic) order.
+    first = rows[:, 0]
+    key = rows.sum(axis=1) * (int(first.max(initial=0)) + 1) + first
+    return rows[np.argsort(key, kind="stable")]
 
-    return _group_sizes(out)
+
+def enumerate_by_size(indexing: IndexingSetKind, max_size: Fraction | int) -> Iterator[Weight]:
+    """Every weight of the kind with |lambda| <= max_size, grouped by increasing
+    size: a ``Weight`` view of ``label_rows``.  A signed label with a non-zero
+    last part comes as its minus partner followed by the plus label."""
+    rows = label_rows(indexing, max_size).tolist()
+    return _weights(rows, indexing.kind)
+
+
+def _weights(rows: list[list[int]], kind: WeightKind) -> Iterator[Weight]:
+    signed = kind is WeightKind.signedLastPart
+    for row in rows:
+        if signed and row[-1]:
+            yield Weight(tuple(row), kind, LastSign.minus)
+        yield Weight.doubled(row, kind)
 
 
 def growth_path(weight: Weight) -> list[GrowthStep]:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutoff import omega_spec, omega_value, zonal_value
-from .errors import UnsupportedStatistic
+from .errors import UnsupportedStatistic, require_time
 from .spaces import Family, SpaceDescriptor
 
 __all__ = [
@@ -158,8 +158,7 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
                        config: SimulationConfig,
                        path_indices: Sequence[int]) -> np.ndarray:
     """Endpoints of independent heat-flow paths at time t, one per index."""
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    require_time(t, allow_zero=True)
     algebra, rank, size = _ambient(descriptor)
     count = len(path_indices)
     eye = np.eye(size, dtype=float if algebra == "so" else complex)

@@ -66,6 +66,36 @@ def test_usage_errors_exit_with_code_two(capsys):
     capsys.readouterr()
     assert cli.main(["no-such-verb"]) == 2
     capsys.readouterr()
+    # library domain errors (ValueError) map to exit 2 as well
+    assert cli.main(["bound-sweep", "--family", "SO", "--n", "11",
+                     "--cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: size_cap must be >= 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("tv-bound", "--family", "SO", "--n", "11", "--t", "-1"),
+    ("tv-bound", "--family", "SO", "--n", "11", "--t", "nan"),
+    ("tv-bound", "--family", "SO", "--n", "11", "--t", "inf"),
+    ("series", "--family", "SO", "--n", "11", "--t", "nan"),
+    ("moment", "--family", "SO", "--n", "5", "--pattern", "1.1,1.1",
+     "--t", "nan"),
+    ("moment", "--family", "SO", "--n", "5", "--pattern", "1.1,1.1",
+     "--t", "-1"),
+], ids=" ".join)
+def test_times_outside_the_domain_exit_with_code_two(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: time must be finite")
+
+
+def test_non_finite_json_values_never_reach_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tv_upper_bound", lambda desc, t: math.nan)
+    assert cli.main(["tv-bound", "--family", "SO", "--n", "11",
+                     "--eps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_moment_verb_matches_the_library(capsys):

@@ -13,6 +13,7 @@ import pytest
 from cutofflab.errors import (
     HalfPartitionUnsupported,
     InvalidRank,
+    InvalidTime,
     UnsupportedSpace,
 )
 from cutofflab.heatseries import (
@@ -30,6 +31,7 @@ from cutofflab.heatseries import (
 from cutofflab.partitions import Weight, WeightKind
 from cutofflab.repchar import casimir_exponent, dimension
 from cutofflab.spaces import describe, indexing_set, minimal_weight
+from label_oracle import oracle_labels
 
 ALL_FAMILIES = [
     ("SO", 11, None), ("SO", 10, None), ("SU", 4, None), ("USp", 3, None),
@@ -68,11 +70,14 @@ def test_term_coefficients(family, n, q):
 @pytest.mark.parametrize("family,n,q", ALL_FAMILIES)
 def test_vectorized_table_matches_exact_terms(family, n, q):
     d = describe(family, n, q)
-    terms = series_terms(d, 8)
+    labels = [w for w in oracle_labels(indexing_set(d), 8) if not w.is_zero]
     table = _term_table(d, 8)
-    assert len(terms) == len(table.weights)
+    assert table.parts2.tolist() == [list(w.parts2) for w in labels]
+    assert table.size2.tolist() == [2 * w.size for w in labels]
+    assert table.is_half.tolist() == [not w.is_integer for w in labels]
+    terms = series_terms(d, 8)
+    assert [term.weight for term in terms] == labels
     for i, term in enumerate(terms):
-        assert term.weight == table.weights[i]
         log_a = (math.log(term.a_coeff.numerator)
                  - math.log(term.a_coeff.denominator))
         assert abs(log_a - table.log_a[i]) < 1e-10 * max(1.0, abs(log_a))
@@ -142,12 +147,29 @@ def test_unproven_rank_reports_infinite_tail():
     assert report.partial_sum > 0.0
 
 
+def test_cap_below_the_first_label_gives_an_empty_sum():
+    # the first non-trivial SUn_SOn label (2,0,0,0) has size 2
+    report = dominating_series(describe("SUn_SOn", 5), 2.0, size_cap=1)
+    assert report.terms_used == 0
+    assert report.partial_sum == 0.0
+    assert math.isfinite(report.tail_bound)
+
+
 def test_time_must_be_positive():
     d = describe("USp", 3)
     with pytest.raises(ValueError):
         dominating_series(d, 0.0)
     with pytest.raises(ValueError):
         dominating_series(d, 1.0, size_cap=0)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_series_and_bounds_reject_times_outside_the_domain(t):
+    d = describe("SO", 11)
+    with pytest.raises(InvalidTime):
+        dominating_series(d, t)
+    with pytest.raises(InvalidTime):
+        tv_upper_bound(d, t)
 
 
 @pytest.mark.parametrize("family,n,q,s_target,power", [

@@ -11,6 +11,7 @@ from cutofflab import moments as mo
 from cutofflab import spaces
 from cutofflab.errors import (
     InvalidRank,
+    InvalidTime,
     TooLarge,
     UnsupportedPattern,
     UnsupportedSpace,
@@ -184,6 +185,16 @@ def test_oversized_tensor_space_is_refused():
 def test_degree_above_four_is_refused():
     with pytest.raises(UnsupportedPattern):
         mo.moment("so", 5, [(0, 0)] * 5, 1.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_moment_times_must_be_finite_and_non_negative(t):
+    with pytest.raises(InvalidTime):
+        mo.moment("so", 5, [(0, 0), (0, 0)], t)
+
+
+def test_moment_at_time_zero_is_the_identity_value():
+    assert mo.moment("so", 5, [(0, 0), (0, 0)], 0.0) == pytest.approx(1.0)
 
 
 def test_conjugate_slots_require_complex_entries():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from cutofflab.partitions import (
     WeightKind,
     enumerate_by_size,
     growth_path,
+    label_rows,
     partition_counts,
     size_of,
 )
+from label_oracle import oracle_labels
 
 
 def brute_partitions(total: int, max_len: int, max_part: int | None = None):
@@ -256,6 +259,59 @@ def test_enumerate_fractional_cap():
     idx = IndexingSetKind(WeightKind.halfY, 3)
     ws = list(enumerate_by_size(idx, Fraction(3, 2)))
     assert {str(w) for w in ws} == {"0,0,0", "1,0,0", "1/2,1/2,1/2"}
+
+
+# -- array enumerator against the recursive oracle ---------------------------
+
+ORACLE_KINDS = (WeightKind.Y, WeightKind.halfY, WeightKind.evenY,
+                WeightKind.doubledY, WeightKind.evenOrOddY,
+                WeightKind.signedLastPart)
+HALF_CAPS = [Fraction(2 * c + 1, 2) for c in range(13)]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("length", range(1, 8))
+def test_label_rows_match_the_oracle_row_for_row(kind, length):
+    idx = IndexingSetKind(kind, length)
+    caps = list(range(14))
+    if kind in (WeightKind.halfY, WeightKind.signedLastPart):
+        caps += HALF_CAPS
+    for cap in caps:
+        want = oracle_labels(idx, cap)
+        assert list(enumerate_by_size(idx, cap)) == want, cap
+        rows = label_rows(idx, cap)
+        assert rows.dtype == np.int64 and rows.shape[1] == length
+        # signed labels repeat a row for the minus partner
+        distinct = list(dict.fromkeys(w.parts2 for w in want))
+        assert rows.tolist() == [list(p) for p in distinct], cap
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_label_row_counts_are_sums_of_partition_counts(length):
+    cap = 13
+    counts = partition_counts(cap, length)
+    half_pairs = partition_counts(cap, length // 2)
+
+    def rows(kind, max_size=cap):
+        return len(label_rows(IndexingSetKind(kind, length), max_size))
+
+    assert rows(WeightKind.Y) == sum(counts)
+    assert rows(WeightKind.evenY) == sum(counts[:cap // 2 + 1])
+    assert rows(WeightKind.doubledY) == sum(half_pairs[:cap // 2 + 1])
+    odd = sum(counts[:(cap - length) // 2 + 1]) if length <= cap else 0
+    assert rows(WeightKind.evenOrOddY) == sum(counts[:cap // 2 + 1]) + odd
+    for max_size in [cap] + HALF_CAPS:
+        half_cap = math.floor(max_size - Fraction(length, 2))
+        half = sum(counts[:half_cap + 1]) if half_cap >= 0 else 0
+        assert rows(WeightKind.halfY, max_size) == \
+            sum(counts[:int(max_size) + 1]) + half
+
+
+def test_label_rows_reject_negative_cap_and_z():
+    with pytest.raises(ValueError):
+        label_rows(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
+    with pytest.raises(NotImplementedError):
+        label_rows(IndexingSetKind(WeightKind.Z, 2), 3)
 
 
 def test_enumerate_rejects_negative_cap():
