@@ -439,8 +439,8 @@ def _run_profile(parser, args) -> int:
     t0 = t_zero(desc)
     t_min = args.t_min if args.t_min is not None else 0.25 * t0
     t_max = args.t_max if args.t_max is not None else 2.5 * t0
-    if not (0.0 < t_min < t_max):
-        parser.error("need 0 < --t-min < --t-max")
+    if not (math.isfinite(t_max) and 0.0 < t_min < t_max):
+        parser.error("need finite 0 < --t-min < --t-max")
     if args.points < 2:
         parser.error("--points must be >= 2")
     grid = np.linspace(t_min, t_max, args.points)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -145,12 +145,6 @@ def _unit(descriptor: SpaceDescriptor, head: Sequence[int]) -> Weight:
     return Weight.of(parts, idx.kind)
 
 
-def _term(descriptor: SpaceDescriptor, weight: Weight, t: float) -> float:
-    dim = dimension(descriptor, weight)
-    rate = casimir_exponent(descriptor, weight)
-    return float(dim) * math.exp(-t * float(rate) / 2.0)
-
-
 def _group_square_terms(descriptor: SpaceDescriptor) -> list[tuple[Weight, int]]:
     """Non-trivial labels in the expansion of the squared trace modulus,
     with multiplicity two when a label carries both chirality pieces."""
@@ -168,6 +162,27 @@ def _group_square_terms(descriptor: SpaceDescriptor) -> list[tuple[Weight, int]]
     return [(two, 1), (_unit(descriptor, (1,)), 1)]
 
 
+@lru_cache(maxsize=64)
+def _moment_terms(descriptor: SpaceDescriptor) -> tuple[float, float, float, tuple]:
+    """The time-independent floats of mean_variance: (sqrt A_min, A_min,
+    B_min, (multiplicity, dimension, rate) per group square term)."""
+    _, a_min, b_min = minimal_weight(descriptor)
+    square = ()
+    if descriptor.is_group:
+        square = tuple((mult, float(dimension(descriptor, w)),
+                        float(casimir_exponent(descriptor, w)))
+                       for w, mult in _group_square_terms(descriptor))
+    return math.sqrt(float(a_min)), float(a_min), float(b_min), square
+
+
+@lru_cache(maxsize=64)
+def _zonal_terms(descriptor: SpaceDescriptor) -> tuple[tuple[float, float], ...]:
+    """(coefficient, rate) of each zonal function in the squared expansion."""
+    return tuple((float(coeff), float(casimir_exponent(descriptor, w))
+                  if not w.is_zero else 0.0)
+                 for w, coeff in zonal_square_expansion(descriptor).items())
+
+
 def mean_variance(descriptor: SpaceDescriptor, t: float) -> tuple[float, float]:
     """Mean and variance of the observable at time t, in closed form.
 
@@ -177,23 +192,22 @@ def mean_variance(descriptor: SpaceDescriptor, t: float) -> tuple[float, float]:
     require_time(t, allow_zero=True)
     if descriptor.n < (3 if descriptor.family is Family.SO else 2):
         raise InvalidRank(str(descriptor))
-    lam_min, a_min, b_min = minimal_weight(descriptor)
-    mean = math.sqrt(float(a_min)) * math.exp(-t * float(b_min) / 2.0)
+    sqrt_a, a_min, b_min, square = _moment_terms(descriptor)
+    mean = sqrt_a * math.exp(-t * b_min / 2.0)
     if descriptor.is_group:
         second = 1.0
-        for w, mult in _group_square_terms(descriptor):
-            second += mult * _term(descriptor, w, t)
+        for mult, dim, rate in square:
+            second += mult * (dim * math.exp(-t * rate / 2.0))
     else:
-        second = float(a_min) * zonal_square_series(descriptor, t)
+        second = a_min * zonal_square_series(descriptor, t)
     return mean, second - mean * mean
 
 
 def zonal_square_series(descriptor: SpaceDescriptor, t: float) -> float:
     """E_t of the squared (modulus of the) minimal zonal function."""
     total = 0.0
-    for w, coeff in zonal_square_expansion(descriptor).items():
-        rate = casimir_exponent(descriptor, w) if not w.is_zero else Fraction(0)
-        total += float(coeff) * math.exp(-t * float(rate) / 2.0)
+    for coeff, rate in _zonal_terms(descriptor):
+        total += coeff * math.exp(-t * rate / 2.0)
     return total
 
 
@@ -223,7 +237,7 @@ def certified_window(descriptor: SpaceDescriptor) -> tuple[float, float]:
     return 0.75 * top, top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfilePoint:
     t: float
     lower: float

@@ -153,74 +153,79 @@ class _TermTable:
         return Weight.doubled(self.parts2[row].tolist(), self.kind)
 
 
-def _pad_lambda(parts2: np.ndarray, width: int) -> np.ndarray:
-    """True label values padded with zeros to the ambient rank, as floats."""
-    n_rows, have = parts2.shape
-    lam = np.zeros((n_rows, width))
-    lam[:, :have] = parts2 / 2.0
-    return lam
+def _label_columns(parts2: np.ndarray, width: int) -> np.ndarray:
+    """Doubled label parts as floats, zero-padded to ``width`` parts, with
+    one contiguous row per part index and one column per label."""
+    cols = np.zeros((width, parts2.shape[0]))
+    cols[:parts2.shape[1]] = parts2.T
+    return cols
+
+
+# The log-dimension products read one contiguous row per part index and
+# square each row once, only for speed: every factor and the order of the
+# multiplications are those of the per-label formulas.
 
 
 def _log_dim_type_a(lam: np.ndarray) -> np.ndarray:
-    m = lam.shape[1]
-    ell = lam + (m - 1.0 - np.arange(m))
-    val = np.ones(lam.shape[0])
+    m = lam.shape[0]
+    ell = lam + (m - 1.0 - np.arange(m))[:, None]
+    val = np.ones(lam.shape[1])
     for i in range(m):
         for j in range(i + 1, m):
-            val *= (ell[:, i] - ell[:, j]) / (j - i)
+            val *= (ell[i] - ell[j]) / (j - i)
     return np.log(val)
 
 
 def _log_dim_type_bc(ell: np.ndarray, den: np.ndarray) -> np.ndarray:
-    r = ell.shape[1]
-    val = np.ones(ell.shape[0])
+    r = ell.shape[0]
+    sq = ell ** 2
+    val = np.ones(ell.shape[1])
     for i in range(r):
         for j in range(i + 1, r):
-            val *= (ell[:, i] ** 2 - ell[:, j] ** 2) / float(den[i] ** 2 - den[j] ** 2)
+            val *= (sq[i] - sq[j]) / float(den[i] ** 2 - den[j] ** 2)
     for i in range(r):
-        val *= ell[:, i] / float(den[i])
+        val *= ell[i] / float(den[i])
     return np.log(val)
 
 
 def _log_dim_type_d(ell2: np.ndarray, den2: np.ndarray) -> np.ndarray:
-    r = ell2.shape[1]
-    val = np.ones(ell2.shape[0])
+    r = ell2.shape[0]
+    sq = ell2 ** 2
+    val = np.ones(ell2.shape[1])
     for i in range(r):
         for j in range(i + 1, r):
-            val *= (ell2[:, i] ** 2 - ell2[:, j] ** 2) / float(den2[i] ** 2 - den2[j] ** 2)
+            val *= (sq[i] - sq[j]) / float(den2[i] ** 2 - den2[j] ** 2)
     return np.log(val)
 
 
 def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
+    # the padded label arrays are passed as temporaries, so no more than two
+    # label-sized arrays are alive at once
     fam, n = descriptor.family, descriptor.n
     if fam in (Family.SU, Family.SUn_SOn):
-        return _log_dim_type_a(_pad_lambda(parts2, n))
+        return _log_dim_type_a(_label_columns(parts2, n) / 2.0)
     if fam is Family.SU2n_USpn:
-        return _log_dim_type_a(_pad_lambda(parts2, 2 * n))
+        return _log_dim_type_a(_label_columns(parts2, 2 * n) / 2.0)
     if fam is Family.GrC:
-        lam_q = parts2 / 2.0
-        full = np.zeros((parts2.shape[0], n))
-        full[:, :descriptor.q] = lam_q
-        full[:, n - descriptor.q:] = -lam_q[:, ::-1]
+        lam_q = parts2.T / 2.0
+        full = np.zeros((n, parts2.shape[0]))
+        full[:descriptor.q] = lam_q
+        full[n - descriptor.q:] = -lam_q[::-1]
         return _log_dim_type_a(full)
     if fam in (Family.USp, Family.GrH, Family.USpn_Un):
-        lam = _pad_lambda(parts2, n)
         den = n - np.arange(n)  # n-i+1 for 1-based i
-        return _log_dim_type_bc(lam + den, den)
+        return _log_dim_type_bc(_label_columns(parts2, n) / 2.0 + den[:, None], den)
     if fam in (Family.SO, Family.GrR):
         r = n // 2
-        lam2 = np.zeros((parts2.shape[0], r))
-        lam2[:, :parts2.shape[1]] = parts2
         if n % 2:
             den = 2 * (r - 1 - np.arange(r)) + 1
-            return _log_dim_type_bc((lam2 + den) / 2.0, den / 2.0)
+            return _log_dim_type_bc(
+                (_label_columns(parts2, r) + den[:, None]) / 2.0, den / 2.0)
         den2 = 2 * (r - 1 - np.arange(r))
-        return _log_dim_type_d(lam2 + den2, den2)
+        return _log_dim_type_d(_label_columns(parts2, r) + den2[:, None], den2)
     if fam is Family.SO2n_Un:
-        r = n
-        lam2 = parts2.astype(float)
-        den2 = 2 * (r - 1 - np.arange(r))
-        return _log_dim_type_d(lam2 + den2, den2)
+        den2 = 2 * (n - 1 - np.arange(n))
+        return _log_dim_type_d(_label_columns(parts2, n) + den2[:, None], den2)
     raise UnsupportedSpace(str(fam))  # pragma: no cover
 
 
@@ -280,22 +285,29 @@ def _hr_closing(log_x: float, horizon: int) -> float:
     return first / (1.0 - ratio)
 
 
+@lru_cache(maxsize=64)
+def _log_counts(horizon: int, max_len: int) -> np.ndarray:
+    """Read-only log p(s) for s = 0..horizon, partitions of length <= max_len."""
+    logs = np.array([math.log(c) for c in partition_counts(horizon, max_len)])
+    logs.flags.writeable = False
+    return logs
+
+
 def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
     """Upper bound on the sum of x^{|mu|} over partitions mu of length
     <= max_len with |mu| > beyond; requires log_x < 0."""
     if log_x >= 0.0:
         return math.inf
     horizon = max(400, 4 * max(beyond, 0), int(-80.0 / log_x))
+    first = max(beyond, -1) + 1
     while True:
-        counts = _counts(horizon, max_len)
-        exact = 0.0
-        for s in range(max(beyond, -1) + 1, horizon + 1):
-            if s == 0:
-                exact += 1.0
-                continue
-            val = math.log(counts[s]) + s * log_x
-            if val > -745.0:
-                exact += math.exp(min(val, 700.0))
+        sizes = np.arange(first, horizon + 1)
+        val = _log_counts(horizon, max_len)[first:] + sizes * log_x
+        # math.exp, not np.exp, whose vector path rounds some inputs
+        # differently; cumsum adds in size order, where np.sum is pairwise
+        kept = np.minimum(val[val > -745.0], 700.0).tolist()
+        terms = np.fromiter(map(math.exp, kept), float, len(kept))
+        exact = float(terms.cumsum()[-1]) if kept else 0.0
         closing = _hr_closing(log_x, horizon)
         if math.isfinite(closing) and closing <= max(1e-12 * exact, 1e-250):
             return exact + closing
@@ -306,25 +318,46 @@ def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
 
 def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
     """Upper bound on the sum of prod_i e^{-cost_i * delta_i} over delta >= 0
-    with total size sum_i inc_i*delta_i > beyond; costs must be positive."""
+    with total size sum_i inc_i*delta_i > beyond; costs must be positive.
+
+    f[s] sums the products over delta of total size s, one increment at a
+    time: f_k[s] = f_{k-1}[s] + w_k f_k[s - inc_k].  f[0..H] does not depend
+    on the horizon H, so each doubling runs only the new sizes through the
+    stages, each stage carrying its last inc_k values, and f vanishes off
+    the multiples of the increments' gcd, so only those sizes are computed.
+    """
     if any(cost <= 0.0 for _, cost in steps):
         return math.inf
     u = 0.5 * min(cost / inc for inc, cost in steps)
+    prod = 1.0
+    for inc, cost in steps:
+        tilted = math.exp(-(cost - u * inc))
+        if tilted >= 1.0:
+            return math.inf
+        prod /= (1.0 - tilted)
+    g = math.gcd(*(inc for inc, _ in steps))
+    stages = [(inc // g, math.exp(-cost)) for inc, cost in steps]
+    # f_k at the inc_k sizes below the next new one; negative sizes hold 0.0,
+    # and adding w_k * 0.0 leaves a value unchanged
+    lags = [[0.0] * inc for inc, _ in stages]
+    f_row: list[float] = []
     horizon = max(400, 4 * max(beyond, 0))
     while True:
+        new = [0.0] * (horizon // g + 1 - len(f_row))
+        if not f_row:
+            new[0] = 1.0
+        for k, (inc, w) in enumerate(stages):
+            row = lags[k]
+            append = row.append
+            # the row grows while zip reads it, inc entries behind the end
+            for below, lagged in zip(new, row):
+                append(below + w * lagged)
+            new, lags[k] = row[inc:], row[-inc:]
+        f_row += new
+        # the full-length array keeps numpy's pairwise summation order
         f = np.zeros(horizon + 1)
-        f[0] = 1.0
-        for inc, cost in steps:
-            w = math.exp(-cost)
-            for s in range(inc, horizon + 1):
-                f[s] += w * f[s - inc]
+        f[::g] = f_row
         exact = float(f[max(beyond, -1) + 1:].sum())
-        prod = 1.0
-        for inc, cost in steps:
-            tilted = math.exp(-(cost - u * inc))
-            if tilted >= 1.0:
-                return math.inf
-            prod /= (1.0 - tilted)
         log_close = -u * horizon
         closing = math.exp(log_close) * prod if log_close > -745.0 else 0.0
         if closing <= max(1e-12 * exact, 1e-250) or horizon >= 20000:
@@ -553,6 +586,7 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
         raise ValueError("k must be >= 1")
     if t0 is None:
         t0 = t_zero(descriptor)
+    require_time(t0, allow_zero=True)
     p = base_weight.parts2
     top = p[0]
     if any(v != top for v in p[:l]):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -234,3 +235,33 @@ def test_threads_env_fallback(monkeypatch):
     assert cli._default_threads() >= 1
     monkeypatch.delenv("CUTOFFLAB_THREADS")
     assert cli._default_threads() >= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eta", "--family", "SO", "--n", "11", "--t", "nan", "--cap", "2",
+     "--format", "csv"),
+    ("eta", "--family", "SO", "--n", "11", "--t", "-1", "--cap", "2",
+     "--format", "csv"),
+    ("eta", "--family", "SO", "--n", "11", "--t", "nan", "--cap", "2"),
+    ("eta", "--family", "SO", "--n", "11", "--t", "inf", "--cap", "2"),
+], ids=" ".join)
+def test_growth_quotient_times_outside_the_domain_exit_with_code_two(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: time must be finite")
+
+
+@pytest.mark.parametrize("ends", [
+    ("--t-max", "inf"),
+    ("--t-min", "nan"),
+    ("--t-min", "1", "--t-max", "nan"),
+], ids=" ".join)
+def test_profile_rejects_non_finite_grid_ends(capsys, ends):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        code = cli.main(["profile", "--family", "SO", "--n", "10", *ends])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need finite 0 < --t-min < --t-max" in captured.err

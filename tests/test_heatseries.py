@@ -321,6 +321,16 @@ def test_eta_rejects_bad_bases():
         eta_quotient(d, zero, 1, 0)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+def test_eta_rejects_times_outside_the_domain(t):
+    d = describe("SO", 11)
+    zero = Weight.zero(5, WeightKind.halfY)
+    with pytest.raises(InvalidTime):
+        eta_quotient(d, zero, 1, 1, t0=t)
+    # at t = 0 the quotient is the bare dimension ratio
+    assert eta_quotient(d, zero, 1, 1, t0=0.0) == 11.0
+
+
 # -- densities -------------------------------------------------------------
 
 
