@@ -404,10 +404,9 @@ def _run_simulate(parser, args) -> int:
     spec = _cutoff.omega_spec(desc)
     endpoints = _sampler.simulate_endpoints(desc, args.t, config,
                                             range(args.paths))
-    rows = []
-    for index, matrix in enumerate(endpoints):
-        value = complex(_cutoff.omega_value(spec, matrix))
-        rows.append((index, value.real, value.imag))
+    values = np.asarray(_cutoff.omega_value(spec, endpoints), dtype=complex)
+    rows = [(index, float(v.real), float(v.imag))
+            for index, v in enumerate(values)]
     if args.format == "csv":
         _emit(_csv_text(("path", "omega_re", "omega_im"), rows), args.out)
     else:

@@ -86,53 +86,73 @@ def omega_spec(descriptor: SpaceDescriptor) -> OmegaSpec:
 def _check_matrix(descriptor: SpaceDescriptor, matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix)
     m = descriptor.matrix_size
-    if mat.shape != (m, m):
-        raise ValueError(f"expected a {m} x {m} matrix, got {mat.shape}")
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (m, m):
+        raise ValueError(f"expected a {m} x {m} matrix or a stack of them, "
+                         f"got {mat.shape}")
     if descriptor.field_tag == "real" and np.iscomplexobj(mat):
-        if np.abs(mat.imag).max() > 1e-12:
+        if mat.size and np.abs(mat.imag).max() > 1e-12:
             raise FieldMismatch(f"{descriptor} carries real matrices")
         mat = mat.real
     return mat
 
 
-def zonal_value(descriptor: SpaceDescriptor, matrix: np.ndarray) -> complex:
-    """Basepoint-normalized minimal zonal function, evaluated on an isometry."""
+def _entry_sum(block: np.ndarray) -> np.ndarray:
+    """Sum of the entries of each matrix, added in the same order for every
+    matrix of a stack, whatever the stack's length (one row per matrix)."""
+    return block.reshape(block.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _per_matrix(values: np.ndarray) -> complex | np.ndarray:
+    """A Python scalar for one matrix, the array for a stack."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
+def zonal_value(descriptor: SpaceDescriptor,
+                matrix: np.ndarray) -> complex | np.ndarray:
+    """Basepoint-normalized minimal zonal function, evaluated on an isometry
+    or on each matrix of a stack of them (leading batch axis)."""
     fam = descriptor.family
     g = _check_matrix(descriptor, matrix)
     n, q = descriptor.n, descriptor.q
     if fam is Family.GrR:
         p = n - q
-        return float((g[:p, :p] ** 2).sum() / p + (g[p:, p:] ** 2).sum() / q - 1.0)
+        return _per_matrix(_entry_sum(g[..., :p, :p] ** 2) / p
+                           + _entry_sum(g[..., p:, p:] ** 2) / q - 1.0)
     if fam is Family.GrC:
         p = n - q
-        val = (np.abs(g[:p, :p]) ** 2).sum() / p + (np.abs(g[p:, p:]) ** 2).sum() / q
-        return float(val - 1.0)
+        val = (_entry_sum(np.abs(g[..., :p, :p]) ** 2) / p
+               + _entry_sum(np.abs(g[..., p:, p:]) ** 2) / q)
+        return _per_matrix(val - 1.0)
     if fam is Family.GrH:
         p = n - q
-        norms = np.abs(g[0::2, 0::2]) ** 2 + np.abs(g[0::2, 1::2]) ** 2
-        return float(norms[:p, :p].sum() / p + norms[p:, p:].sum() / q - 1.0)
+        norms = np.abs(g[..., 0::2, 0::2]) ** 2 + np.abs(g[..., 0::2, 1::2]) ** 2
+        return _per_matrix(_entry_sum(norms[..., :p, :p]) / p
+                           + _entry_sum(norms[..., p:, p:]) / q - 1.0)
     if fam in (Family.SO2n_Un, Family.SU2n_USpn):
-        dets = (g[1::2, 1::2] * g[0::2, 0::2] - g[1::2, 0::2] * g[0::2, 1::2])
-        total = complex(dets.sum()) / n
-        return total.real if fam is Family.SO2n_Un else total
+        dets = (g[..., 1::2, 1::2] * g[..., 0::2, 0::2]
+                - g[..., 1::2, 0::2] * g[..., 0::2, 1::2])
+        total = _entry_sum(dets) / n
+        return _per_matrix(total.real if fam is Family.SO2n_Un else total)
     if fam is Family.SUn_SOn:
-        return complex((g.astype(complex) ** 2).sum() / n)
+        return _per_matrix(_entry_sum(g.astype(complex) ** 2) / n)
     if fam is Family.USpn_Un:
-        return float((g.astype(complex) ** 2).sum().real / (2 * n))
+        return _per_matrix(_entry_sum(g.astype(complex) ** 2).real / (2 * n))
     raise UnsupportedSpace(f"{descriptor} is a group; its observable is the trace")
 
 
-def omega_value(spec: OmegaSpec | SpaceDescriptor, matrix: np.ndarray) -> complex:
-    """Evaluate the discriminating observable on a matrix."""
+def omega_value(spec: OmegaSpec | SpaceDescriptor,
+                matrix: np.ndarray) -> complex | np.ndarray:
+    """Evaluate the discriminating observable on a matrix, or on each
+    matrix of a stack of them (leading batch axis)."""
     if isinstance(spec, SpaceDescriptor):
         spec = omega_spec(spec)
     descriptor = spec.descriptor
     if spec.kind == "character_trace":
         g = _check_matrix(descriptor, matrix)
-        tr = complex(np.trace(g))
+        tr = np.trace(g, axis1=-2, axis2=-1)
         if descriptor.family in (Family.SO, Family.USp):
-            return tr.real
-        return tr
+            tr = tr.real
+        return _per_matrix(tr)
     return spec.normalization * zonal_value(descriptor, matrix)
 
 

@@ -285,12 +285,24 @@ def _hr_closing(log_x: float, horizon: int) -> float:
     return first / (1.0 - ratio)
 
 
-@lru_cache(maxsize=64)
+# max_len -> read-only log p(s), s = 0..(largest horizon asked for so far)
+_LOG_COUNTS: dict[int, np.ndarray] = {}
+
+
 def _log_counts(horizon: int, max_len: int) -> np.ndarray:
-    """Read-only log p(s) for s = 0..horizon, partitions of length <= max_len."""
-    logs = np.array([math.log(c) for c in partition_counts(horizon, max_len)])
-    logs.flags.writeable = False
-    return logs
+    """Read-only log p(s) for s = 0..horizon, partitions of length <= max_len.
+
+    p(s) does not depend on the horizon, so one array per length serves
+    every horizon up to the largest built; a larger horizon rebuilds it.
+    """
+    logs = _LOG_COUNTS.get(max_len)
+    if logs is None or len(logs) <= horizon:
+        logs = np.array([math.log(c) for c in partition_counts(horizon, max_len)])
+        logs.flags.writeable = False
+        # another thread may have stored a longer array meanwhile
+        if len(logs) > len(_LOG_COUNTS.get(max_len, ())):
+            _LOG_COUNTS[max_len] = logs
+    return logs[:horizon + 1]
 
 
 def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:

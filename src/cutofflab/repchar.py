@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,22 +60,32 @@ def _halves(weight: Weight) -> list[Fraction]:
     return list(weight.parts)
 
 
+def _scaled(parts: Sequence[Fraction], length: int) -> tuple[list[int], int]:
+    """(d * l_1, ..., d * l_length) as ints for the zero-padded label, with d
+    the least common denominator of its parts (2 for half-integer labels)."""
+    d = math.lcm(*(v.denominator for v in parts))
+    lam = [v.numerator * (d // v.denominator) for v in parts]
+    return lam + [0] * (length - len(lam)), d
+
+
 def _type_a_product(parts: Sequence[Fraction], n: int) -> Fraction:
     """prod_{i<j<=n} (l_i - l_j + j - i)/(j - i) over the padded label."""
-    lam = list(parts) + [Fraction(0)] * (n - len(parts))
-    out = Fraction(1)
+    lam, d = _scaled(parts, n)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            out *= (lam[i] - lam[j] + (j - i)) / (j - i)
-    return out
+            num *= lam[i] - lam[j] + d * (j - i)
+            den *= d * (j - i)
+    return Fraction(num, den)
 
 
 def _type_bcd_product(parts: Sequence[Fraction], rank: int, char_type: CharType) -> Fraction:
-    lam = list(parts) + [Fraction(0)] * (rank - len(parts))
-    out = Fraction(1)
+    lam, d = _scaled(parts, rank)
+    num = den = 1
     for i in range(rank):
         for j in range(i + 1, rank):
-            out *= (lam[i] - lam[j] + (j - i)) / (j - i)
+            num *= lam[i] - lam[j] + d * (j - i)
+            den *= d * (j - i)
     if char_type is CharType.B:
         offset, strict = 2 * rank + 1, False
     elif char_type is CharType.C:
@@ -84,10 +95,10 @@ def _type_bcd_product(parts: Sequence[Fraction], rank: int, char_type: CharType)
     for i in range(rank):
         j0 = i + 1 if strict else i
         for j in range(j0, rank):
-            num = lam[i] + lam[j] + offset - (i + 1) - (j + 1)
-            den = offset - (i + 1) - (j + 1)
-            out *= num / den
-    return out
+            shift = offset - (i + 1) - (j + 1)
+            num *= lam[i] + lam[j] + d * shift
+            den *= d * shift
+    return Fraction(num, den)
 
 
 def _grc_full_label(weight: Weight, n: int) -> list[Fraction]:

@@ -3,9 +3,10 @@
 Paths follow a geometric Euler scheme: each step multiplies by the
 exponential of a Gaussian algebra element whose covariance is the invariant
 metric, so the chain's quadratic variation matches the Casimir tensor and
-the scheme is weakly first order.  Randomness is counter-based: every
-(seed, path, step) triple maps to an independent stream, making estimates
-reproducible bit for bit under any scheduling.
+the scheme is weakly first order.  Randomness is counter-based: every path
+and every uniform sample owns one Philox stream, keyed by (seed, purpose)
+with its index as counter, so estimates are reproducible bit for bit under
+any scheduling and any batching.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cutoff import omega_spec, omega_value, zonal_value
+from .cutoff import omega_value, zonal_value
 from .errors import UnsupportedStatistic, require_time
-from .spaces import Family, SpaceDescriptor
+from .moments import _orthonormal_basis
+from .spaces import SpaceDescriptor
 
 __all__ = [
     "SimulationConfig",
@@ -27,6 +30,7 @@ __all__ = [
     "STATISTICS",
     "brownian_path",
     "haar_sample",
+    "haar_samples",
     "simulate_endpoints",
     "estimate",
 ]
@@ -34,6 +38,8 @@ __all__ = [
 _MAX_STEP = 0.05
 _PURPOSE_PATH = 0
 _PURPOSE_HAAR = 1
+# Euler steps whose normals are drawn in one go; bounds memory at long t
+_WINDOW = 64
 
 STATISTICS = ("trace", "abs_trace_sq", "omega", "abs_omega_sq",
               "zonal_min", "abs_zonal_sq", "entry_sq", "indicator")
@@ -79,10 +85,37 @@ class Estimate:
         return payload
 
 
-def _rng(seed: int, purpose: int, path: int, step: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
-    counter = np.array([0, 0, path, step], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+class _Streams:
+    """One Philox stream per index: key (seed, purpose), counter (0, 0, index, 0).
+
+    A single generator is switched between the streams by setting its
+    state, which is much cheaper than building a generator per stream.
+    Consecutive draws on a stream give exactly the numbers of one larger
+    draw.
+    """
+
+    def __init__(self, seed: int, purpose: int, indices: Sequence[int]) -> None:
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
+        self._bits = np.random.Philox(key=key)
+        self._normals = np.random.Generator(self._bits).standard_normal
+        self._start = self._bits.state  # counter 0, empty buffer
+        # each stream's index until its first kept draw, then its saved state
+        self._positions: list = list(indices)
+
+    def draw(self, shape: tuple[int, ...], keep: bool = False) -> np.ndarray:
+        """The next standard normals of every stream, stacked in index order.
+        Only with ``keep`` does a further draw continue the streams."""
+        out = np.empty((len(self._positions),) + shape)
+        for pos, where in enumerate(self._positions):
+            if isinstance(where, dict):
+                self._bits.state = where
+            else:
+                self._start["state"]["counter"][2] = where
+                self._bits.state = self._start
+            self._normals(shape, out=out[pos])
+            if keep:
+                self._positions[pos] = self._bits.state
+        return out
 
 
 def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
@@ -92,38 +125,53 @@ def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
     return algebra, amb.n, amb.matrix_size
 
 
+@lru_cache(maxsize=16)
+def _dense_basis(algebra: str, n: int) -> np.ndarray:
+    """The invariant metric's orthonormal basis as one (dim g, m, m) array:
+    the basis whose tensor squares sum to ``moments.casimir``."""
+    basis = np.stack([x.toarray() for x in _orthonormal_basis(algebra, n)])
+    basis.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=16)
+def _coefficient_map(algebra: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables (index, weight), each (width, m*m), with entry p of a
+    flattened algebra element equal to sum_s c[index[s, p]] * weight[s, p].
+
+    Each entry has at most ``width`` nonzero basis coefficients (one on so(n),
+    up to n - 1 on the diagonal of su(n)); padding slots carry weight 0.  The
+    sum runs slot by slot, so a path's element does not depend on the batch
+    it is computed in, which a BLAS product does not guarantee.
+    """
+    basis = _dense_basis(algebra, n)
+    flat = basis.reshape(len(basis), -1).T
+    nonzero = flat != 0
+    width = int(nonzero.sum(axis=1).max())
+    index = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    weight = np.take_along_axis(flat, index, axis=1)
+    return index.T, weight.T
+
+
+def _algebra_elements(algebra: str, n: int, coeffs: np.ndarray) -> np.ndarray:
+    """Algebra elements sum_k coeffs[:, k] X_k, one per row of coefficients."""
+    index, weight = _coefficient_map(algebra, n)
+    flat = coeffs[:, index[0]] * weight[0]
+    for idx, w in zip(index[1:], weight[1:]):
+        flat += coeffs[:, idx] * w
+    m = math.isqrt(index.shape[1])
+    return flat.reshape(len(coeffs), m, m)
+
+
 def _embed_quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex 2n x 2n image of the quaternion matrix a + b j."""
-    n = a.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[0::2, 0::2] = a
-    out[0::2, 1::2] = b
-    out[1::2, 0::2] = -b.conj()
-    out[1::2, 1::2] = a.conj()
+    """Complex 2n x 2n images of quaternion matrices a + b j (stacks allowed)."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = b
+    out[..., 1::2, 0::2] = -b.conj()
+    out[..., 1::2, 1::2] = a.conj()
     return out
-
-
-def _gaussian_element(algebra: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard Gaussian algebra element in the invariant metric."""
-    if algebra == "so":
-        u = np.triu(rng.standard_normal((n, n)), 1)
-        return (u - u.T) / math.sqrt(n)
-    if algebra == "su":
-        a = np.triu(rng.standard_normal((n, n)), 1)
-        b = np.triu(rng.standard_normal((n, n)), 1)
-        z = rng.standard_normal(n)
-        off = (a - a.T + 1j * (b + b.T)) / math.sqrt(2 * n)
-        diag = 1j * (z - z.mean()) / math.sqrt(n)
-        return off + np.diag(diag)
-    x, y, z = rng.standard_normal((3, n))
-    wo, xo, yo, zo = rng.standard_normal((4, n, n))
-    so = math.sqrt(4 * n)
-    w_m = (np.triu(wo, 1) - np.triu(wo, 1).T) / so
-    def sym(m: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        upper = np.triu(m, 1)
-        return (upper + upper.T) / so + np.diag(diag / math.sqrt(2 * n))
-    x_m, y_m, z_m = sym(xo, x), sym(yo, y), sym(zo, z)
-    return _embed_quaternion(w_m + 1j * x_m, y_m + 1j * z_m)
 
 
 def _expm_anti_hermitian(batch: np.ndarray) -> np.ndarray:
@@ -131,7 +179,7 @@ def _expm_anti_hermitian(batch: np.ndarray) -> np.ndarray:
     herm = 1j * batch
     w, v = np.linalg.eigh(herm)
     phases = np.exp(-1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj())
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _project(algebra: str, batch: np.ndarray) -> np.ndarray:
@@ -146,18 +194,17 @@ def _project(algebra: str, batch: np.ndarray) -> np.ndarray:
         return out * np.exp(-1j * np.angle(det) / n)[..., None, None]
     a = 0.5 * (out[..., 0::2, 0::2] + out[..., 1::2, 1::2].conj())
     b = 0.5 * (out[..., 0::2, 1::2] - out[..., 1::2, 0::2].conj())
-    fixed = np.empty_like(out)
-    fixed[..., 0::2, 0::2] = a
-    fixed[..., 0::2, 1::2] = b
-    fixed[..., 1::2, 0::2] = -b.conj()
-    fixed[..., 1::2, 1::2] = a.conj()
-    return fixed
+    return _embed_quaternion(a, b)
 
 
 def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
                        config: SimulationConfig,
                        path_indices: Sequence[int]) -> np.ndarray:
-    """Endpoints of independent heat-flow paths at time t, one per index."""
+    """Endpoints of independent heat-flow paths at time t, one per index.
+
+    Path p draws all its normals, (steps, dim g) in step order, from its own
+    stream, so its endpoint does not depend on which other paths run with it.
+    """
     require_time(t, allow_zero=True)
     algebra, rank, size = _ambient(descriptor)
     count = len(path_indices)
@@ -168,17 +215,21 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
     num_steps = max(1, math.ceil(t / config.step_size))
     h = t / num_steps
     sqrt_h = math.sqrt(h)
-    for step in range(num_steps):
-        xi = np.stack([
-            _gaussian_element(algebra, rank,
-                              _rng(config.seed, _PURPOSE_PATH, p, step))
-            for p in path_indices])
-        move = _expm_anti_hermitian(sqrt_h * xi)
-        if algebra == "so":
-            move = move.real
-        g = g @ move
-        if (step + 1) % config.renorm_every == 0:
-            g = _project(algebra, g)
+    dim = len(_dense_basis(algebra, rank))
+    streams = _Streams(config.seed, _PURPOSE_PATH, path_indices)
+    step = 0
+    for start in range(0, num_steps, _WINDOW):
+        normals = streams.draw((min(_WINDOW, num_steps - start), dim),
+                               keep=start + _WINDOW < num_steps)
+        for offset in range(normals.shape[1]):
+            xi = _algebra_elements(algebra, rank, normals[:, offset])
+            move = _expm_anti_hermitian(sqrt_h * xi)
+            if algebra == "so":
+                move = move.real
+            g = g @ move
+            step += 1
+            if step % config.renorm_every == 0:
+                g = _project(algebra, g)
     return g
 
 
@@ -190,58 +241,59 @@ def brownian_path(descriptor: SpaceDescriptor, t: float, *, seed: int = 0,
     return simulate_endpoints(descriptor, t, config, [path_index])[0]
 
 
+def haar_samples(descriptor: SpaceDescriptor, seed: int,
+                 indices: Sequence[int]) -> np.ndarray:
+    """Uniform samples from the isometry group of the space, one per index.
+
+    Sample i reads its Ginibre entries from its own stream; QR with the
+    sign fix (or the quaternionic projection) runs on the whole stack.
+    """
+    algebra, rank, size = _ambient(descriptor)
+    streams = _Streams(seed, _PURPOSE_HAAR, indices)
+    if algebra == "so":
+        q, r = np.linalg.qr(streams.draw((size, size)))
+        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+        q[..., 0] *= np.sign(np.linalg.det(q))[..., None]
+        return q
+    if algebra == "su":
+        parts = streams.draw((2, size, size))
+        q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[..., None, :]
+        return q * np.exp(-1j * np.angle(np.linalg.det(q)) / size)[..., None, None]
+    parts = streams.draw((4, rank, rank))
+    return _project("usp", _embed_quaternion(parts[:, 0] + 1j * parts[:, 1],
+                                             parts[:, 2] + 1j * parts[:, 3]))
+
+
 def haar_sample(descriptor: SpaceDescriptor, *, seed: int = 0,
                 index: int = 0) -> np.ndarray:
     """One uniform sample from the isometry group of the space."""
-    algebra, rank, size = _ambient(descriptor)
-    rng = _rng(seed, _PURPOSE_HAAR, index, 0)
-    if algebra == "so":
-        ginibre = rng.standard_normal((size, size))
-        q, r = np.linalg.qr(ginibre)
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return q
-    if algebra == "su":
-        ginibre = (rng.standard_normal((size, size))
-                   + 1j * rng.standard_normal((size, size))) / math.sqrt(2)
-        q, r = np.linalg.qr(ginibre)
-        d = np.diag(r)
-        q = q * (d / np.abs(d))
-        return q * np.exp(-1j * np.angle(np.linalg.det(q)) / size)
-    a = (rng.standard_normal((rank, rank))
-         + 1j * rng.standard_normal((rank, rank)))
-    b = (rng.standard_normal((rank, rank))
-         + 1j * rng.standard_normal((rank, rank)))
-    return _project("usp", _embed_quaternion(a, b)[None])[0]
+    return haar_samples(descriptor, seed, [index])[0]
 
 
 def _statistic_values(descriptor: SpaceDescriptor, statistic: str,
                       mats: np.ndarray,
                       threshold: Optional[float]) -> np.ndarray:
-    spec = omega_spec(descriptor)
-    out = np.empty(len(mats), dtype=complex)
-    for pos, g in enumerate(mats):
-        if statistic == "trace":
-            tr = complex(np.trace(g))
-            out[pos] = tr.real if descriptor.field_tag == "real" else tr
-        elif statistic == "abs_trace_sq":
-            out[pos] = abs(complex(np.trace(g))) ** 2
-        elif statistic == "omega":
-            out[pos] = omega_value(spec, g)
-        elif statistic == "abs_omega_sq":
-            out[pos] = abs(omega_value(spec, g)) ** 2
-        elif statistic == "zonal_min":
-            out[pos] = zonal_value(descriptor, g)
-        elif statistic == "abs_zonal_sq":
-            out[pos] = abs(zonal_value(descriptor, g)) ** 2
-        elif statistic == "entry_sq":
-            out[pos] = complex(g[0, 0]) ** 2
-        elif statistic == "indicator":
-            out[pos] = 1.0 if abs(omega_value(spec, g)) >= threshold else 0.0
-        else:
-            raise UnsupportedStatistic(statistic)
-    return out
+    """The statistic on every matrix of a stack."""
+    if statistic in ("trace", "abs_trace_sq"):
+        tr = np.trace(mats, axis1=-2, axis2=-1)
+        if statistic == "abs_trace_sq":
+            return np.abs(tr) ** 2
+        return tr.real if descriptor.field_tag == "real" else tr
+    if statistic == "entry_sq":
+        return mats[:, 0, 0] ** 2
+    if statistic in ("zonal_min", "abs_zonal_sq"):
+        values = zonal_value(descriptor, mats)
+    elif statistic in ("omega", "abs_omega_sq", "indicator"):
+        values = omega_value(descriptor, mats)
+    else:
+        raise UnsupportedStatistic(statistic)
+    if statistic == "indicator":
+        return (np.abs(values) >= threshold).astype(float)
+    if statistic.startswith("abs_"):
+        return np.abs(values) ** 2
+    return values
 
 
 _CHUNK = 256
@@ -255,8 +307,7 @@ def _values_for_range(descriptor: SpaceDescriptor, statistic: str,
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         if t is None:
-            mats = np.stack([haar_sample(descriptor, seed=config.seed, index=p)
-                             for p in range(lo, hi)])
+            mats = haar_samples(descriptor, config.seed, range(lo, hi))
         else:
             mats = simulate_endpoints(descriptor, t, config, range(lo, hi))
         out[lo - start:hi - start] = _statistic_values(

@@ -1,0 +1,51 @@
+"""Per-index uniform sampling as the sampler did it before batching: one
+generator per index, QR and sign fix one matrix at a time.  Kept as an
+oracle for ``sampler.haar_samples``, which must draw the same numbers."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cutofflab.sampler import _ambient, _project
+
+
+def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
+    counter = np.array([0, 0, index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def _embed_quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[0::2, 0::2] = a
+    out[0::2, 1::2] = b
+    out[1::2, 0::2] = -b.conj()
+    out[1::2, 1::2] = a.conj()
+    return out
+
+
+def haar_sample(descriptor, *, seed: int = 0, index: int = 0) -> np.ndarray:
+    algebra, rank, size = _ambient(descriptor)
+    rng = _rng(seed, 1, index)
+    if algebra == "so":
+        ginibre = rng.standard_normal((size, size))
+        q, r = np.linalg.qr(ginibre)
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        return q
+    if algebra == "su":
+        ginibre = (rng.standard_normal((size, size))
+                   + 1j * rng.standard_normal((size, size))) / math.sqrt(2)
+        q, r = np.linalg.qr(ginibre)
+        d = np.diag(r)
+        q = q * (d / np.abs(d))
+        return q * np.exp(-1j * np.angle(np.linalg.det(q)) / size)
+    a = (rng.standard_normal((rank, rank))
+         + 1j * rng.standard_normal((rank, rank)))
+    b = (rng.standard_normal((rank, rank))
+         + 1j * rng.standard_normal((rank, rank)))
+    return _project("usp", _embed_quaternion(a, b)[None])[0]

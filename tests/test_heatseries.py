@@ -404,3 +404,22 @@ def test_density_error_paths():
         density("circle", {"theta": 0.0}, 0.0)
     with pytest.raises(ValueError):
         density(describe("SU", 3), {"alphabet": [1j, -1j]}, 1.0)  # wrong size
+
+
+def test_log_counts_grow_one_array_per_length(monkeypatch):
+    from cutofflab import heatseries
+    from cutofflab.partitions import partition_counts
+    builds = []
+
+    def counting(max_size, max_len):
+        builds.append((max_size, max_len))
+        return partition_counts(max_size, max_len)
+
+    monkeypatch.setattr(heatseries, "partition_counts", counting)
+    monkeypatch.setattr(heatseries, "_LOG_COUNTS", {})
+    for horizon in (120, 480, 60, 480, 240):
+        logs = heatseries._log_counts(horizon, 7)
+        want = [math.log(c) for c in partition_counts(horizon, 7)]
+        assert logs.tolist() == want
+        assert not logs.flags.writeable
+    assert builds == [(120, 7), (480, 7)]

@@ -377,3 +377,58 @@ def test_schur_accepts_weight_objects():
     z = [cmath.exp(1j * t) for t in (0.4, 1.1, 2.3)]
     w = Weight.of((2, 1, 0))
     assert schur(CharType.A, w, z) == schur(CharType.A, [2, 1, 0], z)
+
+
+def _factorwise_product(lam, pairs):
+    """Reference: multiply Fraction factors one by one, as the products once did."""
+    out = Fraction(1)
+    for num, den in pairs(lam):
+        out *= Fraction(num) / den
+    return out
+
+
+@pytest.mark.parametrize("family,n,q", [
+    ("SU", 6, None), ("SO", 9, None), ("SO", 10, None), ("USp", 4, None),
+    ("GrR", 9, 3), ("GrC", 7, 2), ("GrH", 6, 2), ("SO2n_Un", 5, None),
+    ("SUn_SOn", 5, None), ("SU2n_USpn", 3, None), ("USpn_Un", 4, None)])
+def test_dimension_equals_the_factor_by_factor_product(family, n, q):
+    from itertools import islice
+    from cutofflab import repchar
+
+    def type_a(lam):
+        size = len(lam)
+        return [(lam[i] - lam[j] + (j - i), j - i)
+                for i in range(size) for j in range(i + 1, size)]
+
+    def type_bcd(char_type):
+        offset, strict = {CharType.B: (1, False), CharType.C: (2, False),
+                          CharType.D: (0, True)}[char_type]
+
+        def pairs(lam):
+            r = len(lam)
+            out = type_a(lam)
+            for i in range(r):
+                for j in range(i + 1 if strict else i, r):
+                    shift = 2 * r + offset - (i + 1) - (j + 1)
+                    out.append((lam[i] + lam[j] + shift, shift))
+            return out
+        return pairs
+
+    desc = describe(family, n, q)
+    for weight in islice(enumerate_by_size(indexing_set(desc), 8), 80):
+        got = dimension(desc, weight)
+        parts = list(weight.parts)
+        if family in ("SU", "SUn_SOn", "SU2n_USpn", "GrC"):
+            size = {"SU2n_USpn": 2 * n}.get(family, n)
+            lam = (repchar._grc_full_label(weight, n) if family == "GrC"
+                   else parts + [Fraction(0)] * (size - len(parts)))
+            want = _factorwise_product(lam, type_a)
+        else:
+            if family in ("SO", "GrR"):
+                rank, ctype = n // 2, CharType.B if n % 2 else CharType.D
+            else:
+                rank = n
+                ctype = CharType.D if family == "SO2n_Un" else CharType.C
+            lam = parts + [Fraction(0)] * (rank - len(parts))
+            want = _factorwise_product(lam, type_bcd(ctype))
+        assert type(got) is Fraction and got == want

@@ -173,3 +173,154 @@ def test_step_count_scales_with_time():
     desc = spaces.describe("SO", 4)
     short = sa.brownian_path(desc, 0.01, seed=0)
     assert _membership_residual(desc, short) < 1e-12
+
+
+# -- stream layout: one Philox stream per path ------------------------------
+
+_STREAM_SPACES = [("SU", 3, None), ("SO", 5, None), ("USp", 2, None),
+                  ("GrH", 3, 1)]
+
+
+@pytest.mark.parametrize("family,n,q", _STREAM_SPACES)
+def test_a_path_does_not_depend_on_its_batch(family, n, q):
+    desc = spaces.describe(family, n, q)
+    config = sa.SimulationConfig(paths=300, seed=21)
+    inside = sa.simulate_endpoints(desc, 0.33, config, range(0, 300))[250:260]
+    alone = sa.simulate_endpoints(desc, 0.33, config, range(250, 260))
+    single = np.stack([sa.simulate_endpoints(desc, 0.33, config, [p])[0]
+                       for p in range(250, 260)])
+    assert np.array_equal(inside, alone)
+    assert np.array_equal(inside, single)
+
+
+@pytest.mark.parametrize("family,n,q,statistic,t", [
+    ("SU", 3, None, "trace", 0.3),
+    ("SO", 10, None, "abs_trace_sq", 0.12),
+    ("GrC", 4, 1, "abs_omega_sq", 0.25),
+    ("USpn_Un", 2, None, "omega", 0.25),
+    ("SO", 10, None, "trace", None),
+    ("GrR", 5, 2, "zonal_min", None),
+])
+def test_estimates_are_identical_for_every_thread_count(family, n, q,
+                                                        statistic, t):
+    # 300 paths cross the 256-path chunk on one thread; two and three
+    # threads cut the range at other places
+    desc = spaces.describe(family, n, q)
+    runs = [sa.estimate(desc, statistic, t,
+                        sa.SimulationConfig(paths=300, seed=4, threads=k))
+            for k in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("family,n,algebra", [("SU", 3, "su"), ("SO", 4, "so"),
+                                              ("USp", 2, "usp")])
+def test_a_path_reads_its_own_philox_stream(family, n, algebra):
+    # key (seed, 0), counter (0, 0, path, 0); one (steps, dim g) block
+    from scipy.linalg import expm
+    desc = spaces.describe(family, n)
+    seed, path, t = 9, 7, 0.2
+    basis = sa._dense_basis(algebra, n)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.array([0, 0, path, 0], dtype=np.uint64)))
+    normals = rng.standard_normal((4, len(basis)))
+    want = np.eye(desc.matrix_size)
+    for z in normals:
+        want = want @ expm(math.sqrt(t / 4) * np.einsum("k,kij->ij", z, basis))
+    got = sa.brownian_path(desc, t, seed=seed, path_index=path)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("family,n", [("SU", 3), ("SO", 4), ("USp", 2)])
+def test_drawing_window_does_not_change_the_paths(family, n, monkeypatch):
+    desc = spaces.describe(family, n)
+    config = sa.SimulationConfig(paths=4, seed=8)
+    t = 3.3  # 66 steps: two default windows, fourteen of width 5, one of 100
+    default = sa.simulate_endpoints(desc, t, config, range(4))
+    for window in (5, 100):
+        monkeypatch.setattr(sa, "_WINDOW", window)
+        assert np.array_equal(
+            sa.simulate_endpoints(desc, t, config, range(4)), default)
+
+
+# -- one invariant metric ---------------------------------------------------
+
+_ALGEBRAS = ([("so", n) for n in range(3, 7)] + [("su", n) for n in range(2, 6)]
+             + [("usp", n) for n in range(2, 5)])
+
+
+@pytest.mark.parametrize("algebra,n", _ALGEBRAS)
+def test_sampler_basis_squares_to_the_casimir_tensor(algebra, n):
+    from cutofflab.moments import casimir
+    basis = sa._dense_basis(algebra, n)
+    total = sum(np.kron(x, x) for x in basis)
+    assert np.abs(total - casimir(algebra, n).matrix.toarray()).max() < 1e-14
+
+
+@pytest.mark.parametrize("algebra,n", _ALGEBRAS)
+def test_coefficients_map_through_the_basis(algebra, n):
+    basis = sa._dense_basis(algebra, n)
+    assert np.array_equal(
+        sa._algebra_elements(algebra, n, np.eye(len(basis))), basis)
+    coeffs = np.random.default_rng(n).standard_normal((5, len(basis)))
+    want = np.einsum("pk,kij->pij", coeffs, basis)
+    assert np.abs(sa._algebra_elements(algebra, n, coeffs) - want).max() < 1e-14
+
+
+def test_the_hand_written_metric_is_gone():
+    import inspect
+    assert "_gaussian_element" not in inspect.getsource(sa)
+    assert not hasattr(sa, "_gaussian_element")
+
+
+# -- batched uniform samples and stack statistics -----------------------------
+
+_MC_POOL = [("SO", 4, None), ("SU", 3, None), ("USp", 2, None), ("GrR", 5, 2),
+            ("GrC", 4, 1), ("SO2n_Un", 2, None), ("SUn_SOn", 3, None),
+            ("USpn_Un", 2, None)]
+
+
+@pytest.mark.parametrize("family,n,q", sorted(set(_SPACES + _MC_POOL)))
+def test_batched_haar_samples_match_per_index_sampling(family, n, q):
+    import sampler_oracle
+    desc = spaces.describe(family, n, q)
+    batch = sa.haar_samples(desc, 13, range(40, 70))
+    for row, index in zip(batch, range(40, 70)):
+        want = sampler_oracle.haar_sample(desc, seed=13, index=index)
+        assert np.abs(row - want).max() < 1e-14
+    assert np.array_equal(sa.haar_sample(desc, seed=13, index=45), batch[5])
+
+
+_TEN = [("SO", 6, None), ("SU", 4, None), ("USp", 3, None), ("GrR", 7, 3),
+        ("GrC", 5, 2), ("GrH", 4, 1), ("SO2n_Un", 3, None),
+        ("SUn_SOn", 4, None), ("SU2n_USpn", 2, None), ("USpn_Un", 3, None)]
+
+
+@pytest.mark.parametrize("family,n,q", _TEN)
+def test_stack_observables_match_per_matrix_values(family, n, q):
+    desc = spaces.describe(family, n, q)
+    mats = sa.haar_samples(desc, 3, range(12))
+    stacked = co.omega_value(desc, mats)
+    assert stacked.shape == (12,)
+    for value, g in zip(stacked, mats):
+        assert abs(value - co.omega_value(desc, g)) < 1e-13
+    if not desc.is_group:
+        zonal = co.zonal_value(desc, mats)
+        for value, g in zip(zonal, mats):
+            assert abs(value - co.zonal_value(desc, g)) < 1e-13
+
+
+def test_stack_observables_keep_the_shape_and_field_checks():
+    from cutofflab.errors import FieldMismatch
+    so5 = spaces.describe("SO", 5)
+    with pytest.raises(ValueError):
+        co.omega_value(so5, np.zeros((3, 4, 4)))
+    with pytest.raises(ValueError):
+        co.omega_value(so5, np.zeros((2, 3, 5, 5)))
+    stack = np.stack([np.eye(5, dtype=complex)] * 3)
+    stack[1, 0, 1] = 0.3j
+    with pytest.raises(FieldMismatch):
+        co.omega_value(so5, stack)
+    with pytest.raises(FieldMismatch):
+        co.zonal_value(spaces.describe("GrR", 5, 2), stack)
+    assert isinstance(co.omega_value(so5, np.eye(5)), float)
