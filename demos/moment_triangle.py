@@ -1,8 +1,9 @@
 """Three independent routes to the same matrix-entry moments.
 
-A tabulated closed form, the exponential of the sparse Casimir generator,
-and a seeded Monte Carlo average must agree (the first two to near machine
-precision, the third within a few standard errors).
+A tabulated closed form, the exponential of the Casimir generator on
+orbit indicators (``moment``), and a seeded Monte Carlo average must agree
+(the first two to near machine precision, the third within a few standard
+errors).
 """
 
 from __future__ import annotations

@@ -361,23 +361,29 @@ def _canonical(entries: tuple, block_level: bool) -> tuple:
     return tuple(out)
 
 
-def zonal_square_via_moments(descriptor: SpaceDescriptor, t: float) -> float:
-    """E_t of the squared zonal function, evaluated monomial by monomial
-    through the tensor-moment generator of the ambient algebra."""
-    algebra = _ALGEBRA_OF[descriptor.family]
+@lru_cache(maxsize=64)
+def _zonal_square_keys(descriptor: SpaceDescriptor) -> tuple[tuple[tuple, float], ...]:
+    """(canonical moment pattern, summed coefficient) of every monomial of
+    the squared zonal polynomial; the empty pattern is the constant."""
     base = _phi_monomials(descriptor)
     complex_valued = descriptor.family in (Family.SUn_SOn, Family.SU2n_USpn)
     other = ([(c, _conjugate_monomial(m)) for c, m in base]
              if complex_valued else base)
-    block_level = algebra == "usp"
-    cache: dict[tuple, complex] = {}
-    total = 0.0 + 0.0j
+    block_level = _ALGEBRA_OF[descriptor.family] == "usp"
+    weights: dict[tuple, float] = {}
     for c1, m1 in base:
         for c2, m2 in other:
             key = _canonical(m1 + m2, block_level)
-            if key not in cache:
-                cache[key] = moment(algebra, descriptor.matrix_size
-                                    if not block_level else descriptor.matrix_size // 2,
-                                    key, t) if key else 1.0
-            total += c1 * c2 * cache[key]
+            weights[key] = weights.get(key, 0.0) + c1 * c2
+    return tuple(weights.items())
+
+
+def zonal_square_via_moments(descriptor: SpaceDescriptor, t: float) -> float:
+    """E_t of the squared zonal function, evaluated monomial by monomial
+    through the moment engine of the ambient algebra."""
+    algebra = _ALGEBRA_OF[descriptor.family]
+    rank = descriptor.matrix_size // (2 if algebra == "usp" else 1)
+    total = 0.0 + 0.0j
+    for key, weight in _zonal_square_keys(descriptor):
+        total += weight * (moment(algebra, rank, key, t) if key else 1.0)
     return float(total.real)

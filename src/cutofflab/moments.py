@@ -1,25 +1,28 @@
 """Exact joint moments of matrix coefficients under the heat flow.
 
 The expectation of a tensor power of the running matrix solves a linear ODE
-whose generator is assembled from the quadratic Casimir tensor of the Lie
-algebra.  This module builds those generators sparsely, extracts arbitrary
-joint moments of degree at most four from their exponentials, verifies the
-known eigen-structure of the generators, and records the closed-form moment
-formulas together with the expansion of squared basepoint-normalized zonal
-functions.
+whose generator is a scalar drift plus one Casimir term per pair of tensor
+slots.  The generator commutes with simultaneous permutations of the indices
+(of the quaternion blocks for usp), so the flow started at one basis tensor
+stays in the span of the indicators of index patterns taken up to
+relabelling the indices the start does not name.  ``moment`` exponentiates
+the generator on that span, whose size does not depend on the rank (at most
+102 patterns at degree four).  The generator on the whole tensor space
+(``casimir``, ``moment_generator``, ``expectation_entries``,
+``verify_eigentable``) is kept as the independent oracle of the
+verification checks; only it needs scipy, imported where it is used.  The
+module also records the closed-form moment formulas and the expansion of
+squared basepoint-normalized zonal functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigvalsh
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     InvalidRank,
@@ -29,7 +32,10 @@ from .errors import (
     require_time,
 )
 from .partitions import Weight, WeightKind
-from .spaces import Family, SpaceDescriptor
+from .spaces import Family, SpaceDescriptor, drift_coefficient
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "CasimirTensor",
@@ -61,35 +67,46 @@ def _check_algebra(algebra: str, n: int) -> None:
         raise InvalidRank(f"{algebra}({n}): rank must be >= {floor}")
 
 
+def _check_slots(algebra: str, n: int, k: int, l: int) -> None:
+    _check_algebra(algebra, n)
+    if k < 0 or l < 0 or k + l < 1:
+        raise ValueError("need at least one tensor slot")
+    if l > 0 and algebra != "su":
+        raise ValueError("conjugated slots only make sense for complex entries")
+
+
 def _embedding_dim(algebra: str, n: int) -> int:
     return 2 * n if algebra == "usp" else n
 
 
-def _quaternion_unit(unit: str, i: int, j: int, n: int) -> sp.coo_matrix:
+def _quaternion_unit(unit: str, i: int, j: int, n: int) -> np.ndarray:
     """Complex 2n x 2n image of a quaternion unit times an elementary matrix."""
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
     r, c = 2 * i, 2 * j
     if unit == "1":
-        rows, cols, vals = [r, r + 1], [c, c + 1], [1.0, 1.0]
+        out[r, c], out[r + 1, c + 1] = 1.0, 1.0
     elif unit == "i":
-        rows, cols, vals = [r, r + 1], [c, c + 1], [1.0j, -1.0j]
+        out[r, c], out[r + 1, c + 1] = 1.0j, -1.0j
     elif unit == "j":
-        rows, cols, vals = [r, r + 1], [c + 1, c], [1.0, -1.0]
+        out[r, c + 1], out[r + 1, c] = 1.0, -1.0
     elif unit == "k":
-        rows, cols, vals = [r, r + 1], [c + 1, c], [1.0j, 1.0j]
+        out[r, c + 1], out[r + 1, c] = 1.0j, 1.0j
     else:  # pragma: no cover - internal misuse
         raise ValueError(unit)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n), dtype=complex)
+    return out
 
 
-def _orthonormal_basis(algebra: str, n: int) -> tuple[sp.csr_matrix, ...]:
-    """Anti-Hermitian basis whose tensor squares sum to the Casimir tensor."""
-    out: list[sp.csr_matrix] = []
+def _orthonormal_basis(algebra: str, n: int) -> tuple[np.ndarray, ...]:
+    """Anti-Hermitian basis, as dense matrices, whose tensor squares sum to
+    the Casimir tensor."""
+    out: list[np.ndarray] = []
     if algebra == "so":
         s = 1.0 / np.sqrt(n)
         for i in range(n):
             for j in range(i + 1, n):
-                out.append(sp.coo_matrix(
-                    ([s, -s], ([i, j], [j, i])), shape=(n, n)).tocsr())
+                x = np.zeros((n, n))
+                x[i, j], x[j, i] = s, -s
+                out.append(x)
         return tuple(out)
     if algebra == "su":
         # traceless diagonal block: any factorization V V^T of the covariance
@@ -98,31 +115,223 @@ def _orthonormal_basis(algebra: str, n: int) -> tuple[sp.csr_matrix, ...]:
         vals, vecs = np.linalg.eigh(cov)
         for a in range(n):
             if vals[a] > 1e-12:
-                d = 1j * vecs[:, a] * np.sqrt(vals[a])
-                out.append(sp.coo_matrix(
-                    (d, (range(n), range(n))), shape=(n, n), dtype=complex).tocsr())
+                out.append(np.diag(1j * vecs[:, a] * np.sqrt(vals[a])))
         s = 1.0 / np.sqrt(2 * n)
         for i in range(n):
             for j in range(i + 1, n):
-                out.append(sp.coo_matrix(
-                    ([s, -s], ([i, j], [j, i])), shape=(n, n), dtype=complex).tocsr())
-                out.append(sp.coo_matrix(
-                    ([1j * s, 1j * s], ([i, j], [j, i])),
-                    shape=(n, n), dtype=complex).tocsr())
+                x = np.zeros((n, n), dtype=complex)
+                x[i, j], x[j, i] = s, -s
+                y = np.zeros((n, n), dtype=complex)
+                y[i, j], y[j, i] = 1j * s, 1j * s
+                out += [x, y]
         return tuple(out)
     sd = 1.0 / np.sqrt(2 * n)
     so = 1.0 / np.sqrt(4 * n)
     for i in range(n):
         for unit in ("i", "j", "k"):
-            out.append((sd * _quaternion_unit(unit, i, i, n)).tocsr())
+            out.append(sd * _quaternion_unit(unit, i, i, n))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append((so * (_quaternion_unit("1", i, j, n)
-                              - _quaternion_unit("1", j, i, n))).tocsr())
+            out.append(so * (_quaternion_unit("1", i, j, n)
+                             - _quaternion_unit("1", j, i, n)))
             for unit in ("i", "j", "k"):
-                out.append((so * (_quaternion_unit(unit, i, j, n)
-                                  + _quaternion_unit(unit, j, i, n))).tocsr())
+                out.append(so * (_quaternion_unit(unit, i, j, n)
+                                 + _quaternion_unit(unit, j, i, n)))
     return tuple(out)
+
+
+# -- the moment engine on orbit indicators ---------------------------------
+
+# An orbit pattern holds one (block, offset) label per tensor slot.  Blocks
+# >= 0 are the indices the start tensor names, numbered by first occurrence
+# in it; blocks < 0 are fresh indices, numbered -1, -2, ... by first
+# occurrence.  The offset is the position inside a quaternion block for usp
+# and 0 otherwise.  A contraction K_ab pairs the offsets of two slots that
+# share a block, with the sign of that pairing: K = |vec I><vec I| on so and
+# su, K_J = |vec J><vec J| with J = (+) [[0, 1], [-1, 0]] on usp.
+_PAIRINGS = {"so": {(0, 0): 1}, "su": {(0, 0): 1},
+             "usp": {(0, 1): 1, (1, 0): -1}}
+# n times the scale of a pair term: (K - P)/n on so(n), (K_J - P)/(2n) on
+# usp(n), and on su(n) -P/n + I/n^2 within the plain or the conjugated slots
+# and K/n - I/n^2 across them (the identity parts join the scalar drift)
+_PAIR_SCALE = {"so": 1.0, "su": 1.0, "usp": 0.5}
+
+
+@dataclass(frozen=True)
+class _OrbitFlow:
+    """The moment generator on the orbit indicators reachable from one start
+    tensor: G 1_O = shift 1_O + sum over O' of (const + inverse/n)[O', O] 1_O'.
+
+    The sum is exact at every rank once the orbits that need more fresh
+    indices than the rank leaves (``fresh > n - named``), which are empty,
+    are dropped.
+    """
+
+    rows: Mapping[tuple, int]  # orbit pattern -> row; the start is row 0
+    named: int
+    fresh: np.ndarray
+    const: np.ndarray
+    inverse: np.ndarray
+
+    def entry(self, row: tuple, n: int, t: float, shift: float) -> float:
+        """Coefficient of the row's orbit in exp(tG) applied to the start."""
+        pos = self.rows.get(row)
+        if pos is None:
+            return 0.0
+        room = n - self.named
+        # orbit sizes (n - named)(n - named - 1)..., one factor per fresh
+        # index: an orbit needing more fresh indices than n - named is empty
+        falling = np.cumprod(np.maximum(room - np.arange(self.fresh.max()), 0.0))
+        sizes = np.concatenate(([1.0], falling))[self.fresh]
+        gen = self.const + self.inverse / n
+        live = np.flatnonzero(sizes > 0.0)
+        if len(live) < len(sizes):
+            gen = gen[np.ix_(live, live)]
+            pos = int(np.searchsorted(live, pos))
+        root = np.sqrt(sizes[live])
+        # D G is symmetric for the diagonal D of orbit sizes, as G is on the
+        # tensor space, so D^1/2 G D^-1/2 is symmetric
+        values, vectors = np.linalg.eigh(gen * root[:, None] / root[None, :])
+        decay = np.exp(t * (values + shift))
+        return float((vectors[pos] * decay) @ vectors[0] / root[pos])
+
+
+def _relabel(labels: Iterable[tuple[int, int]]) -> tuple:
+    """Number the fresh blocks -1, -2, ... by first occurrence."""
+    fresh: dict[int, int] = {}
+    return tuple((fresh.setdefault(b, -1 - len(fresh)) if b < 0 else b, off)
+                 for b, off in labels)
+
+
+@cache
+def _orbit_flow(algebra: str, k: int, l: int, start: tuple) -> _OrbitFlow:
+    """The generator on the orbits reachable from a start pattern of named
+    blocks, for k plain and l conjugated slots (plain slots first)."""
+    pairing = _PAIRINGS[algebra]
+    scale = _PAIR_SCALE[algebra]
+    named = 1 + max(b for b, _ in start)
+    slots = k + l
+    order = [start]
+    rows = {start: 0}
+    terms: dict[tuple[int, int], list[float]] = {}
+
+    def add(target: tuple, source: int, const: float, inverse: float) -> None:
+        row = rows.setdefault(target, len(order))
+        if row == len(order):
+            order.append(target)
+        entry = terms.setdefault((row, source), [0.0, 0.0])
+        entry[0] += const
+        entry[1] += inverse
+
+    for source, state in enumerate(order):  # order grows while it is read
+        for a in range(slots):
+            for b in range(a + 1, slots):
+                mixed = (a < k) != (b < k)
+                if algebra != "su" or not mixed:
+                    swapped = list(state)
+                    swapped[a], swapped[b] = state[b], state[a]
+                    add(_relabel(swapped), source, 0.0, -scale)
+                if algebra == "su" and not mixed:
+                    continue
+                (block, off_a), (other, off_b) = state[a], state[b]
+                sign = pairing.get((off_a, off_b)) if block == other else None
+                if sign is None:
+                    continue
+                rest = [state[s][0] for s in range(slots) if s not in (a, b)]
+                fresh = sorted({x for x in rest if x < 0})
+                if block >= 0 or block in rest:
+                    const, inverse = 0.0, 1.0  # the shared index is fixed
+                else:  # any of the n - named - len(fresh) unused indices
+                    const, inverse = 1.0, -float(named + len(fresh))
+                new = min(fresh, default=0) - 1
+                for w in [*range(named), *fresh, new]:
+                    for (out_a, out_b), out_sign in pairing.items():
+                        spread = list(state)
+                        spread[a], spread[b] = (w, out_a), (w, out_b)
+                        c = scale * sign * out_sign
+                        add(_relabel(spread), source, c * const, c * inverse)
+    size = len(order)
+    const = np.zeros((size, size))
+    inverse = np.zeros((size, size))
+    for (row, col), (c, i) in terms.items():
+        const[row, col], inverse[row, col] = c, i
+    fresh_counts = np.array([len({b for b, _ in s if b < 0}) for s in order])
+    return _OrbitFlow(rows, named, fresh_counts, const, inverse)
+
+
+def _orbit_labels(algebra: str, col: Sequence[int],
+                  row: Sequence[int]) -> tuple[tuple, tuple]:
+    """The start pattern of the column and the row's orbit relative to it."""
+    step = 2 if algebra == "usp" else 1
+    named: dict[int, int] = {}
+    start = tuple((named.setdefault(j // step, len(named)), j % step)
+                  for j in col)
+    fresh: dict[int, int] = {}
+
+    def label(i: int) -> tuple[int, int]:
+        block = i // step
+        if block in named:
+            return named[block], i % step
+        return fresh.setdefault(block, -1 - len(fresh)), i % step
+
+    return start, tuple(label(i) for i in row)
+
+
+def _shift(algebra: str, n: int, k: int, l: int) -> float:
+    """The scalar part of the generator: the drift of every slot, plus on
+    su(n) the identity parts of the pair terms."""
+    shift = float((k + l) * drift_coefficient(algebra, n) / 2)
+    if algebra == "su":
+        same = (k * (k - 1) + l * (l - 1)) // 2
+        shift += (same - k * l) / (n * n)
+    return shift
+
+
+def _split_pattern(pattern: Iterable) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    plain: list[tuple[int, int]] = []
+    conj: list[tuple[int, int]] = []
+    for item in pattern:
+        item = tuple(item)
+        if len(item) == 2:
+            plain.append((int(item[0]), int(item[1])))
+        elif len(item) == 3:
+            (conj if item[2] else plain).append((int(item[0]), int(item[1])))
+        else:
+            raise ValueError(f"bad pattern item {item!r}")
+    return plain, conj
+
+
+def moment(algebra: str, n: int, pattern: Iterable, t: float) -> complex:
+    """Joint moment of matrix entries at time t.
+
+    Each pattern item is (row, col) for a plain factor or (row, col, True)
+    for a conjugated factor (complex entries only).  Indices are 0-based in
+    the defining dimension (2n for the quaternionic embedding).  The time
+    must be finite with t >= 0.  The value is a float for so and a complex
+    number otherwise.
+    """
+    require_time(t, allow_zero=True)
+    plain, conj = _split_pattern(pattern)
+    degree = len(plain) + len(conj)
+    if degree == 0:
+        return 1.0 + 0.0j
+    if degree > 4:
+        raise UnsupportedPattern(f"degree {degree} exceeds the tabulated range")
+    k, l = len(plain), len(conj)
+    _check_slots(algebra, n, k, l)
+    row = [i for i, _ in plain] + [i for i, _ in conj]
+    col = [j for _, j in plain] + [j for _, j in conj]
+    d = _embedding_dim(algebra, n)
+    for v in row + col:
+        if not 0 <= v < d:
+            raise ValueError(f"index {v} out of range for dimension {d}")
+    start, orbit = _orbit_labels(algebra, col, row)
+    value = _orbit_flow(algebra, k, l, start).entry(
+        orbit, n, t, _shift(algebra, n, k, l))
+    return value if algebra == "so" else complex(value)
+
+
+# -- the tensor-space generator: the verification oracle -------------------
 
 
 @dataclass(frozen=True)
@@ -138,12 +347,7 @@ class CasimirTensor:
     @property
     def drift_coefficient(self) -> Fraction:
         """Scalar alpha with sum X_a X_a = alpha * I on the defining space."""
-        n = self.n
-        if self.algebra == "so":
-            return Fraction(-(n - 1), n)
-        if self.algebra == "su":
-            return Fraction(-(n * n - 1), n * n)
-        return Fraction(-(2 * n + 1), 2 * n)
+        return drift_coefficient(self.algebra, self.n)
 
     def contracted(self) -> np.ndarray:
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -153,9 +357,11 @@ class CasimirTensor:
 
 
 def casimir(algebra: str, n: int) -> CasimirTensor:
-    """Assemble the Casimir tensor of so(n), su(n) or usp(n)."""
+    """Assemble the Casimir tensor of so(n), su(n) or usp(n) sparsely."""
+    import scipy.sparse as sp
+
     _check_algebra(algebra, n)
-    basis = _orthonormal_basis(algebra, n)
+    basis = tuple(sp.csr_matrix(x) for x in _orthonormal_basis(algebra, n))
     d = _embedding_dim(algebra, n)
     total = sp.coo_matrix((d * d, d * d), dtype=basis[0].dtype)
     for x in basis:
@@ -165,6 +371,8 @@ def casimir(algebra: str, n: int) -> CasimirTensor:
 
 def _pair_block(ct: CasimirTensor, left_conj: bool, right_conj: bool) -> sp.csr_matrix:
     """Two-slot Casimir block with the sign and transpose rules for conjugated slots."""
+    import scipy.sparse as sp
+
     if not left_conj and not right_conj:
         return ct.matrix
     d = ct.dim
@@ -180,6 +388,8 @@ def _pair_block(ct: CasimirTensor, left_conj: bool, right_conj: bool) -> sp.csr_
 def _embed_pair(block: sp.csr_matrix, d: int, slots: int,
                 slot_i: int, slot_j: int) -> sp.coo_matrix:
     """Place a two-slot operator at positions (slot_i, slot_j) of a tensor power."""
+    import scipy.sparse as sp
+
     coo = block.tocoo()
     r1, r2 = np.divmod(coo.row, d)
     c1, c2 = np.divmod(coo.col, d)
@@ -205,6 +415,8 @@ def _embed_pair(block: sp.csr_matrix, d: int, slots: int,
 @lru_cache(maxsize=16)
 def _eta_sum(algebra: str, n: int, k: int, l: int) -> sp.csr_matrix:
     """Sum over slot pairs of the (possibly conjugated) Casimir embeddings."""
+    import scipy.sparse as sp
+
     ct = casimir(algebra, n)
     d = ct.dim
     slots = k + l
@@ -228,16 +440,6 @@ class MomentTensor:
     dim: int
     generator: sp.csr_matrix
 
-    def expectation_entry(self, row: Sequence[int], col: Sequence[int],
-                          t: float) -> complex:
-        size = self.dim ** (self.k + self.l)
-        r = _flat_index(row, self.dim)
-        c = _flat_index(col, self.dim)
-        basis_vec = np.zeros(size, dtype=self.generator.dtype)
-        basis_vec[c] = 1.0
-        out = expm_multiply(self.generator * t, basis_vec)
-        return complex(out[r])
-
 
 def _flat_index(multi: Sequence[int], d: int) -> int:
     idx = 0
@@ -250,17 +452,14 @@ def _flat_index(multi: Sequence[int], d: int) -> int:
 
 def moment_generator(algebra: str, n: int, k: int, l: int = 0) -> MomentTensor:
     """Generator whose exponential gives joint moments of k plain and l conjugated copies."""
-    _check_algebra(algebra, n)
-    if k < 0 or l < 0 or k + l < 1:
-        raise ValueError("need at least one tensor slot")
-    if l > 0 and algebra != "su":
-        raise ValueError("conjugated slots only make sense for complex entries")
+    import scipy.sparse as sp
+
+    _check_slots(algebra, n, k, l)
     d = _embedding_dim(algebra, n)
     if d ** (k + l) > _MAX_TENSOR_DIM:
         raise TooLarge(f"tensor space of dimension {d}^{k + l} exceeds the guard")
     eta = _eta_sum(algebra, n, k, l)
-    ct = casimir(algebra, n)
-    drift = float((k + l) * ct.drift_coefficient / 2)
+    drift = float((k + l) * drift_coefficient(algebra, n) / 2)
     size = d ** (k + l)
     gen = (eta + drift * sp.identity(size, dtype=eta.dtype, format="csr")).tocsr()
     return MomentTensor(algebra, n, k, l, d, gen)
@@ -271,48 +470,12 @@ def _cached_generator(algebra: str, n: int, k: int, l: int) -> MomentTensor:
     return moment_generator(algebra, n, k, l)
 
 
-def _split_pattern(pattern: Iterable) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    plain: list[tuple[int, int]] = []
-    conj: list[tuple[int, int]] = []
-    for item in pattern:
-        item = tuple(item)
-        if len(item) == 2:
-            plain.append((int(item[0]), int(item[1])))
-        elif len(item) == 3:
-            (conj if item[2] else plain).append((int(item[0]), int(item[1])))
-        else:
-            raise ValueError(f"bad pattern item {item!r}")
-    return plain, conj
-
-
-def moment(algebra: str, n: int, pattern: Iterable, t: float) -> complex:
-    """Joint moment of matrix entries at time t via the generator exponential.
-
-    Each pattern item is (row, col) for a plain factor or (row, col, True)
-    for a conjugated factor (complex entries only).  Indices are 0-based in
-    the defining dimension (2n for the quaternionic embedding).  The time
-    must be finite with t >= 0.
-    """
-    require_time(t, allow_zero=True)
-    plain, conj = _split_pattern(pattern)
-    degree = len(plain) + len(conj)
-    if degree == 0:
-        return 1.0 + 0.0j
-    if degree > 4:
-        raise UnsupportedPattern(f"degree {degree} exceeds the tabulated range")
-    mt = _cached_generator(algebra, n, len(plain), len(conj))
-    row = [i for i, _ in plain] + [i for i, _ in conj]
-    col = [j for _, j in plain] + [j for _, j in conj]
-    value = mt.expectation_entry(row, col, t)
-    if algebra == "so":
-        return value.real
-    return value
-
-
 def expectation_entries(algebra: str, n: int, k: int, l: int,
                         pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                         t: float, chunk: int = 16) -> np.ndarray:
     """Batched extraction of exp(t*generator) entries, grouped by column."""
+    from scipy.sparse.linalg import expm_multiply
+
     mt = _cached_generator(algebra, n, k, l)
     size = mt.dim ** (k + l)
     flat = [(_flat_index(r, mt.dim), _flat_index(c, mt.dim)) for r, c in pairs]
@@ -428,6 +591,8 @@ def _claimed_eigentable(algebra: str, n: int, k: int,
 
 def verify_eigentable(algebra: str, n: int, k_or_kl) -> EigenReport:
     """Diagonalize the pairwise Casimir sum and compare with the known table."""
+    from scipy.linalg import eigvalsh
+
     if isinstance(k_or_kl, tuple):
         k, l = k_or_kl
     else:

@@ -129,7 +129,7 @@ def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
 def _dense_basis(algebra: str, n: int) -> np.ndarray:
     """The invariant metric's orthonormal basis as one (dim g, m, m) array:
     the basis whose tensor squares sum to ``moments.casimir``."""
-    basis = np.stack([x.toarray() for x in _orthonormal_basis(algebra, n)])
+    basis = np.stack(_orthonormal_basis(algebra, n))
     basis.flags.writeable = False
     return basis
 

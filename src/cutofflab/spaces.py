@@ -147,19 +147,15 @@ _AMBIENT = {
 }
 
 
-def _drift(family: Family, n: int) -> Fraction:
-    ambient = _AMBIENT[family]
-    if family in (Family.SO2n_Un,):
-        m = 2 * n
-    elif family in (Family.SU2n_USpn,):
-        m = 2 * n
-    else:
-        m = n
-    if ambient is Family.SO:
-        return Fraction(-(m - 1), m)
-    if ambient is Family.SU:
-        return Fraction(-(m * m - 1), m * m)
-    return Fraction(-(2 * m + 1), 2 * m)
+def drift_coefficient(algebra: str, n: int) -> Fraction:
+    """Scalar alpha with sum X_a X_a = alpha * I on the defining space of
+    so(n), su(n) or usp(n), for an orthonormal basis of the invariant metric;
+    the heat flow's mean matrix decays as exp(alpha * t / 2)."""
+    if algebra == "so":
+        return Fraction(-(n - 1), n)
+    if algebra == "su":
+        return Fraction(-(n * n - 1), n * n)
+    return Fraction(-(2 * n + 1), 2 * n)
 
 
 def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDescriptor:
@@ -194,7 +190,9 @@ def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDesc
         C_upper=c_upper,
         gamma_b=gamma_b,
         gamma_a=gamma_a,
-        drift_alpha=_drift(family, n),
+        drift_alpha=drift_coefficient(
+            _AMBIENT[family].value.lower(),
+            2 * n if family in (Family.SO2n_Un, Family.SU2n_USpn) else n),
         is_group=family in _GROUPS,
     )
 

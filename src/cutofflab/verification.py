@@ -241,22 +241,28 @@ def _check_series_chains() -> tuple[bool, dict]:
                   "worst_case": list(worst_case)}
 
 
-# -- 6: closed-form moments against the generator exponential --------------
+# -- 6: closed-form moments against the tensor generator and the engine ----
+
+
+def _fitting_forms(algebra: str, n: int) -> list:
+    """(name, monomials) of the closed forms whose indices fit at rank n."""
+    fitting = []
+    for name in _moments.closed_form_names(algebra):
+        try:
+            fitting.append((name, _moments.pattern_monomials(algebra, n, name)))
+        except InvalidRank:
+            continue
+    return fitting
 
 
 def _check_moment_forms() -> tuple[bool, dict]:
     worst, worst_case = 0.0, None
-    compared = 0
+    engine_worst, engine_case = 0.0, None
+    compared = engine_compared = 0
     for algebra in ("so", "su", "usp"):
         ranks = range(4, 7) if algebra == "so" else range(3, 7)
         for n in ranks:
-            fitting = []
-            for name in _moments.closed_form_names(algebra):
-                try:
-                    mons = _moments.pattern_monomials(algebra, n, name)
-                except InvalidRank:
-                    continue
-                fitting.append((name, mons))
+            fitting = _fitting_forms(algebra, n)
             for t in (0.1, 1.0, 3.0):
                 batches: dict[tuple[int, int], list] = {}
                 slots: dict[tuple[int, int], list] = {}
@@ -285,8 +291,26 @@ def _check_moment_forms() -> tuple[bool, dict]:
                                        "closed_form": closed,
                                        "generator": repr(totals[name]),
                                        "deviation": dev}
+        # the engine at the oracle's ranks and at ranks beyond its reach
+        for n in (*ranks, 16, 40):
+            for name, _ in _fitting_forms(algebra, n):
+                for t in (0.1, 1.0, 3.0):
+                    closed = _moments.closed_form_value(algebra, n, name, t)
+                    value = _moments.generator_moment(algebra, n, name, t)
+                    dev = abs(value - closed)
+                    engine_compared += 1
+                    if dev > engine_worst:
+                        engine_worst, engine_case = dev, [algebra, n, name, t]
+                    if dev > 1e-9:
+                        return False, {"case": [algebra, n, name, t],
+                                       "closed_form": closed,
+                                       "engine": repr(value),
+                                       "deviation": dev}
     return True, {"compared": compared, "worst_deviation": worst,
-                  "worst_case": worst_case}
+                  "worst_case": worst_case,
+                  "engine_compared": engine_compared,
+                  "engine_worst_deviation": engine_worst,
+                  "engine_worst_case": engine_case}
 
 
 # -- 7: eigen-structure tables ---------------------------------------------

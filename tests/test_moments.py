@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +275,146 @@ def test_rank_three_unitary_structure_space_folds_the_four_row_label():
     labels = {tuple(int(p) for p in w.parts) for w in expansion}
     assert labels == {(0, 0, 0), (1, 1, 0), (2, 2, 0)}
     assert sum(expansion.values()) == 1
+
+
+# -- the orbit engine against the tensor-space oracle ----------------------
+
+
+def _column_shapes(algebra, n, slots):
+    """One concrete column per orbit shape that fits at rank n: blocks
+    numbered by first occurrence, with every offset for usp."""
+    blocks = [()]
+    for _ in range(slots):
+        blocks = [b + (x,) for b in blocks
+                  for x in range(min(n, 1 + max(b, default=-1) + 1))]
+    if algebra != "usp":
+        return [list(b) for b in blocks]
+    return [[2 * x + off for x, off in zip(b, offs)] for b in blocks
+            for offs in itertools.product((0, 1), repeat=slots)]
+
+
+_ENGINE_CASES = (
+    [("so", n, k, 0) for n in range(3, 7) for k in range(1, 5)]
+    + [("su", n, k, s - k) for n in range(2, 6) for s in range(1, 5)
+       for k in range(s + 1)]
+    + [("usp", n, k, 0) for n in (2, 3) for k in range(1, 5)])
+
+
+@pytest.mark.parametrize("algebra,n,k,l", _ENGINE_CASES)
+def test_engine_matches_the_tensor_generator(algebra, n, k, l):
+    rng = random.Random(f"{algebra}{n}.{k}.{l}")
+    d = 2 * n if algebra == "usp" else n
+    pairs = []
+    for col in _column_shapes(algebra, n, k + l):
+        rows = [col] + [[rng.randrange(d) for _ in col] for _ in range(3)]
+        pairs += [(row, col) for row in rows]
+    for t in (0.4, 2.5):
+        want = mo.expectation_entries(algebra, n, k, l, pairs, t)
+        for (row, col), value in zip(pairs, want):
+            pattern = ([(r, c) for r, c in zip(row[:k], col[:k])]
+                       + [(r, c, True) for r, c in zip(row[k:], col[k:])])
+            got = mo.moment(algebra, n, pattern, t)
+            assert abs(got - value) <= 1e-12, (row, col, t)
+
+
+@pytest.mark.parametrize("algebra", ["so", "su", "usp"])
+@pytest.mark.parametrize("n", [16, 40, 100])
+def test_engine_matches_closed_forms_at_large_rank(algebra, n):
+    for name in mo.closed_form_names(algebra):
+        for t in (0.05, 0.8, 4.0):
+            want = mo.closed_form_value(algebra, n, name, t)
+            got = mo.generator_moment(algebra, n, name, t)
+            assert abs(got - want) <= 1e-12, (name, t)
+
+
+def test_engine_structure_does_not_depend_on_the_rank():
+    mo.moment("so", 7, [(0, 0), (0, 0), (1, 1), (1, 1)], 0.5)
+    before = mo._orbit_flow.cache_info().currsize
+    for n in (9, 30, 300):
+        mo.moment("so", n, [(2, 2), (2, 2), (5, 5), (5, 5)], 0.5)
+    assert mo._orbit_flow.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: mo.moment("sp", 5, [(0, 0)], 1.0), ValueError,
+     "unknown algebra 'sp'"),
+    (lambda: mo.moment("so", 2, [(0, 0)], 1.0), InvalidRank,
+     "so(2): rank must be >= 3"),
+    (lambda: mo.moment("usp", 1, [(0, 0)], 1.0), InvalidRank,
+     "usp(1): rank must be >= 2"),
+    (lambda: mo.moment("so", 5, [(0, 0)] * 5, 1.0), UnsupportedPattern,
+     "degree 5 exceeds the tabulated range"),
+    (lambda: mo.moment("so", 5, [(0, 0), (1, 1, True)], 1.0), ValueError,
+     "conjugated slots only make sense for complex entries"),
+    (lambda: mo.moment("so", 5, [(0, 5)], 1.0), ValueError,
+     "index 5 out of range for dimension 5"),
+    (lambda: mo.moment("usp", 3, [(6, 0), (0, 7)], 1.0), ValueError,
+     "index 6 out of range for dimension 6"),
+    (lambda: mo.moment("su", 3, [(0, 0, True, 1)], 1.0), ValueError,
+     "bad pattern item (0, 0, True, 1)"),
+    (lambda: mo.moment("so", 5, [(0, 0)], -0.5), InvalidTime,
+     "time must be finite"),
+])
+def test_moment_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_degree_zero_pattern_is_one():
+    assert mo.moment("so", 5, [], 1.0) == 1.0 + 0.0j
+
+
+def test_moment_value_types():
+    assert type(mo.moment("so", 5, [(0, 0)], 1.0)) is float
+    assert type(mo.moment("su", 5, [(0, 0)], 1.0)) is complex
+    assert type(mo.moment("usp", 5, [(0, 0)], 1.0)) is complex
+
+
+def test_moment_verb_has_no_rank_cap(capsys):
+    from cutofflab import cli
+
+    assert cli.main(["moment", "--family", "SO", "--n", "60", "--pattern",
+                     "1.1,1.1,2.2,2.2", "--t", "0.7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = mo.closed_form_value("so", 60, "ii^2.jj^2", 0.7)
+    assert abs(payload["value_re"] - want) <= 1e-12
+    assert payload["value_im"] == 0.0
+
+
+def test_dense_basis_squares_to_the_oracle_casimir():
+    for algebra, n in [("so", 4), ("su", 3), ("usp", 2)]:
+        basis = mo._orthonormal_basis(algebra, n)
+        assert all(isinstance(x, np.ndarray) for x in basis)
+        total = sum(np.kron(x, x) for x in basis)
+        assert np.abs(total - mo.casimir(algebra, n).matrix.toarray()).max() < 1e-14
+
+
+def test_runtime_routes_do_not_import_scipy():
+    script = """
+import contextlib
+import io
+import sys
+import cutofflab
+from cutofflab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["tv-bound", "--family", "SO", "--n", "10",
+                     "--eps", "0.2"]) == 0
+    assert cli.main(["moment", "--family", "USp", "--n", "3",
+                     "--pattern", "1.1,2.2", "--t", "0.5"]) == 0
+cutofflab.moment("usp", 3, [(0, 0), (1, 1), (2, 3), (3, 2)], 0.5)
+cutofflab.moment("su", 4, [(0, 1), (0, 1, True)], 0.5)
+d = cutofflab.describe("SO", 10)
+cutofflab.tv_upper_bound(d, 1.2 * cutofflab.t_zero(d))
+cutofflab.profile(d, [0.5, 2.0])
+cutofflab.estimate(cutofflab.describe("GrC", 4, 1), "omega", 0.1,
+                   cutofflab.SimulationConfig(paths=4, seed=1))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(",".join(loaded))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
