@@ -84,6 +84,9 @@ def _parse_weight(parser: argparse.ArgumentParser, desc, text: str) -> Weight:
         parts = [Fraction(tok) for tok in text.split(",")]
     except ValueError:
         parser.error(f"cannot parse weight {text!r}")
+    if len(parts) > idx.length:
+        parser.error(f"weight {text!r} has {len(parts)} parts, but the labels "
+                     f"of {desc} have {idx.length}")
     parts += [Fraction(0)] * (idx.length - len(parts))
     try:
         return Weight.of(parts, idx.kind)
@@ -327,6 +330,8 @@ def _run_density(parser, args) -> int:
             angles = [float(tok) for tok in args.alphabet.split(",")]
         except ValueError:
             parser.error(f"cannot parse alphabet {args.alphabet!r}")
+        if not all(math.isfinite(a) for a in angles):
+            parser.error(f"alphabet angles must be finite: {args.alphabet!r}")
         point = {"alphabet": [complex(math.cos(a), math.sin(a))
                               for a in angles]}
     value = density(desc, point, args.t, size_cap=args.cap)
@@ -337,13 +342,12 @@ def _run_density(parser, args) -> int:
 
 def _run_moment(parser, args) -> int:
     desc = _space(parser, args)
-    algebra = {"SO": "so", "SU": "su", "USp": "usp"}[args.family]
     pattern = _parse_pattern(parser, args.pattern)
     size = desc.matrix_size
     for item in pattern:
         if max(item[0], item[1]) >= size:
             parser.error(f"pattern index exceeds matrix size {size}")
-    value = complex(_moments.moment(algebra, args.n, pattern, args.t))
+    value = complex(_moments.moment(desc.algebra, args.n, pattern, args.t))
     _emit(_json_text({"space": str(desc), "pattern": args.pattern,
                       "t": args.t, "value_re": value.real,
                       "value_im": value.imag}), args.out)
@@ -351,9 +355,9 @@ def _run_moment(parser, args) -> int:
 
 
 def _run_eigentable(parser, args) -> int:
-    algebra = {"SO": "so", "SU": "su", "USp": "usp"}[args.family]
+    desc = _space(parser, args)
     kl = (args.k, args.l) if args.l else args.k
-    report = _moments.verify_eigentable(algebra, args.n, kl)
+    report = _moments.verify_eigentable(desc.algebra, args.n, kl)
     payload = report.to_json_dict()
     if report.verified and report.dims_match:
         _emit(_json_text(payload), args.out)

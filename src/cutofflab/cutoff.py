@@ -10,7 +10,6 @@ this yields the full profile.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,17 +36,9 @@ __all__ = [
     "certified_window",
     "profile",
     "profile_csv",
-    "profile_json",
     "zonal_square_series",
     "zonal_square_via_moments",
 ]
-
-_ALGEBRA_OF = {
-    Family.SO: "so", Family.GrR: "so", Family.SO2n_Un: "so",
-    Family.SU: "su", Family.GrC: "su", Family.SUn_SOn: "su",
-    Family.SU2n_USpn: "su",
-    Family.USp: "usp", Family.GrH: "usp", Family.USpn_Un: "usp",
-}
 
 # constants bounding the observable's variance before cut-off; Grassmannian
 # entries scale with n to the window exponent
@@ -285,10 +276,6 @@ def profile_csv(points: Sequence[ProfilePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_json(points: Sequence[ProfilePoint]) -> str:
-    return json.dumps([p.to_json_dict() for p in points])
-
-
 # -- squared zonal functions through the moment engine ---------------------
 
 
@@ -369,7 +356,7 @@ def _zonal_square_keys(descriptor: SpaceDescriptor) -> tuple[tuple[tuple, float]
     complex_valued = descriptor.family in (Family.SUn_SOn, Family.SU2n_USpn)
     other = ([(c, _conjugate_monomial(m)) for c, m in base]
              if complex_valued else base)
-    block_level = _ALGEBRA_OF[descriptor.family] == "usp"
+    block_level = descriptor.algebra == "usp"
     weights: dict[tuple, float] = {}
     for c1, m1 in base:
         for c2, m2 in other:
@@ -381,7 +368,7 @@ def _zonal_square_keys(descriptor: SpaceDescriptor) -> tuple[tuple[tuple, float]
 def zonal_square_via_moments(descriptor: SpaceDescriptor, t: float) -> float:
     """E_t of the squared zonal function, evaluated monomial by monomial
     through the moment engine of the ambient algebra."""
-    algebra = _ALGEBRA_OF[descriptor.family]
+    algebra = descriptor.algebra
     rank = descriptor.matrix_size // (2 if algebra == "usp" else 1)
     total = 0.0 + 0.0j
     for key, weight in _zonal_square_keys(descriptor):

@@ -29,10 +29,6 @@ class HalfPartitionUnsupported(CutoffLabError):
     """Operation defined only for integer weights."""
 
 
-class TailNotControllable(CutoffLabError):
-    """No certified tail bound exists at this time parameter."""
-
-
 class InvalidTime(CutoffLabError, ValueError):
     """A time parameter that is not finite or lies outside its domain."""
 

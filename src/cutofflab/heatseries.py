@@ -3,6 +3,7 @@ tails, per-term bound sweeps at cut-off time, and growth-step quotients."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,22 +20,6 @@ from .repchar import CharType, casimir_exponent, dimension, schur
 from .spaces import Family, SpaceDescriptor, indexing_set
 
 _HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
-
-# family -> minimal descriptor n for which the global per-term constants are
-# proven (ambient rank >= 5 for orthogonal, >= 3 symplectic, >= 2 unitary)
-_PROVEN_MIN_N = {
-    Family.SO: 10,
-    Family.SU: 2,
-    Family.USp: 3,
-    Family.GrR: 10,
-    Family.GrC: 2,
-    Family.GrH: 3,
-    Family.SO2n_Un: 5,
-    Family.SUn_SOn: 2,
-    Family.SU2n_USpn: 2,
-    Family.USpn_Un: 3,
-}
-
 
 def _per_term_constants(descriptor: SpaceDescriptor) -> tuple[Fraction, Optional[Fraction]]:
     """(integer-label constant, half-label constant or None) bounding
@@ -80,14 +65,6 @@ class SeriesTerm:
     weight: Weight
     a_coeff: Fraction
     b_exp: Fraction
-
-    def term(self, t: float) -> float:
-        if self.a_coeff == 0:
-            return 0.0
-        log_a = (math.log(self.a_coeff.numerator)
-                 - math.log(self.a_coeff.denominator))
-        val = log_a - t * float(self.b_exp)
-        return math.exp(val) if val > -745.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -150,7 +127,7 @@ class _TermTable:
     log_a: np.ndarray     # log A_n(lambda) with group squaring / factor 2
 
     def weight(self, row: int) -> Weight:
-        return Weight.doubled(self.parts2[row].tolist(), self.kind)
+        return Weight(tuple(self.parts2[row].tolist()), self.kind)
 
 
 def _label_columns(parts2: np.ndarray, width: int) -> np.ndarray:
@@ -395,7 +372,7 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
                 t0: float) -> float:
     """Certified bound on the series mass above the size cap."""
     fam, n = descriptor.family, descriptor.n
-    if n < _PROVEN_MIN_N[fam]:
+    if n < descriptor.proven_min_n:
         return math.inf
     gap = t - t0
     if gap <= 0.0:
@@ -545,11 +522,10 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
                          size_cap: int = 40) -> SweepResult:
     """Maximum per-term value over |lambda| <= size_cap with certification
     against the family's proven global constants."""
-    fam, n = descriptor.family, descriptor.n
-    minimums = {Family.SO: 10, Family.USp: 3, Family.SU: 2}
-    if fam in minimums and n < minimums[fam]:
+    n, minimum = descriptor.n, descriptor.proven_min_n
+    if descriptor.is_group and n < minimum:
         raise InvalidRank(
-            f"per-term constants for {fam.name} need n >= {minimums[fam]}")
+            f"per-term constants for {descriptor.family.name} need n >= {minimum}")
     if size_cap < 2:
         raise ValueError("size_cap must be >= 2")
     table = _term_table(descriptor, size_cap)
@@ -571,7 +547,7 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     boundary = values[table.size2 > 2 * (size_cap - 2)]
     boundary_max = float(boundary.max()) if len(boundary) else 0.0
     const_int, const_half = _per_term_constants(descriptor)
-    certified = (n >= _PROVEN_MIN_N[fam] and size_cap >= 40
+    certified = (n >= minimum and size_cap >= 40
                  and boundary_max < 0.5 * max_all
                  and not per_term_exceeds(descriptor, arg_int, const_int))
     if const_half is not None and arg_half is not None:
@@ -605,7 +581,7 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
         raise ValueError("base must be flat across the grown block")
 
     def with_top(v2: int) -> Weight:
-        return Weight.doubled((v2,) * l + p[l:], base_weight.kind)
+        return Weight((v2,) * l + p[l:], base_weight.kind)
 
     prev = with_top(top + 2 * (k - 1))
     grown = with_top(top + 2 * k)
@@ -655,6 +631,13 @@ def _rank_one_quotient_density(descriptor: SpaceDescriptor,
     return total
 
 
+def _angle(point_spec: dict) -> float:
+    theta = float(point_spec["theta"])
+    if not math.isfinite(theta):
+        raise ValueError(f"angle theta must be finite, got {theta}")
+    return theta
+
+
 def _sine_ratio(theta: float, k: int) -> float:
     if abs(math.sin(theta)) < 1e-12:
         return float(k + 1)
@@ -664,12 +647,16 @@ def _sine_ratio(theta: float, k: int) -> float:
 def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
             size_cap: int = 40) -> float:
     """Heat-kernel density for group families (eigenvalue alphabets) and the
-    rank-one special cases (angle or caller-supplied zonal values)."""
+    rank-one special cases (angle or caller-supplied zonal values).
+
+    A non-finite point or a negative ``size_cap`` raises ValueError."""
     require_time(t)
+    if size_cap < 0:
+        raise ValueError(f"size_cap must be >= 0, got {size_cap}")
     if isinstance(descriptor, str):
         if descriptor != "circle":
             raise UnsupportedSpace(f"unknown special space {descriptor!r}")
-        theta = float(point_spec["theta"])
+        theta = _angle(point_spec)
         total = 1.0
         for k in range(1, size_cap + 1):
             total += 2.0 * math.exp(-k * k * t / 2.0) * math.cos(k * theta)
@@ -679,11 +666,13 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
         if not descriptor.is_group:
             raise UnsupportedSpace(
                 f"{descriptor} has no eigenvalue-alphabet density")
-        return _group_alphabet_density(
-            descriptor, [complex(z) for z in point_spec["alphabet"]], t, size_cap)
+        alphabet = [complex(z) for z in point_spec["alphabet"]]
+        if not all(cmath.isfinite(z) for z in alphabet):
+            raise ValueError("alphabet eigenvalues must be finite")
+        return _group_alphabet_density(descriptor, alphabet, t, size_cap)
 
     if "theta" in point_spec:
-        theta = float(point_spec["theta"])
+        theta = _angle(point_spec)
         if descriptor.family is Family.SU and descriptor.n == 2:
             return sum(math.exp(-k * (k + 2) * t / 8.0) * (k + 1)
                        * _sine_ratio(theta, k) for k in range(size_cap + 1))
@@ -697,9 +686,10 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
             raise UnsupportedSpace(
                 "zonal-value densities exist for rank-one quotients only, "
                 f"not {descriptor}")
-        return _rank_one_quotient_density(
-            descriptor, [float(v) for v in point_spec["zonal_values"]], t,
-            size_cap)
+        values = [float(v) for v in point_spec["zonal_values"]]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("zonal values must be finite")
+        return _rank_one_quotient_density(descriptor, values, t, size_cap)
 
     raise UnsupportedSpace(
         "point_spec needs 'alphabet', 'theta' or 'zonal_values'")

@@ -349,12 +349,6 @@ class CasimirTensor:
         """Scalar alpha with sum X_a X_a = alpha * I on the defining space."""
         return drift_coefficient(self.algebra, self.n)
 
-    def contracted(self) -> np.ndarray:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in self.basis:
-            total += (x @ x).toarray()
-        return total
-
 
 def casimir(algebra: str, n: int) -> CasimirTensor:
     """Assemble the Casimir tensor of so(n), su(n) or usp(n) sparsely."""

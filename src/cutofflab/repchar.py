@@ -6,7 +6,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,27 +25,6 @@ class CharType(enum.Enum):
     D = "D"
 
 
-@dataclass(frozen=True)
-class EigenAlphabet:
-    """Unit-modulus eigenvalues z_1..z_n; reciprocals/fixed points implied by type."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        for z in self.values:
-            if abs(abs(z) - 1.0) > 1e-12:
-                raise ValueError(f"alphabet entry {z} is not unit-modulus")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _alphabet_values(alphabet: "EigenAlphabet | Sequence[complex]") -> tuple[complex, ...]:
-    if isinstance(alphabet, EigenAlphabet):
-        return alphabet.values
-    return tuple(complex(z) for z in alphabet)
-
-
 def _check_membership(descriptor: SpaceDescriptor, weight: Weight) -> None:
     idx = indexing_set(descriptor)
     if weight.kind is not idx.kind or weight.length != idx.length:
@@ -56,7 +34,7 @@ def _check_membership(descriptor: SpaceDescriptor, weight: Weight) -> None:
 
 
 def _halves(weight: Weight) -> list[Fraction]:
-    """Signed true parts as exact fractions."""
+    """True parts as exact fractions."""
     return list(weight.parts)
 
 
@@ -204,7 +182,7 @@ def _det(mat: np.ndarray) -> complex:
 
 
 def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
-          alphabet: "EigenAlphabet | Sequence[complex]") -> complex:
+          alphabet: Sequence[complex]) -> complex:
     """Character value at the alphabet via the determinant-ratio formula.
 
     Type D returns the sum over both signs of the last part when it is non-zero
@@ -212,7 +190,7 @@ def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
     """
     if isinstance(char_type, str):
         char_type = CharType(char_type)
-    values = _alphabet_values(alphabet)
+    values = tuple(complex(z) for z in alphabet)
     n = len(values)
     if isinstance(lam, Weight):
         parts = list(lam.parts)
@@ -259,13 +237,13 @@ def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
 
 
 def verify_square_identity(char_type: CharType | str, n: int,
-                           alphabet: "EigenAlphabet | Sequence[complex]") -> float:
+                           alphabet: Sequence[complex]) -> float:
     """|LHS - RHS| for the tensor-square decomposition of the defining character."""
     if isinstance(char_type, str):
         char_type = CharType(char_type)
     if n < 2:
         raise InvalidRank("square identities need rank >= 2")
-    values = _alphabet_values(alphabet)
+    values = tuple(complex(z) for z in alphabet)
     if len(values) != n:
         raise ValueError(f"alphabet size {len(values)} != n={n}")
 

@@ -28,7 +28,6 @@ __all__ = [
     "SimulationConfig",
     "Estimate",
     "STATISTICS",
-    "brownian_path",
     "haar_sample",
     "haar_samples",
     "simulate_endpoints",
@@ -121,8 +120,7 @@ class _Streams:
 def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
     """(algebra, algebra rank, matrix size) of the isometry group."""
     amb = descriptor.ambient_group()
-    algebra = {"SO": "so", "SU": "su", "USp": "usp"}[amb.family.value]
-    return algebra, amb.n, amb.matrix_size
+    return descriptor.algebra, amb.n, amb.matrix_size
 
 
 @lru_cache(maxsize=16)
@@ -231,14 +229,6 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
             if step % config.renorm_every == 0:
                 g = _project(algebra, g)
     return g
-
-
-def brownian_path(descriptor: SpaceDescriptor, t: float, *, seed: int = 0,
-                  path_index: int = 0,
-                  step_size: float = _MAX_STEP) -> np.ndarray:
-    """Endpoint of one heat-flow path."""
-    config = SimulationConfig(paths=1, seed=seed, step_size=step_size)
-    return simulate_endpoints(descriptor, t, config, [path_index])[0]
 
 
 def haar_samples(descriptor: SpaceDescriptor, seed: int,

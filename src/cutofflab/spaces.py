@@ -4,10 +4,9 @@ series indexing sets, minimal weights, and ambient-group bookkeeping."""
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidRank, UnknownFamily
 from .partitions import IndexingSetKind, Weight, WeightKind
@@ -31,18 +30,32 @@ FAMILY_NAMES = tuple(f.value for f in Family)
 _GRASSMANN = {Family.GrR, Family.GrC, Family.GrH}
 _GROUPS = {Family.SO, Family.SU, Family.USp}
 
-# family -> (beta, alpha_cutoff, gamma_b, gamma_a, n0, c_lower, C_upper)
-_TABLE: dict[Family, tuple[int, int, int, int, int, int, int]] = {
-    Family.SO: (1, 2, 2, 2, 10, 36, 6),
-    Family.SU: (2, 2, 2, 4, 2, 8, 10),
-    Family.USp: (4, 2, 2, 2, 3, 5, 3),
-    Family.GrR: (1, 1, 1, 1, 10, 32, 2),
-    Family.GrC: (2, 1, 1, 2, 2, 32, 2),
-    Family.GrH: (4, 1, 1, 1, 3, 16, 2),
-    Family.SO2n_Un: (1, 1, 2, 1, 10, 8, 2),
-    Family.SUn_SOn: (2, 1, 2, 2, 2, 24, 8),
-    Family.SU2n_USpn: (2, 1, 2, 2, 2, 22, 8),
-    Family.USpn_Un: (4, 1, 2, 1, 3, 17, 2),
+class _Constants(NamedTuple):
+    beta: int
+    alpha_cutoff: int
+    gamma_b: int
+    gamma_a: int
+    n0: int
+    proven_min_n: int
+    c_lower: int
+    C_upper: int
+
+
+# n0 is the rank from which the paper states its bounds; proven_min_n is the
+# least n at which the global per-term constants, and with them the tail
+# certificate, are proven (ambient rank >= 5 for orthogonal, >= 3 symplectic,
+# >= 2 unitary)
+_TABLE: dict[Family, _Constants] = {
+    Family.SO: _Constants(1, 2, 2, 2, 10, 10, 36, 6),
+    Family.SU: _Constants(2, 2, 2, 4, 2, 2, 8, 10),
+    Family.USp: _Constants(4, 2, 2, 2, 3, 3, 5, 3),
+    Family.GrR: _Constants(1, 1, 1, 1, 10, 10, 32, 2),
+    Family.GrC: _Constants(2, 1, 1, 2, 2, 2, 32, 2),
+    Family.GrH: _Constants(4, 1, 1, 1, 3, 3, 16, 2),
+    Family.SO2n_Un: _Constants(1, 1, 2, 1, 10, 5, 8, 2),
+    Family.SUn_SOn: _Constants(2, 1, 2, 2, 2, 2, 24, 8),
+    Family.SU2n_USpn: _Constants(2, 1, 2, 2, 2, 2, 22, 8),
+    Family.USpn_Un: _Constants(4, 1, 2, 1, 3, 3, 17, 2),
 }
 
 _MIN_N = {
@@ -69,12 +82,14 @@ class SpaceDescriptor:
     beta: int
     alpha_cutoff: int
     n0: int
+    proven_min_n: int
     c_lower: int
     C_upper: int
     gamma_b: int
     gamma_a: int
     drift_alpha: Fraction
     is_group: bool
+    algebra: str  # "so", "su" or "usp": the Lie algebra of the isometry group
 
     @property
     def param(self) -> int:
@@ -94,8 +109,7 @@ class SpaceDescriptor:
     @property
     def field_tag(self) -> str:
         """Scalar field of the stored matrices ('real' or 'complex')."""
-        ambient = _AMBIENT[self.family]
-        return "real" if ambient is Family.SO else "complex"
+        return "real" if self.algebra == "so" else "complex"
 
     def ambient_group(self) -> "SpaceDescriptor":
         """The isometry group of this space as a group-family descriptor."""
@@ -123,9 +137,6 @@ class SpaceDescriptor:
             "drift_alpha": str(self.drift_alpha),
             "is_group": self.is_group,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
 
     def __str__(self) -> str:
         if self.q is not None:
@@ -172,28 +183,22 @@ def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDesc
     if family in _GRASSMANN:
         if q is None:
             raise InvalidRank(f"{family.value} needs the second parameter q")
-        if q > n // 2:
-            q = n - q
-        if not 1 <= q <= n // 2:
-            raise InvalidRank(f"q={q} out of range for {family.value}({n})")
+        if not 1 <= q <= n - 1:
+            raise InvalidRank(f"q={q} out of range for {family.value}({n}): "
+                              f"need 1 <= q <= {n - 1}")
+        q = min(q, n - q)
     elif q is not None:
         raise InvalidRank(f"{family.value} takes no q parameter")
-    beta, alpha, gamma_b, gamma_a, n0, c_lower, c_upper = _TABLE[family]
+    algebra = _AMBIENT[family].value.lower()
     return SpaceDescriptor(
         family=family,
         n=n,
         q=q,
-        beta=beta,
-        alpha_cutoff=alpha,
-        n0=n0,
-        c_lower=c_lower,
-        C_upper=c_upper,
-        gamma_b=gamma_b,
-        gamma_a=gamma_a,
+        **_TABLE[family]._asdict(),
         drift_alpha=drift_coefficient(
-            _AMBIENT[family].value.lower(),
-            2 * n if family in (Family.SO2n_Un, Family.SU2n_USpn) else n),
+            algebra, 2 * n if family in (Family.SO2n_Un, Family.SU2n_USpn) else n),
         is_group=family in _GROUPS,
+        algebra=algebra,
     )
 
 

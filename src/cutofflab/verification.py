@@ -24,7 +24,8 @@ from .heatseries import (dominating_series, per_term_bound_sweep,
                          per_term_exceeds, series_terms, t_zero)
 from .partitions import Weight
 from .repchar import dimension, verify_square_identity
-from .spaces import SpaceDescriptor, describe, indexing_set, minimal_weight
+from .spaces import (_TABLE, Family, SpaceDescriptor, describe, indexing_set,
+                     minimal_weight)
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all", "run_check"]
 
@@ -132,7 +133,7 @@ def _check_catalan() -> tuple[bool, dict]:
 def _check_minimal_weights() -> tuple[bool, dict]:
     cases = []
     for family in ("SO", "SU", "USp"):
-        n0 = describe(family, {"SO": 10, "SU": 2, "USp": 3}[family]).n0
+        n0 = _TABLE[Family(family)].n0
         cases += [(family, n0), (family, n0 + 3)]
     for family, n in cases:
         desc = describe(family, n)
@@ -201,15 +202,10 @@ def _check_per_term_bounds() -> tuple[bool, dict]:
 
 def _series_cases() -> list[SpaceDescriptor]:
     out = []
-    for family in ("SO", "SU", "USp", "GrR", "GrC", "GrH", "SO2n_Un",
-                   "SUn_SOn", "SU2n_USpn", "USpn_Un"):
-        n0 = describe(family, {"SO": 10, "SU": 2, "USp": 3, "GrR": 10,
-                               "GrC": 2, "GrH": 3, "SO2n_Un": 10,
-                               "SUn_SOn": 2, "SU2n_USpn": 2,
-                               "USpn_Un": 3}[family],
-                      1 if family.startswith("Gr") else None).n0
+    for family in Family:
+        n0 = _TABLE[family].n0
         for n in (n0, n0 + 3, n0 + 6):
-            q = n // 2 if family.startswith("Gr") else None
+            q = n // 2 if family.value.startswith("Gr") else None
             out.append(describe(family, n, q))
     return out
 
@@ -419,11 +415,10 @@ def _check_square_identities() -> tuple[bool, dict]:
 
 def _variance_cases() -> list[SpaceDescriptor]:
     out = []
-    for family, n0 in (("SO", 10), ("SU", 2), ("USp", 3), ("GrR", 10),
-                       ("GrC", 2), ("GrH", 3), ("SO2n_Un", 10),
-                       ("SUn_SOn", 2), ("SU2n_USpn", 2), ("USpn_Un", 3)):
+    for family in Family:
+        n0 = _TABLE[family].n0
         for n in (n0, n0 + 5):
-            q = n // 2 if family.startswith("Gr") else None
+            q = n // 2 if family.value.startswith("Gr") else None
             out.append(describe(family, n, q))
     return out
 

@@ -2,7 +2,7 @@
 ``enumerate_by_size``.
 
 It builds one validated ``Weight`` per label, one size layer and one kind
-at a time, and sorts by (size, doubled parts, sign): the reference order
+at a time, and sorts by (size, doubled parts): the reference order
 the array enumerator must reproduce row for row.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from cutofflab.partitions import IndexingSetKind, LastSign, Weight, WeightKind
+from cutofflab.partitions import IndexingSetKind, Weight, WeightKind
 
 
 def int_partitions(total: int, max_len: int,
@@ -42,12 +42,8 @@ def oracle_labels(indexing: IndexingSetKind,
     cap = int(max_size)
     out: list[Weight] = []
 
-    def add(parts2: Sequence[int], minus: bool = False) -> None:
-        parts2 = tuple(parts2)
-        sign = LastSign.zero
-        if parts2[-1] != 0:
-            sign = LastSign.minus if minus else LastSign.plus
-        out.append(Weight(parts2, kind, sign))
+    def add(parts2: Sequence[int]) -> None:
+        out.append(Weight(tuple(parts2), kind))
 
     if kind is WeightKind.Y:
         for s in range(cap + 1):
@@ -73,23 +69,16 @@ def oracle_labels(indexing: IndexingSetKind,
             for s in range((cap - length) // 2 + 1):
                 for p in int_partitions(s, length):
                     add(4 * v + 2 for v in _pad(p, length))
-    elif kind in (WeightKind.halfY, WeightKind.signedLastPart):
-        signed = kind is WeightKind.signedLastPart
+    elif kind is WeightKind.halfY:
         for s in range(cap + 1):
             for p in int_partitions(s, length):
-                parts2 = [2 * v for v in _pad(p, length)]
-                add(parts2)
-                if signed and parts2[-1] != 0:
-                    add(parts2, minus=True)
+                add(2 * v for v in _pad(p, length))
         half_budget = max_size - Fraction(length, 2)
         if half_budget >= 0:
             for s in range(int(half_budget) + 1):
                 for p in int_partitions(s, length):
-                    parts2 = [2 * v + 1 for v in _pad(p, length)]
-                    add(parts2)
-                    if signed:
-                        add(parts2, minus=True)
+                    add(2 * v + 1 for v in _pad(p, length))
     else:
         raise NotImplementedError(kind)
-    out.sort(key=lambda w: (w.size, w.parts2, w.last_sign.value))
+    out.sort(key=lambda w: (w.size, w.parts2))
     return out

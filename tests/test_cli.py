@@ -265,3 +265,44 @@ def test_profile_rejects_non_finite_grid_ends(capsys, ends):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "need finite 0 < --t-min < --t-max" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--family", "SU", "--n", "2", "--theta", "nan"),
+     "error: angle theta must be finite"),
+    (("--family", "SU", "--n", "2", "--theta", "inf"),
+     "error: angle theta must be finite"),
+    (("--family", "SU", "--n", "2", "--alphabet", "0.1,nan"),
+     "alphabet angles must be finite"),
+    (("--family", "SU", "--n", "2", "--alphabet", "0.1,inf"),
+     "alphabet angles must be finite"),
+    (("--family", "circle", "--n", "1", "--theta", "1", "--cap", "-5"),
+     "error: size_cap must be >= 0"),
+    (("--family", "SO", "--n", "3", "--theta", "1", "--cap", "-5"),
+     "error: size_cap must be >= 0"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_density_outside_the_domain_exits_with_code_two(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        code = cli.main(["density", "--t", "1", *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_describe_names_the_given_q_when_out_of_range(capsys):
+    assert cli.main(["describe", "--family", "GrC", "--n", "6",
+                     "--q", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q=9 out of range for GrC(6)" in captured.err
+
+
+def test_eta_rejects_a_base_longer_than_the_labels(capsys):
+    assert cli.main(["eta", "--family", "SO", "--n", "10",
+                     "--base", "2,1,1,1,1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'2,1,1,1,1,1,1' has 7 parts" in captured.err
+    assert "SO(10) have 5" in captured.err

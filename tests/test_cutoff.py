@@ -271,6 +271,6 @@ def test_profile_json_round_trip():
 
     desc = spaces.describe("SO", 11)
     points = co.profile(desc, [2.0])
-    payload = json.loads(co.profile_json(points))
+    payload = json.loads(json.dumps([p.to_json_dict() for p in points]))
     assert payload[0]["t"] == 2.0
     assert set(payload[0]) == {"t", "lower", "upper"}

@@ -99,14 +99,6 @@ def test_leading_term_is_minimal_weight():
         assert match[0].a_coeff == a_min * (2 if even_so else 1)
 
 
-def test_term_evaluation_is_exponential():
-    d = describe("USp", 3)
-    term = series_terms(d, 2)[0]
-    t = 3.7
-    expect = float(term.a_coeff) * math.exp(-t * float(term.b_exp))
-    assert abs(term.term(t) - expect) < 1e-12 * expect
-
-
 # -- dominating series and tails ------------------------------------------
 
 
@@ -404,6 +396,24 @@ def test_density_error_paths():
         density("circle", {"theta": 0.0}, 0.0)
     with pytest.raises(ValueError):
         density(describe("SU", 3), {"alphabet": [1j, -1j]}, 1.0)  # wrong size
+
+
+@pytest.mark.parametrize("space,point,cap,message", [
+    ("circle", {"theta": math.nan}, 40, "angle theta must be finite"),
+    ("SO", {"theta": math.inf}, 40, "angle theta must be finite"),
+    ("SU", {"alphabet": [1.0, complex(math.nan, math.nan)]}, 40,
+     "alphabet eigenvalues must be finite"),
+    ("GrC", {"zonal_values": [1.0, math.inf]}, 40,
+     "zonal values must be finite"),
+    ("circle", {"theta": 1.0}, -5, "size_cap must be >= 0"),
+    ("SO", {"theta": 1.0}, -5, "size_cap must be >= 0"),
+])
+def test_density_rejects_points_and_caps_outside_the_domain(space, point, cap,
+                                                            message):
+    desc = {"circle": "circle", "SO": describe("SO", 3),
+            "SU": describe("SU", 2), "GrC": describe("GrC", 4, 1)}[space]
+    with pytest.raises(ValueError, match=message):
+        density(desc, point, 1.0, size_cap=cap)
 
 
 def test_log_counts_grow_one_array_per_length(monkeypatch):

@@ -1,4 +1,4 @@
-"""Weight-label validation, enumeration by size, and growth decomposition."""
+"""Weight-label validation, enumeration by size, and partition counts."""
 
 from __future__ import annotations
 
@@ -11,16 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab.partitions import (
-    GrowthStep,
     IndexingSetKind,
-    LastSign,
     Weight,
     WeightKind,
     enumerate_by_size,
-    growth_path,
     label_rows,
     partition_counts,
-    size_of,
 )
 from label_oracle import oracle_labels
 
@@ -46,11 +42,10 @@ def test_parts_must_be_non_increasing():
         Weight.of((1, 2), WeightKind.Y)
 
 
-def test_negative_parts_only_for_z():
-    with pytest.raises(ValueError):
-        Weight.of((1, -1), WeightKind.Y)
-    w = Weight.of((1, -1), WeightKind.Z)
-    assert w.parts == (Fraction(1), Fraction(-1))
+def test_negative_parts_are_rejected():
+    for kind in WeightKind:
+        with pytest.raises(ValueError, match="non-negative"):
+            Weight.of((2, -2), kind)
 
 
 def test_integer_kinds_reject_halves():
@@ -96,21 +91,7 @@ def test_of_rejects_non_half_values():
         Weight.of((Fraction(1, 3),), WeightKind.Y)
 
 
-def test_sign_rules():
-    with pytest.raises(ValueError):
-        Weight.of((2, 1), WeightKind.Y, minus_last=True)
-    w = Weight.of((2, 1), WeightKind.signedLastPart, minus_last=True)
-    assert w.parts[-1] == -1 and w.size == 3
-    # explicit constructor checks
-    with pytest.raises(ValueError):
-        Weight((4, 0), WeightKind.signedLastPart, LastSign.minus)
-    with pytest.raises(ValueError):
-        Weight((4, 0), WeightKind.Y, LastSign.plus)
-    with pytest.raises(ValueError):
-        Weight((4, 2), WeightKind.Y, LastSign.zero)
-
-
-# -- views and transforms --------------------------------------------------
+# -- views ----------------------------------------------------------------
 
 
 def test_parts_size_and_str():
@@ -121,42 +102,6 @@ def test_parts_size_and_str():
     assert str(w) == "5/2,1/2,1/2"
     v = Weight.of((2, 1, 0))
     assert str(v) == "2,1,0"
-    s = Weight.of((2, 1), WeightKind.signedLastPart, minus_last=True)
-    assert str(s) == "2,-1"
-
-
-def test_half_shift_adds_one_half_everywhere():
-    w = Weight.of((2, 1, 0))
-    shifted = w.half_shift()
-    assert shifted.parts == (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        shifted.half_shift()
-
-
-def test_flip_last_only_signed_nonzero():
-    w = Weight.of((2, 1), WeightKind.signedLastPart)
-    assert w.flip_last().parts[-1] == -1
-    assert w.flip_last().flip_last() == w
-    z = Weight.of((2, 0), WeightKind.signedLastPart)
-    assert z.flip_last() == z
-    y = Weight.of((2, 1), WeightKind.Y)
-    assert y.flip_last() == y
-
-
-def test_as_kind_revalidates():
-    w = Weight.of((2, 2), WeightKind.Y)
-    assert w.as_kind(WeightKind.evenY).kind is WeightKind.evenY
-    assert w.as_kind(WeightKind.doubledY).kind is WeightKind.doubledY
-    with pytest.raises(ValueError):
-        Weight.of((2, 1), WeightKind.Y).as_kind(WeightKind.evenY)
-    m = Weight.of((2, 1), WeightKind.signedLastPart, minus_last=True)
-    with pytest.raises(ValueError):
-        m.as_kind(WeightKind.Y)
-
-
-def test_size_of_matches_property():
-    w = Weight.of((3, 1, 1))
-    assert size_of(w) == w.size == 5
 
 
 # -- counting --------------------------------------------------------------
@@ -245,16 +190,6 @@ def test_enumerate_single_parity_partitions():
         {(1, 1), (3, 1), (3, 3), (5, 1)}
 
 
-def test_enumerate_signed_labels_doubles_nonzero_last():
-    idx = IndexingSetKind(WeightKind.signedLastPart, 2)
-    ws = list(enumerate_by_size(idx, 3))
-    nonzero_last = [w for w in ws if w.parts2[-1] != 0]
-    plus = [w for w in nonzero_last if w.last_sign is LastSign.plus]
-    minus = [w for w in nonzero_last if w.last_sign is LastSign.minus]
-    assert len(plus) == len(minus) > 0
-    assert {w.flip_last() for w in plus} == set(minus)
-
-
 def test_enumerate_fractional_cap():
     idx = IndexingSetKind(WeightKind.halfY, 3)
     ws = list(enumerate_by_size(idx, Fraction(3, 2)))
@@ -263,27 +198,22 @@ def test_enumerate_fractional_cap():
 
 # -- array enumerator against the recursive oracle ---------------------------
 
-ORACLE_KINDS = (WeightKind.Y, WeightKind.halfY, WeightKind.evenY,
-                WeightKind.doubledY, WeightKind.evenOrOddY,
-                WeightKind.signedLastPart)
 HALF_CAPS = [Fraction(2 * c + 1, 2) for c in range(13)]
 
 
-@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
 @pytest.mark.parametrize("length", range(1, 8))
 def test_label_rows_match_the_oracle_row_for_row(kind, length):
     idx = IndexingSetKind(kind, length)
     caps = list(range(14))
-    if kind in (WeightKind.halfY, WeightKind.signedLastPart):
+    if kind is WeightKind.halfY:
         caps += HALF_CAPS
     for cap in caps:
         want = oracle_labels(idx, cap)
         assert list(enumerate_by_size(idx, cap)) == want, cap
         rows = label_rows(idx, cap)
         assert rows.dtype == np.int64 and rows.shape[1] == length
-        # signed labels repeat a row for the minus partner
-        distinct = list(dict.fromkeys(w.parts2 for w in want))
-        assert rows.tolist() == [list(p) for p in distinct], cap
+        assert rows.tolist() == [list(w.parts2) for w in want], cap
 
 
 @pytest.mark.parametrize("length", range(1, 8))
@@ -307,11 +237,9 @@ def test_label_row_counts_are_sums_of_partition_counts(length):
             sum(counts[:int(max_size) + 1]) + half
 
 
-def test_label_rows_reject_negative_cap_and_z():
+def test_label_rows_reject_negative_cap():
     with pytest.raises(ValueError):
         label_rows(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
-    with pytest.raises(NotImplementedError):
-        label_rows(IndexingSetKind(WeightKind.Z, 2), 3)
 
 
 def test_enumerate_rejects_negative_cap():
@@ -322,57 +250,6 @@ def test_enumerate_rejects_negative_cap():
 def test_indexing_set_needs_positive_length():
     with pytest.raises(ValueError):
         IndexingSetKind(WeightKind.Y, 0)
-
-
-# -- growth decomposition --------------------------------------------------
-
-
-def replay(steps, length):
-    current = Weight.zero(length, WeightKind.Y)
-    for step in steps:
-        assert step.base == current
-        current = step.apply()
-    return current
-
-
-@pytest.mark.parametrize("parts", [
-    (0, 0), (1, 0), (1, 1), (2, 1), (3, 3, 2), (4, 2, 2, 1), (5, 0, 0),
-    (6, 4, 4, 1, 1),
-])
-def test_growth_path_replays_to_weight(parts):
-    w = Weight.of(parts, WeightKind.Y)
-    steps = growth_path(w)
-    assert replay(steps, w.length) == w
-    assert len(steps) == (max(parts) if parts else 0)
-
-
-def test_growth_path_is_widest_first():
-    steps = growth_path(Weight.of((3, 1, 0)))
-    assert [(s.l, s.k) for s in steps] == [(2, 1), (1, 1), (1, 2)]
-
-
-def test_growth_rejects_halves_and_signs():
-    from cutofflab.errors import HalfPartitionUnsupported
-    with pytest.raises(HalfPartitionUnsupported):
-        growth_path(Weight.of((Fraction(1, 2),), WeightKind.halfY))
-    with pytest.raises(HalfPartitionUnsupported):
-        growth_path(Weight.of((2, 1), WeightKind.signedLastPart,
-                              minus_last=True))
-
-
-def test_growth_step_needs_flat_top():
-    with pytest.raises(ValueError):
-        GrowthStep(l=2, k=1, base=Weight.of((2, 1, 0))).apply()
-    grown = GrowthStep(l=2, k=1, base=Weight.of((2, 2, 0))).apply()
-    assert grown.parts == (3, 3, 0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=5))
-def test_growth_path_replays_random_partitions(values):
-    parts = tuple(sorted(values, reverse=True))
-    w = Weight.of(parts, WeightKind.Y)
-    assert replay(growth_path(w), w.length) == w
 
 
 @settings(max_examples=100, deadline=None)

