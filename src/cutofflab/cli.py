@@ -23,7 +23,7 @@ from . import cutoff as _cutoff
 from . import moments as _moments
 from . import sampler as _sampler
 from . import verification as _verification
-from .errors import CutoffLabError
+from .errors import CutoffLabError, require_time
 from .heatseries import (density, dominating_series, eta_quotient,
                          per_term_bound_sweep, t_zero, tv_upper_bound)
 from .partitions import Weight
@@ -399,8 +399,12 @@ def _run_simulate(parser, args) -> int:
     desc = _space(parser, args)
     if args.paths < 1:
         parser.error("--paths must be >= 1")
-    step = args.t / args.steps if args.steps else 0.05
+    if args.steps is not None and args.steps < 1:
+        parser.error("--steps must be >= 1")
     try:
+        require_time(args.t, allow_zero=True)
+        # at t = 0 every path stays at the identity, whatever the steps
+        step = args.t / args.steps if args.steps and args.t > 0 else 0.05
         config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
                                            step_size=step)
     except ValueError as exc:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FieldMismatch, InvalidRank, UnsupportedSpace, require_time
 from .heatseries import t_zero, tv_upper_bound
 from .moments import moment, zonal_square_expansion
-from .partitions import Weight, WeightKind
+from .partitions import Weight
 from .repchar import casimir_exponent, dimension
 from .spaces import Family, SpaceDescriptor, indexing_set, minimal_weight
 

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateAlphabet, InvalidRank, WeightKindMismatch
-from .partitions import Weight, WeightKind
+from .partitions import Weight
 from .spaces import Family, SpaceDescriptor, indexing_set
 
 _DEGENERACY_FLOOR = 1e-10
@@ -31,11 +31,6 @@ def _check_membership(descriptor: SpaceDescriptor, weight: Weight) -> None:
         raise WeightKindMismatch(
             f"weight {weight} of kind {weight.kind.value}/{weight.length} does not "
             f"index {descriptor} (needs {idx.kind.value}/{idx.length})")
-
-
-def _halves(weight: Weight) -> list[Fraction]:
-    """True parts as exact fractions."""
-    return list(weight.parts)
 
 
 def _scaled(parts: Sequence[Fraction], length: int) -> tuple[list[int], int]:
@@ -89,7 +84,7 @@ def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """Exact dimension of the representation labelled by the weight."""
     _check_membership(descriptor, weight)
     fam, n = descriptor.family, descriptor.n
-    parts = _halves(weight)
+    parts = list(weight.parts)
     if fam is Family.SU:
         return _type_a_product(parts, n)
     if fam is Family.SUn_SOn:
@@ -137,7 +132,7 @@ def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """B_n(lambda): the heat-semigroup decay rate of the lambda-block."""
     _check_membership(descriptor, weight)
     fam, n = descriptor.family, descriptor.n
-    parts = _halves(weight)
+    parts = list(weight.parts)
     if fam in (Family.SO, Family.GrR):
         return _so_exponent(parts, n)
     if fam is Family.SO2n_Un:

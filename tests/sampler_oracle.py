@@ -1,6 +1,10 @@
-"""Per-index uniform sampling as the sampler did it before batching: one
-generator per index, QR and sign fix one matrix at a time.  Kept as an
-oracle for ``sampler.haar_samples``, which must draw the same numbers."""
+"""Oracles for the sampler.
+
+Per-index uniform sampling as the sampler did it before batching: one
+generator per index, QR and sign fix one matrix at a time, for
+``sampler.haar_samples``, which must draw the same numbers.  The Euler
+step's exponential through ``np.linalg.eigh``, as the sampler computed it
+before version 0.4.0, for ``sampler._expm_antisymmetric``."""
 
 from __future__ import annotations
 
@@ -49,3 +53,10 @@ def haar_sample(descriptor, *, seed: int = 0, index: int = 0) -> np.ndarray:
     b = (rng.standard_normal((rank, rank))
          + 1j * rng.standard_normal((rank, rank)))
     return _project("usp", _embed_quaternion(a, b)[None])[0]
+
+
+def expm_anti_hermitian(batch: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack of anti-Hermitian matrices via eigh."""
+    w, v = np.linalg.eigh(1j * batch)
+    phases = np.exp(-1j * w)
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)

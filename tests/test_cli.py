@@ -168,6 +168,31 @@ def test_simulate_csv_layout_and_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--t", "1", "--steps", "0"), "--steps must be >= 1"),
+    (("--t", "1", "--steps", "-3"), "--steps must be >= 1"),
+    (("--t", "nan", "--steps", "2"), "time must be finite with t >= 0"),
+    (("--t", "-1", "--steps", "2"), "time must be finite with t >= 0"),
+    (("--t", "1", "--steps", "2"), "step size must lie in (0, 0.05]"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_simulate_argument_errors_exit_with_code_two(capsys, argv, message):
+    assert cli.main(["simulate", "--family", "SU", "--n", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_simulate_at_time_zero_gives_the_identity_rows(capsys):
+    argv = ("simulate", "--family", "SU", "--n", "3", "--t", "0",
+            "--paths", "3", "--format", "csv")
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out == "path,omega_re,omega_im\n0,3,0\n1,3,0\n2,3,0\n"
+    code, with_steps = _run(capsys, *argv, "--steps", "4")
+    assert code == 0
+    assert with_steps == out
+
+
 def test_circle_density_matches_the_theta_series(capsys):
     code, out = _run(capsys, "density", "--family", "circle", "--n", "1",
                      "--t", "0.5", "--theta", "0.3")

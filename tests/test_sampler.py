@@ -264,12 +264,110 @@ def test_sampler_basis_squares_to_the_casimir_tensor(algebra, n):
 
 @pytest.mark.parametrize("algebra,n", _ALGEBRAS)
 def test_coefficients_map_through_the_basis(algebra, n):
+    # the elements come out in real form, [[A, -B], [B, A]] for A + iB
     basis = sa._dense_basis(algebra, n)
+    real = sa._real_form(algebra, basis)
+    assert np.array_equal(sa._complex_form(algebra, real), basis)
     assert np.array_equal(
-        sa._algebra_elements(algebra, n, np.eye(len(basis))), basis)
+        sa._algebra_elements(algebra, n, np.eye(len(basis))), real)
     coeffs = np.random.default_rng(n).standard_normal((5, len(basis)))
-    want = np.einsum("pk,kij->pij", coeffs, basis)
+    want = np.einsum("pk,kij->pij", coeffs, real)
     assert np.abs(sa._algebra_elements(algebra, n, coeffs) - want).max() < 1e-14
+
+
+# -- the Euler step's exponential: real scaling and squaring ----------------
+
+_STEP_ALGEBRAS = ([("so", n) for n in range(3, 13)]
+                  + [("su", n) for n in range(2, 9)]
+                  + [("usp", n) for n in range(2, 6)])
+
+
+def _step_elements(algebra, n, scale, count, seed):
+    """Algebra elements of h = 0.05 Euler steps, their norms times scale."""
+    basis = sa._dense_basis(algebra, n)
+    coeffs = np.random.default_rng(seed).standard_normal((count, len(basis)))
+    return np.einsum("pk,kij->pij", scale * math.sqrt(0.05) * coeffs, basis)
+
+
+@pytest.mark.parametrize("algebra,n", _STEP_ALGEBRAS)
+def test_step_exponential_matches_the_eigh_route(algebra, n):
+    import sampler_oracle
+    for scale in (1.0, 10.0, 100.0):
+        x = _step_elements(algebra, n, scale, 64, seed=n)
+        real = sa._real_form(algebra, x)
+        if scale == 100.0:  # several squarings on every matrix
+            norms = np.sqrt(0.5 * (real ** 2).sum(axis=(1, 2)))
+            assert norms.min() > 4 * sa._THETA
+        step = sa._expm_antisymmetric(real)
+        assert step.dtype == np.float64
+        got = sa._complex_form(algebra, step)
+        want = sampler_oracle.expm_anti_hermitian(x)
+        assert np.abs(got - want).max() <= 1e-13
+        unit = got.conj().swapaxes(-1, -2) @ got - np.eye(got.shape[-1])
+        assert np.abs(unit).max() <= 1e-13
+
+
+def test_theta_keeps_the_taylor_remainder_below_the_unit_roundoff():
+    from fractions import Fraction
+    theta = Fraction(sa._THETA)
+    degree = sa._TAYLOR_DEGREE
+    remainder = sum(theta ** k / math.factorial(k)
+                    for k in range(degree + 1, degree + 60))
+    assert remainder <= Fraction(1, 2 ** 53)
+    assert np.array_equal(
+        sa._TAYLOR_BLOCKS.ravel(),
+        [1.0 / math.factorial(k) for k in range(degree)])
+
+
+def test_an_exponential_does_not_depend_on_its_stack():
+    scales = np.geomspace(0.1, 100.0, 32)
+    x = sa._real_form("su", np.concatenate(
+        [_step_elements("su", 4, s, 1, seed=i) for i, s in enumerate(scales)]))
+    norms = np.sqrt(0.5 * (x ** 2).sum(axis=(1, 2)))
+    squarings = np.maximum(np.frexp(norms / sa._THETA)[1], 0)
+    assert len(set(squarings)) >= 5
+    stack = sa._expm_antisymmetric(x)
+    for row, matrix in zip(stack, x):
+        assert np.array_equal(sa._expm_antisymmetric(matrix[None])[0], row)
+    order = np.random.default_rng(1).permutation(len(x))
+    assert np.array_equal(sa._expm_antisymmetric(x[order]), stack[order])
+
+
+@pytest.mark.parametrize("family,n", [("SO", 5), ("SU", 3), ("USp", 2)])
+def test_simulation_runs_without_eigh(family, n, monkeypatch):
+    desc = spaces.describe(family, n)
+    sa._coefficient_map(desc.algebra, n)  # the su basis is built with eigh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    config = sa.SimulationConfig(paths=4, seed=6)
+    mats = sa.simulate_endpoints(desc, 2.6, config, range(4))  # one projection
+    assert mats.dtype == (np.float64 if family == "SO" else np.complex128)
+    for g in mats:
+        assert _membership_residual(desc, g) < 1e-12
+
+
+def test_estimate_starts_at_most_one_worker_per_chunk(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+    seen = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            # a missing cap must not start max_workers threads here
+            super().__init__(max_workers=min(max_workers, 4))
+
+    monkeypatch.setattr(sa, "ThreadPoolExecutor", Recording)
+    desc = spaces.describe("SO", 4)
+    for statistic, t in (("abs_trace_sq", None), ("trace", 0.15)):
+        seen.clear()
+        runs = [sa.estimate(desc, statistic, t,
+                            sa.SimulationConfig(paths=paths, seed=2, threads=k))
+                for paths in (600, 100) for k in (10 ** 6, 1)]
+        assert seen == [3]  # three workers split 600 paths at 200 and 400
+        assert runs[0] == runs[1] and runs[2] == runs[3]
 
 
 def test_the_hand_written_metric_is_gone():
