@@ -87,9 +87,8 @@ def _parse_weight(parser: argparse.ArgumentParser, desc, text: str) -> Weight:
     if len(parts) > idx.length:
         parser.error(f"weight {text!r} has {len(parts)} parts, but the labels "
                      f"of {desc} have {idx.length}")
-    parts += [Fraction(0)] * (idx.length - len(parts))
     try:
-        return Weight.of(parts, idx.kind)
+        return idx.label(parts)
     except CutoffLabError as exc:
         parser.error(str(exc))
 

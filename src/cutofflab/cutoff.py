@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FieldMismatch, InvalidRank, UnsupportedSpace, require_time
+from .errors import FieldMismatch, UnsupportedSpace, require_time
 from .heatseries import t_zero, tv_upper_bound
 from .moments import moment, zonal_square_expansion
 from .partitions import Weight
@@ -39,16 +39,6 @@ __all__ = [
     "zonal_square_series",
     "zonal_square_via_moments",
 ]
-
-# constants bounding the observable's variance before cut-off; Grassmannian
-# entries scale with n to the window exponent
-_VARIANCE_CAP = {
-    Family.SO: 8, Family.SU: 1, Family.USp: 3,
-    Family.SO2n_Un: 3, Family.SUn_SOn: 1, Family.SU2n_USpn: 1,
-    Family.USpn_Un: 3,
-}
-_GR_CAP_FACTOR = {Family.GrR: 3, Family.GrC: 5, Family.GrH: 5}
-
 
 @dataclass(frozen=True)
 class OmegaSpec:
@@ -150,27 +140,21 @@ def omega_value(spec: OmegaSpec | SpaceDescriptor,
 # -- mean and variance under the heat flow ---------------------------------
 
 
-def _unit(descriptor: SpaceDescriptor, head: Sequence[int]) -> Weight:
-    idx = indexing_set(descriptor)
-    parts = tuple(head) + (0,) * (idx.length - len(head))
-    return Weight.of(parts, idx.kind)
-
-
 def _group_square_terms(descriptor: SpaceDescriptor) -> list[tuple[Weight, int]]:
     """Non-trivial labels in the expansion of the squared trace modulus,
     with multiplicity two when a label carries both chirality pieces."""
     fam, n = descriptor.family, descriptor.n
     idx = indexing_set(descriptor)
     if fam is Family.SU:
-        return [(_unit(descriptor, (2,) + (1,) * (idx.length - 1)), 1)]
-    two = _unit(descriptor, (2,))
+        return [(idx.label((2,) + (1,) * (idx.length - 1)), 1)]
+    two = idx.label((2,))
     if idx.length >= 2:
-        pair = _unit(descriptor, (1, 1))
+        pair = idx.label((1, 1))
         both = 2 if (fam is Family.SO and n % 2 == 0
                      and pair.parts2[-1] != 0) else 1
         return [(two, 1), (pair, both)]
     # at rank one the exterior square folds onto the defining label
-    return [(two, 1), (_unit(descriptor, (1,)), 1)]
+    return [(two, 1), (idx.label((1,)), 1)]
 
 
 @lru_cache(maxsize=64)
@@ -201,8 +185,6 @@ def mean_variance(descriptor: SpaceDescriptor, t: float) -> tuple[float, float]:
     central moment.
     """
     require_time(t, allow_zero=True)
-    if descriptor.n < (3 if descriptor.family is Family.SO else 2):
-        raise InvalidRank(str(descriptor))
     sqrt_a, a_min, b_min, square = _moment_terms(descriptor)
     mean = sqrt_a * math.exp(-t * b_min / 2.0)
     if descriptor.is_group:
@@ -225,11 +207,10 @@ def zonal_square_series(descriptor: SpaceDescriptor, t: float) -> float:
 def variance_cap(descriptor: SpaceDescriptor, t: float) -> float:
     """Constant K bounding the variance of Omega throughout the pre-cut-off
     window; Grassmannian caps grow like n to the window exponent."""
-    fam = descriptor.family
-    if fam in _GR_CAP_FACTOR:
+    if descriptor.q is not None:
         eps = 1.0 - t / t_zero(descriptor)
-        return _GR_CAP_FACTOR[fam] * float(descriptor.param) ** eps
-    return float(_VARIANCE_CAP[fam])
+        return descriptor.variance_k * float(descriptor.param) ** eps
+    return float(descriptor.variance_k)
 
 
 def lower_bound(descriptor: SpaceDescriptor, t: float) -> float:
@@ -368,8 +349,7 @@ def _zonal_square_keys(descriptor: SpaceDescriptor) -> tuple[tuple[tuple, float]
 def zonal_square_via_moments(descriptor: SpaceDescriptor, t: float) -> float:
     """E_t of the squared zonal function, evaluated monomial by monomial
     through the moment engine of the ambient algebra."""
-    algebra = descriptor.algebra
-    rank = descriptor.matrix_size // (2 if algebra == "usp" else 1)
+    algebra, rank = descriptor.algebra, descriptor.param
     total = 0.0 + 0.0j
     for key, weight in _zonal_square_keys(descriptor):
         total += weight * (moment(algebra, rank, key, t) if key else 1.0)

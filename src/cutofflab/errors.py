@@ -42,7 +42,7 @@ def require_time(t: float, allow_zero: bool = False) -> None:
 
 
 class TooLarge(CutoffLabError):
-    """Requested tensor space exceeds the desk-scale guard."""
+    """Requested tensor space or label table exceeds the desk-scale guard."""
 
 
 class UnsupportedPattern(CutoffLabError):

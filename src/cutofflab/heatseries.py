@@ -15,42 +15,11 @@ import numpy as np
 from .errors import (HalfPartitionUnsupported, InvalidRank, UnsupportedSpace,
                      require_time)
 from .partitions import (Weight, WeightKind, enumerate_by_size, label_rows,
-                         partition_counts)
-from .repchar import CharType, casimir_exponent, dimension, schur
-from .spaces import Family, SpaceDescriptor, indexing_set
+                         partition_counts, within_label_limit)
+from .repchar import casimir_exponent, dimension, schur
+from .spaces import CharType, Family, RootDatum, SpaceDescriptor, indexing_set
 
 _HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
-
-def _per_term_constants(descriptor: SpaceDescriptor) -> tuple[Fraction, Optional[Fraction]]:
-    """(integer-label constant, half-label constant or None) bounding
-    D^lambda * param^(-B) over the family's labels.
-
-    The odd orthogonal integer constant is 5/4: the first growth step from
-    the empty partition gives exactly (2m+1)^{1/(2m+1)} <= 11^{1/11} < 5/4,
-    and every later step quotient is at most 1 except one bounded by 1.09.
-    """
-    fam, n = descriptor.family, descriptor.n
-    if fam is Family.SO:
-        if n % 2:
-            return Fraction(5, 4), Fraction(11, 5)
-        return Fraction(4, 3), Fraction(48, 15)
-    if fam is Family.SU:
-        return Fraction(3, 2), None
-    if fam is Family.USp:
-        return Fraction(14, 3), None
-    if fam is Family.GrR:
-        return (Fraction(5, 4) if n % 2 else Fraction(4, 3)), None
-    if fam is Family.GrC:
-        return Fraction(1), None
-    if fam is Family.GrH:
-        return Fraction(14, 3), None
-    if fam is Family.SO2n_Un:
-        return Fraction(4, 3), None
-    if fam in (Family.SUn_SOn, Family.SU2n_USpn):
-        return Fraction(3, 2), None
-    if fam is Family.USpn_Un:
-        return Fraction(14, 3), None
-    raise UnsupportedSpace(str(fam))  # pragma: no cover
 
 
 def t_zero(descriptor: SpaceDescriptor) -> float:
@@ -175,55 +144,43 @@ def _log_dim_type_d(ell2: np.ndarray, den2: np.ndarray) -> np.ndarray:
     return np.log(val)
 
 
+def _root_rows(root: RootDatum, parts2: np.ndarray) -> np.ndarray:
+    """Doubled label parts in the root datum's coordinates: a symmetric
+    (GrC) label l becomes (l, 0, ..., 0, -l reversed)."""
+    if not root.symmetric:
+        return parts2
+    zeros = np.zeros((len(parts2), root.rank - 2 * parts2.shape[1]), np.int64)
+    return np.concatenate([parts2, zeros, -parts2[:, ::-1]], axis=1)
+
+
 def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
     # the padded label arrays are passed as temporaries, so no more than two
     # label-sized arrays are alive at once
-    fam, n = descriptor.family, descriptor.n
-    if fam in (Family.SU, Family.SUn_SOn):
-        return _log_dim_type_a(_label_columns(parts2, n) / 2.0)
-    if fam is Family.SU2n_USpn:
-        return _log_dim_type_a(_label_columns(parts2, 2 * n) / 2.0)
-    if fam is Family.GrC:
-        lam_q = parts2.T / 2.0
-        full = np.zeros((n, parts2.shape[0]))
-        full[:descriptor.q] = lam_q
-        full[n - descriptor.q:] = -lam_q[::-1]
-        return _log_dim_type_a(full)
-    if fam in (Family.USp, Family.GrH, Family.USpn_Un):
-        den = n - np.arange(n)  # n-i+1 for 1-based i
-        return _log_dim_type_bc(_label_columns(parts2, n) / 2.0 + den[:, None], den)
-    if fam in (Family.SO, Family.GrR):
-        r = n // 2
-        if n % 2:
-            den = 2 * (r - 1 - np.arange(r)) + 1
-            return _log_dim_type_bc(
-                (_label_columns(parts2, r) + den[:, None]) / 2.0, den / 2.0)
-        den2 = 2 * (r - 1 - np.arange(r))
-        return _log_dim_type_d(_label_columns(parts2, r) + den2[:, None], den2)
-    if fam is Family.SO2n_Un:
-        den2 = 2 * (n - 1 - np.arange(n))
-        return _log_dim_type_d(_label_columns(parts2, n) + den2[:, None], den2)
-    raise UnsupportedSpace(str(fam))  # pragma: no cover
+    root = descriptor.root
+    rows, r = _root_rows(root, parts2), root.rank
+    if root.type is CharType.A:
+        return _log_dim_type_a(_label_columns(rows, r) / 2.0)
+    if root.type is CharType.C:
+        den = r - np.arange(r)  # r-i+1 for 1-based i
+        return _log_dim_type_bc(_label_columns(rows, r) / 2.0 + den[:, None], den)
+    if root.type is CharType.B:
+        den = 2 * (r - 1 - np.arange(r)) + 1
+        return _log_dim_type_bc(
+            (_label_columns(rows, r) + den[:, None]) / 2.0, den / 2.0)
+    den2 = 2 * (r - 1 - np.arange(r))
+    return _log_dim_type_d(_label_columns(rows, r) + den2[:, None], den2)
 
 
 def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
-    fam, n = descriptor.family, descriptor.n
-    lam = parts2 / 2.0
-    have = lam.shape[1]
-    i = np.arange(1, have + 1)
-    if fam in (Family.SO, Family.GrR, Family.SO2n_Un):
-        amb = 2 * n if fam is Family.SO2n_Un else n
-        return (lam * lam + (amb - 2.0 * i) * lam).sum(axis=1) / amb
-    if fam in (Family.SU, Family.SUn_SOn, Family.SU2n_USpn):
-        m = 2 * n if fam is Family.SU2n_USpn else n
+    root = descriptor.root
+    lam = _root_rows(root, parts2) / 2.0
+    i = np.arange(1, lam.shape[1] + 1)
+    big_n, shift = root.rate_form
+    rate = (lam * lam + (shift - 2.0 * i) * lam).sum(axis=1) / big_n
+    if root.type is CharType.A:
         size = lam.sum(axis=1)
-        return ((lam * lam + (m + 1.0 - 2.0 * i) * lam).sum(axis=1) / m
-                - size * size / (m * m))
-    if fam is Family.GrC:
-        return 2.0 * (lam * lam + (n + 1.0 - 2.0 * i) * lam).sum(axis=1) / n
-    if fam in (Family.USp, Family.GrH, Family.USpn_Un):
-        return (lam * lam + (2.0 * n + 2.0 - 2.0 * i) * lam).sum(axis=1) / (2 * n)
-    raise UnsupportedSpace(str(fam))  # pragma: no cover
+        rate = rate - size * size / (big_n * big_n)
+    return rate
 
 
 @lru_cache(maxsize=32)
@@ -245,11 +202,6 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
 
 
 # -- certified tails -------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _counts(max_size: int, max_len: int) -> tuple[int, ...]:
-    return tuple(partition_counts(max_size, max_len))
 
 
 def _hr_closing(log_x: float, horizon: int) -> float:
@@ -377,7 +329,7 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
     gap = t - t0
     if gap <= 0.0:
         return math.inf
-    const_int, const_half = _per_term_constants(descriptor)
+    const_int, const_half = descriptor.per_term
     log_x = -gap / 2.0  # decay rate from B >= |lambda|/2
 
     if fam in (Family.SO, Family.GrR):
@@ -415,11 +367,12 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
 
 
 def _cap_schedule(descriptor: SpaceDescriptor) -> list[int]:
-    """Escalating size caps, stopping before label counts explode."""
+    """Escalating size caps, stopping before the label table passes
+    MAX_LABELS."""
     length = indexing_set(descriptor).length
     caps = [40]
     for cap in (80, 160, 200):
-        if sum(_counts(cap, length)) > 300_000:
+        if not within_label_limit(cap, length):
             break
         caps.append(cap)
     return caps
@@ -546,7 +499,7 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
         raise ValueError("size_cap leaves no labels to sweep")
     boundary = values[table.size2 > 2 * (size_cap - 2)]
     boundary_max = float(boundary.max()) if len(boundary) else 0.0
-    const_int, const_half = _per_term_constants(descriptor)
+    const_int, const_half = descriptor.per_term
     certified = (n >= minimum and size_cap >= 40
                  and boundary_max < 0.5 * max_all
                  and not per_term_exceeds(descriptor, arg_int, const_int))
@@ -596,22 +549,15 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
 def _group_alphabet_density(descriptor: SpaceDescriptor,
                             alphabet: Sequence[complex], t: float,
                             size_cap: int) -> float:
-    fam, n = descriptor.family, descriptor.n
-    idx = indexing_set(descriptor)
-    if fam is Family.SO:
-        ctype = CharType.B if n % 2 else CharType.D
-        want = n // 2
-    elif fam is Family.SU:
-        ctype, want = CharType.A, n
-    else:
-        ctype, want = CharType.C, n
-    if len(alphabet) != want:
-        raise ValueError(f"{descriptor} needs an alphabet of {want} eigenvalues")
+    root = descriptor.root
+    if len(alphabet) != root.rank:
+        raise ValueError(
+            f"{descriptor} needs an alphabet of {root.rank} eigenvalues")
     total = 0.0
-    for w in enumerate_by_size(idx, size_cap):
+    for w in enumerate_by_size(indexing_set(descriptor), size_cap):
         dim = dimension(descriptor, w)
         b = casimir_exponent(descriptor, w)
-        chi = schur(ctype, list(w.parts), alphabet)
+        chi = schur(root.type, list(w.parts), alphabet)
         total += float(dim) * math.exp(-t * float(b) / 2.0) * chi.real
     return total
 
@@ -622,9 +568,7 @@ def _rank_one_quotient_density(descriptor: SpaceDescriptor,
     idx = indexing_set(descriptor)
     total = 0.0
     for k in range(0, min(size_cap, len(zonal_values) - 1) + 1):
-        head = (k, k) if descriptor.family is Family.GrH else (k,)
-        parts = head + (0,) * (idx.length - len(head))
-        w = Weight.of(parts, idx.kind)
+        w = idx.label((k, k) if descriptor.family is Family.GrH else (k,))
         dim = dimension(descriptor, w)
         b = casimir_exponent(descriptor, w)
         total += float(dim) * math.exp(-t * float(b) / 2.0) * zonal_values[k]

@@ -31,8 +31,9 @@ from .errors import (
     UnsupportedSpace,
     require_time,
 )
-from .partitions import Weight, WeightKind
-from .spaces import Family, SpaceDescriptor, drift_coefficient
+from .partitions import Weight
+from .spaces import (_TABLE, Family, SpaceDescriptor, drift_coefficient,
+                     indexing_set)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -54,15 +55,15 @@ __all__ = [
     "zonal_square_expansion",
 ]
 
-_ALGEBRAS = ("so", "su", "usp")
+_GROUPS = {"so": Family.SO, "su": Family.SU, "usp": Family.USp}
 _MAX_TENSOR_DIM = 10_000_000
 _MAX_DENSE_EIG = 20_000
 
 
 def _check_algebra(algebra: str, n: int) -> None:
-    if algebra not in _ALGEBRAS:
+    if algebra not in _GROUPS:
         raise ValueError(f"unknown algebra {algebra!r}")
-    floor = 3 if algebra == "so" else 2
+    floor = _TABLE[_GROUPS[algebra]].min_n
     if n < floor:
         raise InvalidRank(f"{algebra}({n}): rank must be >= {floor}")
 
@@ -940,7 +941,7 @@ def _forms(algebra: str) -> dict:
 
 def closed_form_names(algebra: str) -> tuple[str, ...]:
     """Names of the tabulated closed-form moment patterns."""
-    if algebra not in _ALGEBRAS:
+    if algebra not in _GROUPS:
         raise ValueError(f"unknown algebra {algebra!r}")
     return tuple(_forms(algebra))
 
@@ -982,11 +983,6 @@ def generator_moment(algebra: str, n: int, name: str, t: float) -> complex:
 # -- squared zonal functions in the zonal basis ----------------------------
 
 
-def _weight(parts: Sequence[int], kind: WeightKind, length: int) -> Weight:
-    padded = tuple(parts) + (0,) * (length - len(parts))
-    return Weight.of(padded, kind)
-
-
 def zonal_square_expansion(descriptor: SpaceDescriptor) -> dict[Weight, Fraction]:
     """Coefficients of the squared discriminating zonal function.
 
@@ -1000,82 +996,77 @@ def zonal_square_expansion(descriptor: SpaceDescriptor) -> dict[Weight, Fraction
     n = descriptor.n
     if fam in (Family.SO, Family.SU, Family.USp):
         raise UnsupportedSpace("expansion applies to quotient spaces only")
+    idx = indexing_set(descriptor)
+    label, length = idx.label, idx.length
     out: dict[Weight, Fraction] = {}
     if fam in (Family.GrR, Family.GrC, Family.GrH):
         q = descriptor.q
         p = n - q
         pq = p * q
     if fam is Family.GrR:
-        kind, length = WeightKind.evenOrOddY, descriptor.q
-        out[_weight((), kind, length)] = Fraction(2, n * n + n - 2)
-        out[_weight((2,), kind, length)] = (
+        out[label(())] = Fraction(2, n * n + n - 2)
+        out[label((2,))] = (
             Fraction(4 * n * n - 16 * pq, pq * (n - 2) * (n + 4)))
         if length >= 2:
-            out[_weight((2, 2), kind, length)] = Fraction(2 * n * n, 3) * (
+            out[label((2, 2))] = Fraction(2 * n * n, 3) * (
                 Fraction(1, (n - 1) * (n - 2)) - Fraction(1, pq * (n - 2)))
-        out[_weight((4,), kind, length)] = Fraction(n * n, 3) * (
+        out[label((4,))] = Fraction(n * n, 3) * (
             Fraction(1, (n + 2) * (n + 4)) + Fraction(2, pq * (n + 4)))
     elif fam is Family.GrC:
-        kind, length = WeightKind.Y, descriptor.q
-        out[_weight((), kind, length)] = Fraction(1, n * n - 1)
+        out[label(())] = Fraction(1, n * n - 1)
         if n == 2:
             # the generic numerator 2n^2 - 8pq vanishes together with its
             # denominator; the coefficient sum fixes the value at zero
-            out[_weight((1,), kind, length)] = Fraction(0)
+            out[label((1,))] = Fraction(0)
         else:
-            out[_weight((1,), kind, length)] = (
+            out[label((1,))] = (
                 Fraction(2 * n * n - 8 * pq, pq * (n * n - 4)))
         if length >= 2:
-            out[_weight((1, 1), kind, length)] = Fraction(n * n, 2) * (
+            out[label((1, 1))] = Fraction(n * n, 2) * (
                 Fraction(1, (n - 1) * (n - 2)) - Fraction(1, pq * (n - 2)))
-        out[_weight((2,), kind, length)] = Fraction(n * n, 2) * (
+        out[label((2,))] = Fraction(n * n, 2) * (
             Fraction(1, (n + 1) * (n + 2)) + Fraction(1, pq * (n + 2)))
     elif fam is Family.GrH:
-        kind, length = WeightKind.doubledY, 2 * descriptor.q
-        out[_weight((), kind, length)] = Fraction(1, 2 * n * n - n - 1)
+        out[label(())] = Fraction(1, 2 * n * n - n - 1)
         if n == 2:
-            out[_weight((1, 1), kind, length)] = Fraction(0)
+            out[label((1, 1))] = Fraction(0)
         else:
-            out[_weight((1, 1), kind, length)] = (
+            out[label((1, 1))] = (
                 Fraction(n * n - 4 * pq, pq * (n - 2) * (n + 1)))
         if length >= 4:
-            out[_weight((1, 1, 1, 1), kind, length)] = Fraction(n * n, 3) * (
+            out[label((1, 1, 1, 1))] = Fraction(n * n, 3) * (
                 Fraction(1, (n - 1) * (n - 2)) - Fraction(1, pq * (n - 2)))
-        out[_weight((2, 2), kind, length)] = Fraction(n * n, 3) * (
+        out[label((2, 2))] = Fraction(n * n, 3) * (
             Fraction(4, (n + 1) * (2 * n + 1)) + Fraction(1, pq * (n + 1)))
     elif fam is Family.SO2n_Un:
-        kind, length = WeightKind.doubledY, n
         flat = Fraction(n - 1, 3 * n)
-        out[_weight((), kind, length)] = Fraction(1, 2 * n * n - n)
+        out[label(())] = Fraction(1, 2 * n * n - n)
         if length >= 4:
-            out[_weight((1, 1, 1, 1), kind, length)] = flat
+            out[label((1, 1, 1, 1))] = flat
         elif n == 3:
             # at rank three the four-row label folds onto a single pair of
             # ones, whose decay rate coincides there
-            out[_weight((1, 1), kind, length)] = flat
+            out[label((1, 1))] = flat
         else:
             # at rank two it degenerates onto the constant (zero rate)
-            out[_weight((), kind, length)] += flat
-        out[_weight((2, 2), kind, length)] = (
+            out[label(())] += flat
+        out[label((2, 2))] = (
             Fraction(4 * (n - 1) * (n + 1), 3 * n * (2 * n - 1)))
     elif fam is Family.SUn_SOn:
-        kind, length = WeightKind.evenY, n - 1
-        out[_weight((), kind, length)] = Fraction(2, n * n + n)
+        out[label(())] = Fraction(2, n * n + n)
         top = (4,) + (2,) * (length - 1)
-        out[_weight(top, kind, length)] = Fraction(n * n + n - 2, n * n + n)
+        out[label(top)] = Fraction(n * n + n - 2, n * n + n)
     elif fam is Family.SU2n_USpn:
-        kind, length = WeightKind.doubledY, 2 * n - 1
-        out[_weight((), kind, length)] = Fraction(1, 2 * n * n - n)
+        out[label(())] = Fraction(1, 2 * n * n - n)
         mixed = (2, 2) + (1,) * (length - 3) + (0,)
-        out[_weight(mixed, kind, length)] = (
+        out[label(mixed)] = (
             Fraction(2 * n * n - n - 1, 2 * n * n - n))
     elif fam is Family.USpn_Un:
-        kind, length = WeightKind.evenY, n
-        out[_weight((), kind, length)] = Fraction(1, 2 * n * n + n)
+        out[label(())] = Fraction(1, 2 * n * n + n)
         if length >= 2:
-            out[_weight((2, 2), kind, length)] = (
+            out[label((2, 2))] = (
                 Fraction(4 * (n - 1) * (n + 1), 3 * n * (2 * n + 1)))
-        out[_weight((4,), kind, length)] = Fraction(n + 1, 3 * n)
+        out[label((4,))] = Fraction(n + 1, 3 * n)
     else:  # pragma: no cover - family enum is exhaustive
         raise UnsupportedSpace(str(fam))
     return out

@@ -9,9 +9,17 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import TooLarge
+
+# Largest label table built at once: a table of size cap c and length L
+# counts as the partitions of size <= c with at most L parts.  Every cap up
+# to 40 passes at any length (215,308 partitions).
+MAX_LABELS = 300_000
 
 
 class WeightKind(enum.Enum):
@@ -41,6 +49,11 @@ class IndexingSetKind:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("indexing set length must be positive")
+
+    def label(self, head: Sequence[int | Fraction]) -> "Weight":
+        """The label of this kind with the given leading parts, zero-padded."""
+        return Weight.of(tuple(head) + (0,) * (self.length - len(head)),
+                         self.kind)
 
 
 def _fmt_part(doubled: int) -> str:
@@ -160,6 +173,25 @@ def partition_counts(max_size: int, max_len: int) -> list[int]:
     return table[max_len][: max_size + 1]
 
 
+@lru_cache(maxsize=64)
+def within_label_limit(max_size: int, length: int) -> bool:
+    """Whether at most MAX_LABELS partitions have size <= max_size and at
+    most ``length`` parts.  Sizes are counted upward and the count stops
+    once it passes the limit, so the work does not grow with max_size."""
+    if max_size >= MAX_LABELS:
+        return False  # every size has at least one partition
+    rows = [[1] for _ in range(length + 1)]  # rows[j][s]: of s into parts <= j
+    total = 1
+    for s in range(1, max_size + 1):
+        rows[0].append(0)
+        for j in range(1, length + 1):
+            rows[j].append(rows[j - 1][s] + (rows[j][s - j] if s >= j else 0))
+        total += rows[length][s]
+        if total > MAX_LABELS:
+            return False
+    return True
+
+
 def _partition_rows(max_total: int, length: int) -> np.ndarray:
     """Every partition with at most ``length`` parts and size <= max_total,
     one zero-padded int64 row each, in ascending lexicographic order.
@@ -200,6 +232,9 @@ def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarra
         raise ValueError("max_size must be >= 0")
     kind, length = indexing.kind, indexing.length
     cap = int(max_size)  # integer component sizes
+    if not within_label_limit(cap, length):
+        raise TooLarge(f"size cap {cap} gives more than {MAX_LABELS} labels "
+                       f"of length {length}")
     if kind is WeightKind.Y:
         blocks = [2 * _partition_rows(cap, length)]
     elif kind is WeightKind.halfY:

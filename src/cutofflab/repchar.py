@@ -4,7 +4,6 @@ evaluation for the four classical root types."""
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -13,16 +12,9 @@ import numpy as np
 
 from .errors import DegenerateAlphabet, InvalidRank, WeightKindMismatch
 from .partitions import Weight
-from .spaces import Family, SpaceDescriptor, indexing_set
+from .spaces import CharType, SpaceDescriptor, indexing_set
 
 _DEGENERACY_FLOOR = 1e-10
-
-
-class CharType(enum.Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
 
 
 def _check_membership(descriptor: SpaceDescriptor, weight: Weight) -> None:
@@ -41,24 +33,18 @@ def _scaled(parts: Sequence[Fraction], length: int) -> tuple[list[int], int]:
     return lam + [0] * (length - len(lam)), d
 
 
-def _type_a_product(parts: Sequence[Fraction], n: int) -> Fraction:
-    """prod_{i<j<=n} (l_i - l_j + j - i)/(j - i) over the padded label."""
-    lam, d = _scaled(parts, n)
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + d * (j - i)
-            den *= d * (j - i)
-    return Fraction(num, den)
-
-
-def _type_bcd_product(parts: Sequence[Fraction], rank: int, char_type: CharType) -> Fraction:
+def _weyl_product(parts: Sequence[Fraction], rank: int, char_type: CharType) -> Fraction:
+    """Weyl's dimension product over the padded label: the type A factors
+    prod_{i<j} (l_i - l_j + j - i)/(j - i), and on types B, C, D the factors
+    pairing l_i + l_j with the rho-shift."""
     lam, d = _scaled(parts, rank)
     num = den = 1
     for i in range(rank):
         for j in range(i + 1, rank):
             num *= lam[i] - lam[j] + d * (j - i)
             den *= d * (j - i)
+    if char_type is CharType.A:
+        return Fraction(num, den)
     if char_type is CharType.B:
         offset, strict = 2 * rank + 1, False
     elif char_type is CharType.C:
@@ -80,75 +66,32 @@ def _grc_full_label(weight: Weight, n: int) -> list[Fraction]:
     return head + [Fraction(0)] * (n - 2 * len(head)) + [-v for v in reversed(head)]
 
 
+def _root_label(descriptor: SpaceDescriptor, weight: Weight) -> list[Fraction]:
+    """The label's parts as a highest weight of the descriptor's root datum."""
+    _check_membership(descriptor, weight)
+    if descriptor.root.symmetric:
+        return _grc_full_label(weight, descriptor.root.rank)
+    return list(weight.parts)
+
+
 def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """Exact dimension of the representation labelled by the weight."""
-    _check_membership(descriptor, weight)
-    fam, n = descriptor.family, descriptor.n
-    parts = list(weight.parts)
-    if fam is Family.SU:
-        return _type_a_product(parts, n)
-    if fam is Family.SUn_SOn:
-        return _type_a_product(parts, n)
-    if fam is Family.SU2n_USpn:
-        return _type_a_product(parts, 2 * n)
-    if fam is Family.GrC:
-        return _type_a_product(_grc_full_label(weight, n), n)
-    if fam is Family.USp:
-        return _type_bcd_product(parts, n, CharType.C)
-    if fam in (Family.GrH, Family.USpn_Un):
-        return _type_bcd_product(parts, n, CharType.C)
-    if fam in (Family.SO, Family.GrR):
-        rank = n // 2
-        ctype = CharType.B if n % 2 else CharType.D
-        return _type_bcd_product(parts, rank, ctype)
-    if fam is Family.SO2n_Un:
-        return _type_bcd_product(parts, n, CharType.D)
-    raise WeightKindMismatch(str(fam))  # pragma: no cover
-
-
-def _so_exponent(parts: Sequence[Fraction], big_n: int) -> Fraction:
-    total = Fraction(0)
-    for i, v in enumerate(parts, start=1):
-        total += v * v + (big_n - 2 * i) * v
-    return total / big_n
-
-
-def _su_type_exponent(parts: Sequence[Fraction], big_n: int) -> Fraction:
-    size = sum(parts)
-    total = Fraction(0)
-    for i, v in enumerate(parts, start=1):
-        total += v * v + (big_n + 1 - 2 * i) * v
-    return total / big_n - size * size / Fraction(big_n * big_n)
-
-
-def _usp_type_exponent(parts: Sequence[Fraction], n: int) -> Fraction:
-    total = Fraction(0)
-    for i, v in enumerate(parts, start=1):
-        total += v * v + (2 * n + 2 - 2 * i) * v
-    return total / (2 * n)
+    root = descriptor.root
+    return _weyl_product(_root_label(descriptor, weight), root.rank, root.type)
 
 
 def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """B_n(lambda): the heat-semigroup decay rate of the lambda-block."""
-    _check_membership(descriptor, weight)
-    fam, n = descriptor.family, descriptor.n
-    parts = list(weight.parts)
-    if fam in (Family.SO, Family.GrR):
-        return _so_exponent(parts, n)
-    if fam is Family.SO2n_Un:
-        return _so_exponent(parts, 2 * n)
-    if fam in (Family.SU, Family.SUn_SOn):
-        return _su_type_exponent(parts, n)
-    if fam is Family.SU2n_USpn:
-        return _su_type_exponent(parts, 2 * n)
-    if fam is Family.GrC:
-        total = Fraction(0)
-        for i, v in enumerate(parts, start=1):
-            total += v * v + (n + 1 - 2 * i) * v
-        return 2 * total / n
-    if fam in (Family.USp, Family.GrH, Family.USpn_Un):
-        return _usp_type_exponent(parts, n)
-    raise WeightKindMismatch(str(fam))  # pragma: no cover
+    parts = _root_label(descriptor, weight)
+    lam, d = _scaled(parts, len(parts))
+    big_n, shift = descriptor.root.rate_form
+    # with l = lam / d, sum_i (l_i^2 + (c - 2i) l_i) is total / d^2
+    total = sum(v * v + d * (shift - 2 * i) * v
+                for i, v in enumerate(lam, start=1))
+    if descriptor.root.type is CharType.A:
+        size = sum(lam)
+        return Fraction(total * big_n - size * size, d * d * big_n * big_n)
+    return Fraction(total, d * d * big_n)
 
 
 # -- determinant-ratio characters ------------------------------------------

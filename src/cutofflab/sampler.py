@@ -129,8 +129,7 @@ class _Streams:
 
 def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
     """(algebra, algebra rank, matrix size) of the isometry group."""
-    amb = descriptor.ambient_group()
-    return descriptor.algebra, amb.n, amb.matrix_size
+    return descriptor.algebra, descriptor.param, descriptor.matrix_size
 
 
 @lru_cache(maxsize=16)

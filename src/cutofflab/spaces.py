@@ -1,5 +1,7 @@
-"""Catalog of the ten classical families: normalization and cut-off constants,
-series indexing sets, minimal weights, and ambient-group bookkeeping."""
+"""Catalog of the ten classical families: one table row per family holds its
+normalization and cut-off constants, rank floor, ambient group, per-term
+constants and variance cap; each descriptor derives from it the root datum
+of its labels, the series indexing set and the minimal weight."""
 
 from __future__ import annotations
 
@@ -28,9 +30,40 @@ class Family(enum.Enum):
 FAMILY_NAMES = tuple(f.value for f in Family)
 
 _GRASSMANN = {Family.GrR, Family.GrC, Family.GrH}
-_GROUPS = {Family.SO, Family.SU, Family.USp}
 
-class _Constants(NamedTuple):
+
+class CharType(enum.Enum):
+    """Root type of a classical group's highest weights."""
+
+    A = "A"
+    B = "B"
+    C = "C"
+    D = "D"
+
+
+class RootDatum(NamedTuple):
+    """Root type and rank of the isometry group whose highest weights label a
+    family's series.  Type A at rank m is U(m) with m coordinates, B at rank r
+    is SO(2r+1), C at rank r is USp(r), D at rank r is SO(2r).  ``symmetric``
+    marks GrC, whose label l enters as (l, 0, ..., 0, -l reversed)."""
+
+    type: CharType
+    rank: int
+    symmetric: bool = False
+
+    @property
+    def rate_form(self) -> tuple[int, int]:
+        """(N, c): the Casimir rate of a label is sum_i (l_i^2 + (c - 2i) l_i)
+        / N, less |l|^2 / N^2 on type A."""
+        r = self.rank
+        return {CharType.A: (r, r + 1), CharType.B: (2 * r + 1, 2 * r + 1),
+                CharType.C: (2 * r, 2 * r + 2), CharType.D: (2 * r, 2 * r)}[self.type]
+
+
+_PerTerm = tuple[Fraction, Optional[Fraction]]
+
+
+class _Row(NamedTuple):
     beta: int
     alpha_cutoff: int
     gamma_b: int
@@ -39,36 +72,60 @@ class _Constants(NamedTuple):
     proven_min_n: int
     c_lower: int
     C_upper: int
+    min_n: int  # least n at which the family is defined
+    ambient: Family  # the isometry group, of rank rank_factor * n
+    rank_factor: int
+    labels: WeightKind  # the series labels' kind
+    # K bounding the observable's variance before cut-off; Grassmannian
+    # entries are multiplied by param to the window exponent
+    variance_k: int
+    # (integer-label constant, half-label constant or None) bounding
+    # D^lambda * param^(-B) over the family's labels, at even and at odd n
+    per_term: tuple[_PerTerm, _PerTerm]
+    symmetric: bool = False  # see RootDatum
 
+
+_CONSTANTS = _Row._fields[:8]  # beta .. C_upper: copied onto each descriptor
+
+
+def _same(integer: Fraction) -> tuple[_PerTerm, _PerTerm]:
+    return ((integer, None),) * 2
+
+
+_F = Fraction
 
 # n0 is the rank from which the paper states its bounds; proven_min_n is the
 # least n at which the global per-term constants, and with them the tail
 # certificate, are proven (ambient rank >= 5 for orthogonal, >= 3 symplectic,
 # >= 2 unitary)
-_TABLE: dict[Family, _Constants] = {
-    Family.SO: _Constants(1, 2, 2, 2, 10, 10, 36, 6),
-    Family.SU: _Constants(2, 2, 2, 4, 2, 2, 8, 10),
-    Family.USp: _Constants(4, 2, 2, 2, 3, 3, 5, 3),
-    Family.GrR: _Constants(1, 1, 1, 1, 10, 10, 32, 2),
-    Family.GrC: _Constants(2, 1, 1, 2, 2, 2, 32, 2),
-    Family.GrH: _Constants(4, 1, 1, 1, 3, 3, 16, 2),
-    Family.SO2n_Un: _Constants(1, 1, 2, 1, 10, 5, 8, 2),
-    Family.SUn_SOn: _Constants(2, 1, 2, 2, 2, 2, 24, 8),
-    Family.SU2n_USpn: _Constants(2, 1, 2, 2, 2, 2, 22, 8),
-    Family.USpn_Un: _Constants(4, 1, 2, 1, 3, 3, 17, 2),
-}
-
-_MIN_N = {
-    Family.SO: 3,
-    Family.SU: 2,
-    Family.USp: 2,
-    Family.GrR: 3,
-    Family.GrC: 2,
-    Family.GrH: 2,
-    Family.SO2n_Un: 2,
-    Family.SUn_SOn: 2,
-    Family.SU2n_USpn: 2,
-    Family.USpn_Un: 2,
+_TABLE: dict[Family, _Row] = {
+    # The odd orthogonal integer constant is 5/4: the first growth step from
+    # the empty partition gives exactly (2m+1)^{1/(2m+1)} <= 11^{1/11} < 5/4,
+    # and every later step quotient is at most 1 except one bounded by 1.09.
+    Family.SO: _Row(1, 2, 2, 2, 10, 10, 36, 6,
+                    3, Family.SO, 1, WeightKind.halfY, 8,
+                    ((_F(4, 3), _F(48, 15)), (_F(5, 4), _F(11, 5)))),
+    Family.SU: _Row(2, 2, 2, 4, 2, 2, 8, 10,
+                    2, Family.SU, 1, WeightKind.Y, 1, _same(_F(3, 2))),
+    Family.USp: _Row(4, 2, 2, 2, 3, 3, 5, 3,
+                     2, Family.USp, 1, WeightKind.Y, 3, _same(_F(14, 3))),
+    Family.GrR: _Row(1, 1, 1, 1, 10, 10, 32, 2,
+                     3, Family.SO, 1, WeightKind.evenOrOddY, 3,
+                     ((_F(4, 3), None), (_F(5, 4), None))),
+    Family.GrC: _Row(2, 1, 1, 2, 2, 2, 32, 2,
+                     2, Family.SU, 1, WeightKind.Y, 5, _same(_F(1)),
+                     symmetric=True),
+    Family.GrH: _Row(4, 1, 1, 1, 3, 3, 16, 2,
+                     2, Family.USp, 1, WeightKind.doubledY, 5, _same(_F(14, 3))),
+    Family.SO2n_Un: _Row(1, 1, 2, 1, 10, 5, 8, 2,
+                         2, Family.SO, 2, WeightKind.doubledY, 3, _same(_F(4, 3))),
+    Family.SUn_SOn: _Row(2, 1, 2, 2, 2, 2, 24, 8,
+                         2, Family.SU, 1, WeightKind.evenY, 1, _same(_F(3, 2))),
+    Family.SU2n_USpn: _Row(2, 1, 2, 2, 2, 2, 22, 8,
+                           2, Family.SU, 2, WeightKind.doubledY, 1,
+                           _same(_F(3, 2))),
+    Family.USpn_Un: _Row(4, 1, 2, 1, 3, 3, 17, 2,
+                         2, Family.USp, 1, WeightKind.evenY, 3, _same(_F(14, 3))),
 }
 
 
@@ -90,21 +147,20 @@ class SpaceDescriptor:
     drift_alpha: Fraction
     is_group: bool
     algebra: str  # "so", "su" or "usp": the Lie algebra of the isometry group
+    ambient: Family  # the isometry group's family
+    param: int  # the isometry group's rank, inside the cut-off logarithm
+    root: RootDatum
+    per_term: _PerTerm
+    variance_k: int
 
-    @property
-    def param(self) -> int:
-        """The growth parameter appearing inside the cut-off logarithm."""
-        if self.family in (Family.SO2n_Un, Family.SU2n_USpn):
-            return 2 * self.n
-        return self.n
+    def __hash__(self) -> int:
+        # every other field follows from these three
+        return hash((self.family, self.n, self.q))
 
     @property
     def matrix_size(self) -> int:
         """Side of the matrices carrying the isometry group."""
-        if self.family in (Family.USp, Family.GrH, Family.USpn_Un,
-                           Family.SO2n_Un, Family.SU2n_USpn):
-            return 2 * self.n
-        return self.n
+        return 2 * self.param if self.algebra == "usp" else self.param
 
     @property
     def field_tag(self) -> str:
@@ -113,14 +169,7 @@ class SpaceDescriptor:
 
     def ambient_group(self) -> "SpaceDescriptor":
         """The isometry group of this space as a group-family descriptor."""
-        if self.is_group:
-            return self
-        fam = _AMBIENT[self.family]
-        if fam is Family.SO and self.family is Family.SO2n_Un:
-            return describe(fam, 2 * self.n)
-        if fam is Family.SU and self.family is Family.SU2n_USpn:
-            return describe(fam, 2 * self.n)
-        return describe(fam, self.n)
+        return self if self.is_group else describe(self.ambient, self.param)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,20 +193,6 @@ class SpaceDescriptor:
         return f"{self.family.value}({self.n})"
 
 
-_AMBIENT = {
-    Family.SO: Family.SO,
-    Family.SU: Family.SU,
-    Family.USp: Family.USp,
-    Family.GrR: Family.SO,
-    Family.GrC: Family.SU,
-    Family.GrH: Family.USp,
-    Family.SO2n_Un: Family.SO,
-    Family.SUn_SOn: Family.SU,
-    Family.SU2n_USpn: Family.SU,
-    Family.USpn_Un: Family.USp,
-}
-
-
 def drift_coefficient(algebra: str, n: int) -> Fraction:
     """Scalar alpha with sum X_a X_a = alpha * I on the defining space of
     so(n), su(n) or usp(n), for an orthonormal basis of the invariant metric;
@@ -169,6 +204,14 @@ def drift_coefficient(algebra: str, n: int) -> Fraction:
     return Fraction(-(2 * n + 1), 2 * n)
 
 
+def _root_datum(algebra: str, rank: int, symmetric: bool) -> RootDatum:
+    if algebra == "su":
+        return RootDatum(CharType.A, rank, symmetric)
+    if algebra == "usp":
+        return RootDatum(CharType.C, rank)
+    return RootDatum(CharType.B if rank % 2 else CharType.D, rank // 2)
+
+
 def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDescriptor:
     """The fully populated descriptor for one family member."""
     if isinstance(family, str):
@@ -176,10 +219,9 @@ def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDesc
             family = Family(family)
         except ValueError as exc:
             raise UnknownFamily(f"no family named {family!r}") from exc
-    if family not in _TABLE:  # pragma: no cover
-        raise UnknownFamily(f"no family named {family!r}")
-    if n < _MIN_N[family]:
-        raise InvalidRank(f"{family.value} needs n >= {_MIN_N[family]}, got {n}")
+    row = _TABLE[family]
+    if n < row.min_n:
+        raise InvalidRank(f"{family.value} needs n >= {row.min_n}, got {n}")
     if family in _GRASSMANN:
         if q is None:
             raise InvalidRank(f"{family.value} needs the second parameter q")
@@ -189,48 +231,32 @@ def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDesc
         q = min(q, n - q)
     elif q is not None:
         raise InvalidRank(f"{family.value} takes no q parameter")
-    algebra = _AMBIENT[family].value.lower()
+    algebra = row.ambient.value.lower()
+    rank = row.rank_factor * n
     return SpaceDescriptor(
-        family=family,
-        n=n,
-        q=q,
-        **_TABLE[family]._asdict(),
-        drift_alpha=drift_coefficient(
-            algebra, 2 * n if family in (Family.SO2n_Un, Family.SU2n_USpn) else n),
-        is_group=family in _GROUPS,
+        family=family, n=n, q=q,
+        **{name: getattr(row, name) for name in _CONSTANTS},
+        drift_alpha=drift_coefficient(algebra, rank),
+        is_group=row.ambient is family,
         algebra=algebra,
+        ambient=row.ambient,
+        param=rank,
+        root=_root_datum(algebra, rank, row.symmetric),
+        per_term=row.per_term[n % 2],
+        variance_k=row.variance_k,
     )
 
 
 def indexing_set(descriptor: SpaceDescriptor) -> IndexingSetKind:
-    """Weight-label family and coordinate count of the density summation."""
-    fam, n, q = descriptor.family, descriptor.n, descriptor.q
-    if fam is Family.SO:
-        return IndexingSetKind(WeightKind.halfY, n // 2)
-    if fam is Family.SU:
-        return IndexingSetKind(WeightKind.Y, n - 1)
-    if fam is Family.USp:
-        return IndexingSetKind(WeightKind.Y, n)
-    if fam is Family.GrR:
-        return IndexingSetKind(WeightKind.evenOrOddY, q)
-    if fam is Family.GrC:
-        return IndexingSetKind(WeightKind.Y, q)
-    if fam is Family.GrH:
-        return IndexingSetKind(WeightKind.doubledY, 2 * q)
-    if fam is Family.SO2n_Un:
-        return IndexingSetKind(WeightKind.doubledY, n)
-    if fam is Family.SUn_SOn:
-        return IndexingSetKind(WeightKind.evenY, n - 1)
-    if fam is Family.SU2n_USpn:
-        return IndexingSetKind(WeightKind.doubledY, 2 * n - 1)
-    if fam is Family.USpn_Un:
-        return IndexingSetKind(WeightKind.evenY, n)
-    raise UnknownFamily(str(fam))  # pragma: no cover
-
-
-def _unit_weight(kind: WeightKind, length: int, head: tuple[int, ...]) -> Weight:
-    parts = head + (0,) * (length - len(head))
-    return Weight.of(parts, kind)
+    """Weight-label family and coordinate count of the density summation:
+    q coordinates on a Grassmannian (q pairs on GrH), else the root datum's
+    coordinates, less the determinant's on type A."""
+    kind = _TABLE[descriptor.family].labels
+    if descriptor.q is not None:
+        pairs = kind is WeightKind.doubledY
+        return IndexingSetKind(kind, 2 * descriptor.q if pairs else descriptor.q)
+    root = descriptor.root
+    return IndexingSetKind(kind, root.rank - (root.type is CharType.A))
 
 
 def minimal_weight(descriptor: SpaceDescriptor) -> tuple[Weight, Fraction, Fraction]:
@@ -238,33 +264,33 @@ def minimal_weight(descriptor: SpaceDescriptor) -> tuple[Weight, Fraction, Fract
     fam, n, q = descriptor.family, descriptor.n, descriptor.q
     idx = indexing_set(descriptor)
     if fam is Family.SO:
-        lam = _unit_weight(idx.kind, idx.length, (1,))
+        lam = idx.label((1,))
         return lam, Fraction(n * n), Fraction(n - 1, n)
     if fam is Family.SU:
-        lam = _unit_weight(idx.kind, idx.length, (1,))
+        lam = idx.label((1,))
         return lam, Fraction(n * n), Fraction(n * n - 1, n * n)
     if fam is Family.USp:
-        lam = _unit_weight(idx.kind, idx.length, (1,))
+        lam = idx.label((1,))
         return lam, Fraction(4 * n * n), Fraction(2 * n + 1, 2 * n)
     if fam is Family.GrR:
-        lam = _unit_weight(idx.kind, idx.length, (2,))
+        lam = idx.label((2,))
         return lam, Fraction((n - 1) * (n + 2), 2), Fraction(2)
     if fam is Family.GrC:
-        lam = _unit_weight(idx.kind, idx.length, (1,))
+        lam = idx.label((1,))
         return lam, Fraction(n * n - 1), Fraction(2)
     if fam is Family.GrH:
-        lam = _unit_weight(idx.kind, idx.length, (1, 1))
+        lam = idx.label((1, 1))
         return lam, Fraction((n - 1) * (2 * n + 1)), Fraction(2)
     if fam is Family.SO2n_Un:
-        lam = _unit_weight(idx.kind, idx.length, (1, 1))
+        lam = idx.label((1, 1))
         return lam, Fraction(n * (2 * n - 1)), Fraction(2 * (n - 1), n)
     if fam is Family.SUn_SOn:
-        lam = _unit_weight(idx.kind, idx.length, (2,))
+        lam = idx.label((2,))
         return lam, Fraction(n * (n + 1), 2), Fraction(2 * (n - 1) * (n + 2), n * n)
     if fam is Family.SU2n_USpn:
-        lam = _unit_weight(idx.kind, idx.length, (1, 1))
+        lam = idx.label((1, 1))
         return lam, Fraction(n * (2 * n - 1)), Fraction((n - 1) * (2 * n + 1), n * n)
     if fam is Family.USpn_Un:
-        lam = _unit_weight(idx.kind, idx.length, (2,))
+        lam = idx.label((2,))
         return lam, Fraction(n * (2 * n + 1)), Fraction(2 * (n + 1), n)
     raise UnknownFamily(str(fam))  # pragma: no cover

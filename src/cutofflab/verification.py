@@ -100,8 +100,7 @@ def _check_su_dimensions() -> tuple[bool, dict]:
         desc = describe("SU", n)
         idx = indexing_set(desc)
         for shape in _partitions_upto(6, n - 1):
-            padded = shape + (0,) * (idx.length - len(shape))
-            weight = Weight.of(padded, idx.kind)
+            weight = idx.label(shape)
             want = _tableau_count(shape, n)
             got = dimension(desc, weight)
             if got != want:

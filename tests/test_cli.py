@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -331,3 +332,21 @@ def test_eta_rejects_a_base_longer_than_the_labels(capsys):
     assert captured.out == ""
     assert "'2,1,1,1,1,1,1' has 7 parts" in captured.err
     assert "SO(10) have 5" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["1000", "1000000000"])
+@pytest.mark.parametrize("argv", [
+    ("series", "--family", "SO", "--n", "10", "--t", "5"),
+    ("bound-sweep", "--family", "SO", "--n", "40"),
+    ("density", "--family", "SO", "--n", "10", "--t", "1",
+     "--alphabet", "0.1,0.5,0.9,1.3,1.7"),
+], ids=lambda v: v[0])
+def test_size_caps_above_the_label_limit_exit_with_code_two(capsys, argv, cap):
+    start = time.perf_counter()
+    code = cli.main([*argv, "--cap", cap])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: size cap {cap} gives more than 300000 labels" in captured.err
+    assert elapsed < 1.0  # the label count stops at the limit

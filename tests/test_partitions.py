@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutofflab.errors import TooLarge
 from cutofflab.partitions import (
+    MAX_LABELS,
     IndexingSetKind,
     Weight,
     WeightKind,
     enumerate_by_size,
     label_rows,
     partition_counts,
+    within_label_limit,
 )
 from label_oracle import oracle_labels
 
@@ -240,6 +243,35 @@ def test_label_row_counts_are_sums_of_partition_counts(length):
 def test_label_rows_reject_negative_cap():
     with pytest.raises(ValueError):
         label_rows(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 20])
+def test_label_limit_counts_bounded_partitions(length):
+    for cap in (0, 40, 80, 160, 200, 700):
+        want = sum(partition_counts(cap, length)) <= MAX_LABELS
+        assert within_label_limit(cap, length) is want, cap
+
+
+def test_every_cap_up_to_forty_is_within_the_label_limit():
+    assert sum(partition_counts(40, 40)) == 215_308
+    assert all(within_label_limit(40, length) for length in range(1, 61))
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_label_rows_refuse_caps_above_the_label_limit(kind):
+    for cap in (1000, 10 ** 9, MAX_LABELS):
+        with pytest.raises(TooLarge, match="labels"):
+            label_rows(IndexingSetKind(kind, 1 if cap == MAX_LABELS else 5),
+                       cap)
+    assert len(label_rows(IndexingSetKind(kind, 1), MAX_LABELS - 1)) > 0
+
+
+def test_indexing_set_label_pads_the_head_with_zeros():
+    idx = IndexingSetKind(WeightKind.doubledY, 4)
+    assert idx.label((1, 1)) == Weight((2, 2, 0, 0), WeightKind.doubledY)
+    assert idx.label(()) == Weight.zero(4, WeightKind.doubledY)
+    with pytest.raises(ValueError):
+        idx.label((1,))
 
 
 def test_enumerate_rejects_negative_cap():

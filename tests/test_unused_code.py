@@ -1,0 +1,112 @@
+"""Dead code in the package: imported names a module never uses, and
+module-level private functions that nothing in ``src/`` or ``tests/``
+references.  The scan uses the standard library's ``ast`` only, since
+neither pyflakes nor ruff is a test dependency.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cutofflab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    """Names read in an expression, including inside string annotations."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                out |= _names_in(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return out
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [
+                    args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    used |= _names_in(arg.annotation)
+            if node.returns is not None:
+                used |= _names_in(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _names_in(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}  # re-exports
+    return used
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name.split(".")[0], node.lineno)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def _references(paths) -> set[str]:
+    """Every identifier read, looked up as an attribute or imported."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+    return refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [f"line {line}: {name}" for name, line in _imported_names(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_function_is_referenced():
+    refs = _references(MODULES + sorted((ROOT / "tests").glob("*.py")))
+    orphans = [f"{path.name}: {node.name}"
+               for path in MODULES for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.endswith("__")
+               and node.name not in refs]
+    assert not orphans, f"private functions nothing references: {orphans}"
+
+
+def test_the_scan_sees_an_unused_import_and_an_orphan(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("from typing import Optional, Sequence\n\n\n"
+                      "def _orphan(x: 'Sequence[int]') -> int:\n"
+                      "    return len(x)\n")
+    tree = _tree(module)
+    unused = [name for name, _ in _imported_names(tree)
+              if name not in _used_names(tree)]
+    assert unused == ["Optional"]
+    assert "_orphan" not in _references([module])
