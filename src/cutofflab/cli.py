@@ -23,10 +23,10 @@ from . import cutoff as _cutoff
 from . import moments as _moments
 from . import sampler as _sampler
 from . import verification as _verification
-from .errors import CutoffLabError, require_time
+from .errors import CutoffLabError, TooLarge, require_time
 from .heatseries import (density, dominating_series, eta_quotient,
                          per_term_bound_sweep, t_zero, tv_upper_bound)
-from .partitions import Weight
+from .partitions import MAX_LABELS, Weight
 from .repchar import casimir_exponent
 from .spaces import FAMILY_NAMES, describe, indexing_set, minimal_weight
 
@@ -302,6 +302,8 @@ def _run_eta(parser, args) -> int:
         parser.error(f"--l must be in [1, {idx.length}]")
     if args.cap < 1:
         parser.error("--cap must be >= 1")
+    if args.cap > MAX_LABELS:
+        raise TooLarge(f"--cap {args.cap} exceeds the limit {MAX_LABELS}")
     rows = [(k, eta_quotient(desc, base, args.l, k, t0=args.t))
             for k in range(1, args.cap + 1)]
     if args.format == "csv":
@@ -408,10 +410,9 @@ def _run_simulate(parser, args) -> int:
                                            step_size=step)
     except ValueError as exc:
         parser.error(str(exc))
-    spec = _cutoff.omega_spec(desc)
-    endpoints = _sampler.simulate_endpoints(desc, args.t, config,
-                                            range(args.paths))
-    values = np.asarray(_cutoff.omega_value(spec, endpoints), dtype=complex)
+    # chunk by chunk, as in estimate: memory grows with one value per path
+    values = _sampler._values_for_range(desc, "omega", args.t, config,
+                                        0, args.paths, None)
     rows = [(index, float(v.real), float(v.imag))
             for index, v in enumerate(values)]
     if args.format == "csv":

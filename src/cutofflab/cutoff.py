@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,8 +61,7 @@ def omega_spec(descriptor: SpaceDescriptor) -> OmegaSpec:
     """Observable attached to a family member: trace or scaled zonal value."""
     if descriptor.is_group:
         return OmegaSpec(descriptor, "character_trace", 1.0)
-    _, a_min, _ = minimal_weight(descriptor)
-    return OmegaSpec(descriptor, "zonal_polynomial", math.sqrt(float(a_min)))
+    return OmegaSpec(descriptor, "zonal_polynomial", _moment_terms(descriptor)[0])
 
 
 def _check_matrix(descriptor: SpaceDescriptor, matrix: np.ndarray) -> np.ndarray:
@@ -77,48 +77,74 @@ def _check_matrix(descriptor: SpaceDescriptor, matrix: np.ndarray) -> np.ndarray
     return mat
 
 
-def _entry_sum(block: np.ndarray) -> np.ndarray:
-    """Sum of the entries of each matrix, added in the same order for every
-    matrix of a stack, whatever the stack's length (one row per matrix)."""
-    return block.reshape(block.shape[:-2] + (-1,)).sum(axis=-1)
-
-
 def _per_matrix(values: np.ndarray) -> complex | np.ndarray:
     """A Python scalar for one matrix, the array for a stack."""
     return values.item() if np.ndim(values) == 0 else values
 
 
+def _phi_monomials(descriptor: SpaceDescriptor) -> list[tuple[float, tuple]]:
+    """The zonal polynomial as signed monomials in (row, col, conj) entries
+    of the ambient matrix, including the basepoint shift, built from the
+    space's ``Observable`` entry."""
+    shape = descriptor.observable
+    if shape is None:
+        raise UnsupportedSpace(f"{descriptor} is a group: its Omega is a trace")
+    det = shape.form == "det"
+    units = descriptor.matrix_size // 2 if det else descriptor.matrix_size
+    if shape.layout == "split":
+        p, q = units - descriptor.q, descriptor.q
+        blocks = [(range(p), 1.0 / p), (range(p, units), 1.0 / q)]
+    else:
+        blocks = [(range(units), 1.0 / units)]
+    conj = shape.form == "modulus"
+    out: list[tuple[float, tuple]] = []
+    for block, w in blocks:
+        for i, j in product(block, block):
+            if det:
+                a, b = 2 * i, 2 * j
+                out.append((w, ((a, b, False), (a + 1, b + 1, False))))
+                out.append((-w, ((a, b + 1, False), (a + 1, b, False))))
+            else:
+                out.append((w, ((i, j, False), (i, j, conj))))
+    return (out + [(-1.0, ())]) if shape.layout == "split" else out
+
+
+def _complex_valued(descriptor: SpaceDescriptor) -> bool:
+    """Whether Omega is complex: on an su ambient, unless it is a zonal
+    polynomial whose entries enter as moduli."""
+    shape = descriptor.observable
+    return descriptor.algebra == "su" and not (shape and shape.form == "modulus")
+
+
+@lru_cache(maxsize=64)
+def _gather(descriptor: SpaceDescriptor) -> tuple:
+    """(coefficients, flat indices of the first and of the second factors,
+    whether the second is conjugated, constant) of the zonal polynomial's
+    monomials."""
+    monomials = _phi_monomials(descriptor)
+    m = descriptor.matrix_size
+    terms = [(c, e) for c, e in monomials if e]
+    index = np.array([[i * m + j for i, j, _ in e] for _, e in terms])
+    conj = terms[0][1][1][2]  # the same on every monomial
+    shift = sum(c for c, e in monomials if not e)
+    return np.array([c for c, _ in terms]), index[:, 0], index[:, 1], conj, shift
+
+
 def zonal_value(descriptor: SpaceDescriptor,
                 matrix: np.ndarray) -> complex | np.ndarray:
     """Basepoint-normalized minimal zonal function, evaluated on an isometry
-    or on each matrix of a stack of them (leading batch axis)."""
-    fam = descriptor.family
+    or on each matrix of a stack of them (leading batch axis): the monomials
+    of ``_phi_monomials``, summed in the same order for every matrix."""
     g = _check_matrix(descriptor, matrix)
-    n, q = descriptor.n, descriptor.q
-    if fam is Family.GrR:
-        p = n - q
-        return _per_matrix(_entry_sum(g[..., :p, :p] ** 2) / p
-                           + _entry_sum(g[..., p:, p:] ** 2) / q - 1.0)
-    if fam is Family.GrC:
-        p = n - q
-        val = (_entry_sum(np.abs(g[..., :p, :p]) ** 2) / p
-               + _entry_sum(np.abs(g[..., p:, p:]) ** 2) / q)
-        return _per_matrix(val - 1.0)
-    if fam is Family.GrH:
-        p = n - q
-        norms = np.abs(g[..., 0::2, 0::2]) ** 2 + np.abs(g[..., 0::2, 1::2]) ** 2
-        return _per_matrix(_entry_sum(norms[..., :p, :p]) / p
-                           + _entry_sum(norms[..., p:, p:]) / q - 1.0)
-    if fam in (Family.SO2n_Un, Family.SU2n_USpn):
-        dets = (g[..., 1::2, 1::2] * g[..., 0::2, 0::2]
-                - g[..., 1::2, 0::2] * g[..., 0::2, 1::2])
-        total = _entry_sum(dets) / n
-        return _per_matrix(total.real if fam is Family.SO2n_Un else total)
-    if fam is Family.SUn_SOn:
-        return _per_matrix(_entry_sum(g.astype(complex) ** 2) / n)
-    if fam is Family.USpn_Un:
-        return _per_matrix(_entry_sum(g.astype(complex) ** 2).real / (2 * n))
-    raise UnsupportedSpace(f"{descriptor} is a group; its observable is the trace")
+    coeffs, first, second, conj, shift = _gather(descriptor)
+    flat = g.reshape(g.shape[:-2] + (-1,))
+    # take keeps each matrix's products in one contiguous row, so the sum
+    # adds them in the same order whatever the stack's length
+    other = flat.take(second, axis=-1)
+    if conj:
+        other = other.conj()
+    values = (flat.take(first, axis=-1) * other * coeffs).sum(axis=-1) + shift
+    return _per_matrix(values if _complex_valued(descriptor) else values.real)
 
 
 def omega_value(spec: OmegaSpec | SpaceDescriptor,
@@ -129,11 +155,8 @@ def omega_value(spec: OmegaSpec | SpaceDescriptor,
         spec = omega_spec(spec)
     descriptor = spec.descriptor
     if spec.kind == "character_trace":
-        g = _check_matrix(descriptor, matrix)
-        tr = np.trace(g, axis1=-2, axis2=-1)
-        if descriptor.family in (Family.SO, Family.USp):
-            tr = tr.real
-        return _per_matrix(tr)
+        tr = np.trace(_check_matrix(descriptor, matrix), axis1=-2, axis2=-1)
+        return _per_matrix(tr if _complex_valued(descriptor) else tr.real)
     return spec.normalization * zonal_value(descriptor, matrix)
 
 
@@ -260,73 +283,17 @@ def profile_csv(points: Sequence[ProfilePoint]) -> str:
 # -- squared zonal functions through the moment engine ---------------------
 
 
-def _phi_monomials(descriptor: SpaceDescriptor) -> list[tuple[float, tuple]]:
-    """The zonal polynomial as signed monomials in (row, col, conj) entries
-    of the ambient matrix, including the basepoint shift."""
-    fam = descriptor.family
-    n, q = descriptor.n, descriptor.q
-    out: list[tuple[float, tuple]] = []
-    if fam in (Family.GrR, Family.GrC):
-        p = n - q
-        conj = fam is Family.GrC
-        for i in range(n):
-            w = 1.0 / (p if i < p else q)
-            for j in range(p) if i < p else range(p, n):
-                out.append((w, ((i, j, False), (i, j, conj))))
-        out.append((-1.0, ()))
-    elif fam is Family.GrH:
-        p = n - q
-        for i in range(n):
-            w = 1.0 / (p if i < p else q)
-            for j in range(p) if i < p else range(p, n):
-                a, b = 2 * i, 2 * j
-                out.append((w, ((a, b, False), (a + 1, b + 1, False))))
-                out.append((-w, ((a, b + 1, False), (a + 1, b, False))))
-        out.append((-1.0, ()))
-    elif fam in (Family.SO2n_Un, Family.SU2n_USpn):
-        for i in range(n):
-            for j in range(n):
-                a, b = 2 * i, 2 * j
-                out.append((1.0 / n, ((a + 1, b + 1, False), (a, b, False))))
-                out.append((-1.0 / n, ((a + 1, b, False), (a, b + 1, False))))
-    elif fam is Family.SUn_SOn:
-        for i in range(n):
-            for j in range(n):
-                out.append((1.0 / n, ((i, j, False), (i, j, False))))
-    elif fam is Family.USpn_Un:
-        for i in range(2 * n):
-            for j in range(2 * n):
-                out.append((1.0 / (2 * n), ((i, j, False), (i, j, False))))
-    else:
-        raise UnsupportedSpace(f"{descriptor} has no zonal polynomial")
-    return out
-
-
-def _conjugate_monomial(entries: tuple) -> tuple:
-    return tuple((i, j, not c) for i, j, c in entries)
-
-
-def _canonical(entries: tuple, block_level: bool) -> tuple:
-    """Relabel indices by first occurrence (blockwise for quaternionic
-    matrices) after splitting plain from conjugated factors and sorting."""
-    plain = sorted(e for e in entries if not e[2])
-    conj = sorted(e for e in entries if e[2])
+def _canonical(entries: tuple, width: int) -> tuple:
+    """Relabel indices by first occurrence, in blocks of ``width`` (2 for
+    quaternionic matrices), after sorting plain before conjugated factors."""
     relabel: dict[int, int] = {}
 
     def remap(idx: int) -> int:
-        if block_level:
-            block, off = divmod(idx, 2)
-            if block not in relabel:
-                relabel[block] = len(relabel)
-            return 2 * relabel[block] + off
-        if idx not in relabel:
-            relabel[idx] = len(relabel)
-        return relabel[idx]
+        block, off = divmod(idx, width)
+        return width * relabel.setdefault(block, len(relabel)) + off
 
-    out = []
-    for i, j, c in plain + conj:
-        out.append((remap(i), remap(j), c))
-    return tuple(out)
+    return tuple((remap(i), remap(j), c)
+                 for i, j, c in sorted(entries, key=lambda e: (e[2], e)))
 
 
 @lru_cache(maxsize=64)
@@ -334,15 +301,13 @@ def _zonal_square_keys(descriptor: SpaceDescriptor) -> tuple[tuple[tuple, float]
     """(canonical moment pattern, summed coefficient) of every monomial of
     the squared zonal polynomial; the empty pattern is the constant."""
     base = _phi_monomials(descriptor)
-    complex_valued = descriptor.family in (Family.SUn_SOn, Family.SU2n_USpn)
-    other = ([(c, _conjugate_monomial(m)) for c, m in base]
-             if complex_valued else base)
-    block_level = descriptor.algebra == "usp"
+    other = ([(c, tuple((i, j, not cj) for i, j, cj in m)) for c, m in base]
+             if _complex_valued(descriptor) else base)
+    width = 2 if descriptor.algebra == "usp" else 1
     weights: dict[tuple, float] = {}
-    for c1, m1 in base:
-        for c2, m2 in other:
-            key = _canonical(m1 + m2, block_level)
-            weights[key] = weights.get(key, 0.0) + c1 * c2
+    for (c1, m1), (c2, m2) in product(base, other):
+        key = _canonical(m1 + m2, width)
+        weights[key] = weights.get(key, 0.0) + c1 * c2
     return tuple(weights.items())
 
 

@@ -12,10 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (HalfPartitionUnsupported, InvalidRank, UnsupportedSpace,
-                     require_time)
-from .partitions import (Weight, WeightKind, enumerate_by_size, label_rows,
-                         partition_counts, within_label_limit)
+from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
+                     UnsupportedSpace, require_time)
+from .partitions import (MAX_LABELS, Weight, WeightKind, enumerate_by_size,
+                         label_rows, partition_counts, within_label_limit)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, Family, RootDatum, SpaceDescriptor, indexing_set
 
@@ -593,10 +593,14 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
     """Heat-kernel density for group families (eigenvalue alphabets) and the
     rank-one special cases (angle or caller-supplied zonal values).
 
-    A non-finite point or a negative ``size_cap`` raises ValueError."""
+    A non-finite point or a negative ``size_cap`` raises ValueError; a
+    ``size_cap`` of MAX_LABELS or more raises TooLarge in every form."""
     require_time(t)
     if size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
+    if size_cap >= MAX_LABELS:
+        raise TooLarge(f"size cap {size_cap} gives more than {MAX_LABELS} "
+                       "labels")
     if isinstance(descriptor, str):
         if descriptor != "circle":
             raise UnsupportedSpace(f"unknown special space {descriptor!r}")

@@ -624,8 +624,6 @@ def verify_eigentable(algebra: str, n: int, k_or_kl) -> EigenReport:
 # (coefficient, ((row, col, conj), ...)) terms over concrete small indices
 # and the value is the rational-exponential formula
 
-_P = tuple[int, int, bool]
-
 
 def _e(x: float) -> float:
     return float(np.exp(x))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutoff import omega_value, zonal_value
-from .errors import UnsupportedStatistic, require_time
+from .errors import TooLarge, UnsupportedStatistic, require_time
 from .moments import _orthonormal_basis
 from .spaces import SpaceDescriptor
 
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _MAX_STEP = 0.05
+MAX_PATHS = 1_000_000  # most paths one estimate or simulation runs
+_RENORM_EVERY = 50  # Euler steps between projections back onto the group
 _PURPOSE_PATH = 0
 _PURPOSE_HAAR = 1
 # Euler steps whose normals are drawn in one go; bounds memory at long t
@@ -61,16 +63,17 @@ class SimulationConfig:
     paths: int = 1000
     seed: int = 0
     step_size: float = _MAX_STEP
-    renorm_every: int = 50
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise ValueError("need at least one path")
+        if self.paths > MAX_PATHS:
+            raise TooLarge(f"{self.paths} paths exceed the limit {MAX_PATHS}")
         if not 0.0 < self.step_size <= _MAX_STEP:
             raise ValueError(f"step size must lie in (0, {_MAX_STEP}]")
-        if self.renorm_every < 1 or self.threads < 1:
-            raise ValueError("renorm_every and threads must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,7 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
             xi = _algebra_elements(algebra, rank, normals[:, offset])
             g = g @ _expm_antisymmetric(xi)
             step += 1
-            if step % config.renorm_every == 0:
+            if step % _RENORM_EVERY == 0:
                 g = _real_form(algebra, _project(
                     algebra, _complex_form(algebra, g)))
     return _complex_form(algebra, g)

@@ -1,7 +1,8 @@
 """Catalog of the ten classical families: one table row per family holds its
 normalization and cut-off constants, rank floor, ambient group, per-term
-constants and variance cap; each descriptor derives from it the root datum
-of its labels, the series indexing set and the minimal weight."""
+constants, variance cap and, on a quotient, the shape of its observable;
+each descriptor derives from it the root datum of its labels, the series
+indexing set and the minimal weight."""
 
 from __future__ import annotations
 
@@ -60,6 +61,17 @@ class RootDatum(NamedTuple):
                 CharType.C: (2 * r, 2 * r + 2), CharType.D: (2 * r, 2 * r)}[self.type]
 
 
+class Observable(NamedTuple):
+    """Shape of a quotient's zonal polynomial Omega in the ambient entries
+    g_ij: ``form`` ``square`` g_ij^2, ``modulus`` |g_ij|^2, or ``det`` of the
+    2 x 2 block at (2i, 2j), whose units are then those blocks; ``layout``
+    ``all``, every unit weighted 1/units, or ``split``, the p x p and q x q
+    diagonal blocks weighted 1/p and 1/q (p = units - q) with a shift of -1."""
+
+    layout: str
+    form: str
+
+
 _PerTerm = tuple[Fraction, Optional[Fraction]]
 
 
@@ -83,6 +95,7 @@ class _Row(NamedTuple):
     # D^lambda * param^(-B) over the family's labels, at even and at odd n
     per_term: tuple[_PerTerm, _PerTerm]
     symmetric: bool = False  # see RootDatum
+    observable: Optional[Observable] = None  # None on a group: the trace
 
 
 _CONSTANTS = _Row._fields[:8]  # beta .. C_upper: copied onto each descriptor
@@ -111,21 +124,26 @@ _TABLE: dict[Family, _Row] = {
                      2, Family.USp, 1, WeightKind.Y, 3, _same(_F(14, 3))),
     Family.GrR: _Row(1, 1, 1, 1, 10, 10, 32, 2,
                      3, Family.SO, 1, WeightKind.evenOrOddY, 3,
-                     ((_F(4, 3), None), (_F(5, 4), None))),
+                     ((_F(4, 3), None), (_F(5, 4), None)),
+                     observable=Observable("split", "square")),
     Family.GrC: _Row(2, 1, 1, 2, 2, 2, 32, 2,
                      2, Family.SU, 1, WeightKind.Y, 5, _same(_F(1)),
-                     symmetric=True),
+                     symmetric=True, observable=Observable("split", "modulus")),
     Family.GrH: _Row(4, 1, 1, 1, 3, 3, 16, 2,
-                     2, Family.USp, 1, WeightKind.doubledY, 5, _same(_F(14, 3))),
+                     2, Family.USp, 1, WeightKind.doubledY, 5, _same(_F(14, 3)),
+                     observable=Observable("split", "det")),
     Family.SO2n_Un: _Row(1, 1, 2, 1, 10, 5, 8, 2,
-                         2, Family.SO, 2, WeightKind.doubledY, 3, _same(_F(4, 3))),
+                         2, Family.SO, 2, WeightKind.doubledY, 3, _same(_F(4, 3)),
+                         observable=Observable("all", "det")),
     Family.SUn_SOn: _Row(2, 1, 2, 2, 2, 2, 24, 8,
-                         2, Family.SU, 1, WeightKind.evenY, 1, _same(_F(3, 2))),
+                         2, Family.SU, 1, WeightKind.evenY, 1, _same(_F(3, 2)),
+                         observable=Observable("all", "square")),
     Family.SU2n_USpn: _Row(2, 1, 2, 2, 2, 2, 22, 8,
                            2, Family.SU, 2, WeightKind.doubledY, 1,
-                           _same(_F(3, 2))),
+                           _same(_F(3, 2)), observable=Observable("all", "det")),
     Family.USpn_Un: _Row(4, 1, 2, 1, 3, 3, 17, 2,
-                         2, Family.USp, 1, WeightKind.evenY, 3, _same(_F(14, 3))),
+                         2, Family.USp, 1, WeightKind.evenY, 3, _same(_F(14, 3)),
+                         observable=Observable("all", "square")),
 }
 
 
@@ -152,6 +170,7 @@ class SpaceDescriptor:
     root: RootDatum
     per_term: _PerTerm
     variance_k: int
+    observable: Optional[Observable]
 
     def __hash__(self) -> int:
         # every other field follows from these three
@@ -244,6 +263,7 @@ def describe(family: Family | str, n: int, q: Optional[int] = None) -> SpaceDesc
         root=_root_datum(algebra, rank, row.symmetric),
         per_term=row.per_term[n % 2],
         variance_k=row.variance_k,
+        observable=row.observable,
     )
 
 
@@ -259,38 +279,35 @@ def indexing_set(descriptor: SpaceDescriptor) -> IndexingSetKind:
     return IndexingSetKind(kind, root.rank - (root.type is CharType.A))
 
 
+# the label an observable's entries span: (1) for the trace, the symmetric or
+# exterior square, or on GrC (1, 0, ..., 0, -1) for |g_ij|^2
+_ENTRY_LABEL = {"square": (2,), "modulus": (1,), "det": (1, 1)}
+
+
 def minimal_weight(descriptor: SpaceDescriptor) -> tuple[Weight, Fraction, Fraction]:
-    """(lambda_min, A_min, B_min): the slowest-decaying series label."""
-    fam, n, q = descriptor.family, descriptor.n, descriptor.q
-    idx = indexing_set(descriptor)
+    """(lambda_min, A_min, B_min): the slowest-decaying series label, the
+    label of the observable's entries."""
+    fam, n, shape = descriptor.family, descriptor.n, descriptor.observable
+    lam = indexing_set(descriptor).label(
+        _ENTRY_LABEL[shape.form] if shape else (1,))
     if fam is Family.SO:
-        lam = idx.label((1,))
         return lam, Fraction(n * n), Fraction(n - 1, n)
     if fam is Family.SU:
-        lam = idx.label((1,))
         return lam, Fraction(n * n), Fraction(n * n - 1, n * n)
     if fam is Family.USp:
-        lam = idx.label((1,))
         return lam, Fraction(4 * n * n), Fraction(2 * n + 1, 2 * n)
     if fam is Family.GrR:
-        lam = idx.label((2,))
         return lam, Fraction((n - 1) * (n + 2), 2), Fraction(2)
     if fam is Family.GrC:
-        lam = idx.label((1,))
         return lam, Fraction(n * n - 1), Fraction(2)
     if fam is Family.GrH:
-        lam = idx.label((1, 1))
         return lam, Fraction((n - 1) * (2 * n + 1)), Fraction(2)
     if fam is Family.SO2n_Un:
-        lam = idx.label((1, 1))
         return lam, Fraction(n * (2 * n - 1)), Fraction(2 * (n - 1), n)
     if fam is Family.SUn_SOn:
-        lam = idx.label((2,))
         return lam, Fraction(n * (n + 1), 2), Fraction(2 * (n - 1) * (n + 2), n * n)
     if fam is Family.SU2n_USpn:
-        lam = idx.label((1, 1))
         return lam, Fraction(n * (2 * n - 1)), Fraction((n - 1) * (2 * n + 1), n * n)
     if fam is Family.USpn_Un:
-        lam = idx.label((2,))
         return lam, Fraction(n * (2 * n + 1)), Fraction(2 * (n + 1), n)
     raise UnknownFamily(str(fam))  # pragma: no cover

@@ -350,3 +350,40 @@ def test_size_caps_above_the_label_limit_exit_with_code_two(capsys, argv, cap):
     assert captured.out == ""
     assert f"error: size cap {cap} gives more than 300000 labels" in captured.err
     assert elapsed < 1.0  # the label count stops at the limit
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--family", "SO", "--n", "4", "--t", "1",
+      "--paths", "100000000"), "100000000 paths exceed the limit 1000000"),
+    (("estimate", "--family", "SO", "--n", "4", "--t", "1", "--statistic",
+      "trace", "--paths", "1000000000", "--threads", "1"),
+     "1000000000 paths exceed the limit 1000000"),
+    (("density", "--family", "circle", "--n", "1", "--t", "1", "--theta",
+      "1", "--cap", "1000000000"),
+     "size cap 1000000000 gives more than 300000 labels"),
+    (("eta", "--family", "SO", "--n", "10", "--cap", "1000000000"),
+     "--cap 1000000000 exceeds the limit 300000"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else "")
+def test_path_counts_and_loop_caps_above_their_limits_exit_with_code_two(
+        capsys, argv, message):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert elapsed < 1.0
+
+
+def test_simulate_values_do_not_depend_on_the_chunking(capsys):
+    from cutofflab import cutoff, sampler, spaces
+
+    code, out = _run(capsys, "simulate", "--family", "GrC", "--n", "4",
+                     "--q", "1", "--t", "0.1", "--paths", "300", "--seed", "4")
+    assert code == 0
+    desc = spaces.describe("GrC", 4, 1)
+    config = sampler.SimulationConfig(paths=300, seed=4)
+    whole = cutoff.omega_value(desc, sampler.simulate_endpoints(
+        desc, 0.1, config, range(300)))  # one stack, beyond one chunk
+    assert [row["re"] for row in json.loads(out)["omega"]] == whole.tolist()

@@ -187,19 +187,95 @@ def test_zonal_square_series_agrees_with_the_moment_route(family, n, q, t):
     assert abs(series - moments) < 1e-9
 
 
-def test_zonal_square_value_checks_against_a_random_isometry():
-    # the polynomial route and the expansion agree in expectation; on a
-    # single fixed matrix the polynomial itself must match its monomials
-    desc = spaces.describe("GrH", 3, 1)
-    g = sa.haar_sample(desc, seed=5)
-    direct = co.zonal_value(desc, g)
-    total = 0.0 + 0.0j
-    for coeff, entries in co._phi_monomials(desc):
-        term = coeff
-        for i, j, conj in entries:
-            term *= g[i, j].conjugate() if conj else g[i, j]
-        total += term
-    assert abs(direct - total) < 1e-10
+def _special_orthogonal(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+def _unitary(rng, k, special=False):
+    q, r = np.linalg.qr(rng.standard_normal((k, k))
+                        + 1j * rng.standard_normal((k, k)))
+    d = np.diag(r)
+    q = q * (d / np.abs(d))
+    if special:
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / k)
+    return q
+
+
+def _symplectic(rng, k):
+    """USp(k) in the interleaved quaternionic layout of the sampler."""
+    a, b = (_unitary(rng, k) for _ in range(2))
+    return sa._project("usp", sa._embed_quaternion(a, b))
+
+
+def _realified(u):
+    """U(n) acting on R^2n, one interleaved 2 x 2 block per entry."""
+    n = len(u)
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2], out[0::2, 1::2] = u.real, -u.imag
+    out[1::2, 0::2], out[1::2, 1::2] = u.imag, u.real
+    return out
+
+
+def _block_diagonal(top, bottom):
+    size = len(top) + len(bottom)
+    out = np.zeros((size, size), dtype=np.result_type(top, bottom))
+    out[:len(top), :len(top)] = top
+    out[len(top):, len(top):] = bottom
+    return out
+
+
+def _stabiliser(desc, rng):
+    """A random element of the subgroup K with the space = G / K."""
+    fam, n, q = desc.family.value, desc.n, desc.q
+    if fam == "GrR":
+        return _block_diagonal(_special_orthogonal(rng, n - q),
+                               _special_orthogonal(rng, q))
+    if fam == "GrC":
+        return _block_diagonal(_unitary(rng, n - q, special=True),
+                               _unitary(rng, q, special=True))
+    if fam == "GrH":
+        return _block_diagonal(_symplectic(rng, n - q), _symplectic(rng, q))
+    if fam == "SO2n_Un":
+        return _realified(_unitary(rng, n))
+    if fam == "SUn_SOn":
+        return _special_orthogonal(rng, n)
+    if fam == "SU2n_USpn":
+        return _symplectic(rng, n)
+    u = _unitary(rng, n)  # USpn_Un
+    return sa._embed_quaternion(u.real, u.imag)
+
+
+_QUOTIENTS = [("GrR", 10, 3), ("GrC", 5, 2), ("GrH", 4, 1),
+              ("SO2n_Un", 3, None), ("SUn_SOn", 5, None),
+              ("SU2n_USpn", 3, None), ("USpn_Un", 3, None)]
+
+
+@pytest.mark.parametrize("family,n,q", _QUOTIENTS)
+def test_zonal_function_is_bi_invariant_under_the_stabiliser(family, n, q):
+    desc = spaces.describe(family, n, q)
+    rng = np.random.default_rng(17)
+    for seed in range(3):
+        g = sa.haar_sample(desc, seed=seed)
+        k1, k2 = _stabiliser(desc, rng), _stabiliser(desc, rng)
+        value = co.zonal_value(desc, g)
+        assert abs(value - 1.0) > 1e-6  # not the constant function
+        assert abs(co.zonal_value(desc, k1 @ g @ k2) - value) < 1e-12
+        assert isinstance(value, complex) == (family in ("SUn_SOn",
+                                                         "SU2n_USpn"))
+
+
+def test_bi_invariance_detects_a_wrong_stabiliser():
+    # U(n) embedded as complex matrices with no quaternionic part does not
+    # fix the basepoint of USp(n) / U(n)
+    desc = spaces.describe("USpn_Un", 3)
+    rng = np.random.default_rng(17)
+    g = sa.haar_sample(desc, seed=0)
+    u = _unitary(rng, 3)
+    k = sa._embed_quaternion(u, np.zeros((3, 3)))
+    assert abs(co.zonal_value(desc, k @ g) - co.zonal_value(desc, g)) > 1e-3
 
 
 def test_variance_caps_per_family():

@@ -14,6 +14,7 @@ from cutofflab.errors import (
     HalfPartitionUnsupported,
     InvalidRank,
     InvalidTime,
+    TooLarge,
     UnsupportedSpace,
 )
 from cutofflab.heatseries import (
@@ -28,7 +29,7 @@ from cutofflab.heatseries import (
     t_zero,
     tv_upper_bound,
 )
-from cutofflab.partitions import Weight, WeightKind
+from cutofflab.partitions import MAX_LABELS, Weight, WeightKind
 from cutofflab.repchar import casimir_exponent, dimension
 from cutofflab.spaces import describe, indexing_set, minimal_weight
 from label_oracle import oracle_labels
@@ -414,6 +415,23 @@ def test_density_rejects_points_and_caps_outside_the_domain(space, point, cap,
             "SU": describe("SU", 2), "GrC": describe("GrC", 4, 1)}[space]
     with pytest.raises(ValueError, match=message):
         density(desc, point, 1.0, size_cap=cap)
+
+
+@pytest.mark.parametrize("space,point", [
+    ("circle", {"theta": 1.0}),
+    ("SO", {"theta": 1.0}),
+    ("SU", {"theta": 1.0}),
+    ("GrC", {"zonal_values": [1.0, 0.5]}),
+])
+def test_density_loop_forms_refuse_a_cap_above_the_label_limit(space, point):
+    desc = {"circle": "circle", "SO": describe("SO", 3),
+            "SU": describe("SU", 2), "GrC": describe("GrC", 4, 1)}[space]
+    for cap in (MAX_LABELS, 10 ** 9):
+        with pytest.raises(TooLarge, match="gives more than 300000 labels"):
+            density(desc, point, 1.0, size_cap=cap)
+    if space == "GrC":  # the sum stops at the values given
+        assert math.isfinite(density(desc, point, 1.0,
+                                     size_cap=MAX_LABELS - 1))
 
 
 def test_log_counts_grow_one_array_per_length(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from cutofflab import cutoff as co
 from cutofflab import sampler as sa
 from cutofflab import spaces
-from cutofflab.errors import UnsupportedStatistic
+from cutofflab.errors import TooLarge, UnsupportedStatistic
 from cutofflab.repchar import casimir_exponent
 
 
@@ -95,6 +95,12 @@ def test_config_validation():
         sa.SimulationConfig(step_size=0.0)
     with pytest.raises(ValueError):
         sa.SimulationConfig(threads=0)
+
+
+def test_config_refuses_more_paths_than_the_limit():
+    assert sa.SimulationConfig(paths=sa.MAX_PATHS).paths == sa.MAX_PATHS
+    with pytest.raises(TooLarge, match="exceed the limit"):
+        sa.SimulationConfig(paths=sa.MAX_PATHS + 1)
 
 
 def test_statistic_validation():

@@ -1,7 +1,7 @@
 """Dead code in the package: imported names a module never uses, and
-module-level private functions that nothing in ``src/`` or ``tests/``
-references.  The scan uses the standard library's ``ast`` only, since
-neither pyflakes nor ruff is a test dependency.
+module-level private functions and assigned names that nothing in ``src/``
+or ``tests/`` references.  The scan uses the standard library's ``ast``
+only, since neither pyflakes nor ruff is a test dependency.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def _references(paths) -> set[str]:
     for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                if not isinstance(node.ctx, ast.Store):  # a binding is no use
+                    refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -100,13 +101,42 @@ def test_every_private_function_is_referenced():
     assert not orphans, f"private functions nothing references: {orphans}"
 
 
+def _private_assignments(tree: ast.Module) -> list[str]:
+    """Private names a module binds by assignment at its top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and sub.id.startswith("_")
+                and not sub.id.endswith("__")]
+    return out
+
+
+def test_every_private_assignment_is_referenced():
+    refs = _references(MODULES + sorted((ROOT / "tests").glob("*.py")))
+    orphans = [f"{path.name}: {name}" for path in MODULES
+               for name in _private_assignments(_tree(path))
+               if name not in refs]
+    assert not orphans, f"private names nothing references: {orphans}"
+
+
 def test_the_scan_sees_an_unused_import_and_an_orphan(tmp_path):
     module = tmp_path / "probe.py"
-    module.write_text("from typing import Optional, Sequence\n\n\n"
+    module.write_text("from typing import Optional, Sequence\n\n"
+                      "_ALIAS = tuple[int, int]\n"
+                      "_USED, _LIMIT = 1, 2\n\n\n"
                       "def _orphan(x: 'Sequence[int]') -> int:\n"
-                      "    return len(x)\n")
+                      "    return len(x) + _USED\n")
     tree = _tree(module)
     unused = [name for name, _ in _imported_names(tree)
               if name not in _used_names(tree)]
     assert unused == ["Optional"]
-    assert "_orphan" not in _references([module])
+    refs = _references([module])
+    assert "_orphan" not in refs
+    assert [name for name in _private_assignments(tree)
+            if name not in refs] == ["_ALIAS", "_LIMIT"]
