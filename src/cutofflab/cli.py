@@ -122,8 +122,10 @@ def _add_space_flags(sub: argparse.ArgumentParser, families=None) -> None:
     sub.add_argument("--q", type=int, default=None)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_output_flags(sub: argparse.ArgumentParser, with_csv: bool = False) -> None:
+    """``--out`` on every verb; ``--format`` only on verbs that write CSV."""
+    if with_csv:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None)
 
 
@@ -137,13 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("describe", help="table constants of one space")
     _add_space_flags(sub)
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("series", help="dominating series with tail bound")
     _add_space_flags(sub)
     sub.add_argument("--t", type=float, required=True)
     sub.add_argument("--cap", type=int, default=None)
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("tv-bound",
                           help="total-variation upper bound at a time")
@@ -168,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated base weight (default: zero)")
     sub.add_argument("--t", type=float, default=None,
                      help="time (default: cut-off time)")
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("density", help="heat-kernel density at a point")
     _add_space_flags(sub, families=list(FAMILY_NAMES) + ["circle"])
@@ -196,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("zonal-expansion",
                           help="squared minimal zonal function in the zonal basis")
     _add_space_flags(sub)
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("simulate", help="endpoint statistics of heat-flow paths")
     _add_space_flags(sub)
@@ -205,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--steps", type=int, default=None,
                      help="time steps (default: t / 0.05, rounded up)")
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("estimate", help="Monte Carlo estimate of a statistic")
     _add_space_flags(sub)
@@ -225,11 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--t-min", type=float, default=None)
     sub.add_argument("--t-max", type=float, default=None)
     sub.add_argument("--points", type=int, default=41)
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("verify-all", help="run the full verification suite")
     sub.add_argument("--threads", type=int, default=None)
-    _add_output_flags(sub)
+    _add_output_flags(sub, with_csv=True)
 
     return parser
 
@@ -377,10 +379,7 @@ def _run_eigentable(parser, args) -> int:
 
 def _run_zonal_expansion(parser, args) -> int:
     desc = _space(parser, args)
-    try:
-        expansion = _moments.zonal_square_expansion(desc)
-    except CutoffLabError as exc:
-        parser.error(str(exc))
+    expansion = _moments.zonal_square_expansion(desc)
     rows = []
     for weight in sorted(expansion, key=lambda w: (w.size, w.parts2)):
         rate = Fraction(0) if weight.is_zero else casimir_exponent(desc, weight)
@@ -402,14 +401,11 @@ def _run_simulate(parser, args) -> int:
         parser.error("--paths must be >= 1")
     if args.steps is not None and args.steps < 1:
         parser.error("--steps must be >= 1")
-    try:
-        require_time(args.t, allow_zero=True)
-        # at t = 0 every path stays at the identity, whatever the steps
-        step = args.t / args.steps if args.steps and args.t > 0 else 0.05
-        config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
-                                           step_size=step)
-    except ValueError as exc:
-        parser.error(str(exc))
+    require_time(args.t, allow_zero=True)
+    # at t = 0 every path stays at the identity, whatever the steps
+    step = args.t / args.steps if args.steps and args.t > 0 else 0.05
+    config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
+                                       step_size=step)
     # chunk by chunk, as in estimate: memory grows with one value per path
     values = _sampler._values_for_range(desc, "omega", args.t, config,
                                         0, args.paths, None)
@@ -427,13 +423,10 @@ def _run_simulate(parser, args) -> int:
 def _run_estimate(parser, args) -> int:
     desc = _space(parser, args)
     threads = args.threads if args.threads else _default_threads()
-    try:
-        config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
-                                           threads=threads)
-        estimate = _sampler.estimate(desc, args.statistic, args.t, config,
-                                     threshold=args.threshold)
-    except (ValueError, CutoffLabError) as exc:
-        parser.error(str(exc))
+    config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
+                                       threads=threads)
+    estimate = _sampler.estimate(desc, args.statistic, args.t, config,
+                                 threshold=args.threshold)
     payload = estimate.to_json_dict()
     payload["space"] = str(desc)
     payload["seed"] = args.seed

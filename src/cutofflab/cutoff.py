@@ -23,12 +23,11 @@ from .heatseries import t_zero, tv_upper_bound
 from .moments import moment, zonal_square_expansion
 from .partitions import Weight
 from .repchar import casimir_exponent, dimension
-from .spaces import Family, SpaceDescriptor, indexing_set, minimal_weight
+from .spaces import (CharType, SpaceDescriptor, _chirality, indexing_set,
+                     minimal_weight)
 
 __all__ = [
-    "OmegaSpec",
     "ProfilePoint",
-    "omega_spec",
     "omega_value",
     "zonal_value",
     "mean_variance",
@@ -40,29 +39,6 @@ __all__ = [
     "zonal_square_series",
     "zonal_square_via_moments",
 ]
-
-@dataclass(frozen=True)
-class OmegaSpec:
-    """The discriminating observable of one space."""
-
-    descriptor: SpaceDescriptor
-    kind: str  # "character_trace" or "zonal_polynomial"
-    normalization: float  # Omega = normalization * basepoint-normalized value
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": str(self.descriptor),
-            "kind": self.kind,
-            "normalization": self.normalization,
-        }
-
-
-def omega_spec(descriptor: SpaceDescriptor) -> OmegaSpec:
-    """Observable attached to a family member: trace or scaled zonal value."""
-    if descriptor.is_group:
-        return OmegaSpec(descriptor, "character_trace", 1.0)
-    return OmegaSpec(descriptor, "zonal_polynomial", _moment_terms(descriptor)[0])
-
 
 def _check_matrix(descriptor: SpaceDescriptor, matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix)
@@ -147,17 +123,15 @@ def zonal_value(descriptor: SpaceDescriptor,
     return _per_matrix(values if _complex_valued(descriptor) else values.real)
 
 
-def omega_value(spec: OmegaSpec | SpaceDescriptor,
+def omega_value(descriptor: SpaceDescriptor,
                 matrix: np.ndarray) -> complex | np.ndarray:
     """Evaluate the discriminating observable on a matrix, or on each
-    matrix of a stack of them (leading batch axis)."""
-    if isinstance(spec, SpaceDescriptor):
-        spec = omega_spec(spec)
-    descriptor = spec.descriptor
-    if spec.kind == "character_trace":
+    matrix of a stack of them (leading batch axis): the trace on a group,
+    sqrt(A_min) times the zonal value on a quotient."""
+    if descriptor.is_group:
         tr = np.trace(_check_matrix(descriptor, matrix), axis1=-2, axis2=-1)
         return _per_matrix(tr if _complex_valued(descriptor) else tr.real)
-    return spec.normalization * zonal_value(descriptor, matrix)
+    return _moment_terms(descriptor)[0] * zonal_value(descriptor, matrix)
 
 
 # -- mean and variance under the heat flow ---------------------------------
@@ -166,16 +140,13 @@ def omega_value(spec: OmegaSpec | SpaceDescriptor,
 def _group_square_terms(descriptor: SpaceDescriptor) -> list[tuple[Weight, int]]:
     """Non-trivial labels in the expansion of the squared trace modulus,
     with multiplicity two when a label carries both chirality pieces."""
-    fam, n = descriptor.family, descriptor.n
     idx = indexing_set(descriptor)
-    if fam is Family.SU:
+    if descriptor.root.type is CharType.A:
         return [(idx.label((2,) + (1,) * (idx.length - 1)), 1)]
     two = idx.label((2,))
     if idx.length >= 2:
         pair = idx.label((1, 1))
-        both = 2 if (fam is Family.SO and n % 2 == 0
-                     and pair.parts2[-1] != 0) else 1
-        return [(two, 1), (pair, both)]
+        return [(two, 1), (pair, _chirality(descriptor, pair))]
     # at rank one the exterior square folds onto the defining label
     return [(two, 1), (idx.label((1,)), 1)]
 

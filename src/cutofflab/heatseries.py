@@ -20,6 +20,7 @@ from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, Family, RootDatum, SpaceDescriptor, indexing_set
 
 _HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
+_MAX_HORIZON = 60000  # partition tails stop doubling their horizon here
 
 
 def t_zero(descriptor: SpaceDescriptor) -> float:
@@ -62,23 +63,24 @@ class TruncationReport:
         }
 
 
+def _fold(descriptor: SpaceDescriptor) -> int:
+    """2 on a type D group, whose series sums each pair of chirality pieces
+    through the label with a non-negative last part; else 1."""
+    return 2 if descriptor.is_group and descriptor.root.type is CharType.D else 1
+
+
 def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]:
     """All non-trivial series terms with |lambda| <= size_cap, size-ordered,
-    with exact rational coefficients: the rows of the term table."""
+    with exact rational coefficients A = fold * (D^lambda)^power, power 2 on
+    a group and 1 on a quotient: the rows of the term table."""
     table = _term_table(descriptor, size_cap)
-    factor_two = descriptor.family is Family.SO and descriptor.n % 2 == 0
+    fold, power = _fold(descriptor), 2 if descriptor.is_group else 1
     out: list[SeriesTerm] = []
     for row in range(len(table.parts2)):
         w = table.weight(row)
-        dim = dimension(descriptor, w)
-        if descriptor.is_group:
-            a = dim * dim
-            if factor_two:
-                a *= 2
-        else:
-            a = dim
-        out.append(SeriesTerm(weight=w, a_coeff=a,
-                              b_exp=casimir_exponent(descriptor, w)))
+        out.append(SeriesTerm(
+            weight=w, a_coeff=fold * dimension(descriptor, w) ** power,
+            b_exp=casimir_exponent(descriptor, w)))
     return out
 
 
@@ -192,12 +194,9 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     is_half = parts2[:, 0] % 2 == 1
     log_dim = _vector_log_dim(descriptor, parts2)
     b = _vector_b(descriptor, parts2)
-    if descriptor.is_group:
-        log_a = 2.0 * log_dim
-        if descriptor.family is Family.SO and descriptor.n % 2 == 0:
-            log_a = log_a + math.log(2.0)
-    else:
-        log_a = log_dim
+    log_a = 2.0 * log_dim if descriptor.is_group else log_dim
+    if _fold(descriptor) == 2:
+        log_a = log_a + math.log(2.0)
     return _TermTable(idx.kind, parts2, size2, is_half, log_dim, b, log_a)
 
 
@@ -237,7 +236,10 @@ def _log_counts(horizon: int, max_len: int) -> np.ndarray:
 def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
     """Upper bound on the sum of x^{|mu|} over partitions mu of length
     <= max_len with |mu| > beyond; requires log_x < 0."""
-    if log_x >= 0.0:
+    if log_x >= 0.0 or -80.0 / log_x > _MAX_HORIZON:
+        # a first horizon H = 80/|log_x| past the doubling cap: there the
+        # Hardy-Ramanujan ratio e^{c/(2 sqrt H)} x is >= 1, so no closing
+        # bound exists and the loop would end at exact + inf
         return math.inf
     horizon = max(400, 4 * max(beyond, 0), int(-80.0 / log_x))
     first = max(beyond, -1) + 1
@@ -252,7 +254,7 @@ def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
         closing = _hr_closing(log_x, horizon)
         if math.isfinite(closing) and closing <= max(1e-12 * exact, 1e-250):
             return exact + closing
-        if horizon >= 60000:
+        if horizon >= _MAX_HORIZON:
             return exact + closing
         horizon *= 2
 
@@ -308,62 +310,64 @@ def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
 
 def _su_steps(descriptor: SpaceDescriptor, gap: float) -> list[tuple[int, float]]:
     """(size increment, cost) pairs for the delta-coordinate lower bound
-    B >= sum_i i(m-i)/m * delta_i on unitary-type labels."""
-    fam, n = descriptor.family, descriptor.n
-    if fam is Family.SU:
-        return [(i, gap * i * (n - i) / n) for i in range(1, n)]
-    if fam is Family.SUn_SOn:
-        return [(2 * i, gap * 2.0 * i * (n - i) / n) for i in range(1, n)]
-    if fam is Family.SU2n_USpn:
-        m = 2 * n
-        return [(2 * j, gap * 2.0 * j * (m - 2 * j) / m) for j in range(1, n)]
-    raise UnsupportedSpace(str(fam))  # pragma: no cover
+    B >= sum_i i(m-i)/m * delta_i on type A labels of root rank m: doubled
+    labels step only at even i, and even labels grow by 2i at step i."""
+    m = descriptor.root.rank
+    kind = indexing_set(descriptor).kind
+    k = 2 if kind is WeightKind.evenY else 1
+    return [(k * i, gap * (k * i) * (m - i) / m) for i in range(1, m)
+            if not (kind is WeightKind.doubledY and i % 2)]
+
+
+@lru_cache(maxsize=64)
+def _tail_constants(descriptor: SpaceDescriptor) -> tuple[float, float, float]:
+    """fold * C^power for the integer and the half labels (power 2 on a
+    group, 1 on a quotient), and B(1/2, ..., 1/2) for the half block's
+    shift (0.0 unless the labels are halfY)."""
+    fold, power = _fold(descriptor), 2 if descriptor.is_group else 1
+    const_int, const_half = descriptor.per_term
+    c_int = fold * float(const_int) ** power
+    if const_half is None:
+        return c_int, 0.0, 0.0
+    idx = indexing_set(descriptor)
+    half = float(casimir_exponent(descriptor, idx.label((Fraction(1, 2),)
+                                                        * idx.length)))
+    return c_int, fold * float(const_half) ** power, half
 
 
 def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
                 t0: float) -> float:
-    """Certified bound on the series mass above the size cap."""
-    fam, n = descriptor.family, descriptor.n
-    if n < descriptor.proven_min_n:
+    """Certified bound on the series mass above the size cap: every term is
+    at most fold * C^power e^{-(t - t0) B}, and B >= |lambda|/2 (|lambda|
+    on symmetric labels).  Each label kind maps to partitions of a size and
+    a length: even labels halve the size, doubled labels halve both, and a
+    half label is 1/2 added to each part of a partition; on type A the
+    delta-coordinate steps replace the partitions."""
+    if descriptor.n < descriptor.proven_min_n:
         return math.inf
     gap = t - t0
     if gap <= 0.0:
         return math.inf
-    const_int, const_half = descriptor.per_term
+    c_int, c_half, half_shift = _tail_constants(descriptor)
+    root = descriptor.root
+    if root.type is CharType.A and not root.symmetric:
+        return c_int * _su_dp_tail(_su_steps(descriptor, gap), cap)
     log_x = -gap / 2.0  # decay rate from B >= |lambda|/2
-
-    if fam in (Family.SO, Family.GrR):
-        rank = n // 2
-        if descriptor.is_group:
-            c_int = float(const_int) ** 2
-            c_half: Optional[float] = float(const_half) ** 2
-            if n % 2 == 0:
-                c_int, c_half = 2.0 * c_int, 2.0 * c_half
-        else:
-            c_int, c_half = float(const_int), None
-        plen = rank if fam is Family.SO else descriptor.q
-        tail = c_int * _partition_tail(log_x, cap, plen)
-        if c_half is not None:
-            shift = rank / 4.0 if n % 2 else (2 * rank - 1) / 8.0
-            half_beyond = math.floor(cap - rank / 2.0)
-            tail += (c_half * math.exp(-gap * shift)
-                     * _partition_tail(log_x, half_beyond, rank))
-        return tail
-    if fam is Family.USp:
-        return float(const_int) ** 2 * _partition_tail(log_x, cap, n)
-    if fam is Family.SU:
-        return float(const_int) ** 2 * _su_dp_tail(_su_steps(descriptor, gap), cap)
-    if fam is Family.GrC:
-        return _partition_tail(-gap, cap, descriptor.q)
-    if fam is Family.GrH:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2, descriptor.q)
-    if fam is Family.SO2n_Un:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2, n // 2)
-    if fam is Family.USpn_Un:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2, n)
-    if fam in (Family.SUn_SOn, Family.SU2n_USpn):
-        return float(const_int) * _su_dp_tail(_su_steps(descriptor, gap), cap)
-    raise UnsupportedSpace(str(fam))  # pragma: no cover
+    if root.symmetric:
+        log_x *= 2.0
+    idx = indexing_set(descriptor)
+    kind, length = idx.kind, idx.length
+    beyond = cap
+    if kind in (WeightKind.evenY, WeightKind.doubledY):
+        log_x, beyond = 2.0 * log_x, cap // 2
+        if kind is WeightKind.doubledY:
+            length //= 2
+    tail = c_int * _partition_tail(log_x, beyond, length)
+    if kind is WeightKind.halfY:
+        half_beyond = math.floor(cap - length / 2.0)
+        tail += (c_half * math.exp(-gap * half_shift)
+                 * _partition_tail(log_x, half_beyond, length))
+    return tail
 
 
 def _cap_schedule(descriptor: SpaceDescriptor) -> list[int]:

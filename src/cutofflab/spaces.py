@@ -284,30 +284,25 @@ def indexing_set(descriptor: SpaceDescriptor) -> IndexingSetKind:
 _ENTRY_LABEL = {"square": (2,), "modulus": (1,), "det": (1, 1)}
 
 
+def _chirality(descriptor: SpaceDescriptor, weight: Weight) -> int:
+    """2 when the label, in root coordinates, is a type D highest weight
+    with a non-zero last part: it then stands for the two chirality pieces
+    (last part +l and -l), each of the Weyl dimension; else 1."""
+    root = descriptor.root
+    last = weight.parts2[-1] if weight.length == root.rank else 0
+    return 2 if root.type is CharType.D and last else 1
+
+
 def minimal_weight(descriptor: SpaceDescriptor) -> tuple[Weight, Fraction, Fraction]:
     """(lambda_min, A_min, B_min): the slowest-decaying series label, the
-    label of the observable's entries."""
-    fam, n, shape = descriptor.family, descriptor.n, descriptor.observable
+    label of the observable's entries, with A_min = (chirality * D^lambda)
+    squared on a group and to the first power on a quotient, and
+    B_min = B(lambda)."""
+    from .repchar import casimir_exponent, dimension  # repchar imports spaces
+
+    shape = descriptor.observable
     lam = indexing_set(descriptor).label(
         _ENTRY_LABEL[shape.form] if shape else (1,))
-    if fam is Family.SO:
-        return lam, Fraction(n * n), Fraction(n - 1, n)
-    if fam is Family.SU:
-        return lam, Fraction(n * n), Fraction(n * n - 1, n * n)
-    if fam is Family.USp:
-        return lam, Fraction(4 * n * n), Fraction(2 * n + 1, 2 * n)
-    if fam is Family.GrR:
-        return lam, Fraction((n - 1) * (n + 2), 2), Fraction(2)
-    if fam is Family.GrC:
-        return lam, Fraction(n * n - 1), Fraction(2)
-    if fam is Family.GrH:
-        return lam, Fraction((n - 1) * (2 * n + 1)), Fraction(2)
-    if fam is Family.SO2n_Un:
-        return lam, Fraction(n * (2 * n - 1)), Fraction(2 * (n - 1), n)
-    if fam is Family.SUn_SOn:
-        return lam, Fraction(n * (n + 1), 2), Fraction(2 * (n - 1) * (n + 2), n * n)
-    if fam is Family.SU2n_USpn:
-        return lam, Fraction(n * (2 * n - 1)), Fraction((n - 1) * (2 * n + 1), n * n)
-    if fam is Family.USpn_Un:
-        return lam, Fraction(n * (2 * n + 1)), Fraction(2 * (n + 1), n)
-    raise UnknownFamily(str(fam))  # pragma: no cover
+    power = 2 if descriptor.is_group else 1
+    a_min = (_chirality(descriptor, lam) * dimension(descriptor, lam)) ** power
+    return lam, a_min, casimir_exponent(descriptor, lam)

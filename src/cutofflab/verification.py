@@ -20,7 +20,7 @@ from . import cutoff as _cutoff
 from . import moments as _moments
 from . import sampler as _sampler
 from .errors import DegenerateAlphabet, InvalidRank
-from .heatseries import (dominating_series, per_term_bound_sweep,
+from .heatseries import (_fold, dominating_series, per_term_bound_sweep,
                          per_term_exceeds, series_terms, t_zero)
 from .partitions import Weight
 from .repchar import dimension, verify_square_identity
@@ -145,9 +145,8 @@ def _check_minimal_weights() -> tuple[bool, dict]:
                            "table_weight": str(weight), "table_b": str(b_min),
                            "brute_b": str(brute_b),
                            "brute_argmin": [str(t.weight) for t in argmins]}
-        fold = 2 if (family == "SO" and n % 2 == 0) else 1
         for term in argmins:
-            if term.a_coeff != fold * a_min:
+            if term.a_coeff != _fold(desc) * a_min:
                 return False, {"family": family, "n": n,
                                "series_coeff": str(term.a_coeff),
                                "table_a": str(a_min)}

@@ -387,3 +387,44 @@ def test_simulate_values_do_not_depend_on_the_chunking(capsys):
     whole = cutoff.omega_value(desc, sampler.simulate_endpoints(
         desc, 0.1, config, range(300)))  # one stack, beyond one chunk
     assert [row["re"] for row in json.loads(out)["omega"]] == whole.tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "SO", "--n", "10", "--t", "4.605170185988093"),
+    ("--family", "SO", "--n", "10", "--t", "4.605170190593262"),
+    ("--family", "GrC", "--n", "14", "--q", "5", "--t", "2.639057332254316"),
+], ids=lambda v: " ".join(v))
+def test_tv_bound_just_above_the_cut_off_is_uncertified_at_once(capsys, argv):
+    # the first two times are the float after 2 log 10 and 2 log 10 (1 + 1e-9);
+    # their tail horizons would pass the doubling cap, so no certificate exists
+    start = time.perf_counter()
+    code, out = _run(capsys, "tv-bound", *argv)
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["tv_upper"] == 1.0 and payload["certified"] is False
+    assert elapsed < 1.0
+
+
+def test_library_errors_print_one_line_without_usage(capsys):
+    code = cli.main(["estimate", "--family", "SO", "--n", "4", "--t", "1",
+                     "--statistic", "trace", "--paths", "1000000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tv-bound", "--family", "SO", "--n", "10", "--eps", "1"),
+    ("bound-sweep", "--family", "SO", "--n", "10"),
+    ("density", "--family", "circle", "--n", "1", "--t", "1", "--theta", "1"),
+    ("moment", "--family", "SU", "--n", "3", "--pattern", "1.1", "--t", "1"),
+    ("eigentable", "--family", "SO", "--n", "3", "--k", "2"),
+    ("estimate", "--family", "SO", "--n", "4", "--statistic", "trace"),
+], ids=lambda v: v[0])
+def test_verbs_without_a_csv_form_refuse_the_format_flag(capsys, argv):
+    code = cli.main([*argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err

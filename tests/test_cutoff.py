@@ -127,18 +127,8 @@ def test_mean_at_zero_is_the_observable_at_the_identity():
     for family, n, q in _MV_CASES:
         desc = spaces.describe(family, n, q)
         mean, _ = co.mean_variance(desc, 0.0)
-        spec = co.omega_spec(desc)
         eye = np.eye(desc.matrix_size)
-        assert abs(co.omega_value(spec, eye) - mean) < 1e-12
-
-
-def test_omega_spec_kinds_and_normalization():
-    group = co.omega_spec(spaces.describe("USp", 3))
-    assert group.kind == "character_trace"
-    assert group.normalization == 1.0
-    quotient = co.omega_spec(spaces.describe("GrC", 5, 2))
-    assert quotient.kind == "zonal_polynomial"
-    assert abs(quotient.normalization - math.sqrt(24)) < 1e-12
+        assert abs(co.omega_value(desc, eye) - mean) < 1e-12
 
 
 def test_trace_observable_on_a_diagonal_special_unitary():

@@ -174,6 +174,34 @@ def test_minimal_weight_is_brute_force_argmin_for_groups(family, n):
     assert best[0] == b_min and best[2] == lam
 
 
+# A_min and B_min in closed form, per family; GrR, GrC and GrH do not
+# depend on q.  SO2n_Un(2) gives 6 = 2 * 3: its label (1, 1) is the type D
+# weight of SO(4) with a non-zero last part, so both chirality pieces count.
+_CLOSED_FORMS = {
+    "SO": lambda n: (n * n, Fraction(n - 1, n)),
+    "SU": lambda n: (n * n, Fraction(n * n - 1, n * n)),
+    "USp": lambda n: (4 * n * n, Fraction(2 * n + 1, 2 * n)),
+    "GrR": lambda n: (Fraction((n - 1) * (n + 2), 2), Fraction(2)),
+    "GrC": lambda n: (n * n - 1, Fraction(2)),
+    "GrH": lambda n: ((n - 1) * (2 * n + 1), Fraction(2)),
+    "SO2n_Un": lambda n: (n * (2 * n - 1), Fraction(2 * (n - 1), n)),
+    "SUn_SOn": lambda n: (Fraction(n * (n + 1), 2),
+                          Fraction(2 * (n - 1) * (n + 2), n * n)),
+    "SU2n_USpn": lambda n: (n * (2 * n - 1), Fraction((n - 1) * (2 * n + 1), n * n)),
+    "USpn_Un": lambda n: (n * (2 * n + 1), Fraction(2 * (n + 1), n)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CLOSED_FORMS))
+def test_minimal_weight_matches_the_closed_forms(family):
+    start = 3 if family in ("SO", "GrR") else 2
+    for n in range(start, 26):
+        qs = range(1, n // 2 + 1) if family.startswith("Gr") else (None,)
+        for q in qs:
+            _, a_min, b_min = minimal_weight(describe(family, n, q))
+            assert (a_min, b_min) == _CLOSED_FORMS[family](n), (n, q)
+
+
 @pytest.mark.parametrize("family,n,q,b_min", [
     ("GrR", 11, 3, Fraction(2)),
     ("GrC", 6, 2, Fraction(2)),

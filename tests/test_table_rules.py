@@ -1,0 +1,109 @@
+"""The certificate path derives every per-family fact from the table row and
+the root datum: the series tail equals the per-family tail it replaced bit
+for bit, the fold and the chirality factor sit where the root types say,
+and the functions on the path name no ``Family`` member."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from cutofflab.heatseries import _fold, _su_steps, _tail_bound, t_zero
+from cutofflab.spaces import (FAMILY_NAMES, CharType, Family, _TABLE,
+                              _chirality, describe, indexing_set)
+from tail_oracle import oracle_su_steps, oracle_tail_bound
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cutofflab"
+
+RATIOS = (1.003, 1.02, 1.1, 1.25, 2.5)  # t / t0
+
+
+def _spaces(family: str) -> list:
+    n0 = _TABLE[Family(family)].n0
+    out = []
+    for n in (n0, n0 + 5):
+        qs = sorted({1, n // 2}) if family.startswith("Gr") else (None,)
+        out += [describe(family, n, q) for q in qs]
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_tail_bound_equals_the_per_family_oracle(family):
+    for desc in _spaces(family):
+        t0 = t_zero(desc)
+        for ratio in RATIOS:
+            for cap in (40, 80):
+                got = _tail_bound(desc, ratio * t0, cap, t0)
+                want = oracle_tail_bound(desc, ratio * t0, cap, t0)
+                assert got == want, (str(desc), ratio, cap)
+
+
+@pytest.mark.parametrize("family", ("SU", "SUn_SOn", "SU2n_USpn"))
+def test_type_a_steps_equal_the_per_family_oracle(family):
+    for n in range(2, 16):
+        desc = describe(family, n)
+        for gap in (0.003, 0.4, 2.5):
+            assert _su_steps(desc, gap) == oracle_su_steps(desc, gap), (n, gap)
+
+
+def test_fold_is_two_exactly_on_even_orthogonal_groups():
+    for family in FAMILY_NAMES:
+        for n in range(_TABLE[Family(family)].min_n, 12):
+            desc = describe(family, n, 1 if family.startswith("Gr") else None)
+            want = 2 if family == "SO" and n % 2 == 0 else 1
+            assert _fold(desc) == want, (family, n)
+
+
+def test_chirality_counts_both_pieces_of_a_full_length_type_d_label():
+    so4, so5 = describe("SO", 4), describe("SO", 5)
+    assert so4.root.type is CharType.D
+    assert _chirality(so4, indexing_set(so4).label((1, 1))) == 2
+    assert _chirality(so4, indexing_set(so4).label((1,))) == 1
+    assert _chirality(so5, indexing_set(so5).label((1, 1))) == 1  # type B
+    grr = describe("GrR", 4, 2)  # type D rank 2, label (2, 0)
+    assert _chirality(grr, indexing_set(grr).label((2,))) == 1
+    so2n_un = describe("SO2n_Un", 2)  # SO(4), label (1, 1)
+    assert _chirality(so2n_un, indexing_set(so2n_un).label((1, 1))) == 2
+
+
+# -- no family branches on the certificate path ----------------------------
+
+TABLE_DRIVEN = {
+    "heatseries.py": ("_tail_bound", "_su_steps", "series_terms",
+                      "_term_table"),
+    "spaces.py": ("minimal_weight",),
+    "cutoff.py": ("_group_square_terms",),
+}
+
+
+def _family_members_named(tree: ast.Module, names) -> dict[str, list[str]]:
+    """``Family.<member>`` attributes inside each named top-level function."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            out[node.name] = [
+                f"line {sub.lineno}: Family.{sub.attr}"
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "Family"]
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(TABLE_DRIVEN))
+def test_the_certificate_path_names_no_family(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    found = _family_members_named(tree, TABLE_DRIVEN[module])
+    assert sorted(found) == sorted(TABLE_DRIVEN[module])  # all still exist
+    named = {name: refs for name, refs in found.items() if refs}
+    assert not named, f"{module} branches on families: {named}"
+
+
+def test_the_scan_sees_a_family_branch():
+    tree = ast.parse("def _tail_bound(d):\n"
+                     "    return 1 if d.family is Family.SO else 2\n\n\n"
+                     "def other(d):\n"
+                     "    return Family.SU\n")
+    assert _family_members_named(tree, ("_tail_bound",)) == {
+        "_tail_bound": ["line 2: Family.SO"]}
