@@ -443,6 +443,8 @@ def _run_profile(parser, args) -> int:
         parser.error("need finite 0 < --t-min < --t-max")
     if args.points < 2:
         parser.error("--points must be >= 2")
+    if args.points > MAX_LABELS:
+        raise TooLarge(f"--points {args.points} exceeds the limit {MAX_LABELS}")
     grid = np.linspace(t_min, t_max, args.points)
     points = _cutoff.profile(desc, grid)
     if args.format == "csv":

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
 from .partitions import (MAX_LABELS, Weight, WeightKind, enumerate_by_size,
                          label_rows, partition_counts, within_label_limit)
 from .repchar import casimir_exponent, dimension, schur
-from .spaces import CharType, Family, RootDatum, SpaceDescriptor, indexing_set
+from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 _HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
 _MAX_HORIZON = 60000  # partition tails stop doubling their horizon here
@@ -109,43 +109,6 @@ def _label_columns(parts2: np.ndarray, width: int) -> np.ndarray:
     return cols
 
 
-# The log-dimension products read one contiguous row per part index and
-# square each row once, only for speed: every factor and the order of the
-# multiplications are those of the per-label formulas.
-
-
-def _log_dim_type_a(lam: np.ndarray) -> np.ndarray:
-    m = lam.shape[0]
-    ell = lam + (m - 1.0 - np.arange(m))[:, None]
-    val = np.ones(lam.shape[1])
-    for i in range(m):
-        for j in range(i + 1, m):
-            val *= (ell[i] - ell[j]) / (j - i)
-    return np.log(val)
-
-
-def _log_dim_type_bc(ell: np.ndarray, den: np.ndarray) -> np.ndarray:
-    r = ell.shape[0]
-    sq = ell ** 2
-    val = np.ones(ell.shape[1])
-    for i in range(r):
-        for j in range(i + 1, r):
-            val *= (sq[i] - sq[j]) / float(den[i] ** 2 - den[j] ** 2)
-    for i in range(r):
-        val *= ell[i] / float(den[i])
-    return np.log(val)
-
-
-def _log_dim_type_d(ell2: np.ndarray, den2: np.ndarray) -> np.ndarray:
-    r = ell2.shape[0]
-    sq = ell2 ** 2
-    val = np.ones(ell2.shape[1])
-    for i in range(r):
-        for j in range(i + 1, r):
-            val *= (sq[i] - sq[j]) / float(den2[i] ** 2 - den2[j] ** 2)
-    return np.log(val)
-
-
 def _root_rows(root: RootDatum, parts2: np.ndarray) -> np.ndarray:
     """Doubled label parts in the root datum's coordinates: a symmetric
     (GrC) label l becomes (l, 0, ..., 0, -l reversed)."""
@@ -156,32 +119,38 @@ def _root_rows(root: RootDatum, parts2: np.ndarray) -> np.ndarray:
 
 
 def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
-    # the padded label arrays are passed as temporaries, so no more than two
-    # label-sized arrays are alive at once
+    """log D^lambda over l = 2(lambda + rho), one row per coordinate: type A
+    multiplies (l_i - l_j) / (2rho_i - 2rho_j); types B, C, D take e_i -+ e_j
+    as (l_i^2 - l_j^2) / (4rho_i^2 - 4rho_j^2), then e_i (B) or 2e_i (C) as
+    l_i / 2rho_i.  Rows are squared once and two label-sized arrays kept,
+    for speed and memory only: the factors and their order are the
+    formula's."""
     root = descriptor.root
-    rows, r = _root_rows(root, parts2), root.rank
+    rho2 = np.array(root.rho2)
+    ell = _label_columns(_root_rows(root, parts2), root.rank)
+    ell += rho2[:, None]
     if root.type is CharType.A:
-        return _log_dim_type_a(_label_columns(rows, r) / 2.0)
-    if root.type is CharType.C:
-        den = r - np.arange(r)  # r-i+1 for 1-based i
-        return _log_dim_type_bc(_label_columns(rows, r) / 2.0 + den[:, None], den)
-    if root.type is CharType.B:
-        den = 2 * (r - 1 - np.arange(r)) + 1
-        return _log_dim_type_bc(
-            (_label_columns(rows, r) + den[:, None]) / 2.0, den / 2.0)
-    den2 = 2 * (r - 1 - np.arange(r))
-    return _log_dim_type_d(_label_columns(rows, r) + den2[:, None], den2)
+        paired, rho_paired = ell, rho2
+    else:
+        paired, rho_paired = ell ** 2, rho2 ** 2
+    val = np.ones(ell.shape[1])
+    for i in range(root.rank):
+        for j in range(i + 1, root.rank):
+            val *= (paired[i] - paired[j]) / float(rho_paired[i] - rho_paired[j])
+    if root.type in (CharType.B, CharType.C):
+        for i in range(root.rank):
+            val *= ell[i] / float(rho2[i])
+    return np.log(val)
 
 
 def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
     root = descriptor.root
     lam = _root_rows(root, parts2) / 2.0
-    i = np.arange(1, lam.shape[1] + 1)
-    big_n, shift = root.rate_form
-    rate = (lam * lam + (shift - 2.0 * i) * lam).sum(axis=1) / big_n
+    rho2 = np.array(root.rho2[:lam.shape[1]], dtype=float)
+    rate = (lam * lam + rho2 * lam).sum(axis=1) / root.rate_norm
     if root.type is CharType.A:
         size = lam.sum(axis=1)
-        rate = rate - size * size / (big_n * big_n)
+        rate = rate - size * size / (root.rate_norm ** 2)
     return rate
 
 
@@ -203,11 +172,18 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
 # -- certified tails -------------------------------------------------------
 
 
+def _hr_ratio(log_x: float, horizon: int) -> float:
+    """e^{c (sqrt(s + 1) - sqrt(s))} x at s = horizon + 1: the Hardy-Ramanujan
+    term ratio past the horizon, which falls as the horizon grows."""
+    s1 = horizon + 1
+    return math.exp(_HR_C * (math.sqrt(s1 + 1) - math.sqrt(s1)) + log_x)
+
+
 def _hr_closing(log_x: float, horizon: int) -> float:
     """Upper bound on sum_{s > horizon} p(s) x^s via p(s) < e^{c sqrt(s)}."""
     s1 = horizon + 1
     first = math.exp(min(_HR_C * math.sqrt(s1) + s1 * log_x, 700.0))
-    ratio = math.exp(_HR_C * (math.sqrt(s1 + 1) - math.sqrt(s1)) + log_x)
+    ratio = _hr_ratio(log_x, horizon)
     if ratio >= 1.0:
         return math.inf
     return first / (1.0 - ratio)
@@ -237,11 +213,15 @@ def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
     """Upper bound on the sum of x^{|mu|} over partitions mu of length
     <= max_len with |mu| > beyond; requires log_x < 0."""
     if log_x >= 0.0 or -80.0 / log_x > _MAX_HORIZON:
-        # a first horizon H = 80/|log_x| past the doubling cap: there the
-        # Hardy-Ramanujan ratio e^{c/(2 sqrt H)} x is >= 1, so no closing
-        # bound exists and the loop would end at exact + inf
-        return math.inf
+        return math.inf  # the ratio below is >= 1 at H = 80/|log_x|
     horizon = max(400, 4 * max(beyond, 0), int(-80.0 / log_x))
+    last = horizon
+    while last < _MAX_HORIZON:
+        last *= 2
+    if _hr_ratio(log_x, last) >= 1.0:
+        # no closing bound at the last horizon the doublings reach, so none
+        # before it: the loop would count up to it and end at exact + inf
+        return math.inf
     first = max(beyond, -1) + 1
     while True:
         sizes = np.arange(first, horizon + 1)
@@ -550,33 +530,42 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
 # -- densities -------------------------------------------------------------
 
 
-def _group_alphabet_density(descriptor: SpaceDescriptor,
-                            alphabet: Sequence[complex], t: float,
-                            size_cap: int) -> float:
-    root = descriptor.root
-    if len(alphabet) != root.rank:
-        raise ValueError(
-            f"{descriptor} needs an alphabet of {root.rank} eigenvalues")
+def _heat_sum(descriptor: SpaceDescriptor, t: float, labels: Sequence[Weight],
+              values: Iterable[float]) -> float:
+    """Sum of D^lambda e^{-t B(lambda) / 2} f(lambda) over the labels, with
+    f(lambda), the character or the zonal function at the point, read from
+    ``values`` in label order."""
     total = 0.0
-    for w in enumerate_by_size(indexing_set(descriptor), size_cap):
+    for w, value in zip(labels, values):
         dim = dimension(descriptor, w)
         b = casimir_exponent(descriptor, w)
-        chi = schur(root.type, list(w.parts), alphabet)
-        total += float(dim) * math.exp(-t * float(b) / 2.0) * chi.real
+        total += float(dim) * math.exp(-t * float(b) / 2.0) * value
     return total
 
 
-def _rank_one_quotient_density(descriptor: SpaceDescriptor,
-                               zonal_values: Sequence[float], t: float,
-                               size_cap: int) -> float:
+def _rank_one_labels(descriptor: SpaceDescriptor, size_cap: int) -> list[Weight]:
+    """The labels (k, ..., k), k = 0..size_cap, of a rank-one indexing set:
+    (k) on SU(2), SO(3) and GrR, GrC at q = 1, and (k, k) on GrH(n, 1)."""
     idx = indexing_set(descriptor)
-    total = 0.0
-    for k in range(0, min(size_cap, len(zonal_values) - 1) + 1):
-        w = idx.label((k, k) if descriptor.family is Family.GrH else (k,))
-        dim = dimension(descriptor, w)
-        b = casimir_exponent(descriptor, w)
-        total += float(dim) * math.exp(-t * float(b) / 2.0) * zonal_values[k]
-    return total
+    return [idx.label((k,) * idx.length) for k in range(size_cap + 1)]
+
+
+def _rank_one_character(root: RootDatum, weight: Weight, theta: float) -> float:
+    """Weyl's character of a rank-one group at the class of rotation angle
+    theta, whose eigen-phases are theta v, v = (1, -1) on SU(2)'s two
+    coordinates and (1) on SO(3)'s one: sin(<l, v> theta / 2) /
+    sin(<2 rho, v> theta / 2) with l = 2(lambda + rho), and where the
+    denominator vanishes, at <rho, v> theta = m pi, its limit D (-1)^(m (D-1)),
+    D = <l, v> / <2 rho, v>."""
+    v = (1, -1)[:root.rank]
+    parts2 = weight.parts2 + (0,) * (root.rank - weight.length)
+    a2 = sum((p + r) * s for p, r, s in zip(parts2, root.rho2, v))
+    b2 = sum(r * s for r, s in zip(root.rho2, v))
+    den = math.sin(b2 * theta / 2.0)
+    if abs(den) < 1e-12:
+        dim, m = a2 // b2, round(b2 * theta / (2.0 * math.pi))
+        return float(dim * (-1) ** (m * (dim - 1)))
+    return math.sin(a2 * theta / 2.0) / den
 
 
 def _angle(point_spec: dict) -> float:
@@ -586,16 +575,12 @@ def _angle(point_spec: dict) -> float:
     return theta
 
 
-def _sine_ratio(theta: float, k: int) -> float:
-    if abs(math.sin(theta)) < 1e-12:
-        return float(k + 1)
-    return math.sin((k + 1) * theta) / math.sin(theta)
-
-
 def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
             size_cap: int = 40) -> float:
-    """Heat-kernel density for group families (eigenvalue alphabets) and the
-    rank-one special cases (angle or caller-supplied zonal values).
+    """Heat-kernel density for group families (eigenvalue alphabets, summed
+    over the group's own integer labels) and the rank-one special cases
+    (a rotation angle on the circle, SU(2) and SO(3), or caller-supplied
+    zonal values on a rank-one quotient).
 
     A non-finite point or a negative ``size_cap`` raises ValueError; a
     ``size_cap`` of MAX_LABELS or more raises TooLarge in every form."""
@@ -621,17 +606,24 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
         alphabet = [complex(z) for z in point_spec["alphabet"]]
         if not all(cmath.isfinite(z) for z in alphabet):
             raise ValueError("alphabet eigenvalues must be finite")
-        return _group_alphabet_density(descriptor, alphabet, t, size_cap)
+        root = descriptor.root
+        if len(alphabet) != root.rank:
+            raise ValueError(
+                f"{descriptor} needs an alphabet of {root.rank} eigenvalues")
+        # a half label is a representation of Spin(n), not of SO(n)
+        labels = [w for w in enumerate_by_size(indexing_set(descriptor),
+                                               size_cap) if w.is_integer]
+        return _heat_sum(descriptor, t, labels, (
+            schur(root.type, list(w.parts), alphabet).real for w in labels))
 
     if "theta" in point_spec:
         theta = _angle(point_spec)
-        if descriptor.family is Family.SU and descriptor.n == 2:
-            return sum(math.exp(-k * (k + 2) * t / 8.0) * (k + 1)
-                       * _sine_ratio(theta, k) for k in range(size_cap + 1))
-        if descriptor.family is Family.SO and descriptor.n == 3:
-            return sum(math.exp(-k * (k + 1) * t / 3.0) * (2 * k + 1)
-                       * _sine_ratio(theta, k) for k in range(size_cap + 1))
-        raise UnsupportedSpace(f"no angle-form density for {descriptor}")
+        if not descriptor.is_group or indexing_set(descriptor).length != 1:
+            # rank one: SU(2) and SO(3)
+            raise UnsupportedSpace(f"no angle-form density for {descriptor}")
+        labels = _rank_one_labels(descriptor, size_cap)
+        return _heat_sum(descriptor, t, labels, (
+            _rank_one_character(descriptor.root, w, theta) for w in labels))
 
     if "zonal_values" in point_spec:
         if descriptor.is_group or descriptor.q != 1:
@@ -641,7 +633,8 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
         values = [float(v) for v in point_spec["zonal_values"]]
         if not all(math.isfinite(v) for v in values):
             raise ValueError("zonal values must be finite")
-        return _rank_one_quotient_density(descriptor, values, t, size_cap)
+        labels = _rank_one_labels(descriptor, min(size_cap, len(values) - 1))
+        return _heat_sum(descriptor, t, labels, values)
 
     raise UnsupportedSpace(
         "point_spec needs 'alphabet', 'theta' or 'zonal_values'")

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import TooLarge
 
-# Largest label table built at once: a table of size cap c and length L
-# counts as the partitions of size <= c with at most L parts.  Every cap up
-# to 40 passes at any length (215,308 partitions).
+# Largest label table built at once: the partitions of size <= c with at
+# most L parts, for size cap c and length L, at most MAX_LABELS of them and
+# MAX_LABEL_ENTRIES parts in all.  Every cap up to 40 passes at every length
+# up to 139 (215,308 partitions).
 MAX_LABELS = 300_000
+MAX_LABEL_ENTRIES = 100 * MAX_LABELS
 
 
 class WeightKind(enum.Enum):
@@ -176,18 +178,22 @@ def partition_counts(max_size: int, max_len: int) -> list[int]:
 @lru_cache(maxsize=64)
 def within_label_limit(max_size: int, length: int) -> bool:
     """Whether at most MAX_LABELS partitions have size <= max_size and at
-    most ``length`` parts.  Sizes are counted upward and the count stops
-    once it passes the limit, so the work does not grow with max_size."""
-    if max_size >= MAX_LABELS:
+    most ``length`` parts, and their rows at most MAX_LABEL_ENTRIES parts.
+    Sizes are counted upward until the count passes the limit, and parts
+    <= min(length, max_size) (the same count, by conjugation), so the work
+    grows with neither argument."""
+    limit = min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
+    if max_size >= limit:
         return False  # every size has at least one partition
-    rows = [[1] for _ in range(length + 1)]  # rows[j][s]: of s into parts <= j
+    width = min(length, max_size)
+    rows = [[1] for _ in range(width + 1)]  # rows[j][s]: of s into parts <= j
     total = 1
     for s in range(1, max_size + 1):
         rows[0].append(0)
-        for j in range(1, length + 1):
+        for j in range(1, width + 1):
             rows[j].append(rows[j - 1][s] + (rows[j][s - j] if s >= j else 0))
-        total += rows[length][s]
-        if total > MAX_LABELS:
+        total += rows[width][s]
+        if total > limit:
             return False
     return True
 
@@ -234,7 +240,8 @@ def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarra
     cap = int(max_size)  # integer component sizes
     if not within_label_limit(cap, length):
         raise TooLarge(f"size cap {cap} gives more than {MAX_LABELS} labels "
-                       f"of length {length}")
+                       f"of length {length}, or more than "
+                       f"{MAX_LABEL_ENTRIES} parts")
     if kind is WeightKind.Y:
         blocks = [2 * _partition_rows(cap, length)]
     elif kind is WeightKind.halfY:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateAlphabet, InvalidRank, WeightKindMismatch
 from .partitions import Weight
-from .spaces import CharType, SpaceDescriptor, indexing_set
+from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 _DEGENERACY_FLOOR = 1e-10
 
@@ -33,28 +33,26 @@ def _scaled(parts: Sequence[Fraction], length: int) -> tuple[list[int], int]:
     return lam + [0] * (length - len(lam)), d
 
 
-def _weyl_product(parts: Sequence[Fraction], rank: int, char_type: CharType) -> Fraction:
-    """Weyl's dimension product over the padded label: the type A factors
-    prod_{i<j} (l_i - l_j + j - i)/(j - i), and on types B, C, D the factors
-    pairing l_i + l_j with the rho-shift."""
+def _weyl_product(parts: Sequence[Fraction], root: RootDatum) -> Fraction:
+    """Weyl's dimension product over the padded label: the factors
+    <l + rho, alpha> / <rho, alpha> over the positive roots alpha, e_i - e_j
+    and, on types B, C, D, e_i + e_j (i < j) and the pair i = j, e_i on B
+    and 2 e_i on C.  rho_i - rho_j and rho_i + rho_j are integers."""
+    rank = root.rank
     lam, d = _scaled(parts, rank)
+    rho2 = root.rho2
     num = den = 1
     for i in range(rank):
         for j in range(i + 1, rank):
-            num *= lam[i] - lam[j] + d * (j - i)
-            den *= d * (j - i)
-    if char_type is CharType.A:
+            shift = (rho2[i] - rho2[j]) // 2
+            num *= lam[i] - lam[j] + d * shift
+            den *= d * shift
+    if root.type is CharType.A:
         return Fraction(num, den)
-    if char_type is CharType.B:
-        offset, strict = 2 * rank + 1, False
-    elif char_type is CharType.C:
-        offset, strict = 2 * rank + 2, False
-    else:
-        offset, strict = 2 * rank, True
+    diagonal = root.type in (CharType.B, CharType.C)
     for i in range(rank):
-        j0 = i + 1 if strict else i
-        for j in range(j0, rank):
-            shift = offset - (i + 1) - (j + 1)
+        for j in range(i if diagonal else i + 1, rank):
+            shift = (rho2[i] + rho2[j]) // 2
             num *= lam[i] + lam[j] + d * shift
             den *= d * shift
     return Fraction(num, den)
@@ -76,19 +74,18 @@ def _root_label(descriptor: SpaceDescriptor, weight: Weight) -> list[Fraction]:
 
 def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """Exact dimension of the representation labelled by the weight."""
-    root = descriptor.root
-    return _weyl_product(_root_label(descriptor, weight), root.rank, root.type)
+    return _weyl_product(_root_label(descriptor, weight), descriptor.root)
 
 
 def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """B_n(lambda): the heat-semigroup decay rate of the lambda-block."""
     parts = _root_label(descriptor, weight)
     lam, d = _scaled(parts, len(parts))
-    big_n, shift = descriptor.root.rate_form
-    # with l = lam / d, sum_i (l_i^2 + (c - 2i) l_i) is total / d^2
-    total = sum(v * v + d * (shift - 2 * i) * v
-                for i, v in enumerate(lam, start=1))
-    if descriptor.root.type is CharType.A:
+    root = descriptor.root
+    big_n = root.rate_norm
+    # with l = lam / d, <l, l + 2 rho> is total / d^2
+    total = sum(v * v + d * r2 * v for v, r2 in zip(lam, root.rho2))
+    if root.type is CharType.A:
         size = sum(lam)
         return Fraction(total * big_n - size * size, d * d * big_n * big_n)
     return Fraction(total, d * d * big_n)
@@ -119,9 +116,16 @@ def _det(mat: np.ndarray) -> complex:
     return complex(np.linalg.det(mat))
 
 
+# the determinant entry at exponent a of each root type
+_ENTRY = {CharType.A: "plain", CharType.B: "diff", CharType.C: "diff",
+          CharType.D: "sum"}
+
+
 def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
           alphabet: Sequence[complex]) -> complex:
-    """Character value at the alphabet via the determinant-ratio formula.
+    """Character value at the alphabet via Weyl's determinant ratio
+    det(f(z_i, l_j + rho_j)) / det(f(z_i, rho_j)), with the root type's
+    entry f(z, a) = z^a, z^a - z^-a (B, C) or z^a + z^-a (D).
 
     Type D returns the sum over both signs of the last part when it is non-zero
     and the plain value when it is zero.
@@ -138,37 +142,19 @@ def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
         raise ValueError(f"label longer than alphabet: {parts} vs n={n}")
     parts = parts + [Fraction(0)] * (n - len(parts))
     thetas = [cmath.phase(z) for z in values]
-
-    if char_type is CharType.A:
-        num_exp = [parts[j] + (n - 1 - j) for j in range(n)]
-        den_exp = [Fraction(n - 1 - j) for j in range(n)]
-        den = _det(_power_matrix(thetas, den_exp, "plain"))
-        if abs(den) < _DEGENERACY_FLOOR:
-            raise DegenerateAlphabet(f"Vandermonde {abs(den):.3e} below floor")
-        return _det(_power_matrix(thetas, num_exp, "plain")) / den
-    if char_type is CharType.B:
-        num_exp = [parts[j] + (n - 1 - j) + Fraction(1, 2) for j in range(n)]
-        den_exp = [Fraction(2 * (n - 1 - j) + 1, 2) for j in range(n)]
-        den = _det(_power_matrix(thetas, den_exp, "diff"))
-        if abs(den) < _DEGENERACY_FLOOR:
-            raise DegenerateAlphabet(f"denominator {abs(den):.3e} below floor")
-        return _det(_power_matrix(thetas, num_exp, "diff")) / den
-    if char_type is CharType.C:
-        num_exp = [parts[j] + (n - j) for j in range(n)]
-        den_exp = [Fraction(n - j) for j in range(n)]
-        den = _det(_power_matrix(thetas, den_exp, "diff"))
-        if abs(den) < _DEGENERACY_FLOOR:
-            raise DegenerateAlphabet(f"denominator {abs(den):.3e} below floor")
-        return _det(_power_matrix(thetas, num_exp, "diff")) / den
-    # type D
-    num_exp = [parts[j] + (n - 1 - j) for j in range(n)]
-    den_exp = [Fraction(n - 1 - j) for j in range(n)]
-    den = _det(_power_matrix(thetas, den_exp, "sum"))
+    entry = _ENTRY[char_type]
+    rho2 = RootDatum(char_type, n).rho2
+    if entry == "plain":
+        # a common shift of the exponents cancels: take rho ending at 0
+        rho2 = tuple(v - rho2[-1] for v in rho2)
+    rho = [Fraction(v, 2) for v in rho2]
+    den = _det(_power_matrix(thetas, rho, entry))
     if abs(den) < _DEGENERACY_FLOOR:
         raise DegenerateAlphabet(f"denominator {abs(den):.3e} below floor")
-    total = _det(_power_matrix(thetas, num_exp, "sum"))
-    if parts[-1] != 0:
-        # the denominator's zero-exponent row carries a factor 2 that the
+    total = _det(_power_matrix(thetas, [p + v for p, v in zip(parts, rho)],
+                               entry))
+    if char_type is CharType.D and parts[-1] != 0:
+        # the denominator's zero-exponent column carries a factor 2 that the
         # numerator lacks once the last exponent is non-zero
         total *= 2.0
     return total / den

@@ -53,12 +53,21 @@ class RootDatum(NamedTuple):
     symmetric: bool = False
 
     @property
-    def rate_form(self) -> tuple[int, int]:
-        """(N, c): the Casimir rate of a label is sum_i (l_i^2 + (c - 2i) l_i)
-        / N, less |l|^2 / N^2 on type A."""
+    def rho2(self) -> tuple[int, ...]:
+        """2 rho, the doubled Weyl vector in label coordinates: 2 rho_i =
+        c - 2i for i = 1..rank, with c = rank + 1 on type A (where rho sums
+        to 0), 2 rank + 1 on B, 2 rank + 2 on C and 2 rank on D."""
         r = self.rank
-        return {CharType.A: (r, r + 1), CharType.B: (2 * r + 1, 2 * r + 1),
-                CharType.C: (2 * r, 2 * r + 2), CharType.D: (2 * r, 2 * r)}[self.type]
+        c = {CharType.A: r + 1, CharType.B: 2 * r + 1, CharType.C: 2 * r + 2,
+             CharType.D: 2 * r}[self.type]
+        return tuple(range(c - 2, c - 2 * r - 1, -2))
+
+    @property
+    def rate_norm(self) -> int:
+        """N, the side of the defining matrices: the Casimir rate of a label
+        l is <l, l + 2 rho> / N, less |l|^2 / N^2 on type A."""
+        r = self.rank
+        return {CharType.A: r, CharType.B: 2 * r + 1}.get(self.type, 2 * r)
 
 
 class Observable(NamedTuple):

@@ -376,6 +376,25 @@ def test_path_counts_and_loop_caps_above_their_limits_exit_with_code_two(
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("profile", "--family", "SO", "--n", "10", "--points", "1000000000"),
+     "--points 1000000000 exceeds the limit 300000"),
+    (("tv-bound", "--family", "SO", "--n", "100000", "--eps", "0.5"),
+     "size cap 40 gives more than 300000 labels of length 50000, or more "
+     "than 30000000 parts"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else "")
+def test_tables_too_wide_or_grids_too_long_exit_with_code_two(capsys, argv,
+                                                               message):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert elapsed < 1.0  # refused before any array is allocated
+
+
 def test_simulate_values_do_not_depend_on_the_chunking(capsys):
     from cutofflab import cutoff, sampler, spaces
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from cutofflab.heatseries import (
     tv_upper_bound,
 )
 from cutofflab.partitions import MAX_LABELS, Weight, WeightKind
-from cutofflab.repchar import casimir_exponent, dimension
+from cutofflab.repchar import casimir_exponent, dimension, schur
 from cutofflab.spaces import describe, indexing_set, minimal_weight
 from label_oracle import oracle_labels
 
@@ -348,8 +349,58 @@ def test_su2_alphabet_and_angle_routes_agree():
 
 def test_so3_angle_density_long_time_limit():
     d = describe("SO", 3)
-    assert abs(density(d, {"theta": 0.3}, 50.0, 40) - 1.0) < 1e-9
+    assert abs(density(d, {"theta": 0.3}, 100.0, 40) - 1.0) < 1e-9
     assert density(d, {"theta": 0.0}, 0.5, 80) > 10.0
+
+
+def test_so3_angle_form_equals_the_alphabet_form():
+    d = describe("SO", 3)
+    for theta, t in [(0.7, 1.3), (2.1, 0.8), (0.05, 2.5), (3.0, 0.2),
+                     (-1.4, 0.6), (5.9, 0.05)]:
+        a = density(d, {"alphabet": [cmath.exp(1j * theta)]}, t, 60)
+        b = density(d, {"theta": theta}, t, 60)
+        assert abs(a - b) < 1e-12, (theta, t)
+    assert density(d, {"theta": 2.1}, 0.8) > 0.0  # was -0.519
+
+
+def _weyl_mass(space: str, t: float, form: str) -> float:
+    """Haar mass of the density by Weyl's integration formula, on an even
+    periodic grid, where the trapezoid rule is exact for trigonometric
+    polynomials of degree below the point count: weight (2/pi) sin^2 on
+    SU(2) and (1 - cos)/pi on SO(3), over [0, pi].  The angle form's grid
+    holds 0 and pi; the alphabet form's, where the denominator vanishes
+    there, is shifted by half a step."""
+    d = describe(space, 2 if space == "SU" else 3)
+    shift = 0.5 if form == "alphabet" else 0.0
+    thetas = (np.arange(512) + shift) * (2.0 * math.pi / 512)
+    if form == "theta":
+        vals = np.array([density(d, {"theta": th}, t) for th in thetas])
+    else:
+        vals = np.array([density(d, {"alphabet": [cmath.exp(1j * th)]}, t)
+                         for th in thetas])
+    weight = 2.0 * np.sin(thetas) ** 2 if space == "SU" else 1.0 - np.cos(thetas)
+    return float(np.mean(vals * weight))
+
+
+@pytest.mark.parametrize("space,form", [("SU", "theta"), ("SO", "theta"),
+                                        ("SO", "alphabet")])
+@pytest.mark.parametrize("t", [0.2, 0.7, 2.5])
+def test_rank_one_densities_have_unit_haar_mass(space, form, t):
+    assert abs(_weyl_mass(space, t, form) - 1.0) < 1e-9
+
+
+def test_su2_angle_density_is_continuous_at_pi():
+    d = describe("SU", 2)
+    for t in (0.1, 0.3, 1.0):
+        at_pi = density(d, {"theta": math.pi}, t)
+        for theta in (math.pi - 1e-6, math.pi + 1e-6, -math.pi + 1e-6,
+                      3.0 * math.pi - 1e-6):
+            assert abs(density(d, {"theta": theta}, t) - at_pi) < 1e-6, t
+    # -I lies in the class theta = pi: chi_k(-I) = (-1)^k (k + 1)
+    terms = [(-1) ** k * (k + 1) ** 2 * math.exp(-k * (k + 2) * 0.3 / 8.0)
+             for k in range(41)]
+    scale = sum(abs(v) for v in terms)  # the sum cancels to about 3e-15
+    assert abs(density(d, {"theta": math.pi}, 0.3) - sum(terms)) < 1e-15 * scale
 
 
 def test_group_density_near_cutoff_is_positive():
@@ -357,6 +408,20 @@ def test_group_density_near_cutoff_is_positive():
     z = [cmath.exp(1j * t) for t in (0.4, 1.2, 2.2)]
     val = density(d, {"alphabet": z}, 2.0 * t_zero(d), 20)
     assert val > 0.0
+
+
+def test_so_alphabet_density_sums_integer_labels_only():
+    # the half labels index representations of Spin(n), not of SO(n)
+    d = describe("SO", 5)
+    z = [cmath.exp(1j * a) for a in (0.4, 1.9)]
+    want = 0.0
+    for w in oracle_labels(indexing_set(d), 12):
+        if w.is_integer:
+            b = float(casimir_exponent(d, w))
+            want += (float(dimension(d, w)) * math.exp(-0.6 * b / 2.0)
+                     * schur("B", list(w.parts), z).real)
+    assert density(d, {"alphabet": z}, 0.6, 12) == pytest.approx(want,
+                                                                rel=1e-12)
 
 
 def test_rank_one_zonal_density_matches_series_at_half_time():
@@ -451,3 +516,22 @@ def test_log_counts_grow_one_array_per_length(monkeypatch):
         assert logs.tolist() == want
         assert not logs.flags.writeable
     assert builds == [(120, 7), (480, 7)]
+
+
+@pytest.mark.parametrize("family", ["SO", "USp"])
+def test_a_tail_with_no_closing_bound_is_infinite_before_any_count(
+        monkeypatch, family):
+    # at 1.0005 t0 the Hardy-Ramanujan ratio stays >= 1 up to the last
+    # horizon, so no partition may be counted on the way to +inf
+    from cutofflab import heatseries
+
+    def counting(max_size, max_len):
+        raise AssertionError(f"counted partitions up to {max_size}")
+
+    monkeypatch.setattr(heatseries, "partition_counts", counting)
+    monkeypatch.setattr(heatseries, "_LOG_COUNTS", {})
+    d = describe(family, 29)
+    t0 = t_zero(d)
+    start = time.perf_counter()
+    assert heatseries._tail_bound(d, 1.0005 * t0, 40, t0) == math.inf
+    assert time.perf_counter() - start < 0.1

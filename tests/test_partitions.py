@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cutofflab.errors import TooLarge
 from cutofflab.partitions import (
+    MAX_LABEL_ENTRIES,
     MAX_LABELS,
     IndexingSetKind,
     Weight,
@@ -255,6 +257,22 @@ def test_label_limit_counts_bounded_partitions(length):
 def test_every_cap_up_to_forty_is_within_the_label_limit():
     assert sum(partition_counts(40, 40)) == 215_308
     assert all(within_label_limit(40, length) for length in range(1, 61))
+
+
+def test_label_limit_bounds_labels_times_length():
+    # cap 40: 215,308 labels, so 139 parts fit in MAX_LABEL_ENTRIES, 140 not
+    assert MAX_LABEL_ENTRIES == 30_000_000
+    assert within_label_limit(40, 139) and not within_label_limit(40, 140)
+    # SO(100) and USp(100) at cap 40, and the widest rows of the benchmark
+    for length in (50, 81, 98, 100):
+        assert within_label_limit(40, length)
+    start = time.perf_counter()
+    for length in (50_000, 10 ** 9):
+        assert not within_label_limit(40, length)
+    assert not within_label_limit(0, MAX_LABEL_ENTRIES + 1)
+    assert time.perf_counter() - start < 0.1  # counts parts <= 40 only
+    with pytest.raises(TooLarge, match="or more than 30000000 parts"):
+        label_rows(IndexingSetKind(WeightKind.halfY, 50_000), 40)
 
 
 @pytest.mark.parametrize("kind", list(WeightKind))

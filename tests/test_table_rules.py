@@ -72,7 +72,7 @@ def test_chirality_counts_both_pieces_of_a_full_length_type_d_label():
 
 TABLE_DRIVEN = {
     "heatseries.py": ("_tail_bound", "_su_steps", "series_terms",
-                      "_term_table"),
+                      "_term_table", "density"),
     "spaces.py": ("minimal_weight",),
     "cutoff.py": ("_group_square_terms",),
 }
