@@ -553,19 +553,23 @@ def _rank_one_labels(descriptor: SpaceDescriptor, size_cap: int) -> list[Weight]
 def _rank_one_character(root: RootDatum, weight: Weight, theta: float) -> float:
     """Weyl's character of a rank-one group at the class of rotation angle
     theta, whose eigen-phases are theta v, v = (1, -1) on SU(2)'s two
-    coordinates and (1) on SO(3)'s one: sin(<l, v> theta / 2) /
-    sin(<2 rho, v> theta / 2) with l = 2(lambda + rho), and where the
-    denominator vanishes, at <rho, v> theta = m pi, its limit D (-1)^(m (D-1)),
-    D = <l, v> / <2 rho, v>."""
+    coordinates and (1) on SO(3)'s one: sin(D psi) / sin(psi) with
+    psi = <2 rho, v> theta / 2 and D = <2(lambda + rho), v> / <2 rho, v>.
+    With psi = m pi + delta, |delta| <= pi/2, this is
+    (-1)^(m (D-1)) sin(D delta) / sin(delta), whose limit at delta = 0 is
+    D (-1)^(m (D-1)); the reduction keeps the digits near the poles."""
     v = (1, -1)[:root.rank]
     parts2 = weight.parts2 + (0,) * (root.rank - weight.length)
     a2 = sum((p + r) * s for p, r, s in zip(parts2, root.rho2, v))
     b2 = sum(r * s for r, s in zip(root.rho2, v))
-    den = math.sin(b2 * theta / 2.0)
-    if abs(den) < 1e-12:
-        dim, m = a2 // b2, round(b2 * theta / (2.0 * math.pi))
-        return float(dim * (-1) ** (m * (dim - 1)))
-    return math.sin(a2 * theta / 2.0) / den
+    dim = a2 // b2
+    psi = b2 * theta / 2.0
+    m = round(psi / math.pi)
+    delta = psi - m * math.pi
+    sign = (-1) ** (m * (dim - 1))
+    if delta == 0.0:
+        return float(dim * sign)
+    return sign * math.sin(dim * delta) / math.sin(delta)
 
 
 def _angle(point_spec: dict) -> float:

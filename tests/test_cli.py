@@ -118,6 +118,25 @@ def test_eigentable_verb_verifies_a_table(capsys):
     assert payload["verified"] is True
 
 
+def test_eigentable_verb_answers_at_large_rank(capsys):
+    code, out = _run(capsys, "eigentable", "--family", "SO", "--n", "100",
+                     "--k", "4")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "SO", "--n", "1001", "--k", "4"),  # 1001^4 > 10^12
+    ("--family", "SU", "--n", "708", "--k", "2", "--l", "2"),  # 2n^2 - 2 > 10^6
+])
+def test_eigentable_verb_refuses_past_the_float_bounds(capsys, argv):
+    code = cli.main(["eigentable", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_eigentable_failure_reports_claimed_and_computed(capsys, monkeypatch):
     real = moments.verify_eigentable
 

@@ -403,6 +403,19 @@ def test_su2_angle_density_is_continuous_at_pi():
     assert abs(density(d, {"theta": math.pi}, 0.3) - sum(terms)) < 1e-15 * scale
 
 
+@pytest.mark.parametrize("space,pole,t", [
+    ("SU", math.pi, 0.1), ("SU", math.pi, 1.0), ("SO", 2.0 * math.pi, 0.1),
+    ("SO", 2.0 * math.pi, 1.0)])
+def test_rank_one_densities_keep_their_digits_near_a_pole(space, pole, t):
+    d = describe(space, 2 if space == "SU" else 3)
+    at_pole = density(d, {"theta": pole}, t)
+    offsets = (1e-6, 1e-8) if space == "SU" else (1e-8,)
+    for offset in offsets:
+        for theta in (pole - offset, pole + offset):
+            value = density(d, {"theta": theta}, t)
+            assert abs(value - at_pole) <= 1e-6 * abs(at_pole), (theta, t)
+
+
 def test_group_density_near_cutoff_is_positive():
     d = describe("USp", 3)
     z = [cmath.exp(1j * t) for t in (0.4, 1.2, 2.2)]

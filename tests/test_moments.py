@@ -24,6 +24,7 @@ from cutofflab.errors import (
     UnsupportedSpace,
 )
 from cutofflab.partitions import WeightKind
+from tensor_oracle import dense_eigentable, expectation_entries
 
 
 @pytest.mark.parametrize("algebra,n", [("so", 4), ("so", 7), ("su", 2),
@@ -74,6 +75,38 @@ def test_single_entry_moment_decays_at_the_drift_rate(algebra, t):
         assert abs(got - want) < 1e-12
     assert abs(mo.moment(algebra, n, [(d - 1, d - 1)], t)
                - np.exp(rate * t)) < 1e-12
+
+
+@pytest.mark.parametrize("algebra,n", [
+    *(("so", n) for n in range(4, 7)), *(("su", n) for n in range(3, 7)),
+    *(("usp", n) for n in range(3, 7))])
+def test_tensor_generator_matches_closed_forms(algebra, n):
+    fitting = []
+    for name in mo.closed_form_names(algebra):
+        try:
+            fitting.append((name, mo.pattern_monomials(algebra, n, name)))
+        except InvalidRank:
+            continue
+    for t in (0.1, 1.0, 3.0):
+        # one batch of entries per (plain, conjugated) slot count
+        batches: dict[tuple[int, int], list] = {}
+        slots: dict[tuple[int, int], list] = {}
+        for name, mons in fitting:
+            for coeff, entries in mons:
+                plain, conj = mo._split_pattern(entries)
+                key = (len(plain), len(conj))
+                rows = [i for i, _ in plain] + [i for i, _ in conj]
+                cols = [j for _, j in plain] + [j for _, j in conj]
+                slots.setdefault(key, []).append((name, coeff))
+                batches.setdefault(key, []).append((rows, cols))
+        totals = {name: 0.0 for name, _ in fitting}
+        for key, pairs in batches.items():
+            values = expectation_entries(algebra, n, *key, pairs, t)
+            for (name, coeff), value in zip(slots[key], values):
+                totals[name] += coeff * value
+        for name, _ in fitting:
+            closed = mo.closed_form_value(algebra, n, name, t)
+            assert abs(totals[name] - closed) <= 1e-9, (name, t)
 
 
 @pytest.mark.parametrize("algebra,ns", [
@@ -141,7 +174,7 @@ def test_batched_entries_agree_with_single_extraction():
     n, t = 4, 0.5
     pairs = [((0, 0, 1, 1), (0, 0, 1, 1)), ((0, 1, 1, 0), (1, 0, 0, 1)),
              ((0, 0, 0, 0), (0, 0, 0, 0))]
-    batch = mo.expectation_entries("so", n, 4, 0, pairs, t, chunk=2)
+    batch = expectation_entries("so", n, 4, 0, pairs, t, chunk=2)
     for (row, col), got in zip(pairs, batch):
         pattern = [(r, c) for r, c in zip(row, col)]
         assert abs(got - mo.moment("so", n, pattern, t)) < 1e-11
@@ -162,6 +195,20 @@ def test_eigen_tables_verify(algebra, n, spec):
     payload = report.to_json_dict()
     assert payload["verified"] is True
     assert all("max_residual" in e for e in payload["entries"])
+
+
+@pytest.mark.parametrize("algebra,n,spec", [
+    ("so", 4, 2), ("so", 5, 2), ("so", 4, 4), ("so", 5, 4), ("so", 6, 4),
+    ("su", 4, (1, 1)), ("su", 5, (1, 1)), ("su", 4, (2, 2)), ("su", 5, (2, 2)),
+    ("usp", 4, 2), ("usp", 5, 2), ("usp", 3, 4)])
+def test_eigen_tables_match_the_dense_spectrum(algebra, n, spec):
+    k, l = spec if isinstance(spec, tuple) else (spec, 0)
+    table, size = dense_eigentable(algebra, n, k, l)
+    report = mo.verify_eigentable(algebra, n, spec)
+    assert [(e.eigenvalue, e.computed_mult) for e in report.entries] == [
+        (value, count) for value, count, _ in table]
+    assert all(residual <= 1e-8 for _, _, residual in table)
+    assert sum(count for _, count, _ in table) == size
 
 
 def test_eigen_table_multiplicities_merge_at_coinciding_values():
@@ -310,7 +357,7 @@ def test_engine_matches_the_tensor_generator(algebra, n, k, l):
         rows = [col] + [[rng.randrange(d) for _ in col] for _ in range(3)]
         pairs += [(row, col) for row in rows]
     for t in (0.4, 2.5):
-        want = mo.expectation_entries(algebra, n, k, l, pairs, t)
+        want = expectation_entries(algebra, n, k, l, pairs, t)
         for (row, col), value in zip(pairs, want):
             pattern = ([(r, c) for r, c in zip(row[:k], col[:k])]
                        + [(r, c, True) for r, c in zip(row[k:], col[k:])])
@@ -397,12 +444,14 @@ import contextlib
 import io
 import sys
 import cutofflab
-from cutofflab import cli
+from cutofflab import cli, verification
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["tv-bound", "--family", "SO", "--n", "10",
                      "--eps", "0.2"]) == 0
     assert cli.main(["moment", "--family", "USp", "--n", "3",
                      "--pattern", "1.1,2.2", "--t", "0.5"]) == 0
+    assert cli.main(["eigentable", "--family", "USp", "--n", "40",
+                     "--k", "4"]) == 0
 cutofflab.moment("usp", 3, [(0, 0), (1, 1), (2, 3), (3, 2)], 0.5)
 cutofflab.moment("su", 4, [(0, 1), (0, 1, True)], 0.5)
 d = cutofflab.describe("SO", 10)
@@ -410,6 +459,8 @@ cutofflab.tv_upper_bound(d, 1.2 * cutofflab.t_zero(d))
 cutofflab.profile(d, [0.5, 2.0])
 cutofflab.estimate(cutofflab.describe("GrC", 4, 1), "omega", 0.1,
                    cutofflab.SimulationConfig(paths=4, seed=1))
+assert verification.run_check("moment-generator-vs-closed-forms").passed
+assert verification.run_check("eigen-tables").passed
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(",".join(loaded))
 """
