@@ -90,8 +90,9 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
 @dataclass(frozen=True)
 class _TermTable:
     kind: WeightKind
-    parts2: np.ndarray    # doubled parts, one row per non-trivial label
-    size2: np.ndarray     # 2|lambda|
+    parts2: np.ndarray    # doubled parts, one row per non-trivial label, in
+                          # the narrowest signed type holding 2 * size_cap
+    size2: np.ndarray     # 2|lambda|, in the same type
     is_half: np.ndarray   # bool mask
     log_dim: np.ndarray   # log D^lambda
     b: np.ndarray         # B_n(lambda)
@@ -101,64 +102,132 @@ class _TermTable:
         return Weight(tuple(self.parts2[row].tolist()), self.kind)
 
 
-def _label_columns(parts2: np.ndarray, width: int) -> np.ndarray:
-    """Doubled label parts as floats, zero-padded to ``width`` parts, with
-    one contiguous row per part index and one column per label."""
-    cols = np.zeros((width, parts2.shape[0]))
-    cols[:parts2.shape[1]] = parts2.T
-    return cols
-
-
-def _root_rows(root: RootDatum, parts2: np.ndarray) -> np.ndarray:
-    """Doubled label parts in the root datum's coordinates: a symmetric
-    (GrC) label l becomes (l, 0, ..., 0, -l reversed)."""
-    if not root.symmetric:
-        return parts2
-    zeros = np.zeros((len(parts2), root.rank - 2 * parts2.shape[1]), np.int64)
-    return np.concatenate([parts2, zeros, -parts2[:, ::-1]], axis=1)
+# float64 entries in one transient block of pair factors: 512 KiB, so a
+# block stays in a core's L2 cache (2^15 to 2^16 measured fastest)
+_BLOCK = 1 << 16
 
 
 def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
-    """log D^lambda over l = 2(lambda + rho), one row per coordinate: type A
-    multiplies (l_i - l_j) / (2rho_i - 2rho_j); types B, C, D take e_i -+ e_j
-    as (l_i^2 - l_j^2) / (4rho_i^2 - 4rho_j^2), then e_i (B) or 2e_i (C) as
-    l_i / 2rho_i.  Rows are squared once and two label-sized arrays kept,
-    for speed and memory only: the factors and their order are the
-    formula's."""
+    """log D^lambda over l = 2(lambda + rho): type A multiplies
+    (l_i - l_j) / (2rho_i - 2rho_j); types B, C, D take e_i -+ e_j as
+    (l_i^2 - l_j^2) / (4rho_i^2 - 4rho_j^2), then e_i (B) or 2e_i (C) as
+    l_i / 2rho_i.
+
+    Bit-identical to multiplying every factor into every label in that
+    order.  Every l_i^(2) is an integer, so a factor whose coordinates are
+    both zero parts of a label is its denominator over itself, exactly 1.0,
+    and is skipped.  With labels taken longest first, the factors of i then
+    reach only the first reach[i] labels, reach[k] being the number of
+    labels with a non-zero part k.  A symmetric root reads its label from
+    both ends, so a pair (i, j) needs reach[min(i, r-1-j)] labels: every i
+    pairs with the last coordinate, non-zero on every label, and only the
+    pairs of two middle coordinates drop out.
+
+    The pairs of one i form one block whose first row is the running
+    product, and ``np.multiply.reduce`` folds it from the left, so each
+    label meets the same factors in the same order.  Labels are reordered
+    only when the rows the prefixes save outnumber the label entries the
+    reorder moves; rows go in chunks that keep a block within _BLOCK
+    entries."""
     root = descriptor.root
-    rho2 = np.array(root.rho2)
-    ell = _label_columns(_root_rows(root, parts2), root.rank)
-    ell += rho2[:, None]
-    if root.type is CharType.A:
-        paired, rho_paired = ell, rho2
+    rank, count = root.rank, len(parts2)
+    # parts are non-increasing, so column k is non-zero on the labels
+    # longer than k
+    reach = [np.count_nonzero(col) for col in parts2.T]
+    width = sum(1 for r in reach if r)
+    if not width:
+        return np.zeros(count)
+    if root.symmetric:
+        pairs = [(i, i + 1 if i < width else max(i + 1, rank - width),
+                  reach[0]) for i in range(rank - 1)]
     else:
-        paired, rho_paired = ell ** 2, rho2 ** 2
-    val = np.ones(ell.shape[1])
-    for i in range(root.rank):
-        for j in range(i + 1, root.rank):
-            val *= (paired[i] - paired[j]) / float(rho_paired[i] - rho_paired[j])
+        pairs = [(i, i + 1, reach[i]) for i in range(min(width, rank - 1))]
+    coords = []  # (i, rows) for the factors l_i / 2rho_i
     if root.type in (CharType.B, CharType.C):
-        for i in range(root.rank):
-            val *= ell[i] / float(rho2[i])
+        coords = [(i, reach[i]) for i in range(width)]
+    flat = count * (sum(rank - j for _, j, _ in pairs) + len(coords))
+    saved = flat - (sum((rank - j) * need for _, j, need in pairs)
+                    + sum(need for _, need in coords))
+    order = None
+    if saved > count * width:
+        # a stable sort of a small unsigned key is a radix sort
+        key = width - np.count_nonzero(parts2[:, :width], axis=1)
+        order = np.argsort(key.astype(np.min_scalar_type(width)), kind="stable")
+    else:
+        pairs = [(i, j, count) for i, j, _ in pairs]
+        coords = [(i, count) for i, _ in coords]
+    rho2 = np.array(root.rho2)
+    squared = root.type is not CharType.A
+    rho_paired = rho2 ** 2 if squared else rho2
+    den = (rho_paired[:, None] - rho_paired[None, :]).astype(float)
+    val = np.ones(count)
+    step = max(1, _BLOCK // rank)
+    ell_buf, paired_buf, block_buf = (np.empty((rank, min(step, count)))
+                                      for _ in range(3))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        chunk = (parts2[start:stop, :width] if order is None
+                 else parts2[order[start:stop], :width]).T
+        # l in root coordinates, one row per coordinate: exact integers
+        ell = ell_buf[:, :stop - start]
+        ell[width:] = rho2[width:, None]
+        np.add(chunk, rho2[:width, None], out=ell[:width])
+        if root.symmetric:
+            ell[rank - width:] -= chunk[::-1]
+        paired = ell
+        if squared:
+            paired = np.square(ell, out=paired_buf[:, :stop - start])
+        for i, j, need in pairs:
+            rows = min(stop, need) - start
+            if rows <= 0:
+                continue
+            block = block_buf[:1 + rank - j, :rows]
+            block[0] = val[start:start + rows]
+            np.subtract(paired[i, :rows], paired[j:, :rows], out=block[1:])
+            block[1:] /= den[i, j:, None]
+            np.multiply.reduce(block, axis=0, out=val[start:start + rows])
+        for i, need in coords:
+            rows = min(stop, need) - start
+            if rows > 0:
+                val[start:start + rows] *= ell[i, :rows] / float(rho2[i])
+    if order is not None:
+        val[order] = val.copy()
     return np.log(val)
 
 
 def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
+    """B(lambda) = <lambda, lambda + 2 rho> / N, less |lambda|^2 / N^2 on
+    type A, summed over the leading columns where some label has a non-zero
+    part (a zero part adds 0); a symmetric root's -l end adds
+    lambda_k (lambda_k - 2 rho_{r-1-k}) at each k.  Every term lies in
+    1/4 Z, and a label's terms add up in absolute value to at most
+    2 (|lambda|^2 + 2 rank |lambda|), below 2^50 while rank |lambda| < 2^46,
+    so each sum is exact in float64 in any order and over any number of
+    zero columns: only the divisions by N and N^2 round."""
     root = descriptor.root
-    lam = _root_rows(root, parts2) / 2.0
-    rho2 = np.array(root.rho2[:lam.shape[1]], dtype=float)
-    rate = (lam * lam + rho2 * lam).sum(axis=1) / root.rate_norm
-    if root.type is CharType.A:
-        size = lam.sum(axis=1)
-        rate = rate - size * size / (root.rate_norm ** 2)
+    width = parts2.shape[1]
+    while width and not parts2[:, width - 1].any():
+        width -= 1
+    lam = parts2[:, :width] * 0.5
+    rho2 = np.array(root.rho2, dtype=float)
+    rate = np.einsum("ij,ij->i", lam, lam + rho2[:width])
+    if root.symmetric:
+        rate += np.einsum("ij,ij->i", lam, lam - rho2[::-1][:width])
+    rate /= root.rate_norm
+    if root.type is CharType.A and not root.symmetric:
+        size = np.einsum("ij->i", lam)
+        rate -= size * size / (root.rate_norm ** 2)
     return rate
 
 
 @lru_cache(maxsize=32)
 def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     idx = indexing_set(descriptor)
-    parts2 = label_rows(idx, size_cap)[1:]  # row 0 is the zero label
-    size2 = parts2.sum(axis=1)
+    # row 0 is the zero label; parts and sizes are at most 2 * size_cap, and
+    # the narrowest signed type holding -(2 * size_cap + 1) holds them
+    narrow = np.min_scalar_type(-(2 * size_cap + 1))
+    parts2 = label_rows(idx, size_cap)[1:].astype(narrow)
+    size2 = parts2.sum(axis=1, dtype=narrow)
     # a label's parts are all integers or all half-integers
     is_half = parts2[:, 0] % 2 == 1
     log_dim = _vector_log_dim(descriptor, parts2)
@@ -442,7 +511,14 @@ def per_term_exceeds(descriptor: SpaceDescriptor, weight: Weight,
     A float pre-filter with a wide safety margin handles clear cases; values
     within the margin fall back to exact integer power comparison.
     """
-    val = per_term_value(descriptor, weight)
+    return _exceeds(descriptor, weight, bound, per_term_value(descriptor, weight))
+
+
+def _exceeds(descriptor: SpaceDescriptor, weight: Weight, bound: Fraction,
+             val: float) -> bool:
+    """per_term_exceeds with ``val``, a float of D^lambda * param^{-B} far
+    closer than 1e-6 relative, as the pre-filter: the exact dimension is
+    computed only within the margin."""
     margin = 1e-6 * float(bound)
     if val < float(bound) - margin:
         return False
@@ -486,10 +562,10 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     const_int, const_half = descriptor.per_term
     certified = (n >= minimum and size_cap >= 40
                  and boundary_max < 0.5 * max_all
-                 and not per_term_exceeds(descriptor, arg_int, const_int))
+                 and not _exceeds(descriptor, arg_int, const_int, max_int))
     if const_half is not None and arg_half is not None:
-        certified = certified and not per_term_exceeds(
-            descriptor, arg_half, const_half)
+        certified = certified and not _exceeds(
+            descriptor, arg_half, const_half, max_half)
     return SweepResult(
         max_value=max_all, argmax=arg_all, certified=certified,
         max_integer=max_int, argmax_integer=arg_int,

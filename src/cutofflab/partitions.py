@@ -157,8 +157,8 @@ class Weight:
 
 def partition_counts(max_size: int, max_len: int) -> list[int]:
     """counts[s] = number of partitions of s with at most ``max_len`` parts."""
-    counts = [0] * (max_size + 1)
-    counts[0] = 1
+    # a partition of s <= max_size has at most max_size parts
+    max_len = min(max_len, max_size)
     # standard bounded-length recurrence via parts of size i used any number of times,
     # length bound enforced by conjugation: at most max_len parts == largest part of
     # the conjugate <= max_len, so restrict part VALUES of the conjugate instead.
@@ -203,16 +203,18 @@ def _partition_rows(max_total: int, length: int) -> np.ndarray:
     one zero-padded int64 row each, in ascending lexicographic order.
 
     Built column by column: a row whose latest part is v and whose remaining
-    budget is r gets one child for each next part 0..min(v, r).
+    budget is r gets one child for each next part 0..min(v, r).  Only the
+    first min(length, max_total) columns can hold a non-zero part.
     """
     if max_total < 0:
         return np.zeros((0, length), dtype=np.int64)
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
+    cols = min(length, max_total)
+    if cols == 0:
+        return np.zeros((1, length), dtype=np.int64)
     values = [np.arange(max_total + 1, dtype=np.int64)]
     parents = []
     budget = max_total - values[0]
-    for _ in range(1, length):
+    for _ in range(1, cols):
         width = np.minimum(values[-1], budget) + 1
         parent = np.repeat(np.arange(len(width)), width)
         first_child = np.cumsum(width) - width
@@ -220,13 +222,14 @@ def _partition_rows(max_total: int, length: int) -> np.ndarray:
         budget = budget[parent] - value
         values.append(value)
         parents.append(parent)
-    rows = np.empty((len(values[-1]), length), dtype=np.int64)
+    # one contiguous row per part index; the rows are its transpose
+    columns = np.zeros((length, len(values[-1])), dtype=np.int64)
     pick = np.arange(len(values[-1]))
-    for col in range(length - 1, -1, -1):
-        rows[:, col] = values[col][pick]
+    for col in range(cols - 1, -1, -1):
+        columns[col] = values[col][pick]
         if col:
             pick = parents[col - 1][pick]
-    return rows
+    return columns.T
 
 
 def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarray:

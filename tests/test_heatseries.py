@@ -18,7 +18,9 @@ from cutofflab.errors import (
     TooLarge,
     UnsupportedSpace,
 )
+from cutofflab import heatseries
 from cutofflab.heatseries import (
+    _exceeds,
     _term_table,
     density,
     dominating_series,
@@ -269,6 +271,33 @@ def test_per_term_float_filter_far_from_bound():
     assert not per_term_exceeds(d, w, Fraction(5, 4))
 
 
+@pytest.mark.parametrize("family,n", [("SO", 11), ("SO", 12), ("USp", 5),
+                                      ("SU", 6)])
+def test_sweep_prefilter_on_the_table_value_decides_like_the_exact_value(
+        family, n, monkeypatch):
+    d = describe(family, n)
+    sweep = per_term_bound_sweep(d, 40)
+    exact_calls = []
+
+    def counted(desc, weight):
+        exact_calls.append(weight)
+        return dimension(desc, weight)
+
+    for w, val in ((sweep.argmax_integer, sweep.max_integer),
+                   (sweep.argmax_half, sweep.max_half)):
+        if w is None:
+            continue
+        for factor in (0.5, 1 - 1e-5, 1 - 1e-9, 1 + 1e-9, 1 + 1e-5, 2.0):
+            bound = Fraction(val * factor)
+            want = per_term_exceeds(d, w, bound)
+            with monkeypatch.context() as m:
+                m.setattr(heatseries, "dimension", counted)
+                exact_calls.clear()
+                assert _exceeds(d, w, bound, val) is want, factor
+            # the exact dimension only inside the 1e-6 margin
+            assert len(exact_calls) == (abs(factor - 1) < 1e-6), factor
+
+
 # -- growth-step quotients -------------------------------------------------
 
 
@@ -393,9 +422,13 @@ def test_su2_angle_density_is_continuous_at_pi():
     d = describe("SU", 2)
     for t in (0.1, 0.3, 1.0):
         at_pi = density(d, {"theta": math.pi}, t)
+        # sum |terms| at pi, where |chi_k| = k + 1: the sum itself cancels
+        scale = sum((k + 1) ** 2 * math.exp(-k * (k + 2) * t / 8.0)
+                    for k in range(41))
         for theta in (math.pi - 1e-6, math.pi + 1e-6, -math.pi + 1e-6,
-                      3.0 * math.pi - 1e-6):
-            assert abs(density(d, {"theta": theta}, t) - at_pi) < 1e-6, t
+                      3.0 * math.pi - 1e-6, math.pi - 1e-8, math.pi + 1e-8):
+            value = density(d, {"theta": theta}, t)
+            assert abs(value - at_pi) < 1e-15 * scale, (theta, t)
     # -I lies in the class theta = pi: chi_k(-I) = (-1)^k (k + 1)
     terms = [(-1) ** k * (k + 1) ** 2 * math.exp(-k * (k + 2) * 0.3 / 8.0)
              for k in range(41)]

@@ -125,6 +125,14 @@ def test_counts_of_four():
     assert partition_counts(4, 2)[4] == 3
 
 
+def test_partition_counts_past_the_size_equal_the_unbounded_counts():
+    # a partition of s has at most s parts
+    for size in (0, 1, 7, 20):
+        for max_len in (size + 1, 2 * size + 3, 100):
+            assert partition_counts(size, max_len) == \
+                partition_counts(size, size), (size, max_len)
+
+
 @pytest.mark.parametrize("x", [0.3, 0.5])
 def test_partition_series_bounded_by_five_x(x):
     counts = partition_counts(200, 200)
@@ -216,6 +224,25 @@ def test_label_rows_match_the_oracle_row_for_row(kind, length):
     for cap in caps:
         want = oracle_labels(idx, cap)
         assert list(enumerate_by_size(idx, cap)) == want, cap
+        rows = label_rows(idx, cap)
+        assert rows.dtype == np.int64 and rows.shape[1] == length
+        assert rows.tolist() == [list(w.parts2) for w in want], cap
+
+
+@pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
+@pytest.mark.parametrize("length", [13, 30])
+def test_label_rows_longer_than_the_cap_match_the_oracle(kind, length):
+    # only the first min(length, cap) parts can be non-zero; the last cap
+    # reaches the half labels (|lambda| >= length / 2) and the odd ones
+    # (|lambda| >= length)
+    idx = IndexingSetKind(kind, length)
+    caps = [0, 1, 5, 12]
+    if kind is WeightKind.halfY:
+        caps.append(Fraction(length + 3, 2))
+    if kind is WeightKind.evenOrOddY:
+        caps.append(length + 2)
+    for cap in caps:
+        want = oracle_labels(idx, cap)
         rows = label_rows(idx, cap)
         assert rows.dtype == np.int64 and rows.shape[1] == length
         assert rows.tolist() == [list(w.parts2) for w in want], cap

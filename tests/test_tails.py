@@ -1,9 +1,11 @@
-"""Bit-identity of the certified tails, the log-dimension products and the
-lower-bound coefficients with their reference evaluations.
+"""Bit-identity of the certified tails, the term table and the lower-bound
+coefficients with their reference evaluations.
 
 The library extends its tail recurrences across horizon doublings, runs
-them on the gcd-compressed size grid and caches time-independent floats;
-none of that may change a single bit of the results.
+them on the gcd-compressed size grid, skips the Weyl factors that are 1.0
+on a label, reorders and chunks the table's labels, and caches
+time-independent floats; none of that may change a single bit of the
+results.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import math
 import numpy as np
 import pytest
 
-from cutofflab import cutoff
+from cutofflab import cutoff, heatseries
 from cutofflab.cutoff import mean_variance, zonal_square_series
 from cutofflab.heatseries import (_partition_tail, _su_dp_tail, _su_steps,
-                                  _vector_log_dim)
+                                  _term_table, _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
 from cutofflab.partitions import label_rows
 from cutofflab.repchar import casimir_exponent, dimension
-from cutofflab.spaces import describe, indexing_set, minimal_weight
+from cutofflab.spaces import CharType, describe, indexing_set, minimal_weight
+from table_oracle import oracle_log_dim, oracle_rate
 from tail_oracle import oracle_partition_tail, oracle_su_dp_tail
 
 BEYOND = (-3, -1, 0, 40, 80, 200)
@@ -143,6 +146,59 @@ def test_log_dimension_products_equal_the_strided_loops(family, n, q):
     d = describe(family, n, q)
     parts2 = label_rows(indexing_set(d), 24)[1:]
     assert np.array_equal(_vector_log_dim(d, parts2), _strided_log_dim(d, parts2))
+
+
+# -- term table ------------------------------------------------------------
+
+# every root type and label kind: type A with Y (SU), symmetric Y (GrC),
+# evenY (SUn_SOn) and doubledY (SU2n_USpn); halfY on B and D (odd and even
+# SO); evenOrOddY on B and D (GrR); type C with Y (USp), doubledY (GrH) and
+# evenY (USpn_Un); doubledY on D (SO2n_Un).  The narrow groups and GrC
+# keep the table's order, the wide quotients and SO(40) reorder their labels
+# longest first, and GrR and SO2n_Un(12) reorder at cap 12 only.  Tables at
+# cap 40 span several row chunks.
+_TABLE_SPACES = [
+    ("SU", 7, None), ("GrC", 14, 5), ("GrC", 52, 3), ("SUn_SOn", 10, None),
+    ("SU2n_USpn", 12, None), ("SU2n_USpn", 41, None), ("SO", 11, None),
+    ("SO", 12, None), ("SO", 40, None), ("GrR", 15, 3), ("GrR", 16, 4),
+    ("USp", 6, None), ("GrH", 12, 3), ("GrH", 40, 3), ("SO2n_Un", 12, None),
+    ("SO2n_Un", 30, None), ("USpn_Un", 9, None), ("USpn_Un", 20, None),
+]
+
+
+def _oracle_log_a(d, log_dim):
+    log_a = 2.0 * log_dim if d.is_group else log_dim
+    if d.is_group and d.root.type is CharType.D:
+        log_a = log_a + math.log(2.0)
+    return log_a
+
+
+@pytest.mark.parametrize("cap", [12, 40])
+@pytest.mark.parametrize("family,n,q", _TABLE_SPACES,
+                         ids=[str(describe(*c)) for c in _TABLE_SPACES])
+def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
+    d = describe(family, n, q)
+    parts2 = label_rows(indexing_set(d), cap)[1:]
+    table = _term_table(d, cap)
+    assert np.array_equal(table.parts2, parts2)
+    log_dim = oracle_log_dim(d, parts2)
+    assert np.array_equal(table.log_dim, log_dim)
+    assert np.array_equal(table.b, oracle_rate(d, parts2))
+    assert np.array_equal(table.log_a, _oracle_log_a(d, log_dim))
+
+
+@pytest.mark.parametrize("family,n,q,cap", [
+    ("SU2n_USpn", 41, None, 12), ("GrC", 20, 5, 12), ("USpn_Un", 20, None, 40),
+    ("SO", 11, None, 12), ("SO", 25, None, 12)])
+def test_log_dimension_chunk_edges_cut_the_prefixes(monkeypatch, family, n, q,
+                                                    cap):
+    # a prime block size puts chunk edges inside the runs of equal length
+    monkeypatch.setattr(heatseries, "_BLOCK", 509)
+    d = describe(family, n, q)
+    parts2 = label_rows(indexing_set(d), cap)[1:]
+    assert len(parts2) > 2 * (509 // d.root.rank)
+    assert np.array_equal(_vector_log_dim(d, parts2), oracle_log_dim(d, parts2))
+    assert np.array_equal(_vector_b(d, parts2), oracle_rate(d, parts2))
 
 
 # -- lower-bound coefficients ----------------------------------------------
