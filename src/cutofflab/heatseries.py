@@ -125,10 +125,8 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
 
     The pairs of one i form one block whose first row is the running
     product, and ``np.multiply.reduce`` folds it from the left, so each
-    label meets the same factors in the same order.  Labels are reordered
-    only when the rows the prefixes save outnumber the label entries the
-    reorder moves; rows go in chunks that keep a block within _BLOCK
-    entries."""
+    label meets the same factors in the same order.  Rows go in chunks that
+    keep a block within _BLOCK entries."""
     root = descriptor.root
     rank, count = root.rank, len(parts2)
     # parts are non-increasing, so column k is non-zero on the labels
@@ -145,17 +143,9 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
     coords = []  # (i, rows) for the factors l_i / 2rho_i
     if root.type in (CharType.B, CharType.C):
         coords = [(i, reach[i]) for i in range(width)]
-    flat = count * (sum(rank - j for _, j, _ in pairs) + len(coords))
-    saved = flat - (sum((rank - j) * need for _, j, need in pairs)
-                    + sum(need for _, need in coords))
-    order = None
-    if saved > count * width:
-        # a stable sort of a small unsigned key is a radix sort
-        key = width - np.count_nonzero(parts2[:, :width], axis=1)
-        order = np.argsort(key.astype(np.min_scalar_type(width)), kind="stable")
-    else:
-        pairs = [(i, j, count) for i, j, _ in pairs]
-        coords = [(i, count) for i, _ in coords]
+    # a stable sort of a small unsigned key is a radix sort
+    key = width - np.count_nonzero(parts2[:, :width], axis=1)
+    order = np.argsort(key.astype(np.min_scalar_type(width)), kind="stable")
     rho2 = np.array(root.rho2)
     squared = root.type is not CharType.A
     rho_paired = rho2 ** 2 if squared else rho2
@@ -166,8 +156,7 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
                                       for _ in range(3))
     for start in range(0, count, step):
         stop = min(start + step, count)
-        chunk = (parts2[start:stop, :width] if order is None
-                 else parts2[order[start:stop], :width]).T
+        chunk = parts2[order[start:stop], :width].T
         # l in root coordinates, one row per coordinate: exact integers
         ell = ell_buf[:, :stop - start]
         ell[width:] = rho2[width:, None]
@@ -190,8 +179,7 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
             rows = min(stop, need) - start
             if rows > 0:
                 val[start:start + rows] *= ell[i, :rows] / float(rho2[i])
-    if order is not None:
-        val[order] = val.copy()
+    val[order] = val.copy()
     return np.log(val)
 
 
