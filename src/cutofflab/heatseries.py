@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
                      UnsupportedSpace, require_time)
 from .partitions import (MAX_LABELS, Weight, WeightKind, enumerate_by_size,
-                         label_rows, partition_counts, within_label_limit)
+                         label_rows, label_table_fits, partition_counts)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
@@ -410,10 +410,10 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
 def _cap_schedule(descriptor: SpaceDescriptor) -> list[int]:
     """Escalating size caps, stopping before the label table passes
     MAX_LABELS."""
-    length = indexing_set(descriptor).length
+    idx = indexing_set(descriptor)
     caps = [40]
     for cap in (80, 160, 200):
-        if not within_label_limit(cap, length):
+        if not label_table_fits(idx, cap):
             break
         caps.append(cap)
     return caps

@@ -361,11 +361,6 @@ class CasimirTensor:
     matrix: sp.csr_matrix
     basis: tuple[sp.csr_matrix, ...]
 
-    @property
-    def drift_coefficient(self) -> Fraction:
-        """Scalar alpha with sum X_a X_a = alpha * I on the defining space."""
-        return drift_coefficient(self.algebra, self.n)
-
 
 def casimir(algebra: str, n: int) -> CasimirTensor:
     """Assemble the Casimir tensor of so(n), su(n) or usp(n) sparsely."""

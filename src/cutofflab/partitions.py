@@ -148,54 +148,69 @@ class Weight:
     def __str__(self) -> str:
         return ",".join(_fmt_part(v) for v in self.parts2)
 
-    def sort_key(self) -> tuple:
-        return (self.size, self.parts2)
-
 
 # -- enumeration -----------------------------------------------------------
 
 
 def partition_counts(max_size: int, max_len: int) -> list[int]:
-    """counts[s] = number of partitions of s with at most ``max_len`` parts."""
-    # a partition of s <= max_size has at most max_size parts
-    max_len = min(max_len, max_size)
-    # standard bounded-length recurrence via parts of size i used any number of times,
-    # length bound enforced by conjugation: at most max_len parts == largest part of
-    # the conjugate <= max_len, so restrict part VALUES of the conjugate instead.
-    table = [[0] * (max_size + 1) for _ in range(max_len + 1)]
-    for j in range(max_len + 1):
-        table[j][0] = 1
-    for parts_allowed in range(1, max_len + 1):
-        for s in range(1, max_size + 1):
-            table[parts_allowed][s] = table[parts_allowed - 1][s]
-            if s >= parts_allowed:
-                table[parts_allowed][s] += table[parts_allowed][s - parts_allowed]
-    # table[max_len][s] counts partitions of s into parts <= max_len; by conjugation
-    # this equals partitions of s into at most max_len parts.
-    return table[max_len][: max_size + 1]
+    """counts[s] = number of partitions of s with at most ``max_len`` parts.
+
+    By conjugation these are the partitions of s into parts <= max_len, and
+    a partition of s <= max_size has at most max_size parts: each part value
+    up to min(max_len, max_size) is added in turn, counts[s] gaining the
+    partitions that use it at least once."""
+    counts = [1] + [0] * max_size
+    for part in range(1, min(max_len, max_size) + 1):
+        for s in range(part, max_size + 1):
+            counts[s] += counts[s - part]
+    return counts
+
+
+def _label_limit(length: int) -> int:
+    """Most labels of ``length`` parts built at once."""
+    return min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
 
 
 @lru_cache(maxsize=64)
 def within_label_limit(max_size: int, length: int) -> bool:
     """Whether at most MAX_LABELS partitions have size <= max_size and at
     most ``length`` parts, and their rows at most MAX_LABEL_ENTRIES parts.
-    Sizes are counted upward until the count passes the limit, and parts
-    <= min(length, max_size) (the same count, by conjugation), so the work
-    grows with neither argument."""
-    limit = min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
+
+    Every size has a partition, so a cap of the limit or more fails.  With
+    two parts allowed, size s has floor(s/2) + 1 partitions of at most two
+    parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
+    together, so (c + 1)^2 > 4 * limit fails too.  The count left costs
+    c * min(c, length) additions: below MAX_LABELS on one part, and with
+    c < 2 sqrt(limit) and limit <= MAX_LABEL_ENTRIES / length, below 2.5e5
+    on more."""
+    limit = _label_limit(length)
     if max_size >= limit:
-        return False  # every size has at least one partition
-    width = min(length, max_size)
-    rows = [[1] for _ in range(width + 1)]  # rows[j][s]: of s into parts <= j
-    total = 1
-    for s in range(1, max_size + 1):
-        rows[0].append(0)
-        for j in range(1, width + 1):
-            rows[j].append(rows[j - 1][s] + (rows[j][s - j] if s >= j else 0))
-        total += rows[width][s]
-        if total > limit:
-            return False
-    return True
+        return False
+    if length >= 2 and (max_size + 1) ** 2 > 4 * limit:
+        return False
+    return sum(partition_counts(max_size, length)) <= limit
+
+
+def _half_cap(max_size: Fraction, length: int) -> int:
+    """Size cap of the half labels: mu + 1/2 has size |mu| + length / 2."""
+    return math.floor(max_size - Fraction(length, 2))
+
+
+def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> bool:
+    """Whether ``label_rows`` builds the labels of |lambda| <= max_size: the
+    guard of the table and of the size-cap schedule.
+
+    The labels of every kind but halfY are among the partitions of size
+    <= int(max_size), which ``within_label_limit`` bounds; halfY adds a half
+    block, the partitions of size <= its half cap, counted with them."""
+    cap, length = int(max_size), indexing.length
+    if not within_label_limit(cap, length):
+        return False
+    if indexing.kind is not WeightKind.halfY:
+        return True
+    counts = partition_counts(cap, length)
+    half = counts[:max(_half_cap(max_size, length) + 1, 0)]
+    return sum(counts) + sum(half) <= _label_limit(length)
 
 
 def _partition_rows(max_total: int, length: int) -> np.ndarray:
@@ -241,7 +256,7 @@ def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarra
         raise ValueError("max_size must be >= 0")
     kind, length = indexing.kind, indexing.length
     cap = int(max_size)  # integer component sizes
-    if not within_label_limit(cap, length):
+    if not label_table_fits(indexing, max_size):
         raise TooLarge(f"size cap {cap} gives more than {MAX_LABELS} labels "
                        f"of length {length}, or more than "
                        f"{MAX_LABEL_ENTRIES} parts")
@@ -249,9 +264,8 @@ def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarra
         blocks = [2 * _partition_rows(cap, length)]
     elif kind is WeightKind.halfY:
         # half labels: 1/2 added to every part of an integer label
-        half_cap = math.floor(max_size - Fraction(length, 2))
         blocks = [2 * _partition_rows(cap, length),
-                  2 * _partition_rows(half_cap, length) + 1]
+                  2 * _partition_rows(_half_cap(max_size, length), length) + 1]
     elif kind is WeightKind.evenY:
         blocks = [4 * _partition_rows(cap // 2, length)]
     elif kind is WeightKind.doubledY:

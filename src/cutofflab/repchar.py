@@ -4,7 +4,6 @@ evaluation for the four classical root types."""
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,78 +16,57 @@ from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 _DEGENERACY_FLOOR = 1e-10
 
 
-def _check_membership(descriptor: SpaceDescriptor, weight: Weight) -> None:
+def _root_parts2(descriptor: SpaceDescriptor, weight: Weight) -> list[int]:
+    """2 lambda in the root datum's coordinates, zero-padded to its rank: a
+    symmetric (GrC) label l enters as (l, 0, ..., 0, -l reversed)."""
     idx = indexing_set(descriptor)
     if weight.kind is not idx.kind or weight.length != idx.length:
         raise WeightKindMismatch(
             f"weight {weight} of kind {weight.kind.value}/{weight.length} does not "
             f"index {descriptor} (needs {idx.kind.value}/{idx.length})")
+    head = list(weight.parts2)
+    rank = descriptor.root.rank
+    if descriptor.root.symmetric:
+        return head + [0] * (rank - 2 * len(head)) + [-v for v in reversed(head)]
+    return head + [0] * (rank - len(head))
 
 
-def _scaled(parts: Sequence[Fraction], length: int) -> tuple[list[int], int]:
-    """(d * l_1, ..., d * l_length) as ints for the zero-padded label, with d
-    the least common denominator of its parts (2 for half-integer labels)."""
-    d = math.lcm(*(v.denominator for v in parts))
-    lam = [v.numerator * (d // v.denominator) for v in parts]
-    return lam + [0] * (length - len(lam)), d
-
-
-def _weyl_product(parts: Sequence[Fraction], root: RootDatum) -> Fraction:
-    """Weyl's dimension product over the padded label: the factors
-    <l + rho, alpha> / <rho, alpha> over the positive roots alpha, e_i - e_j
-    and, on types B, C, D, e_i + e_j (i < j) and the pair i = j, e_i on B
-    and 2 e_i on C.  rho_i - rho_j and rho_i + rho_j are integers."""
-    rank = root.rank
-    lam, d = _scaled(parts, rank)
-    rho2 = root.rho2
+def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
+    """Exact dimension of the representation labelled by the weight: Weyl's
+    product of <l, alpha> / <2 rho, alpha> over the positive roots alpha,
+    with l = 2(lambda + rho) an integer vector: (l_i - l_j) / (2rho_i - 2rho_j)
+    and, on types B, C, D, (l_i + l_j) / (2rho_i + 2rho_j) for i < j, with
+    the pair i = j (e_i on B, 2e_i on C) on B and C."""
+    root = descriptor.root
+    rank, rho2 = root.rank, root.rho2
+    ell = [p + r for p, r in zip(_root_parts2(descriptor, weight), rho2)]
     num = den = 1
     for i in range(rank):
         for j in range(i + 1, rank):
-            shift = (rho2[i] - rho2[j]) // 2
-            num *= lam[i] - lam[j] + d * shift
-            den *= d * shift
+            num *= ell[i] - ell[j]
+            den *= rho2[i] - rho2[j]
     if root.type is CharType.A:
         return Fraction(num, den)
     diagonal = root.type in (CharType.B, CharType.C)
     for i in range(rank):
         for j in range(i if diagonal else i + 1, rank):
-            shift = (rho2[i] + rho2[j]) // 2
-            num *= lam[i] + lam[j] + d * shift
-            den *= d * shift
+            num *= ell[i] + ell[j]
+            den *= rho2[i] + rho2[j]
     return Fraction(num, den)
 
 
-def _grc_full_label(weight: Weight, n: int) -> list[Fraction]:
-    """(l_1..l_q, 0,...,0, -l_q..-l_1): the symmetric ambient label."""
-    head = list(weight.parts)
-    return head + [Fraction(0)] * (n - 2 * len(head)) + [-v for v in reversed(head)]
-
-
-def _root_label(descriptor: SpaceDescriptor, weight: Weight) -> list[Fraction]:
-    """The label's parts as a highest weight of the descriptor's root datum."""
-    _check_membership(descriptor, weight)
-    if descriptor.root.symmetric:
-        return _grc_full_label(weight, descriptor.root.rank)
-    return list(weight.parts)
-
-
-def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
-    """Exact dimension of the representation labelled by the weight."""
-    return _weyl_product(_root_label(descriptor, weight), descriptor.root)
-
-
 def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
-    """B_n(lambda): the heat-semigroup decay rate of the lambda-block."""
-    parts = _root_label(descriptor, weight)
-    lam, d = _scaled(parts, len(parts))
+    """B_n(lambda): the heat-semigroup decay rate of the lambda-block,
+    <lambda, lambda + 2 rho> / N = sum p (p + 2 * 2rho) / 4N over p = 2 lambda,
+    less |lambda|^2 / N^2 = (sum p)^2 / 4N^2 on type A."""
+    parts2 = _root_parts2(descriptor, weight)
     root = descriptor.root
     big_n = root.rate_norm
-    # with l = lam / d, <l, l + 2 rho> is total / d^2
-    total = sum(v * v + d * r2 * v for v, r2 in zip(lam, root.rho2))
+    total = sum(p * (p + 2 * r2) for p, r2 in zip(parts2, root.rho2))
     if root.type is CharType.A:
-        size = sum(lam)
-        return Fraction(total * big_n - size * size, d * d * big_n * big_n)
-    return Fraction(total, d * d * big_n)
+        size = sum(parts2)
+        return Fraction(total * big_n - size * size, 4 * big_n * big_n)
+    return Fraction(total, 4 * big_n)
 
 
 # -- determinant-ratio characters ------------------------------------------

@@ -371,6 +371,16 @@ def test_size_caps_above_the_label_limit_exit_with_code_two(capsys, argv, cap):
     assert elapsed < 1.0  # the label count stops at the limit
 
 
+def test_half_labels_count_toward_the_label_limit(capsys):
+    # SO(7) at cap 200: 234,073 integer and 227,239 half labels
+    code = cli.main(["series", "--family", "SO", "--n", "7", "--t", "5",
+                     "--cap", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: size cap 200 gives more than 300000 labels" in captured.err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("simulate", "--family", "SO", "--n", "4", "--t", "1",
       "--paths", "100000000"), "100000000 paths exceed the limit 1000000"),

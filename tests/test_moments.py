@@ -31,7 +31,7 @@ from tensor_oracle import dense_eigentable, expectation_entries
                                        ("su", 5), ("usp", 2), ("usp", 4)])
 def test_contraction_gives_scalar_drift(algebra, n):
     ct = mo.casimir(algebra, n)
-    want = float(ct.drift_coefficient) * np.eye(ct.dim)
+    want = float(spaces.drift_coefficient(algebra, n)) * np.eye(ct.dim)
     contracted = sum((x @ x).toarray() for x in ct.basis)
     assert np.abs(contracted - want).max() < 1e-12
 
@@ -67,7 +67,7 @@ def test_generator_is_hermitian(algebra, n, k, l):
 def test_single_entry_moment_decays_at_the_drift_rate(algebra, t):
     n = 4
     ct = mo.casimir(algebra, n)
-    rate = float(ct.drift_coefficient) / 2
+    rate = float(spaces.drift_coefficient(algebra, n)) / 2
     d = ct.dim
     for i, j in [(0, 0), (1, 1), (0, 1)]:
         got = mo.moment(algebra, n, [(i, j)], t)

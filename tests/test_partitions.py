@@ -8,8 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cutofflab.errors import TooLarge
 from cutofflab.partitions import (
@@ -23,7 +21,8 @@ from cutofflab.partitions import (
     partition_counts,
     within_label_limit,
 )
-from label_oracle import oracle_labels
+from exact_oracle import oracle_count_table, oracle_within_label_limit
+from label_oracle import int_partitions, oracle_labels
 
 
 def brute_partitions(total: int, max_len: int, max_part: int | None = None):
@@ -279,6 +278,28 @@ def test_label_limit_counts_bounded_partitions(length):
     for cap in (0, 40, 80, 160, 200, 700):
         want = sum(partition_counts(cap, length)) <= MAX_LABELS
         assert within_label_limit(cap, length) is want, cap
+    # the guard reads partition_counts, so check that against brute force
+    counts = partition_counts(30, length)
+    for s in range(31):
+        assert counts[s] == sum(1 for _ in int_partitions(s, length)), s
+
+
+def test_partition_counts_equal_the_two_dimensional_table():
+    table = oracle_count_table(1600, 100)
+    for length in range(1, 101):
+        assert partition_counts(1600, length) == table[length], length
+        for size in (0, 1, 2, length - 1, length, length + 1):
+            if size >= 0:
+                want = oracle_count_table(size, length)[-1]
+                assert partition_counts(size, length) == want, (size, length)
+
+
+def test_label_limit_equals_the_counting_guard():
+    caps = [*range(60), 80, 160, 200, 700, 1000, 1094, 1095, 1096, 5000]
+    for length in (1, 2, 3, 4, 5, 8, 20, 40, 139, 140, 1000, 50_000):
+        for cap in caps:
+            assert (within_label_limit(cap, length)
+                    is oracle_within_label_limit(cap, length)), (cap, length)
 
 
 def test_every_cap_up_to_forty_is_within_the_label_limit():
@@ -308,7 +329,15 @@ def test_label_rows_refuse_caps_above_the_label_limit(kind):
         with pytest.raises(TooLarge, match="labels"):
             label_rows(IndexingSetKind(kind, 1 if cap == MAX_LABELS else 5),
                        cap)
-    assert len(label_rows(IndexingSetKind(kind, 1), MAX_LABELS - 1)) > 0
+    if kind is not WeightKind.halfY:
+        assert len(label_rows(IndexingSetKind(kind, 1), MAX_LABELS - 1)) > 0
+        return
+    # one part: cap c holds c + 1 integer and c half labels
+    idx = IndexingSetKind(kind, 1)
+    top = (MAX_LABELS - 1) // 2
+    assert len(label_rows(idx, top)) == 2 * top + 1 <= MAX_LABELS
+    with pytest.raises(TooLarge, match="labels"):
+        label_rows(idx, top + 1)
 
 
 def test_indexing_set_label_pads_the_head_with_zeros():
@@ -328,10 +357,3 @@ def test_indexing_set_needs_positive_length():
     with pytest.raises(ValueError):
         IndexingSetKind(WeightKind.Y, 0)
 
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4))
-def test_sort_key_orders_by_size_first(values):
-    a = Weight.of(tuple(sorted(values, reverse=True)))
-    b = Weight.of((sum(values) + 1,) + (0,) * (len(values) - 1))
-    assert a.sort_key() < b.sort_key()

@@ -24,7 +24,8 @@ from cutofflab.repchar import (
     schur,
     verify_square_identity,
 )
-from cutofflab.spaces import describe, indexing_set
+from cutofflab.spaces import _GRASSMANN, _TABLE, Family, describe, indexing_set
+from exact_oracle import oracle_casimir_exponent, oracle_dimension
 
 
 def count_tableaux(shape: tuple[int, ...], n: int) -> int:
@@ -390,7 +391,6 @@ def _factorwise_product(lam, pairs):
     ("SUn_SOn", 5, None), ("SU2n_USpn", 3, None), ("USpn_Un", 4, None)])
 def test_dimension_equals_the_factor_by_factor_product(family, n, q):
     from itertools import islice
-    from cutofflab import repchar
 
     def type_a(lam):
         size = len(lam)
@@ -417,8 +417,11 @@ def test_dimension_equals_the_factor_by_factor_product(family, n, q):
         parts = list(weight.parts)
         if family in ("SU", "SUn_SOn", "SU2n_USpn", "GrC"):
             size = {"SU2n_USpn": 2 * n}.get(family, n)
-            lam = (repchar._grc_full_label(weight, n) if family == "GrC"
-                   else parts + [Fraction(0)] * (size - len(parts)))
+            if family == "GrC":  # (l, 0, ..., 0, -l reversed)
+                lam = (parts + [Fraction(0)] * (n - 2 * len(parts))
+                       + [-v for v in reversed(parts)])
+            else:
+                lam = parts + [Fraction(0)] * (size - len(parts))
             want = _factorwise_product(lam, type_a)
         else:
             if family in ("SO", "GrR"):
@@ -429,3 +432,29 @@ def test_dimension_equals_the_factor_by_factor_product(family, n, q):
             lam = parts + [Fraction(0)] * (rank - len(parts))
             want = _factorwise_product(lam, type_bcd(ctype))
         assert type(got) is Fraction and got == want
+
+
+def _small_labels():
+    """Every label of size <= 8 of the ten families at n = min_n .. min_n + 8,
+    Grassmannians at q = 1, 2 and n // 2: 3,018 (descriptor, label) pairs."""
+    out = []
+    for family in Family:
+        min_n = _TABLE[family].min_n
+        for n in range(min_n, min_n + 9):
+            qs = [None]
+            if family in _GRASSMANN:
+                qs = [q for q in (1, 2, n // 2) if 1 <= q <= n - 1]
+            for q in qs:
+                desc = describe(family, n, q)
+                out += [(desc, w)
+                        for w in enumerate_by_size(indexing_set(desc), 8)]
+    return out
+
+
+def test_exact_dimension_and_rate_equal_the_scaled_fraction_route():
+    labels = _small_labels()
+    assert len(labels) == 3018
+    for desc, weight in labels:
+        assert dimension(desc, weight) == oracle_dimension(desc, weight)
+        assert (casimir_exponent(desc, weight)
+                == oracle_casimir_exponent(desc, weight)), (desc, weight)

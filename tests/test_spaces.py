@@ -169,7 +169,7 @@ def test_minimal_weight_is_brute_force_argmin_for_groups(family, n):
     d = describe(family, n)
     lam, _, b_min = minimal_weight(d)
     best = min(
-        (casimir_exponent(d, w), w.sort_key(), w)
+        (casimir_exponent(d, w), (w.size, w.parts2), w)
         for w in enumerate_by_size(indexing_set(d), 4) if not w.is_zero)
     assert best[0] == b_min and best[2] == lam
 

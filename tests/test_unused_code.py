@@ -1,7 +1,9 @@
-"""Dead code in the package: imported names a module never uses, and
+"""Dead code in the package: imported names a module never uses,
 module-level private functions and assigned names that nothing in ``src/``
-or ``tests/`` references.  The scan uses the standard library's ``ast``
-only, since neither pyflakes nor ruff is a test dependency.
+or ``tests/`` references, and public methods and properties that no
+attribute access in ``src/``, ``perfbench/`` or ``demos/`` reads.  The scan
+uses the standard library's ``ast`` only, since neither pyflakes nor ruff is
+a test dependency.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cutofflab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the code whose reads keep a public method alive: tests do not count
+CONSUMERS = sorted(path for folder in ("src", "perfbench", "demos")
+                   for path in (ROOT / folder).rglob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -140,3 +145,51 @@ def test_the_scan_sees_an_unused_import_and_an_orphan(tmp_path):
     assert "_orphan" not in refs
     assert [name for name in _private_assignments(tree)
             if name not in refs] == ["_ALIAS", "_LIMIT"]
+
+
+def _attribute_reads(paths) -> set[str]:
+    """Every name read as an attribute, ``x.name``."""
+    return {node.attr for path in paths for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _public_methods(tree: ast.Module) -> list[str]:
+    """Class.name of each public method or property a module's classes
+    define; dunder names are private here, and dataclass or NamedTuple
+    fields are annotated assignments, not methods."""
+    return [f"{cls.name}.{node.name}" for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    reads = _attribute_reads(CONSUMERS)
+    orphans = [f"{path.name}: {name}" for path in MODULES
+               for name in _public_methods(_tree(path))
+               if name.split(".")[1] not in reads]
+    assert not orphans, f"public methods only tests read: {orphans}"
+
+
+def test_the_method_scan_sees_a_method_nothing_reads(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("from typing import NamedTuple\n\n\n"
+                      "class Probe(NamedTuple):\n"
+                      "    field: int\n\n"
+                      "    def __str__(self) -> str:\n"
+                      "        return self.shown()\n\n"
+                      "    def shown(self) -> str:\n"
+                      "        return str(self.field)\n\n"
+                      "    @property\n"
+                      "    def unread(self) -> int:\n"
+                      "        return 0\n\n"
+                      "    def stored(self) -> None:\n"
+                      "        self.unread = 1\n")
+    tree = _tree(module)
+    assert _public_methods(tree) == ["Probe.shown", "Probe.unread",
+                                     "Probe.stored"]
+    reads = _attribute_reads([module])
+    assert [name for name in _public_methods(tree)
+            if name.split(".")[1] not in reads] == ["Probe.unread",
+                                                    "Probe.stored"]
