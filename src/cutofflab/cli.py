@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,8 @@ from .heatseries import (density, dominating_series, eta_quotient,
                          per_term_bound_sweep, t_zero, tv_upper_bound)
 from .partitions import MAX_LABELS, Weight
 from .repchar import casimir_exponent
-from .spaces import FAMILY_NAMES, describe, indexing_set, minimal_weight
+from .spaces import (FAMILY_NAMES, describe, indexing_set, matrix_side,
+                     minimal_weight)
 
 _EXIT_OK, _EXIT_FAILED, _EXIT_USAGE = 0, 1, 2
 
@@ -41,6 +43,11 @@ def _default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _threads(args: argparse.Namespace) -> int:
+    """``--threads`` as given, which the library checks, else the default."""
+    return _default_threads() if args.threads is None else args.threads
 
 
 def _json_text(payload) -> str:
@@ -61,6 +68,15 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in rows:
         writer.writerow([cell(v) for v in row])
     return buffer.getvalue()
+
+
+def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
+    """A payload as indented JSON, or as one CSV row under its sorted keys."""
+    if args.format == "csv":
+        keys = sorted(payload)
+        _emit(_csv_text(keys, [[payload[k] for k in keys]]), args.out)
+    else:
+        _emit(_json_text(payload), args.out)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -245,29 +261,20 @@ def _run_describe(parser, args) -> int:
     payload = desc.to_json_dict()
     payload.update({
         "param": desc.param,
-        "matrix_size": desc.matrix_size,
+        "matrix_size": matrix_side(desc.algebra, desc.param),
         "t_cutoff": t_zero(desc),
         "minimal_weight": str(weight),
         "a_min": str(a_min),
         "b_min": str(b_min),
     })
-    if args.format == "csv":
-        keys = sorted(payload)
-        _emit(_csv_text(keys, [[payload[k] for k in keys]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _emit_payload(payload, args)
     return _EXIT_OK
 
 
 def _run_series(parser, args) -> int:
     desc = _space(parser, args)
     report = dominating_series(desc, args.t, size_cap=args.cap)
-    payload = report.to_json_dict()
-    if args.format == "csv":
-        keys = sorted(payload)
-        _emit(_csv_text(keys, [[payload[k] for k in keys]]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    _emit_payload(report.to_json_dict(), args)
     return _EXIT_OK
 
 
@@ -300,8 +307,6 @@ def _run_eta(parser, args) -> int:
         base = _parse_weight(parser, desc, args.base)
     else:
         base = Weight.zero(idx.length, idx.kind)
-    if not 1 <= args.l <= idx.length:
-        parser.error(f"--l must be in [1, {idx.length}]")
     if args.cap < 1:
         parser.error("--cap must be >= 1")
     if args.cap > MAX_LABELS:
@@ -346,10 +351,6 @@ def _run_density(parser, args) -> int:
 def _run_moment(parser, args) -> int:
     desc = _space(parser, args)
     pattern = _parse_pattern(parser, args.pattern)
-    size = desc.matrix_size
-    for item in pattern:
-        if max(item[0], item[1]) >= size:
-            parser.error(f"pattern index exceeds matrix size {size}")
     value = complex(_moments.moment(desc.algebra, args.n, pattern, args.t))
     _emit(_json_text({"space": str(desc), "pattern": args.pattern,
                       "t": args.t, "value_re": value.real,
@@ -359,20 +360,16 @@ def _run_moment(parser, args) -> int:
 
 def _run_eigentable(parser, args) -> int:
     desc = _space(parser, args)
-    kl = (args.k, args.l) if args.l else args.k
-    report = _moments.verify_eigentable(desc.algebra, args.n, kl)
+    report = _moments.verify_eigentable(desc.algebra, args.n, args.k, args.l)
     payload = report.to_json_dict()
-    if report.verified and report.dims_match:
+    if report.verified:
         _emit(_json_text(payload), args.out)
         return _EXIT_OK
-    failures = [{"claimed": e.claimed_mult, "computed": e.computed_mult,
-                 "eigenvalue": str(e.eigenvalue), "tolerance": 1e-8,
-                 "residual": e.max_residual}
-                for e in report.entries
-                if (e.claimed_mult is not None
-                    and e.claimed_mult != e.computed_mult)
-                or e.max_residual > 1e-8]
-    payload["failures"] = failures
+    payload["failures"] = [
+        {"claimed": e.claimed_mult, "computed": e.computed_mult,
+         "eigenvalue": str(e.eigenvalue), "tolerance": e.tolerance,
+         "residual": e.max_residual}
+        for e in report.entries if not e.verified]
     _emit(_json_text(payload), args.out)
     return _EXIT_FAILED
 
@@ -397,8 +394,6 @@ def _run_zonal_expansion(parser, args) -> int:
 
 def _run_simulate(parser, args) -> int:
     desc = _space(parser, args)
-    if args.paths < 1:
-        parser.error("--paths must be >= 1")
     if args.steps is not None and args.steps < 1:
         parser.error("--steps must be >= 1")
     require_time(args.t, allow_zero=True)
@@ -422,9 +417,8 @@ def _run_simulate(parser, args) -> int:
 
 def _run_estimate(parser, args) -> int:
     desc = _space(parser, args)
-    threads = args.threads if args.threads else _default_threads()
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
-                                       threads=threads)
+                                       threads=_threads(args))
     estimate = _sampler.estimate(desc, args.statistic, args.t, config,
                                  threshold=args.threshold)
     payload = estimate.to_json_dict()
@@ -448,7 +442,9 @@ def _run_profile(parser, args) -> int:
     grid = np.linspace(t_min, t_max, args.points)
     points = _cutoff.profile(desc, grid)
     if args.format == "csv":
-        _emit(_cutoff.profile_csv(points), args.out)
+        header = [f.name for f in dataclasses.fields(_cutoff.ProfilePoint)]
+        _emit(_csv_text(header, [dataclasses.astuple(p) for p in points]),
+              args.out)
     else:
         _emit(_json_text({"space": str(desc),
                           "points": [p.to_json_dict() for p in points]}),
@@ -457,8 +453,7 @@ def _run_profile(parser, args) -> int:
 
 
 def _run_verify_all(parser, args) -> int:
-    threads = args.threads if args.threads else _default_threads()
-    results = _verification.run_all(threads=threads)
+    results = _verification.run_all(threads=_threads(args))
     if args.format == "csv":
         rows = [(r.name, "pass" if r.passed else "FAIL",
                  round(r.elapsed, 3)) for r in results]

@@ -11,20 +11,20 @@ this yields the full profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import FieldMismatch, UnsupportedSpace, require_time
 from .heatseries import t_zero, tv_upper_bound
-from .moments import moment, zonal_square_expansion
+from .moments import _qnorm, moment, zonal_square_expansion
 from .partitions import Weight
 from .repchar import casimir_exponent, dimension
 from .spaces import (CharType, SpaceDescriptor, _chirality, indexing_set,
-                     minimal_weight)
+                     matrix_side, minimal_weight)
 
 __all__ = [
     "ProfilePoint",
@@ -35,14 +35,13 @@ __all__ = [
     "lower_bound",
     "certified_window",
     "profile",
-    "profile_csv",
     "zonal_square_series",
     "zonal_square_via_moments",
 ]
 
 def _check_matrix(descriptor: SpaceDescriptor, matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix)
-    m = descriptor.matrix_size
+    m = matrix_side(descriptor.algebra, descriptor.param)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (m, m):
         raise ValueError(f"expected a {m} x {m} matrix or a stack of them, "
                          f"got {mat.shape}")
@@ -66,7 +65,8 @@ def _phi_monomials(descriptor: SpaceDescriptor) -> list[tuple[float, tuple]]:
     if shape is None:
         raise UnsupportedSpace(f"{descriptor} is a group: its Omega is a trace")
     det = shape.form == "det"
-    units = descriptor.matrix_size // 2 if det else descriptor.matrix_size
+    side = matrix_side(descriptor.algebra, descriptor.param)
+    units = side // 2 if det else side
     if shape.layout == "split":
         p, q = units - descriptor.q, descriptor.q
         blocks = [(range(p), 1.0 / p), (range(p, units), 1.0 / q)]
@@ -77,9 +77,7 @@ def _phi_monomials(descriptor: SpaceDescriptor) -> list[tuple[float, tuple]]:
     for block, w in blocks:
         for i, j in product(block, block):
             if det:
-                a, b = 2 * i, 2 * j
-                out.append((w, ((a, b, False), (a + 1, b + 1, False))))
-                out.append((-w, ((a, b + 1, False), (a + 1, b, False))))
+                out.extend((w * sign, m) for sign, m in _qnorm(i, j))
             else:
                 out.append((w, ((i, j, False), (i, j, conj))))
     return (out + [(-1.0, ())]) if shape.layout == "split" else out
@@ -98,7 +96,7 @@ def _gather(descriptor: SpaceDescriptor) -> tuple:
     whether the second is conjugated, constant) of the zonal polynomial's
     monomials."""
     monomials = _phi_monomials(descriptor)
-    m = descriptor.matrix_size
+    m = matrix_side(descriptor.algebra, descriptor.param)
     terms = [(c, e) for c, e in monomials if e]
     index = np.array([[i * m + j for i, j, _ in e] for _, e in terms])
     conj = terms[0][1][1][2]  # the same on every monomial
@@ -230,7 +228,7 @@ class ProfilePoint:
     upper: float
 
     def to_json_dict(self) -> dict:
-        return {"t": self.t, "lower": self.lower, "upper": self.upper}
+        return asdict(self)
 
 
 def profile(descriptor: SpaceDescriptor,
@@ -242,13 +240,6 @@ def profile(descriptor: SpaceDescriptor,
         points.append(ProfilePoint(t, lower_bound(descriptor, t),
                                    tv_upper_bound(descriptor, t)))
     return points
-
-
-def profile_csv(points: Sequence[ProfilePoint]) -> str:
-    lines = ["t,lower,upper"]
-    for p in points:
-        lines.append(f"{p.t:.12g},{p.lower:.12g},{p.upper:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 # -- squared zonal functions through the moment engine ---------------------

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
                      UnsupportedSpace, require_time)
-from .partitions import (MAX_LABELS, Weight, WeightKind, enumerate_by_size,
-                         label_rows, label_table_fits, partition_counts)
+from .partitions import (MAX_LABELS, Weight, WeightKind, _half_cap,
+                         enumerate_by_size, label_rows, label_table_fits,
+                         partition_counts)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
@@ -401,9 +402,8 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
             length //= 2
     tail = c_int * _partition_tail(log_x, beyond, length)
     if kind is WeightKind.halfY:
-        half_beyond = math.floor(cap - length / 2.0)
         tail += (c_half * math.exp(-gap * half_shift)
-                 * _partition_tail(log_x, half_beyond, length))
+                 * _partition_tail(log_x, _half_cap(cap, length), length))
     return tail
 
 
@@ -433,7 +433,7 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
         table = _term_table(descriptor, cap)
         with np.errstate(under="ignore"):
             partial = float(np.exp(table.log_a - t * table.b).sum())
-        tail = _tail_bound(descriptor, t, cap, t0) if t > t0 else math.inf
+        tail = _tail_bound(descriptor, t, cap, t0)
         report = TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
                                   terms_used=len(table.parts2), size_cap=cap)
         if not math.isfinite(tail):
@@ -570,7 +570,8 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
     if not base_weight.is_integer:
         raise HalfPartitionUnsupported("growth quotients need integer bases")
     if not 1 <= l <= base_weight.length:
-        raise ValueError("layer index out of range")
+        raise ValueError(f"layer index {l} out of range: need 1 <= l <= "
+                         f"{base_weight.length}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if t0 is None:

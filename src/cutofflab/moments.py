@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import (TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping,
+                    Sequence)
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .partitions import Weight
 from .spaces import (_TABLE, Family, SpaceDescriptor, drift_coefficient,
-                     indexing_set)
+                     indexing_set, matrix_side)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -74,10 +75,6 @@ def _check_slots(algebra: str, n: int, k: int, l: int) -> None:
         raise ValueError("need at least one tensor slot")
     if l > 0 and algebra != "su":
         raise ValueError("conjugated slots only make sense for complex entries")
-
-
-def _embedding_dim(algebra: str, n: int) -> int:
-    return 2 * n if algebra == "usp" else n
 
 
 def _quaternion_unit(unit: str, i: int, j: int, n: int) -> np.ndarray:
@@ -338,7 +335,7 @@ def moment(algebra: str, n: int, pattern: Iterable, t: float) -> complex:
     _check_slots(algebra, n, k, l)
     row = [i for i, _ in plain] + [i for i, _ in conj]
     col = [j for _, j in plain] + [j for _, j in conj]
-    d = _embedding_dim(algebra, n)
+    d = matrix_side(algebra, n)
     for v in row + col:
         if not 0 <= v < d:
             raise ValueError(f"index {v} out of range for dimension {d}")
@@ -368,7 +365,7 @@ def casimir(algebra: str, n: int) -> CasimirTensor:
 
     _check_algebra(algebra, n)
     basis = tuple(sp.csr_matrix(x) for x in _orthonormal_basis(algebra, n))
-    d = _embedding_dim(algebra, n)
+    d = matrix_side(algebra, n)
     total = sp.coo_matrix((d * d, d * d), dtype=basis[0].dtype)
     for x in basis:
         total = total + sp.kron(x, x, format="coo")
@@ -452,7 +449,7 @@ def moment_generator(algebra: str, n: int, k: int, l: int = 0) -> MomentTensor:
     import scipy.sparse as sp
 
     _check_slots(algebra, n, k, l)
-    d = _embedding_dim(algebra, n)
+    d = matrix_side(algebra, n)
     if d ** (k + l) > _MAX_TENSOR_DIM:
         raise TooLarge(f"tensor space of dimension {d}^{k + l} exceeds the guard")
     eta = _eta_sum(algebra, n, k, l)
@@ -468,9 +465,18 @@ def moment_generator(algebra: str, n: int, k: int, l: int = 0) -> MomentTensor:
 @dataclass(frozen=True)
 class EigenEntry:
     eigenvalue: Fraction
-    claimed_mult: int | None
+    claimed_mult: int
     computed_mult: int
     max_residual: float
+
+    tolerance: ClassVar[float] = 1e-8  # the largest residual that verifies
+
+    @property
+    def verified(self) -> bool:
+        """The verdict on one eigenvalue: its count is the claimed one and
+        every computed eigenvalue assigned to it lies within tolerance."""
+        return (self.max_residual <= self.tolerance
+                and self.computed_mult == self.claimed_mult)
 
     def to_json_dict(self) -> dict:
         return {
@@ -504,17 +510,18 @@ class EigenReport:
 
 
 def _claimed_eigentable(algebra: str, n: int, k: int,
-                        l: int) -> tuple[dict[Fraction, int | None], int]:
-    """Known (eigenvalue, multiplicity) pairs and the scale tying them to the generator."""
+                        l: int) -> tuple[dict[Fraction, int], int]:
+    """Known (eigenvalue, multiplicity) pairs and the scale tying them to the
+    generator.  Each row is one isotypic piece of the tensor space; the
+    counts of coinciding eigenvalues are summed and zero counts dropped."""
     if algebra == "so" and (k, l) == (2, 0):
-        table = {
-            Fraction(n - 1): 1,
-            Fraction(1): n * (n - 1) // 2,
-            Fraction(-1): (n + 2) * (n - 1) // 2,
-        }
-        return table, n
-    if algebra == "so" and (k, l) == (4, 0):
-        raw = [
+        raw, scale = [
+            (Fraction(n - 1), 1),
+            (Fraction(1), n * (n - 1) // 2),
+            (Fraction(-1), (n + 2) * (n - 1) // 2),
+        ], n
+    elif algebra == "so" and (k, l) == (4, 0):
+        raw, scale = [
             (Fraction(2 * n - 2), 3),
             (Fraction(n), 3 * n * (n - 1)),
             (Fraction(n - 2), 3 * (n + 2) * (n - 1)),
@@ -523,36 +530,46 @@ def _claimed_eigentable(algebra: str, n: int, k: int,
             (Fraction(0), n * (n + 1) * (n + 2) * (n - 3) // 6),
             (Fraction(-2), 3 * (n - 1) * (n - 2) * (n + 1) * (n + 4) // 8),
             (Fraction(-6), n * (n - 1) * (n + 1) * (n + 6) // 24),
-        ]
-        table: dict[Fraction, int | None] = {}
-        for value, mult in raw:
-            table[value] = table.get(value, 0) + mult
-        return {v: m for v, m in table.items() if m}, n
-    if algebra == "su" and (k, l) == (1, 1):
-        return {Fraction(n * n - 1): 1, Fraction(-1): n * n - 1}, n * n
-    if algebra == "su" and (k, l) == (2, 2):
-        raw = [
+        ], n
+    elif algebra == "su" and (k, l) == (1, 1):
+        raw, scale = [(Fraction(n * n - 1), 1),
+                      (Fraction(-1), n * n - 1)], n * n
+    elif algebra == "su" and (k, l) == (2, 2):
+        raw, scale = [
             (Fraction(2 * n * n - 2), 2),
             (Fraction(n * n - 2), 4 * (n + 1) * (n - 1)),
             (Fraction(2 * n - 2), n * n * (n + 1) * (n - 3) // 4),
             (Fraction(-2), (n + 2) * (n + 1) * (n - 1) * (n - 2) // 2),
             (Fraction(-2 * n - 2), n * n * (n - 1) * (n + 3) // 4),
-        ]
-        table = {}
-        for value, mult in raw:
-            table[value] = table.get(value, 0) + mult
-        return {v: m for v, m in table.items() if m}, n * n
-    if algebra == "usp" and (k, l) == (2, 0):
-        table = {
-            Fraction(2 * n + 1, 2): 1,
-            Fraction(1, 2): (n - 1) * (2 * n + 1),
-            Fraction(-1, 2): n * (2 * n + 1),
-        }
-        return table, n
-    if algebra == "usp" and (k, l) == (4, 0):
-        values = [2 * n + 1, n + 1, n, 3, 1, 0, -1, -3]
-        return {Fraction(v): None for v in values}, n
-    raise ValueError(f"no tabulated eigen-structure for {algebra} k={k} l={l}")
+        ], n * n
+    elif algebra == "usp" and (k, l) == (2, 0):
+        raw, scale = [
+            (Fraction(2 * n + 1, 2), 1),
+            (Fraction(1, 2), (n - 1) * (2 * n + 1)),
+            (Fraction(-1, 2), n * (2 * n + 1)),
+        ], n
+    elif algebra == "usp" and (k, l) == (4, 0):
+        # Brauer: the trivial piece 3 times, each size-2 irreducible 6 times,
+        # and the size-4 irreducibles (4), (3,1), (2,2), (2,1,1), (1^4)
+        # f^lambda = 1, 3, 2, 3, 1 times, each count f^lambda * dimension
+        raw, scale = [
+            (Fraction(2 * n + 1), 3),
+            (Fraction(n + 1), 6 * (n - 1) * (2 * n + 1)),
+            (Fraction(n), 6 * n * (2 * n + 1)),
+            (Fraction(3), n * (n - 3) * (2 * n - 1) * (2 * n + 1) // 6),
+            (Fraction(1),
+             3 * (n - 2) * (n + 1) * (2 * n - 1) * (2 * n + 1) // 2),
+            (Fraction(0), 2 * n * (n - 1) * (2 * n - 1) * (2 * n + 3) // 3),
+            (Fraction(-1), 3 * n * (n - 1) * (2 * n + 1) * (2 * n + 3) // 2),
+            (Fraction(-3), n * (n + 1) * (2 * n + 1) * (2 * n + 3) // 6),
+        ], n
+    else:
+        raise ValueError(f"no tabulated eigen-structure for {algebra} "
+                         f"k={k} l={l}")
+    table: dict[Fraction, int] = {}
+    for value, mult in raw:
+        table[value] = table.get(value, 0) + mult
+    return {v: m for v, m in table.items() if m}, scale
 
 
 def _start_patterns(algebra: str, slots: int) -> list[tuple]:
@@ -576,7 +593,7 @@ _MAX_TRACE_DIM = 10 ** 12
 _MAX_EIGENVALUE = 10 ** 6
 
 
-def verify_eigentable(algebra: str, n: int, k_or_kl) -> EigenReport:
+def verify_eigentable(algebra: str, n: int, k: int, l: int = 0) -> EigenReport:
     """Compare the spectrum of the pairwise Casimir sum eta with the known
     table.
 
@@ -594,13 +611,9 @@ def verify_eigentable(algebra: str, n: int, k_or_kl) -> EigenReport:
     ``_MAX_TRACE_DIM`` or an eigenvalue above ``_MAX_EIGENVALUE`` are refused
     with TooLarge.
     """
-    if isinstance(k_or_kl, tuple):
-        k, l = k_or_kl
-    else:
-        k, l = int(k_or_kl), 0
     _check_algebra(algebra, n)
     claimed, scale = _claimed_eigentable(algebra, n, k, l)
-    size = _embedding_dim(algebra, n) ** (k + l)
+    size = matrix_side(algebra, n) ** (k + l)
     top = max(map(abs, claimed))
     if size > _MAX_TRACE_DIM or top > _MAX_EIGENVALUE:
         raise TooLarge(f"{algebra}({n}) table past the float bounds: dimension "
@@ -622,17 +635,12 @@ def verify_eigentable(algebra: str, n: int, k_or_kl) -> EigenReport:
         np.add.at(mass, nearest, count * vectors[0] ** 2)
         np.maximum.at(residual, nearest,
                       np.abs(spectrum - target_vals[nearest]))
-    entries = []
-    ok = True
-    for idx, value in enumerate(targets):
-        count = round(float(mass[idx]))
-        want = claimed[value]
-        good = residual[idx] <= 1e-8 and (want is None or count == want)
-        ok = ok and good
-        entries.append(EigenEntry(value, want, count, float(residual[idx])))
+    entries = tuple(EigenEntry(value, claimed[value], round(float(mass[idx])),
+                               float(residual[idx]))
+                    for idx, value in enumerate(targets))
     dims_match = sum(e.computed_mult for e in entries) == size
-    return EigenReport(algebra, n, k, l, tuple(entries),
-                       dims_match, ok and dims_match)
+    return EigenReport(algebra, n, k, l, entries, dims_match,
+                       dims_match and all(e.verified for e in entries))
 
 
 # -- closed-form moments ---------------------------------------------------
@@ -817,28 +825,30 @@ def _su_forms() -> dict[str, tuple[Callable[[int], list], Callable[[int, float],
     }
 
 
+def _qnorm(i: int, j: int) -> list[tuple[float, tuple]]:
+    """Squared quaternion norm of block entry (i, j) of a quaternionic
+    matrix, as signed monomials of the determinant of its 2 x 2 complex
+    block."""
+    a, b = 2 * i, 2 * j
+    return [(1.0, ((a, b, False), (a + 1, b + 1, False))),
+            (-1.0, ((a, b + 1, False), (a + 1, b, False)))]
+
+
 def _usp_forms() -> dict[str, tuple[Callable[[int], list], Callable[[int, float], float]]]:
     def mono(*entries: tuple[int, int]) -> list:
         return [(1.0, tuple((a, b, False) for a, b in entries))]
 
-    def qnorm(i: int, j: int) -> list:
-        # squared quaternion norm of a block entry, as a determinant of the
-        # 2 x 2 complex block
-        a, b = 2 * i, 2 * j
-        return [(1.0, ((a, b, False), (a + 1, b + 1, False))),
-                (-1.0, ((a, b + 1, False), (a + 1, b, False)))]
-
     def qprod(first: tuple[int, int], second: tuple[int, int]) -> list:
         out = []
-        for c1, m1 in qnorm(*first):
-            for c2, m2 in qnorm(*second):
+        for c1, m1 in _qnorm(*first):
+            for c2, m2 in _qnorm(*second):
                 out.append((c1 * c2, m1 + m2))
         return out
 
     return {
-        "q|ii|^2": (lambda n: qnorm(0, 0),
+        "q|ii|^2": (lambda n: _qnorm(0, 0),
                     lambda n, t: 1 / n + (n - 1) / n * _e(-t)),
-        "q|ij|^2": (lambda n: qnorm(0, 1),
+        "q|ij|^2": (lambda n: _qnorm(0, 1),
                     lambda n, t: (1 - _e(-t)) / n),
         "d_aa^2": (lambda n: mono((0, 0), (0, 0)),
                    lambda n, t: _e(-(n + 1) * t / n)),
@@ -969,7 +979,7 @@ def pattern_monomials(algebra: str, n: int, name: str) -> list:
     except KeyError:
         raise UnsupportedPattern(f"unknown pattern {name!r}") from None
     terms = build(n)
-    d = _embedding_dim(algebra, n)
+    d = matrix_side(algebra, n)
     symbols = {i for _, term in terms for e in term for i in e[:2]}
     if max(symbols) >= d:
         raise InvalidRank(f"pattern {name!r} needs dimension > {max(symbols)}")

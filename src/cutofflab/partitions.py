@@ -191,9 +191,10 @@ def within_label_limit(max_size: int, length: int) -> bool:
     return sum(partition_counts(max_size, length)) <= limit
 
 
-def _half_cap(max_size: Fraction, length: int) -> int:
-    """Size cap of the half labels: mu + 1/2 has size |mu| + length / 2."""
-    return math.floor(max_size - Fraction(length, 2))
+def _half_cap(max_size: Fraction | int, length: int) -> int:
+    """Size cap of the half labels: mu + 1/2 has size |mu| + length / 2.
+    Halving after the floor keeps an int cap in integer arithmetic."""
+    return math.floor(2 * max_size - length) // 2
 
 
 def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from .cutoff import omega_value, zonal_value
 from .errors import TooLarge, UnsupportedStatistic, require_time
 from .moments import _orthonormal_basis
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, matrix_side
 
 __all__ = [
     "SimulationConfig",
@@ -128,11 +128,6 @@ class _Streams:
             if keep:
                 self._positions[pos] = self._bits.state
         return out
-
-
-def _ambient(descriptor: SpaceDescriptor) -> tuple[str, int, int]:
-    """(algebra, algebra rank, matrix size) of the isometry group."""
-    return descriptor.algebra, descriptor.param, descriptor.matrix_size
 
 
 @lru_cache(maxsize=16)
@@ -280,7 +275,8 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
     stream, so its endpoint does not depend on which other paths run with it.
     """
     require_time(t, allow_zero=True)
-    algebra, rank, size = _ambient(descriptor)
+    algebra, rank = descriptor.algebra, descriptor.param
+    size = matrix_side(algebra, rank)
     # the path runs in real form; see ``_real_form``
     width = size if algebra == "so" else 2 * size
     g = np.broadcast_to(np.eye(width), (len(path_indices), width, width)).copy()
@@ -312,7 +308,8 @@ def haar_samples(descriptor: SpaceDescriptor, seed: int,
     Sample i reads its Ginibre entries from its own stream; QR with the
     sign fix (or the quaternionic projection) runs on the whole stack.
     """
-    algebra, rank, size = _ambient(descriptor)
+    algebra, rank = descriptor.algebra, descriptor.param
+    size = matrix_side(algebra, rank)
     streams = _Streams(seed, _PURPOSE_HAAR, indices)
     if algebra == "so":
         q, r = np.linalg.qr(streams.draw((size, size)))

@@ -186,11 +186,6 @@ class SpaceDescriptor:
         return hash((self.family, self.n, self.q))
 
     @property
-    def matrix_size(self) -> int:
-        """Side of the matrices carrying the isometry group."""
-        return 2 * self.param if self.algebra == "usp" else self.param
-
-    @property
     def field_tag(self) -> str:
         """Scalar field of the stored matrices ('real' or 'complex')."""
         return "real" if self.algebra == "so" else "complex"
@@ -219,6 +214,12 @@ class SpaceDescriptor:
         if self.q is not None:
             return f"{self.family.value}({self.n},{self.q})"
         return f"{self.family.value}({self.n})"
+
+
+def matrix_side(algebra: str, n: int) -> int:
+    """Side of the defining matrices of so(n), su(n) or usp(n): 2n for the
+    quaternionic embedding of usp."""
+    return 2 * n if algebra == "usp" else n
 
 
 def drift_coefficient(algebra: str, n: int) -> Fraction:

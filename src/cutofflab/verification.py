@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -254,15 +254,15 @@ def _check_moment_forms() -> tuple[bool, dict]:
 
 def _check_eigen_tables() -> tuple[bool, dict]:
     ranks = (4, 5, 16, 40, 100)
-    cases = ([("so", n, k) for k in (2, 4) for n in ranks]
-             + [("su", n, kl) for kl in ((1, 1), (2, 2)) for n in ranks]
-             + [("usp", n, 2) for n in ranks]
-             + [("usp", n, 4) for n in (3, 4, 16, 40, 100)])
+    cases = ([("so", n, k, 0) for k in (2, 4) for n in ranks]
+             + [("su", n, k, k) for k in (1, 2) for n in ranks]
+             + [("usp", n, 2, 0) for n in ranks]
+             + [("usp", n, 4, 0) for n in (3, 4, 16, 40, 100)])
     summaries = []
-    for algebra, n, kl in cases:
-        report = _moments.verify_eigentable(algebra, n, kl)
-        label = f"{algebra} n={n} k={kl}"
-        if not report.verified:  # a residual above 1e-8 or a count off
+    for algebra, n, k, l in cases:
+        report = _moments.verify_eigentable(algebra, n, k, l)
+        label = f"{algebra} n={n} k={k} l={l}"
+        if not report.verified:  # a residual past tolerance or a count off
             return False, {"case": label,
                            "report": report.to_json_dict()}
         summaries.append({"case": label, "distinct": len(report.entries),
@@ -475,14 +475,8 @@ def run_check(name: str, threads: int = 1) -> CheckResult:
     raise ValueError(f"unknown check {name!r}")
 
 
-def run_all(threads: int = 1,
-            progress: Optional[Callable[[CheckResult], None]] = None
-            ) -> list[CheckResult]:
+def run_all(threads: int = 1) -> list[CheckResult]:
     """Run every check in order, returning one result per check."""
-    results = []
-    for name, _ in _CHECKS:
-        result = run_check(name, threads=threads)
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results
+    # the sampler's config refuses a bad thread count before any check runs
+    _sampler.SimulationConfig(threads=threads)
+    return [run_check(name, threads=threads) for name in CHECK_NAMES]

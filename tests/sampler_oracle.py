@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from cutofflab.sampler import _ambient, _project
+from cutofflab.sampler import _project
+from cutofflab.spaces import matrix_side
 
 
 def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -32,7 +33,8 @@ def _embed_quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def haar_sample(descriptor, *, seed: int = 0, index: int = 0) -> np.ndarray:
-    algebra, rank, size = _ambient(descriptor)
+    algebra, rank = descriptor.algebra, descriptor.param
+    size = matrix_side(algebra, rank)
     rng = _rng(seed, 1, index)
     if algebra == "so":
         ginibre = rng.standard_normal((size, size))

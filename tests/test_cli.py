@@ -140,8 +140,8 @@ def test_eigentable_verb_refuses_past_the_float_bounds(capsys, argv):
 def test_eigentable_failure_reports_claimed_and_computed(capsys, monkeypatch):
     real = moments.verify_eigentable
 
-    def broken(algebra, n, kl):
-        report = real(algebra, n, kl)
+    def broken(algebra, n, k, l=0):
+        report = real(algebra, n, k, l)
         entry = moments.EigenEntry(report.entries[0].eigenvalue,
                                    claimed_mult=999,
                                    computed_mult=report.entries[0].computed_mult,
@@ -271,6 +271,40 @@ def test_verify_all_exit_code_tracks_the_results(capsys, monkeypatch):
     assert code == 1
     assert payload["all_passed"] is False
     assert payload["checks"][2]["passed"] is False
+
+
+@pytest.mark.parametrize("verb", [
+    ("estimate", "--family", "SO", "--n", "3", "--t", "1", "--statistic",
+     "trace"),
+    ("verify-all",),
+], ids=lambda v: v[0])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_counts_below_one_exit_with_code_two(capsys, verb, threads):
+    code = cli.main([*verb, "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: threads must be positive\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("moment", "--family", "SO", "--n", "3", "--pattern", "1.4", "--t", "1"),
+     "index 3 out of range for dimension 3"),
+    (("moment", "--family", "USp", "--n", "2", "--pattern", "5.1",
+      "--t", "1"), "index 4 out of range for dimension 4"),
+    (("simulate", "--family", "SO", "--n", "3", "--t", "1", "--paths", "0"),
+     "need at least one path"),
+    (("eta", "--family", "SO", "--n", "10", "--l", "6"),
+     "layer index 6 out of range: need 1 <= l <= 5"),
+    (("eta", "--family", "SO", "--n", "10", "--l", "0"),
+     "layer index 0 out of range: need 1 <= l <= 5"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_inputs_the_library_refuses_exit_with_its_message(capsys, argv,
+                                                          message):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_threads_env_fallback(monkeypatch):

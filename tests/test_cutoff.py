@@ -127,7 +127,7 @@ def test_mean_at_zero_is_the_observable_at_the_identity():
     for family, n, q in _MV_CASES:
         desc = spaces.describe(family, n, q)
         mean, _ = co.mean_variance(desc, 0.0)
-        eye = np.eye(desc.matrix_size)
+        eye = np.eye(spaces.matrix_side(desc.algebra, desc.param))
         assert abs(co.omega_value(desc, eye) - mean) < 1e-12
 
 
@@ -162,7 +162,7 @@ def test_groups_have_no_zonal_polynomial():
     ("SUn_SOn", 5, None), ("SU2n_USpn", 2, None), ("USpn_Un", 3, None)])
 def test_zonal_function_is_one_at_the_identity(family, n, q):
     desc = spaces.describe(family, n, q)
-    eye = np.eye(desc.matrix_size)
+    eye = np.eye(spaces.matrix_side(desc.algebra, desc.param))
     assert abs(co.zonal_value(desc, eye) - 1.0) < 1e-12
 
 
@@ -322,11 +322,12 @@ def test_profile_upper_is_nonincreasing_and_bounds_cross_over():
             assert p.lower <= p.upper + 1e-12
 
 
-def test_profile_csv_layout():
-    desc = spaces.describe("SO", 11)
-    points = co.profile(desc, [1.0, 2.0])
-    text = co.profile_csv(points)
-    lines = text.strip().split("\n")
+def test_profile_csv_layout(capsys):
+    from cutofflab import cli
+
+    assert cli.main(["profile", "--family", "SO", "--n", "11", "--t-min", "1",
+                     "--t-max", "2", "--points", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "t,lower,upper"
     assert len(lines) == 3
     assert all(len(line.split(",")) == 3 for line in lines[1:])

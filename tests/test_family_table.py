@@ -51,7 +51,7 @@ def _row(desc) -> dict:
     from cutofflab.heatseries import _term_table, t_zero, tv_upper_bound
     from cutofflab.partitions import Weight, label_rows
     from cutofflab.repchar import casimir_exponent, dimension
-    from cutofflab.spaces import indexing_set
+    from cutofflab.spaces import indexing_set, matrix_side
 
     idx = indexing_set(desc)
     cap = 8
@@ -67,7 +67,7 @@ def _row(desc) -> dict:
         "proven_min_n": desc.proven_min_n,
         "indexing_set": [idx.kind.value, idx.length],
         "param": desc.param,
-        "matrix_size": desc.matrix_size,
+        "matrix_size": matrix_side(desc.algebra, desc.param),
         "ambient_group": str(desc.ambient_group()),
         "drift_alpha": str(desc.drift_alpha),
         "per_term": [None if c is None else str(c) for c in desc.per_term],

@@ -24,6 +24,7 @@ from cutofflab.errors import (
     UnsupportedSpace,
 )
 from cutofflab.partitions import WeightKind
+from cutofflab.repchar import dimension
 from tensor_oracle import dense_eigentable, expectation_entries
 
 
@@ -185,13 +186,13 @@ def test_batched_entries_agree_with_single_extraction():
     ("su", 4, (1, 1)), ("su", 5, (1, 1)), ("su", 4, (2, 2)), ("su", 5, (2, 2)),
     ("usp", 4, 2), ("usp", 5, 2), ("usp", 3, 4)])
 def test_eigen_tables_verify(algebra, n, spec):
-    report = mo.verify_eigentable(algebra, n, spec)
+    k, l = spec if isinstance(spec, tuple) else (spec, 0)
+    report = mo.verify_eigentable(algebra, n, k, l)
     assert report.verified
     assert report.dims_match
     total = sum(e.computed_mult for e in report.entries)
     d = 2 * n if algebra == "usp" else n
-    k = sum(spec) if isinstance(spec, tuple) else spec
-    assert total == d ** k
+    assert total == d ** (k + l)
     payload = report.to_json_dict()
     assert payload["verified"] is True
     assert all("max_residual" in e for e in payload["entries"])
@@ -204,7 +205,7 @@ def test_eigen_tables_verify(algebra, n, spec):
 def test_eigen_tables_match_the_dense_spectrum(algebra, n, spec):
     k, l = spec if isinstance(spec, tuple) else (spec, 0)
     table, size = dense_eigentable(algebra, n, k, l)
-    report = mo.verify_eigentable(algebra, n, spec)
+    report = mo.verify_eigentable(algebra, n, k, l)
     assert [(e.eigenvalue, e.computed_mult) for e in report.entries] == [
         (value, count) for value, count, _ in table]
     assert all(residual <= 1e-8 for _, _, residual in table)
@@ -220,10 +221,41 @@ def test_eigen_table_multiplicities_merge_at_coinciding_values():
     assert six[0].claimed_mult == 3 * 6 * 5 + 6 * 5 * 4 * 3 // 24
 
 
-def test_symplectic_degree_four_table_lists_values_only():
-    report = mo.verify_eigentable("usp", 3, 4)
-    assert all(e.claimed_mult is None for e in report.entries)
-    assert report.dims_match
+# the Brauer decomposition of V^(x)4 on usp(n): each size-4 irreducible
+# lambda (eigenvalue, f^lambda copies), and the size-2 ones 6 times each
+_USP_FOUR = [((4,), -3, 1), ((3, 1), -1, 3), ((2, 2), 0, 2),
+             ((2, 1, 1), 1, 3), ((1, 1, 1, 1), 3, 1)]
+
+
+def test_symplectic_degree_four_counts_are_brauer_multiples_of_dimensions():
+    # every count is a polynomial of degree 4 in n, and so is each Weyl
+    # dimension once the label fits the rank (n >= 4): agreeing at more
+    # than five ranks, they agree at every rank from 4 on
+    for n in range(4, 16):
+        desc = spaces.describe("USp", n)
+        idx = spaces.indexing_set(desc)
+
+        def dim(parts):
+            return dimension(desc, idx.label(parts))
+
+        raw = [(2 * n + 1, 3), (n + 1, 6 * dim((1, 1))), (n, 6 * dim((2,)))]
+        raw += [(value, copies * dim(lam)) for lam, value, copies in _USP_FOUR]
+        want: dict[Fraction, int] = {}
+        for value, count in raw:
+            want[Fraction(value)] = want.get(Fraction(value), 0) + count
+        claimed, _ = mo._claimed_eigentable("usp", n, 4, 0)
+        assert claimed == {v: c for v, c in want.items() if c}
+
+
+def test_symplectic_degree_four_table_claims_every_count():
+    for n in range(2, 301):
+        claimed, _ = mo._claimed_eigentable("usp", n, 4, 0)
+        assert all(type(c) is int and c > 0 for c in claimed.values())
+        assert sum(claimed.values()) == (2 * n) ** 4
+    # the trace formula's counts: below n = 4, where size-4 labels outgrow
+    # the rank and the Brauer check above does not apply, and past its ranks
+    for n in (2, 3, 4, 5, 16, 100, 300):
+        assert mo.verify_eigentable("usp", n, 4).verified, n
 
 
 @pytest.mark.parametrize("algebra,n", [("so", 2), ("su", 1), ("usp", 1)])

@@ -15,7 +15,7 @@ from cutofflab.repchar import casimir_exponent
 
 
 def _membership_residual(desc, g):
-    n = desc.matrix_size
+    n = spaces.matrix_side(desc.algebra, desc.param)
     unitary = np.linalg.norm(g.conj().T @ g - np.eye(n))
     if desc.family.name in ("SO", "GrR"):
         real = np.linalg.norm(np.asarray(g).imag) if np.iscomplexobj(g) else 0.0
@@ -235,7 +235,7 @@ def test_a_path_reads_its_own_philox_stream(family, n, algebra):
         key=np.array([seed, 0], dtype=np.uint64),
         counter=np.array([0, 0, path, 0], dtype=np.uint64)))
     normals = rng.standard_normal((4, len(basis)))
-    want = np.eye(desc.matrix_size)
+    want = np.eye(spaces.matrix_side(desc.algebra, desc.param))
     for z in normals:
         want = want @ expm(math.sqrt(t / 4) * np.einsum("k,kij->ij", z, basis))
     got = _endpoint(desc, t, seed=seed, path=path)
