@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
                      UnsupportedSpace, require_time)
-from .partitions import (MAX_LABELS, Weight, WeightKind, _half_cap,
-                         enumerate_by_size, label_rows, label_table_fits,
-                         partition_counts)
+from .partitions import (MAX_LABELS, LabelBlock, Weight, WeightKind,
+                         _half_cap, enumerate_by_size, label_block,
+                         label_table_fits, partition_counts)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
@@ -90,17 +90,26 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
 
 @dataclass(frozen=True)
 class _TermTable:
-    kind: WeightKind
-    parts2: np.ndarray    # doubled parts, one row per non-trivial label, in
-                          # the narrowest signed type holding 2 * size_cap
-    size2: np.ndarray     # 2|lambda|, in the same type
-    is_half: np.ndarray   # bool mask
+    """One space's series terms up to a size cap, one row per non-trivial
+    label.  The labels are the shared, read-only ``LabelBlock`` of the
+    space's label kind and cap, at the width they fill; the columns below
+    are the space's own."""
+
+    labels: LabelBlock
+    length: int           # the indexing set's coordinates
     log_dim: np.ndarray   # log D^lambda
     b: np.ndarray         # B_n(lambda)
     log_a: np.ndarray     # log A_n(lambda) with group squaring / factor 2
 
+    @property
+    def parts2(self) -> np.ndarray:
+        """Doubled parts over the block's width, narrow and read-only."""
+        return self.labels.parts2
+
     def weight(self, row: int) -> Weight:
-        return Weight(tuple(self.parts2[row].tolist()), self.kind)
+        head = self.parts2[row].tolist()
+        return Weight(tuple(head) + (0,) * (self.length - len(head)),
+                      self.labels.kind)
 
 
 # float64 entries in one transient block of pair factors: 512 KiB, so a
@@ -108,7 +117,7 @@ class _TermTable:
 _BLOCK = 1 << 16
 
 
-def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
+def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarray:
     """log D^lambda over l = 2(lambda + rho): type A multiplies
     (l_i - l_j) / (2rho_i - 2rho_j); types B, C, D take e_i -+ e_j as
     (l_i^2 - l_j^2) / (4rho_i^2 - 4rho_j^2), then e_i (B) or 2e_i (C) as
@@ -117,23 +126,22 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
     Bit-identical to multiplying every factor into every label in that
     order.  Every l_i^(2) is an integer, so a factor whose coordinates are
     both zero parts of a label is its denominator over itself, exactly 1.0,
-    and is skipped.  With labels taken longest first, the factors of i then
-    reach only the first reach[i] labels, reach[k] being the number of
-    labels with a non-zero part k.  A symmetric root reads its label from
-    both ends, so a pair (i, j) needs reach[min(i, r-1-j)] labels: every i
-    pairs with the last coordinate, non-zero on every label, and only the
-    pairs of two middle coordinates drop out.
+    and is skipped.  With labels taken longest first (``labels.order``),
+    the factors of i then reach only the first reach[i] labels, reach[k]
+    being the number of labels with a non-zero part k.  A symmetric root
+    reads its label from both ends, so a pair (i, j) needs
+    reach[min(i, r-1-j)] labels: every i pairs with the last coordinate,
+    non-zero on every label, and only the pairs of two middle coordinates
+    drop out.
 
     The pairs of one i form one block whose first row is the running
     product, and ``np.multiply.reduce`` folds it from the left, so each
     label meets the same factors in the same order.  Rows go in chunks that
-    keep a block within _BLOCK entries."""
+    keep a block within _BLOCK entries; each chunk's products go straight
+    to its labels' places in the result."""
     root = descriptor.root
-    rank, count = root.rank, len(parts2)
-    # parts are non-increasing, so column k is non-zero on the labels
-    # longer than k
-    reach = [np.count_nonzero(col) for col in parts2.T]
-    width = sum(1 for r in reach if r)
+    parts2, order, reach = labels.parts2, labels.order, labels.reach
+    rank, count, width = root.rank, len(parts2), len(reach)
     if not width:
         return np.zeros(count)
     if root.symmetric:
@@ -144,20 +152,18 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
     coords = []  # (i, rows) for the factors l_i / 2rho_i
     if root.type in (CharType.B, CharType.C):
         coords = [(i, reach[i]) for i in range(width)]
-    # a stable sort of a small unsigned key is a radix sort
-    key = width - np.count_nonzero(parts2[:, :width], axis=1)
-    order = np.argsort(key.astype(np.min_scalar_type(width)), kind="stable")
     rho2 = np.array(root.rho2)
     squared = root.type is not CharType.A
     rho_paired = rho2 ** 2 if squared else rho2
     den = (rho_paired[:, None] - rho_paired[None, :]).astype(float)
-    val = np.ones(count)
+    val = np.empty(count)
     step = max(1, _BLOCK // rank)
     ell_buf, paired_buf, block_buf = (np.empty((rank, min(step, count)))
                                       for _ in range(3))
+    prod_buf = np.empty(min(step, count))
     for start in range(0, count, step):
         stop = min(start + step, count)
-        chunk = parts2[order[start:stop], :width].T
+        chunk = parts2[order[start:stop]].T
         # l in root coordinates, one row per coordinate: exact integers
         ell = ell_buf[:, :stop - start]
         ell[width:] = rho2[width:, None]
@@ -167,20 +173,22 @@ def _vector_log_dim(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarr
         paired = ell
         if squared:
             paired = np.square(ell, out=paired_buf[:, :stop - start])
+        prod = prod_buf[:stop - start]
+        prod.fill(1.0)
         for i, j, need in pairs:
             rows = min(stop, need) - start
             if rows <= 0:
                 continue
             block = block_buf[:1 + rank - j, :rows]
-            block[0] = val[start:start + rows]
+            block[0] = prod[:rows]
             np.subtract(paired[i, :rows], paired[j:, :rows], out=block[1:])
             block[1:] /= den[i, j:, None]
-            np.multiply.reduce(block, axis=0, out=val[start:start + rows])
+            np.multiply.reduce(block, axis=0, out=prod[:rows])
         for i, need in coords:
             rows = min(stop, need) - start
             if rows > 0:
-                val[start:start + rows] *= ell[i, :rows] / float(rho2[i])
-    val[order] = val.copy()
+                prod[:rows] *= ell[i, :rows] / float(rho2[i])
+        val[order[start:stop]] = prod
     return np.log(val)
 
 
@@ -212,19 +220,13 @@ def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     idx = indexing_set(descriptor)
-    # row 0 is the zero label; parts and sizes are at most 2 * size_cap, and
-    # the narrowest signed type holding -(2 * size_cap + 1) holds them
-    narrow = np.min_scalar_type(-(2 * size_cap + 1))
-    parts2 = label_rows(idx, size_cap)[1:].astype(narrow)
-    size2 = parts2.sum(axis=1, dtype=narrow)
-    # a label's parts are all integers or all half-integers
-    is_half = parts2[:, 0] % 2 == 1
-    log_dim = _vector_log_dim(descriptor, parts2)
-    b = _vector_b(descriptor, parts2)
+    labels = label_block(idx, size_cap)
+    log_dim = _vector_log_dim(descriptor, labels)
+    b = _vector_b(descriptor, labels.parts2)
     log_a = 2.0 * log_dim if descriptor.is_group else log_dim
     if _fold(descriptor) == 2:
         log_a = log_a + math.log(2.0)
-    return _TermTable(idx.kind, parts2, size2, is_half, log_dim, b, log_a)
+    return _TermTable(labels, idx.length, log_dim, b, log_a)
 
 
 # -- certified tails -------------------------------------------------------
@@ -541,11 +543,11 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
         return float(values[best]), table.weight(best)
 
     max_all, arg_all = pick(np.ones(len(values), dtype=bool))
-    max_int, arg_int = pick(~table.is_half)
-    max_half, arg_half = pick(table.is_half)
+    max_int, arg_int = pick(~table.labels.is_half)
+    max_half, arg_half = pick(table.labels.is_half)
     if max_all is None or max_int is None:
         raise ValueError("size_cap leaves no labels to sweep")
-    boundary = values[table.size2 > 2 * (size_cap - 2)]
+    boundary = values[table.labels.size2 > 2 * (size_cap - 2)]
     boundary_max = float(boundary.max()) if len(boundary) else 0.0
     const_int, const_half = descriptor.per_term
     certified = (n >= minimum and size_cap >= 40

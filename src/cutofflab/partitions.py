@@ -1,12 +1,19 @@
 """Weight labels for the classical families: partitions, half-partitions and
-their even, doubled and parity-constrained variants, enumerated by size as
-int64 label arrays with a ``Weight`` view, and bounded-length partition
-counts."""
+their even, doubled and parity-constrained variants, and bounded-length
+partition counts.
+
+The labels of one kind up to a size cap are enumerated by size into a
+read-only ``LabelBlock``: the leading coordinates they fill, in the
+narrowest signed type holding 2 * cap + 1, built once per (kind, width,
+cap) and shared by every length that asks while someone holds it.
+``label_rows`` pads a block to int64 rows, and ``enumerate_by_size`` gives
+a ``Weight`` view of those."""
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -214,79 +221,210 @@ def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> boo
     return sum(counts) + sum(half) <= _label_limit(length)
 
 
-def _partition_rows(max_total: int, length: int) -> np.ndarray:
+def _partition_rows(max_total: int, length: int,
+                    dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every partition with at most ``length`` parts and size <= max_total,
-    one zero-padded int64 row each, in ascending lexicographic order.
+    one zero-padded row each, in ascending lexicographic order, with each
+    row's size and number of non-zero parts.
 
-    Built column by column: a row whose latest part is v and whose remaining
-    budget is r gets one child for each next part 0..min(v, r).  Only the
-    first min(length, max_total) columns can hold a non-zero part.
+    The partitions form a tree: the children of a partition of k parts, the
+    last v and the size left r, are its extensions by a part 1..min(v, r).
+    In lexicographic order a partition comes right before its descendants
+    (its zero-padded row is below every extension of it), and sibling
+    subtrees follow in increasing last part: the tree's preorder.  The tree
+    is built level by level, one node per partition; subtree sizes summed
+    bottom-up give every node its row, and part k, the value of the level-k
+    node, fills column k over its subtree's rows.
     """
     if max_total < 0:
-        return np.zeros((0, length), dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros((0, length), dtype=dtype), empty, empty
     cols = min(length, max_total)
     if cols == 0:
-        return np.zeros((1, length), dtype=np.int64)
-    values = [np.arange(max_total + 1, dtype=np.int64)]
-    parents = []
-    budget = max_total - values[0]
+        zero = np.zeros(1, dtype=np.int64)
+        return np.zeros((1, length), dtype=dtype), zero, zero
+    # level 0: the first part, 0..max_total; fan is each node's child count
+    values = [np.arange(max_total + 1)]
+    budgets = [max_total - values[0]]
+    fans, firsts, parents = [], [], []
     for _ in range(1, cols):
-        width = np.minimum(values[-1], budget) + 1
-        parent = np.repeat(np.arange(len(width)), width)
-        first_child = np.cumsum(width) - width
-        value = np.arange(len(parent), dtype=np.int64) - first_child[parent]
-        budget = budget[parent] - value
-        values.append(value)
+        fan = np.minimum(values[-1], budgets[-1])
+        parent = np.repeat(np.arange(len(fan)), fan)
+        first = np.cumsum(fan) - fan
+        values.append(np.arange(1, len(parent) + 1) - first[parent])
+        budgets.append(budgets[-1][parent] - values[-1])
+        fans.append(fan)
+        firsts.append(first)
         parents.append(parent)
-    # one contiguous row per part index; the rows are its transpose
-    columns = np.zeros((length, len(values[-1])), dtype=np.int64)
-    pick = np.arange(len(values[-1]))
-    for col in range(cols - 1, -1, -1):
-        columns[col] = values[col][pick]
-        if col:
-            pick = parents[col - 1][pick]
-    return columns.T
+    # subtree sizes, bottom-up, with each level's running sums of them
+    subtree = [np.ones(len(values[-1]), dtype=np.int64)]
+    sums = []
+    for fan, first in zip(fans[::-1], firsts[::-1]):
+        total = np.zeros(len(subtree[0]) + 1, dtype=np.int64)
+        np.cumsum(subtree[0], out=total[1:])
+        sums.insert(0, total)
+        subtree.insert(0, 1 + total[first + fan] - total[first])
+    count = int(subtree[0].sum())
+    size = np.empty(count, dtype=np.int64)
+    parts = np.empty(count, dtype=np.int64)
+    # column k holds the level-k node's value over its subtree's rows
+    # [row, row + subtree): a running sum of +value at row, -value after
+    steps = np.zeros((length, count + 1), dtype=dtype)
+    row = np.cumsum(subtree[0]) - subtree[0]
+    for k in range(cols):
+        if k:
+            # a child's subtree starts after its parent's row and the
+            # subtrees of its elder siblings
+            total = sums[k - 1]
+            row = (row + 1 - total[firsts[k - 1]])[parents[k - 1]] + total[:-1]
+        steps[k, row] = values[k]
+        steps[k, row + subtree[k]] -= values[k]
+        size[row] = max_total - budgets[k]
+        parts[row] = k + 1
+    parts[0] = 0  # the zero partition
+    columns = np.cumsum(steps[:, :count], axis=1, dtype=dtype)
+    return np.ascontiguousarray(columns.T), size, parts
+
+
+@dataclass(frozen=True, eq=False)
+class LabelBlock:
+    """The non-trivial labels of one kind up to one size cap, read-only.
+
+    ``parts2`` holds the doubled parts (2*lambda_i) of every label but the
+    zero label, one row each, ordered by size and then ascending
+    lexicographically, over the leading coordinates the labels fill (the
+    block's width): every later part of every label is zero, so one block
+    serves every length of at least its width.  It is stored in the narrowest signed type
+    holding 2 * cap + 1, as is ``size2``.  ``order`` lists the rows longest
+    first (stably), and ``reach[k]`` counts the labels with a non-zero part
+    k: the longest-first prefix a factor of coordinate k reaches."""
+
+    kind: WeightKind
+    parts2: np.ndarray    # (labels, width)
+    size2: np.ndarray     # 2|lambda|
+    is_half: np.ndarray   # half-integer parts, a bool mask
+    order: np.ndarray     # row indices, longest first, narrow unsigned
+    reach: tuple[int, ...]
+
+
+# shape -> block, kept while a caller holds the block (a cached term table
+# does), so the cache keeps alive no block that nothing else uses
+_BLOCKS: "weakref.WeakValueDictionary[tuple, LabelBlock]" = (
+    weakref.WeakValueDictionary())
+
+
+def _block_shape(indexing: IndexingSetKind,
+                 max_size: Fraction) -> tuple[WeightKind, int, int, int]:
+    """(kind, width, cap, second cap): what a label set depends on.  The
+    second cap sizes halfY's half block or evenOrOddY's odd block, -1 when
+    it is empty; such a block fills all ``length`` coordinates.  Otherwise
+    partitions of size <= c fill min(length, c) of them: c = cap on Y and
+    halfY, cap // 2 on evenY and evenOrOddY, and doubledY's pairs fill two
+    coordinates each."""
+    kind, length = indexing.kind, indexing.length
+    cap = int(max_size)
+    second = -1
+    if kind is WeightKind.halfY:
+        second = max(_half_cap(max_size, length), -1)
+    elif kind is WeightKind.evenOrOddY:
+        second = max((cap - length) // 2, -1)
+    if second >= 0:
+        width = length
+    elif kind in (WeightKind.Y, WeightKind.halfY):
+        width = min(length, cap)
+    elif kind is WeightKind.doubledY:
+        width = 2 * min(length // 2, cap // 2)
+    else:
+        width = min(length, cap // 2)
+    return kind, width, cap, second
+
+
+def _build_block(kind: WeightKind, width: int, cap: int,
+                 second: int) -> LabelBlock:
+    """The block of one ``_block_shape``, enumerated straight into its
+    type: parts and sizes are at most 2 * cap + 1 (a half label's, at a
+    fractional size cap)."""
+    dtype = np.min_scalar_type(-(2 * cap + 1))
+    if kind is WeightKind.doubledY:
+        rows, size, parts = _partition_rows(cap // 2, width // 2, dtype)
+        rows = np.repeat(rows, 2, axis=1)
+        rows *= 2
+        size2, nonzero = 4 * size, 2 * parts
+    elif kind in (WeightKind.evenY, WeightKind.evenOrOddY):
+        rows, size, nonzero = _partition_rows(cap // 2, width, dtype)
+        rows *= 4
+        size2 = 4 * size
+    else:
+        rows, size, nonzero = _partition_rows(cap, width, dtype)
+        rows *= 2
+        size2 = 2 * size
+    # drop the zero label, row 0
+    rows, size2, nonzero = rows[1:], size2[1:], nonzero[1:]
+    integral = len(rows)
+    key = size2
+    if second >= 0:
+        # half labels add 1/2 to every part of an integer label, odd ones 1
+        # to every part of an even label: all ``width`` parts are non-zero
+        scale, shift = (2, 1) if kind is WeightKind.halfY else (4, 2)
+        extra, size, _ = _partition_rows(second, width, dtype)
+        extra *= scale
+        extra += shift
+        rows = np.concatenate([rows, extra])
+        size2 = np.concatenate([size2, scale * size + shift * width])
+        nonzero = np.concatenate([nonzero, np.full(len(extra), width)])
+        # rows of the two blocks differ in their first part (parity, or
+        # residue mod 4), so ordering by (size, first part) keeps the
+        # lexicographic order within a size
+        first = rows[:, 0].astype(np.int64)
+        key = size2 * (int(first.max()) + 1) + first
+    is_half = np.zeros(len(rows), dtype=bool)
+    if kind is WeightKind.halfY:
+        is_half[integral:] = True
+    # each block is in ascending lexicographic order, so a stable sort by
+    # the key leaves every row in (size, lexicographic) order; a stable
+    # sort of a small unsigned key is a radix sort
+    by_size = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))),
+                         kind="stable")
+    parts2, size2 = rows[by_size], size2[by_size].astype(dtype)
+    is_half, nonzero = is_half[by_size], nonzero[by_size]
+    order = np.argsort((width - nonzero).astype(np.min_scalar_type(width)),
+                       kind="stable").astype(np.min_scalar_type(len(rows)))
+    # reach[k]: the labels with more than k non-zero parts
+    longer = len(nonzero) - np.cumsum(np.bincount(nonzero, minlength=width + 1))
+    for array in (parts2, size2, is_half, order):
+        array.flags.writeable = False
+    return LabelBlock(kind, parts2, size2, is_half, order,
+                      tuple(int(c) for c in longer[:width]))
+
+
+def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlock:
+    """The non-trivial labels of the kind with |lambda| <= max_size, as a
+    read-only block at the width they fill, shared by every caller asking
+    for the same (kind, width, cap, second cap) while one holds it."""
+    max_size = Fraction(max_size)
+    if max_size < 0:
+        raise ValueError("max_size must be >= 0")
+    if not label_table_fits(indexing, max_size):
+        raise TooLarge(f"size cap {int(max_size)} gives more than {MAX_LABELS} "
+                       f"labels of length {indexing.length}, or more than "
+                       f"{MAX_LABEL_ENTRIES} parts")
+    shape = _block_shape(indexing, max_size)
+    block = _BLOCKS.get(shape)
+    if block is None:
+        block = _build_block(*shape)
+        _BLOCKS[shape] = block
+    return block
 
 
 def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarray:
     """Doubled parts (2*lambda_i) of every label of the kind with
     |lambda| <= max_size, one int64 row per label, ordered by size and then
-    ascending lexicographically."""
-    max_size = Fraction(max_size)
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
-    kind, length = indexing.kind, indexing.length
-    cap = int(max_size)  # integer component sizes
-    if not label_table_fits(indexing, max_size):
-        raise TooLarge(f"size cap {cap} gives more than {MAX_LABELS} labels "
-                       f"of length {length}, or more than "
-                       f"{MAX_LABEL_ENTRIES} parts")
-    if kind is WeightKind.Y:
-        blocks = [2 * _partition_rows(cap, length)]
-    elif kind is WeightKind.halfY:
-        # half labels: 1/2 added to every part of an integer label
-        blocks = [2 * _partition_rows(cap, length),
-                  2 * _partition_rows(_half_cap(max_size, length), length) + 1]
-    elif kind is WeightKind.evenY:
-        blocks = [4 * _partition_rows(cap // 2, length)]
-    elif kind is WeightKind.doubledY:
-        pairs = _partition_rows(cap // 2, length // 2)
-        rows = np.zeros((len(pairs), length), dtype=np.int64)
-        rows[:, :2 * pairs.shape[1]] = 2 * np.repeat(pairs, 2, axis=1)
-        blocks = [rows]
-    elif kind is WeightKind.evenOrOddY:
-        # odd component: every coordinate odd, i.e. 1 added to an all-even label
-        blocks = [4 * _partition_rows(cap // 2, length),
-                  4 * _partition_rows((cap - length) // 2, length) + 2]
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {kind}")
-    rows = np.concatenate(blocks)
-    # Each block is in ascending lexicographic order, and rows of different
-    # blocks differ in their first part (parity, or residue mod 4), so a stable
-    # sort by (size, first part) leaves every row in (size, lexicographic) order.
-    first = rows[:, 0]
-    key = rows.sum(axis=1) * (int(first.max(initial=0)) + 1) + first
-    return rows[np.argsort(key, kind="stable")]
+    ascending lexicographically: the zero label, then ``label_block``'s rows
+    zero-padded to the length."""
+    parts2 = label_block(indexing, max_size).parts2
+    rows = np.zeros((len(parts2) + 1, indexing.length), dtype=np.int64)
+    rows[1:, :parts2.shape[1]] = parts2
+    return rows
 
 
 def enumerate_by_size(indexing: IndexingSetKind, max_size: Fraction | int) -> Iterator[Weight]:

@@ -36,22 +36,27 @@ def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     product of <l, alpha> / <2 rho, alpha> over the positive roots alpha,
     with l = 2(lambda + rho) an integer vector: (l_i - l_j) / (2rho_i - 2rho_j)
     and, on types B, C, D, (l_i + l_j) / (2rho_i + 2rho_j) for i < j, with
-    the pair i = j (e_i on B, 2e_i on C) on B and C."""
+    the pair i = j (e_i on B, 2e_i on C) on B and C.  A factor whose
+    coordinates are both zero parts of the label multiplies numerator and
+    denominator by the same integer, so it is skipped."""
     root = descriptor.root
     rank, rho2 = root.rank, root.rho2
-    ell = [p + r for p, r in zip(_root_parts2(descriptor, weight), rho2)]
+    parts2 = _root_parts2(descriptor, weight)
+    ell = [p + r for p, r in zip(parts2, rho2)]
     num = den = 1
     for i in range(rank):
         for j in range(i + 1, rank):
-            num *= ell[i] - ell[j]
-            den *= rho2[i] - rho2[j]
+            if parts2[i] or parts2[j]:
+                num *= ell[i] - ell[j]
+                den *= rho2[i] - rho2[j]
     if root.type is CharType.A:
         return Fraction(num, den)
     diagonal = root.type in (CharType.B, CharType.C)
     for i in range(rank):
         for j in range(i if diagonal else i + 1, rank):
-            num *= ell[i] + ell[j]
-            den *= rho2[i] + rho2[j]
+            if parts2[i] or parts2[j]:
+                num *= ell[i] + ell[j]
+                den *= rho2[i] + rho2[j]
     return Fraction(num, den)
 
 

@@ -37,27 +37,36 @@ def _root_label(descriptor: SpaceDescriptor, weight: Weight) -> list[Fraction]:
     return head + zeros + [-v for v in reversed(head)]
 
 
+def _product(factors: list[int]) -> int:
+    """The product of the factors, multiplied pairwise in rounds: the same
+    integer as a running product, without its quadratic cost in the
+    length of the result."""
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + \
+            factors[len(factors) - len(factors) % 2:]
+    return factors[0] if factors else 1
+
+
 def _weyl_product(parts: list[Fraction], root: RootDatum) -> Fraction:
     """The factors <l + rho, alpha> / <rho, alpha> over the positive roots:
     e_i - e_j and, on B, C, D, e_i + e_j (i < j), with i = j on B and C."""
     rank = root.rank
     lam, d = _scaled(parts, rank)
     rho2 = root.rho2
-    num = den = 1
+    num, den = [], []
     for i in range(rank):
         for j in range(i + 1, rank):
             shift = (rho2[i] - rho2[j]) // 2
-            num *= lam[i] - lam[j] + d * shift
-            den *= d * shift
-    if root.type is CharType.A:
-        return Fraction(num, den)
-    diagonal = root.type in (CharType.B, CharType.C)
-    for i in range(rank):
-        for j in range(i if diagonal else i + 1, rank):
-            shift = (rho2[i] + rho2[j]) // 2
-            num *= lam[i] + lam[j] + d * shift
-            den *= d * shift
-    return Fraction(num, den)
+            num.append(lam[i] - lam[j] + d * shift)
+            den.append(d * shift)
+    if root.type is not CharType.A:
+        diagonal = root.type in (CharType.B, CharType.C)
+        for i in range(rank):
+            for j in range(i if diagonal else i + 1, rank):
+                shift = (rho2[i] + rho2[j]) // 2
+                num.append(lam[i] + lam[j] + d * shift)
+                den.append(d * shift)
+    return Fraction(_product(num), _product(den))
 
 
 def oracle_dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:

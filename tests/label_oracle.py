@@ -1,15 +1,16 @@
 """Recursive label enumerator kept as a test oracle for ``label_rows`` and
 ``enumerate_by_size``.
 
-It builds one validated ``Weight`` per label, one size layer and one kind
-at a time, and sorts by (size, doubled parts): the reference order
-the array enumerator must reproduce row for row.
+It builds the doubled parts of every label (``oracle_rows``), one size
+layer and one kind at a time, and sorts them by (size, doubled parts): the
+reference order the array enumerator must reproduce row for row.
+``oracle_labels`` wraps each row in a validated ``Weight``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cutofflab.partitions import IndexingSetKind, Weight, WeightKind
 
@@ -32,18 +33,19 @@ def _pad(p: Sequence[int], length: int) -> tuple[int, ...]:
     return tuple(p) + (0,) * (length - len(p))
 
 
-def oracle_labels(indexing: IndexingSetKind,
-                  max_size: Fraction | int) -> list[Weight]:
-    """Every weight of the kind with |lambda| <= max_size, in reference order."""
+def oracle_rows(indexing: IndexingSetKind,
+                max_size: Fraction | int) -> list[tuple[int, ...]]:
+    """The doubled parts of every label of the kind with |lambda| <= max_size,
+    zero-padded, in reference order."""
     max_size = Fraction(max_size)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     kind, length = indexing.kind, indexing.length
     cap = int(max_size)
-    out: list[Weight] = []
+    out: list[tuple[int, ...]] = []
 
-    def add(parts2: Sequence[int]) -> None:
-        out.append(Weight(tuple(parts2), kind))
+    def add(parts2: Iterable[int]) -> None:
+        out.append(tuple(parts2))
 
     if kind is WeightKind.Y:
         for s in range(cap + 1):
@@ -80,5 +82,12 @@ def oracle_labels(indexing: IndexingSetKind,
                     add(2 * v + 1 for v in _pad(p, length))
     else:
         raise NotImplementedError(kind)
-    out.sort(key=lambda w: (w.size, w.parts2))
+    out.sort(key=lambda row: (sum(row), row))
     return out
+
+
+def oracle_labels(indexing: IndexingSetKind,
+                  max_size: Fraction | int) -> list[Weight]:
+    """Every weight of the kind with |lambda| <= max_size, in reference
+    order, each one validated."""
+    return [Weight(row, indexing.kind) for row in oracle_rows(indexing, max_size)]

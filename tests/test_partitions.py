@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +19,13 @@ from cutofflab.partitions import (
     Weight,
     WeightKind,
     enumerate_by_size,
+    label_block,
     label_rows,
     partition_counts,
     within_label_limit,
 )
 from exact_oracle import oracle_count_table, oracle_within_label_limit
-from label_oracle import int_partitions, oracle_labels
+from label_oracle import int_partitions, oracle_labels, oracle_rows
 
 
 def brute_partitions(total: int, max_len: int, max_part: int | None = None):
@@ -266,6 +269,83 @@ def test_label_row_counts_are_sums_of_partition_counts(length):
         half = sum(counts[:half_cap + 1]) if half_cap >= 0 else 0
         assert rows(WeightKind.halfY, max_size) == \
             sum(counts[:int(max_size) + 1]) + half
+
+
+# -- shared label blocks ------------------------------------------------------
+
+
+def _cap_width(kind, cap):
+    """The coordinates a kind's labels of size <= cap fill at any length past
+    them, half and odd labels aside (those fill every coordinate)."""
+    if kind in (WeightKind.Y, WeightKind.halfY):
+        return cap
+    if kind is WeightKind.doubledY:
+        return 2 * (cap // 2)
+    return cap // 2
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
+def test_label_rows_are_the_padded_oracle_around_the_block_width(kind, cap):
+    width = _cap_width(kind, cap)
+    lengths = {width - 1, width, width + 1, 2 * cap + 2} - {-1, 0}
+    if cap == 40 and kind in (WeightKind.Y, WeightKind.halfY):
+        # 215,308 labels, about four seconds a length: Y's far past the
+        # width, halfY's one below it, where its half block fills the rows
+        # and its integer block is the partitions of up to 39 parts
+        lengths = {2 * cap + 2 if kind is WeightKind.Y else width - 1}
+    for length in sorted(lengths):
+        idx = IndexingSetKind(kind, length)
+        rows = label_rows(idx, cap)
+        assert rows.dtype == np.int64 and rows.shape[1] == length
+        assert np.array_equal(rows, np.array(oracle_rows(idx, cap))), length
+        block = label_block(idx, cap)
+        assert block.parts2.dtype == np.int8
+        # the block holds the labels but the zero one, at the width they fill
+        fill = block.parts2.shape[1]
+        assert np.array_equal(block.parts2, rows[1:, :fill])
+        assert not rows[:, fill:].any()
+        assert len(block.reach) == fill and all(block.reach)
+
+
+@pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
+def test_label_blocks_hold_the_widest_parts_in_their_type(kind):
+    # 2 * 63 + 1 = 127 is the largest int8; cap 64 moves to int16
+    for cap, dtype in ((63, np.int8), (64, np.int16)):
+        idx = IndexingSetKind(kind, 2)
+        block = label_block(idx, cap)
+        assert block.parts2.dtype == block.size2.dtype == dtype
+        assert label_rows(idx, cap).tolist() == \
+            [list(row) for row in oracle_rows(idx, cap)]
+        assert block.size2.tolist() == block.parts2.sum(axis=1).tolist()
+
+
+def test_a_cap_below_every_label_gives_an_empty_block():
+    block = label_block(IndexingSetKind(WeightKind.evenY, 4), 1)
+    assert block.parts2.shape == (0, 0) and block.reach == ()
+    assert label_rows(IndexingSetKind(WeightKind.evenY, 4), 1).tolist() == \
+        [[0, 0, 0, 0]]
+
+
+def test_label_blocks_are_read_only_and_shared_across_lengths():
+    wide = label_block(IndexingSetKind(WeightKind.Y, 45), 40)
+    assert label_block(IndexingSetKind(WeightKind.Y, 41), 40) is wide
+    assert label_block(IndexingSetKind(WeightKind.Y, 39), 40) is not wide
+    for array in (wide.parts2, wide.size2, wide.is_half, wide.order):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the rows longest first, and a prefix of them per coordinate
+    lengths = np.count_nonzero(wide.parts2, axis=1)[wide.order]
+    assert (np.diff(lengths) <= 0).all()
+    assert wide.reach == tuple(int((lengths > k).sum()) for k in range(40))
+
+
+def test_the_block_cache_keeps_no_block_nobody_holds():
+    # a cap no term table in the suite uses, so no table holds this block
+    idx = IndexingSetKind(WeightKind.doubledY, 30)
+    ref = weakref.ref(label_block(idx, 23))
+    gc.collect()
+    assert ref() is None
 
 
 def test_label_rows_reject_negative_cap():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -458,3 +459,21 @@ def test_exact_dimension_and_rate_equal_the_scaled_fraction_route():
         assert dimension(desc, weight) == oracle_dimension(desc, weight)
         assert (casimir_exponent(desc, weight)
                 == oracle_casimir_exponent(desc, weight)), (desc, weight)
+
+
+def test_exact_dimension_at_high_rank_equals_the_all_pairs_route():
+    # the library skips the pairs of two zero parts, which leaves a few
+    # hundred of the 45,000 pairs of USp(300) to a short label; the oracle
+    # multiplies every pair
+    spent = 0.0
+    for family, n, heads in (("USp", 300, [(3, 1), (1, 1, 1)]),
+                             ("SO", 301, [(3, 1), (2, 2)]),
+                             ("SU", 300, [(3, 1), (2, 1, 1)])):
+        desc = describe(family, n)
+        for head in heads:
+            weight = indexing_set(desc).label(head)
+            start = time.perf_counter()
+            dim = dimension(desc, weight)
+            spent += time.perf_counter() - start
+            assert dim == oracle_dimension(desc, weight), (desc, head)
+    assert spent < 0.2  # every pair: about 3 s for one label on USp(300)
