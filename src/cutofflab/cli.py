@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def _json_text(payload) -> str:
                       allow_nan=False) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV text of the header and the rows, one line at a time."""
     def cell(v) -> str:
         if isinstance(v, float):
             return "%.12g" % v
@@ -65,9 +66,16 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
+    yield buffer.getvalue()
     for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
         writer.writerow([cell(v) for v in row])
-    return buffer.getvalue()
+        yield buffer.getvalue()
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    return "".join(_csv_lines(header, rows))
 
 
 def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
@@ -79,12 +87,14 @@ def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
         _emit(_json_text(payload), args.out)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write the text, or its pieces as they are produced."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _space(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -404,15 +414,39 @@ def _run_simulate(parser, args) -> int:
     # chunk by chunk, as in estimate: memory grows with one value per path
     values = _sampler._values_for_range(desc, "omega", args.t, config,
                                         0, args.paths, None)
-    rows = [(index, float(v.real), float(v.imag))
-            for index, v in enumerate(values)]
     if args.format == "csv":
-        _emit(_csv_text(("path", "omega_re", "omega_im"), rows), args.out)
+        _emit(_csv_lines(("path", "omega_re", "omega_im"), _omega_rows(values)),
+              args.out)
     else:
-        _emit(_json_text({"space": str(desc), "t": args.t, "seed": args.seed,
-                          "omega": [{"path": p, "re": re, "im": im}
-                                    for p, re, im in rows]}), args.out)
+        _emit(_omega_json(desc, args, values), args.out)
     return _EXIT_OK
+
+
+def _omega_rows(values: np.ndarray) -> Iterator[tuple[int, float, float]]:
+    """(path, re, im) for each value, converted a slice at a time."""
+    step = 1 << 16
+    for lo in range(0, len(values), step):
+        part = values[lo:lo + step]
+        yield from zip(range(lo, lo + len(part)), part.real.tolist(),
+                       part.imag.tolist())
+
+
+def _omega_json(desc, args: argparse.Namespace,
+                values: np.ndarray) -> Iterator[str]:
+    """The text of _json_text({"space", "t", "seed", "omega": [{"path",
+    "re", "im"}, ...]}), one path at a time: the frame is that of a
+    one-element list, and each element is written as json.dumps writes it
+    at that depth (keys sorted, floats by repr)."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    frame = _json_text({"space": str(desc), "t": args.t, "seed": args.seed,
+                        "omega": [None]})
+    head, tail = frame.split("\n    null\n")
+    yield head + "\n"
+    entry = '    {\n      "im": %r,\n      "path": %d,\n      "re": %r\n    }'
+    for path, re, im in _omega_rows(values):
+        yield ("" if path == 0 else ",\n") + entry % (im, path, re)
+    yield "\n" + tail
 
 
 def _run_estimate(parser, args) -> int:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import TooLarge
 
-# Largest label table built at once: the partitions of size <= c with at
-# most L parts, for size cap c and length L, at most MAX_LABELS of them and
-# MAX_LABEL_ENTRIES parts in all.  Every cap up to 40 passes at every length
-# up to 139 (215,308 partitions).
+# Largest label table built at once: at most MAX_LABELS labels, and at most
+# MAX_LABEL_ENTRIES parts in the rows that hold them, at the width a block
+# stores or at the length ``label_rows`` pads to.  Every cap up to 40 passes
+# at every length (215,308 partitions of width at most 40).
 MAX_LABELS = 300_000
 MAX_LABEL_ENTRIES = 100 * MAX_LABELS
 
@@ -173,24 +173,26 @@ def partition_counts(max_size: int, max_len: int) -> list[int]:
     return counts
 
 
-def _label_limit(length: int) -> int:
-    """Most labels of ``length`` parts built at once."""
-    return min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
+def _label_limit(width: int) -> int:
+    """Most labels of ``width`` stored parts built at once."""
+    return min(MAX_LABELS, MAX_LABEL_ENTRIES // max(width, 1))
 
 
-@lru_cache(maxsize=64)
-def within_label_limit(max_size: int, length: int) -> bool:
+def within_label_limit(max_size: int, length: int,
+                       width: int | None = None) -> bool:
     """Whether at most MAX_LABELS partitions have size <= max_size and at
-    most ``length`` parts, and their rows at most MAX_LABEL_ENTRIES parts.
+    most ``length`` parts, and their rows at ``width`` parts each (by
+    default min(length, max_size), the parts they fill) at most
+    MAX_LABEL_ENTRIES parts.
 
     Every size has a partition, so a cap of the limit or more fails.  With
     two parts allowed, size s has floor(s/2) + 1 partitions of at most two
     parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
     together, so (c + 1)^2 > 4 * limit fails too.  The count left costs
-    c * min(c, length) additions: below MAX_LABELS on one part, and with
-    c < 2 sqrt(limit) and limit <= MAX_LABEL_ENTRIES / length, below 2.5e5
-    on more."""
-    limit = _label_limit(length)
+    c * min(c, length) additions, with c < 2 sqrt(limit) < 1,100."""
+    if width is None:
+        width = min(length, max_size)
+    limit = _label_limit(width)
     if max_size >= limit:
         return False
     if length >= 2 and (max_size + 1) ** 2 > 4 * limit:
@@ -204,21 +206,24 @@ def _half_cap(max_size: Fraction | int, length: int) -> int:
     return math.floor(2 * max_size - length) // 2
 
 
+@lru_cache(maxsize=64)
 def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> bool:
-    """Whether ``label_rows`` builds the labels of |lambda| <= max_size: the
-    guard of the table and of the size-cap schedule.
+    """Whether ``label_block`` builds the labels of |lambda| <= max_size:
+    the guard of the table and of the size-cap schedule, counting labels
+    times the block's width (``_block_shape``), what the block stores.
 
     The labels of every kind but halfY are among the partitions of size
     <= int(max_size), which ``within_label_limit`` bounds; halfY adds a half
     block, the partitions of size <= its half cap, counted with them."""
     cap, length = int(max_size), indexing.length
-    if not within_label_limit(cap, length):
+    width = _block_shape(indexing, Fraction(max_size))[1]
+    if not within_label_limit(cap, length, width):
         return False
     if indexing.kind is not WeightKind.halfY:
         return True
     counts = partition_counts(cap, length)
     half = counts[:max(_half_cap(max_size, length) + 1, 0)]
-    return sum(counts) + sum(half) <= _label_limit(length)
+    return sum(counts) + sum(half) <= _label_limit(width)
 
 
 def _partition_rows(max_total: int, length: int,
@@ -397,6 +402,12 @@ def _build_block(kind: WeightKind, width: int, cap: int,
                       tuple(int(c) for c in longer[:width]))
 
 
+def _too_large(indexing: IndexingSetKind, max_size: Fraction | int) -> TooLarge:
+    return TooLarge(f"size cap {int(max_size)} gives more than {MAX_LABELS} "
+                    f"labels of length {indexing.length}, or more than "
+                    f"{MAX_LABEL_ENTRIES} parts")
+
+
 def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlock:
     """The non-trivial labels of the kind with |lambda| <= max_size, as a
     read-only block at the width they fill, shared by every caller asking
@@ -405,9 +416,7 @@ def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlo
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     if not label_table_fits(indexing, max_size):
-        raise TooLarge(f"size cap {int(max_size)} gives more than {MAX_LABELS} "
-                       f"labels of length {indexing.length}, or more than "
-                       f"{MAX_LABEL_ENTRIES} parts")
+        raise _too_large(indexing, max_size)
     shape = _block_shape(indexing, max_size)
     block = _BLOCKS.get(shape)
     if block is None:
@@ -420,8 +429,11 @@ def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarra
     """Doubled parts (2*lambda_i) of every label of the kind with
     |lambda| <= max_size, one int64 row per label, ordered by size and then
     ascending lexicographically: the zero label, then ``label_block``'s rows
-    zero-padded to the length."""
+    zero-padded to the length.  The padded rows are refused past
+    MAX_LABEL_ENTRIES parts, as the block is past its width."""
     parts2 = label_block(indexing, max_size).parts2
+    if (len(parts2) + 1) * indexing.length > MAX_LABEL_ENTRIES:
+        raise _too_large(indexing, max_size)
     rows = np.zeros((len(parts2) + 1, indexing.length), dtype=np.int64)
     rows[1:, :parts2.shape[1]] = parts2
     return rows

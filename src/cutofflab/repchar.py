@@ -4,6 +4,7 @@ evaluation for the four classical root types."""
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,27 +37,30 @@ def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     product of <l, alpha> / <2 rho, alpha> over the positive roots alpha,
     with l = 2(lambda + rho) an integer vector: (l_i - l_j) / (2rho_i - 2rho_j)
     and, on types B, C, D, (l_i + l_j) / (2rho_i + 2rho_j) for i < j, with
-    the pair i = j (e_i on B, 2e_i on C) on B and C.  A factor whose
-    coordinates are both zero parts of the label multiplies numerator and
-    denominator by the same integer, so it is skipped."""
+    the pair i = j (e_i on B, 2e_i on C, each l_i / 2rho_i) on B and C.  A
+    factor whose coordinates are both zero parts of the label multiplies
+    numerator and denominator by the same integer, so each pair with a
+    non-zero part is formed once, from its first non-zero end i; negating
+    both terms of a factor leaves it unchanged, so the order of i and j
+    does not matter."""
     root = descriptor.root
     rank, rho2 = root.rank, root.rho2
     parts2 = _root_parts2(descriptor, weight)
     ell = [p + r for p, r in zip(parts2, rho2)]
-    num = den = 1
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if parts2[i] or parts2[j]:
-                num *= ell[i] - ell[j]
-                den *= rho2[i] - rho2[j]
-    if root.type is CharType.A:
-        return Fraction(num, den)
+    sums = root.type is not CharType.A
     diagonal = root.type in (CharType.B, CharType.C)
-    for i in range(rank):
-        for j in range(i if diagonal else i + 1, rank):
-            if parts2[i] or parts2[j]:
-                num *= ell[i] + ell[j]
-                den *= rho2[i] + rho2[j]
+    num = den = 1
+    for i in (k for k in range(rank) if parts2[k]):
+        js = [j for j in range(rank) if j > i or (j < i and not parts2[j])]
+        li, ri = ell[i], rho2[i]
+        num *= math.prod([li - ell[j] for j in js])
+        den *= math.prod([ri - rho2[j] for j in js])
+        if sums:
+            num *= math.prod([li + ell[j] for j in js])
+            den *= math.prod([ri + rho2[j] for j in js])
+        if diagonal:
+            num *= li
+            den *= ri
     return Fraction(num, den)
 
 

@@ -6,8 +6,11 @@ parts as ``Fraction``s, scale them by their least common denominator d to
 integers, and form Weyl's product and the rate over those.
 ``oracle_count_table`` is the two-dimensional bounded-length recurrence, and
 ``oracle_within_label_limit`` the label guard that counted sizes upward, one
-row per part bound, until the count passed the limit.  The library must give
-the same Fractions, integers and booleans (``==``, not approximately).
+row per part bound, until the count passed the limit of labels at the width
+they fill.  ``oracle_fits_by_length`` is the table guard as it was before it
+counted a block's width: labels times the indexing length.  The library
+must give the same Fractions, integers and booleans (``==``, not
+approximately).
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from cutofflab.partitions import MAX_LABEL_ENTRIES, MAX_LABELS, Weight
+from cutofflab.partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, IndexingSetKind,
+                                  Weight, WeightKind)
 from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor
 
 
@@ -103,12 +107,13 @@ def oracle_count_table(max_size: int, max_len: int) -> list[list[int]]:
 
 
 def oracle_within_label_limit(max_size: int, length: int) -> bool:
-    """At most min(MAX_LABELS, MAX_LABEL_ENTRIES // length) partitions of
-    size <= max_size and at most ``length`` parts, counted size by size."""
-    limit = min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
+    """At most min(MAX_LABELS, MAX_LABEL_ENTRIES // width) partitions of
+    size <= max_size and at most ``length`` parts, counted size by size,
+    with width = min(length, max_size) the parts they fill (1 at cap 0)."""
+    width = min(length, max_size)
+    limit = min(MAX_LABELS, MAX_LABEL_ENTRIES // max(width, 1))
     if max_size >= limit:
         return False
-    width = min(length, max_size)
     rows = [[1] for _ in range(width + 1)]  # rows[j][s]: of s into parts <= j
     total = 1
     for s in range(1, max_size + 1):
@@ -119,3 +124,17 @@ def oracle_within_label_limit(max_size: int, length: int) -> bool:
         if total > limit:
             return False
     return True
+
+
+def oracle_fits_by_length(indexing: IndexingSetKind, max_size: int,
+                          counts: list[int]) -> bool:
+    """The table guard that bounded labels times the indexing length: the
+    partitions of size <= max_size with at most ``indexing.length`` parts
+    (``counts`` by size), with halfY's half block of size <= the half cap,
+    at most min(MAX_LABELS, MAX_LABEL_ENTRIES // length)."""
+    length = indexing.length
+    total = sum(counts)
+    if indexing.kind is WeightKind.halfY:
+        half_cap = math.floor(2 * max_size - length) // 2
+        total += sum(counts[:max(half_cap + 1, 0)])
+    return total <= min(MAX_LABELS, MAX_LABEL_ENTRIES // length)

@@ -4,8 +4,9 @@
 every one of the r(r - 1)/2 pair factors, and on types B and C the r
 coordinate factors, multiplied into every label, one strided pass per
 factor, in the formula's order.  ``oracle_rate`` is the Casimir rate over
-every root coordinate.  The library's table columns must equal them bit for
-bit (``np.array_equal``, not approximately).
+every root coordinate.  The table's rate must equal ``oracle_rate`` bit for
+bit (``np.array_equal``); its log D^lambda, whose factors against a label's
+trailing zeros telescope, must lie within 1e-12 of ``oracle_log_dim``.
 """
 
 from __future__ import annotations

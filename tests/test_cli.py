@@ -188,6 +188,39 @@ def test_simulate_csv_layout_and_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("family,n,t", [("SO", 4, "0"), ("SO", 4, "0.7"),
+                                        ("GrC", 5, "1.3")])
+def test_simulate_streams_the_bytes_of_the_whole_text(capsys, tmp_path, fmt,
+                                                      family, n, t):
+    # the whole text as it was written before rows were streamed
+    from cutofflab import sampler
+    from cutofflab.spaces import describe
+
+    q = 2 if family == "GrC" else None
+    desc = describe(family, n, q)
+    space = ["--family", family, "--n", str(n)] + (["--q", "2"] if q else [])
+    for paths in (1, 2, 7, 300):
+        config = sampler.SimulationConfig(paths=paths, seed=3, step_size=0.05)
+        values = sampler._values_for_range(desc, "omega", float(t), config,
+                                           0, paths, None)
+        rows = [(i, float(v.real), float(v.imag)) for i, v in enumerate(values)]
+        if fmt == "csv":
+            want = cli._csv_text(("path", "omega_re", "omega_im"), rows)
+        else:
+            want = cli._json_text({
+                "space": str(desc), "t": float(t), "seed": 3,
+                "omega": [{"path": p, "re": re, "im": im} for p, re, im in rows]})
+        argv = ["simulate", *space, "--t", t, "--paths", str(paths),
+                "--seed", "3", "--format", fmt]
+        code, out = _run(capsys, *argv)
+        assert code == 0
+        assert out == want, paths
+        target = tmp_path / f"{paths}.{fmt}"
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        assert target.read_text() == want
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--t", "1", "--steps", "0"), "--steps must be >= 1"),
     (("--t", "1", "--steps", "-3"), "--steps must be >= 1"),
@@ -442,8 +475,8 @@ def test_path_counts_and_loop_caps_above_their_limits_exit_with_code_two(
 @pytest.mark.parametrize("argv,message", [
     (("profile", "--family", "SO", "--n", "10", "--points", "1000000000"),
      "--points 1000000000 exceeds the limit 300000"),
-    (("tv-bound", "--family", "SO", "--n", "100000", "--eps", "0.5"),
-     "size cap 40 gives more than 300000 labels of length 50000, or more "
+    (("series", "--family", "SO", "--n", "100000", "--t", "40", "--cap", "80"),
+     "size cap 80 gives more than 300000 labels of length 50000, or more "
      "than 30000000 parts"),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else "")
 def test_tables_too_wide_or_grids_too_long_exit_with_code_two(capsys, argv,
@@ -456,6 +489,19 @@ def test_tables_too_wide_or_grids_too_long_exit_with_code_two(capsys, argv,
     assert captured.out == ""
     assert message in captured.err
     assert elapsed < 1.0  # refused before any array is allocated
+
+
+def test_tv_bound_at_rank_fifty_thousand_is_certified(capsys):
+    # the cap-40 table is 40 parts wide at any rank, so the guard passes it
+    start = time.perf_counter()
+    code, out = _run(capsys, "tv-bound", "--family", "SO", "--n", "100000",
+                     "--eps", "0.5")
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["certified"] is True
+    assert 0.0 < payload["tv_upper"] < 0.01
+    assert elapsed < 10.0
 
 
 def test_simulate_values_do_not_depend_on_the_chunking(capsys):

@@ -11,6 +11,12 @@ arrays as SHA-256 digests of their bytes, so the comparison is exact.
 Recapture (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_family_table.py
+
+and compare the new recording with the old one, which must agree but for
+floats within 1e-12 relative:
+
+    python tests/golden_diff.py OLD.json tests/data/golden_family_table.json \\
+        --may-change log_dim
 """
 
 from __future__ import annotations

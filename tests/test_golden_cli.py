@@ -1,13 +1,17 @@
 """Byte-for-byte regression of the series verbs against recorded output.
 
-The recorded stdout in ``tests/data/golden_cli.json`` was captured with the
-recursive label enumerator (commit 37a07ac).  The array-native label table
-must reproduce it exactly: same labels in the same order give the same
-floats, partial sums, argmaxes and certificates.
+The recorded stdout in ``tests/data/golden_cli.json`` pins the series verbs
+byte for byte: same labels in the same order give the same floats, partial
+sums, argmaxes and certificates.
 
 Recapture (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+and compare the new recording with the old one, which must agree but for
+floats within 1e-12 relative:
+
+    python tests/golden_diff.py OLD.json tests/data/golden_cli.json
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ the CLI's payloads, checks and CSV writers were folded into the library.
 Recapture (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli_verbs.py
+
+and compare the new recording with the old one, which must agree but for
+floats within 1e-12 relative:
+
+    python tests/golden_diff.py OLD.json tests/data/golden_cli_verbs.json
 """
 
 from __future__ import annotations

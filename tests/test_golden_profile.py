@@ -10,6 +10,11 @@ above the cut-off time, where the tail horizon doubles several times.
 Recapture (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_profile.py
+
+and compare the new recording with the old one, which must agree but for
+floats within 1e-12 relative:
+
+    python tests/golden_diff.py OLD.json tests/data/golden_profile.json
 """
 
 from __future__ import annotations

@@ -245,6 +245,23 @@ def test_sweep_quotient_below_one():
     assert sw.max_half is None
 
 
+@pytest.mark.parametrize("family,n,first,dual", [
+    ("SU", 7, (1,), (1,) * 6),
+    ("SU2n_USpn", 10, (1, 1), (1,) * 18),
+])
+def test_sweep_ties_go_to_the_first_label_in_size_order(family, n, first, dual):
+    # a type A label and its dual have equal dimension and rate, so their
+    # values differ by rounding alone
+    d = describe(family, n)
+    idx = indexing_set(d)
+    a, b = idx.label(first), idx.label(dual)
+    assert dimension(d, a) == dimension(d, b)
+    assert casimir_exponent(d, a) == casimir_exponent(d, b)
+    sw = per_term_bound_sweep(d, 40)
+    assert sw.argmax == sw.argmax_integer == a
+    assert math.isclose(sw.max_value, per_term_value(d, a), rel_tol=1e-12)
+
+
 def test_sweep_rank_floors():
     with pytest.raises(InvalidRank):
         per_term_bound_sweep(describe("SO", 8))

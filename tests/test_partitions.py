@@ -21,10 +21,12 @@ from cutofflab.partitions import (
     enumerate_by_size,
     label_block,
     label_rows,
+    label_table_fits,
     partition_counts,
     within_label_limit,
 )
-from exact_oracle import oracle_count_table, oracle_within_label_limit
+from exact_oracle import (oracle_count_table, oracle_fits_by_length,
+                          oracle_within_label_limit)
 from label_oracle import int_partitions, oracle_labels, oracle_rows
 
 
@@ -387,20 +389,34 @@ def test_every_cap_up_to_forty_is_within_the_label_limit():
     assert all(within_label_limit(40, length) for length in range(1, 61))
 
 
-def test_label_limit_bounds_labels_times_length():
-    # cap 40: 215,308 labels, so 139 parts fit in MAX_LABEL_ENTRIES, 140 not
+def test_label_limit_bounds_labels_times_width():
+    # cap 40: 215,308 labels fill at most 40 parts, so every length passes;
+    # at the full length as the width, 139 parts fit in MAX_LABEL_ENTRIES
     assert MAX_LABEL_ENTRIES == 30_000_000
-    assert within_label_limit(40, 139) and not within_label_limit(40, 140)
-    # SO(100) and USp(100) at cap 40, and the widest rows of the benchmark
-    for length in (50, 81, 98, 100):
-        assert within_label_limit(40, length)
+    assert within_label_limit(40, 139, 139) and not within_label_limit(40, 140, 140)
     start = time.perf_counter()
-    for length in (50_000, 10 ** 9):
-        assert not within_label_limit(40, length)
-    assert not within_label_limit(0, MAX_LABEL_ENTRIES + 1)
+    for length in (50, 81, 98, 100, 140, 1000, 50_000, 10 ** 9):
+        assert within_label_limit(40, length)
+    assert not within_label_limit(0, MAX_LABEL_ENTRIES + 1, MAX_LABEL_ENTRIES + 1)
     assert time.perf_counter() - start < 0.1  # counts parts <= 40 only
+    # the block is 40 wide at any length; rows padded to 50,000 are not
+    assert label_block(IndexingSetKind(WeightKind.halfY, 50_000), 40).parts2.shape[1] == 40
     with pytest.raises(TooLarge, match="or more than 30000000 parts"):
         label_rows(IndexingSetKind(WeightKind.halfY, 50_000), 40)
+
+
+def test_label_table_fits_equals_the_length_rule_up_to_length_100():
+    # below length 101 MAX_LABELS binds before labels times the width or the
+    # length does, so counting the width changes no decision there
+    for cap in (40, 80, 160, 200):
+        table = oracle_count_table(cap, 100)
+        for kind in WeightKind:
+            for length in range(1, 101):
+                idx = IndexingSetKind(kind, length)
+                counts = table[min(length, cap)]
+                assert (label_table_fits(idx, cap)
+                        is oracle_fits_by_length(idx, cap, counts)), \
+                    (cap, kind, length)
 
 
 @pytest.mark.parametrize("kind", list(WeightKind))

@@ -1,16 +1,19 @@
-"""Bit-identity of the certified tails, the term table and the lower-bound
-coefficients with their reference evaluations.
+"""The certified tails, the term table and the lower-bound coefficients
+against their reference evaluations.
 
 The library extends its tail recurrences across horizon doublings, runs
-them on the gcd-compressed size grid, skips the Weyl factors that are 1.0
-on a label, reorders and chunks the table's labels, and caches
-time-independent floats; none of that may change a single bit of the
-results.
+them on the gcd-compressed size grid, reorders and chunks the table's
+labels, and caches time-independent floats; none of that may change a
+single bit of the results.  The one exception is log D^lambda, whose Weyl
+factors against a label's trailing zeros telescope: it must lie within
+LOG_DIM_ATOL of the plain pair loop on every label and of the log of the
+exact dimension on a sample that holds the longest labels.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,13 +23,16 @@ from cutofflab.cutoff import mean_variance, zonal_square_series
 from cutofflab.heatseries import (_partition_tail, _su_dp_tail, _su_steps,
                                   _term_table, _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
-from cutofflab.partitions import label_block, label_rows
+from cutofflab.partitions import Weight, label_block, label_rows
 from cutofflab.repchar import casimir_exponent, dimension
-from cutofflab.spaces import CharType, describe, indexing_set, minimal_weight
+from cutofflab.errors import InvalidRank
+from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
+                              minimal_weight)
 from table_oracle import oracle_log_dim, oracle_rate
 from tail_oracle import oracle_partition_tail, oracle_su_dp_tail
 
 BEYOND = (-3, -1, 0, 40, 80, 200)
+LOG_DIM_ATOL = 1e-12
 
 
 # -- SU-type recurrence ----------------------------------------------------
@@ -102,6 +108,23 @@ def test_partition_tail_at_non_negative_log_x_is_infinite():
 # -- log-dimension products ------------------------------------------------
 
 
+def _exact_log_dim(d, parts2, row):
+    dim = dimension(d, Weight(tuple(parts2[row].tolist()), indexing_set(d).kind))
+    return math.log(dim.numerator) - math.log(dim.denominator)
+
+
+def _assert_log_dim(d, log_dim, parts2, samples=24):
+    """log D^lambda within LOG_DIM_ATOL of the plain pair loop on every
+    label, and of the exact dimension on about ``samples`` labels spread over
+    the table plus the eight longest."""
+    assert np.abs(log_dim - oracle_log_dim(d, parts2)).max() <= LOG_DIM_ATOL
+    lengths = (parts2 != 0).sum(axis=1)
+    rows = set(range(0, len(parts2), max(1, len(parts2) // samples)))
+    rows.update(np.argsort(-lengths, kind="stable")[:8].tolist())
+    for row in sorted(rows):
+        assert abs(log_dim[row] - _exact_log_dim(d, parts2, row)) <= LOG_DIM_ATOL, row
+
+
 @pytest.mark.parametrize("family,n,q", [
     ("SO", 10, None), ("SO", 13, None), ("USp", 6, None), ("GrR", 16, 4),
     ("GrR", 15, 3), ("GrH", 12, 3), ("SO2n_Un", 9, None), ("USpn_Un", 7, None),
@@ -112,7 +135,44 @@ def test_log_dimension_products_equal_the_strided_loops(family, n, q):
     d = describe(family, n, q)
     parts2 = label_rows(indexing_set(d), 24)[1:]
     labels = label_block(indexing_set(d), 24)
-    assert np.array_equal(_vector_log_dim(d, labels), oracle_log_dim(d, parts2))
+    _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_log_dimension_at_the_smallest_caps_equals_the_exact_dimension(family):
+    # parts of 1/2 and 1 alone: the narrowest tables of odd and even parts
+    for n in range(2, 9):
+        for q in ((1, n // 2) if family.startswith("Gr") else (None,)):
+            try:
+                d = describe(family, n, q)
+            except InvalidRank:
+                continue
+            for cap in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
+                parts2 = label_rows(indexing_set(d), cap)[1:]
+                if len(parts2):
+                    labels = label_block(indexing_set(d), cap)
+                    _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
+
+
+@pytest.mark.parametrize("family,n", [("SO", 1000), ("SU", 1000), ("USp", 1000),
+                                      ("SO2n_Un", 500)])
+def test_log_dimension_at_rank_one_thousand_equals_the_exact_dimension(family, n):
+    # at rank 1000 the plain pair loop is too slow to serve as the reference;
+    # the exact dimension is, on 20 labels holding the longest
+    d = describe(family, n)
+    labels = label_block(indexing_set(d), 12)
+    log_dim = _vector_log_dim(d, labels)
+    parts2 = labels.parts2
+    lengths = (parts2 != 0).sum(axis=1)
+    rows = set(np.argsort(-lengths, kind="stable")[:8].tolist())
+    rows.update(range(0, len(parts2), max(1, len(parts2) // 16)))
+    assert len(rows) >= 20
+    idx = indexing_set(d)
+    for row in sorted(rows):
+        head = tuple(int(v) // 2 for v in parts2[row])
+        dim = dimension(d, idx.label(head))
+        exact = math.log(dim.numerator) - math.log(dim.denominator)
+        assert abs(log_dim[row] - exact) <= 1e-10, row
 
 
 # -- term table ------------------------------------------------------------
@@ -148,10 +208,9 @@ def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
     width = table.parts2.shape[1]
     assert np.array_equal(np.pad(table.parts2, ((0, 0), (0, table.length - width))),
                           parts2)
-    log_dim = oracle_log_dim(d, parts2)
-    assert np.array_equal(table.log_dim, log_dim)
+    _assert_log_dim(d, table.log_dim, parts2)
     assert np.array_equal(table.b, oracle_rate(d, parts2))
-    assert np.array_equal(table.log_a, _oracle_log_a(d, log_dim))
+    assert np.array_equal(table.log_a, _oracle_log_a(d, table.log_dim))
 
 
 @pytest.mark.parametrize("family,n,q,cap", [
@@ -160,12 +219,12 @@ def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
 def test_log_dimension_chunk_edges_cut_the_prefixes(monkeypatch, family, n, q,
                                                     cap):
     # a prime block size puts chunk edges inside the runs of equal length
-    monkeypatch.setattr(heatseries, "_BLOCK", 509)
+    monkeypatch.setattr(heatseries, "_BLOCK", 127)
     d = describe(family, n, q)
     parts2 = label_rows(indexing_set(d), cap)[1:]
-    assert len(parts2) > 2 * (509 // d.root.rank)
     labels = label_block(indexing_set(d), cap)
-    assert np.array_equal(_vector_log_dim(d, labels), oracle_log_dim(d, parts2))
+    assert len(parts2) > 2 * (127 // len(labels.reach))
+    _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
     assert np.array_equal(_vector_b(d, parts2), oracle_rate(d, parts2))
 
 
