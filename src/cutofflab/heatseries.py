@@ -15,14 +15,16 @@ import numpy as np
 
 from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
                      UnsupportedSpace, require_time)
-from .partitions import (MAX_LABELS, LabelBlock, Weight, WeightKind,
-                         _half_cap, enumerate_by_size, label_block,
-                         label_table_fits, partition_counts)
+from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelBlock, Weight,
+                         WeightKind, _half_cap, enumerate_by_size,
+                         label_block, label_table_fits, partition_counts,
+                         require_label_table)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 _HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
 _MAX_HORIZON = 60000  # partition tails stop doubling their horizon here
+_SU_DP_HORIZON = 20000  # type A tails stop at the first doubling past this
 
 
 def t_zero(descriptor: SpaceDescriptor) -> float:
@@ -416,7 +418,20 @@ def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
     on the horizon H, so each doubling runs only the new sizes through the
     stages, each stage carrying its last inc_k values, and f vanishes off
     the multiples of the increments' gcd, so only those sizes are computed.
+
+    Stage k writes inc_k/gcd + H/gcd + 1 list entries, H the last horizon
+    the doublings reach; past MAX_LABEL_ENTRIES in all (SU(n) past
+    n = 1,147 at cap 40) the DP raises TooLarge before it starts.
     """
+    g = math.gcd(*(inc for inc, _ in steps))
+    horizon = max(400, 4 * max(beyond, 0))
+    last = horizon
+    while last < _SU_DP_HORIZON:
+        last *= 2
+    entries = sum(inc // g + last // g + 1 for inc, _ in steps)
+    if entries > MAX_LABEL_ENTRIES:
+        raise TooLarge(f"type A tail of {len(steps)} increment stages writes "
+                       f"{entries} entries, more than {MAX_LABEL_ENTRIES}")
     if any(cost <= 0.0 for _, cost in steps):
         return math.inf
     u = 0.5 * min(cost / inc for inc, cost in steps)
@@ -426,13 +441,11 @@ def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
         if tilted >= 1.0:
             return math.inf
         prod /= (1.0 - tilted)
-    g = math.gcd(*(inc for inc, _ in steps))
     stages = [(inc // g, math.exp(-cost)) for inc, cost in steps]
     # f_k at the inc_k sizes below the next new one; negative sizes hold 0.0,
     # and adding w_k * 0.0 leaves a value unchanged
     lags = [[0.0] * inc for inc, _ in stages]
     f_row: list[float] = []
-    horizon = max(400, 4 * max(beyond, 0))
     while True:
         new = [0.0] * (horizon // g + 1 - len(f_row))
         if not f_row:
@@ -451,7 +464,7 @@ def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
         exact = float(f[max(beyond, -1) + 1:].sum())
         log_close = -u * horizon
         closing = math.exp(log_close) * prod if log_close > -745.0 else 0.0
-        if closing <= max(1e-12 * exact, 1e-250) or horizon >= 20000:
+        if closing <= max(1e-12 * exact, 1e-250) or horizon >= last:
             return exact + closing
         horizon *= 2
 
@@ -536,14 +549,18 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
     require_time(t)
     caps = [size_cap] if size_cap is not None else _cap_schedule(descriptor)
     t0 = t_zero(descriptor)
+    idx = indexing_set(descriptor)
     report = None
     for cap in caps:
         if cap < 1:
             raise ValueError("size_cap must be >= 1")
+        # the labels refuse a cap, and then the tail a type A rank, before
+        # the table is built
+        require_label_table(idx, cap)
+        tail = _tail_bound(descriptor, t, cap, t0)
         table = _term_table(descriptor, cap)
         with np.errstate(under="ignore"):
             partial = float(np.exp(table.log_a - t * table.b).sum())
-        tail = _tail_bound(descriptor, t, cap, t0)
         report = TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
                                   terms_used=len(table.parts2), size_cap=cap)
         if not math.isfinite(tail):
@@ -648,19 +665,25 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     log_param = math.log(descriptor.param)
     values = np.exp(table.log_dim - table.b * log_param)
 
-    def pick(mask: np.ndarray) -> tuple[Optional[float], Optional[Weight]]:
-        # labels of equal value (a type A label and its dual, say) differ
-        # by rounding alone: the first of them in size order is taken
+    def pick(mask: np.ndarray) -> tuple[Optional[float], Optional[Weight],
+                                        np.ndarray]:
+        """The maximum, the argmax and the rows tied with it: labels of
+        equal value (a type A label and its dual, say) differ by rounding
+        alone, and the first of them in size order is the argmax."""
         idxs = np.nonzero(mask)[0]
         if len(idxs) == 0:
-            return None, None
+            return None, None, idxs
         top = values[idxs].max()
-        best = idxs[np.argmax(values[idxs] >= top * (1.0 - _TIE_RTOL))]
-        return float(values[best]), table.weight(best)
+        ties = idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)]
+        return float(top), table.weight(ties[0]), ties
 
-    max_all, arg_all = pick(np.ones(len(values), dtype=bool))
-    max_int, arg_int = pick(~table.labels.is_half)
-    max_half, arg_half = pick(table.labels.is_half)
+    def exceeds(ties: np.ndarray, bound: Fraction) -> bool:
+        return any(_exceeds(descriptor, table.weight(row), bound,
+                            float(values[row])) for row in ties)
+
+    max_all, arg_all, _ = pick(np.ones(len(values), dtype=bool))
+    max_int, arg_int, ties_int = pick(~table.labels.is_half)
+    max_half, arg_half, ties_half = pick(table.labels.is_half)
     if max_all is None or max_int is None:
         raise ValueError("size_cap leaves no labels to sweep")
     boundary = values[table.labels.size2 > 2 * (size_cap - 2)]
@@ -668,10 +691,9 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     const_int, const_half = descriptor.per_term
     certified = (n >= minimum and size_cap >= 40
                  and boundary_max < 0.5 * max_all
-                 and not _exceeds(descriptor, arg_int, const_int, max_int))
-    if const_half is not None and arg_half is not None:
-        certified = certified and not _exceeds(
-            descriptor, arg_half, const_half, max_half)
+                 and not exceeds(ties_int, const_int))
+    if const_half is not None:
+        certified = certified and not exceeds(ties_half, const_half)
     return SweepResult(
         max_value=max_all, argmax=arg_all, certified=certified,
         max_integer=max_int, argmax_integer=arg_int,

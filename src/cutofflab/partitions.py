@@ -178,11 +178,9 @@ def _label_limit(width: int) -> int:
     return min(MAX_LABELS, MAX_LABEL_ENTRIES // max(width, 1))
 
 
-def within_label_limit(max_size: int, length: int,
-                       width: int | None = None) -> bool:
+def within_label_limit(max_size: int, length: int, width: int) -> bool:
     """Whether at most MAX_LABELS partitions have size <= max_size and at
-    most ``length`` parts, and their rows at ``width`` parts each (by
-    default min(length, max_size), the parts they fill) at most
+    most ``length`` parts, and their rows at ``width`` parts each at most
     MAX_LABEL_ENTRIES parts.
 
     Every size has a partition, so a cap of the limit or more fails.  With
@@ -190,8 +188,6 @@ def within_label_limit(max_size: int, length: int,
     parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
     together, so (c + 1)^2 > 4 * limit fails too.  The count left costs
     c * min(c, length) additions, with c < 2 sqrt(limit) < 1,100."""
-    if width is None:
-        width = min(length, max_size)
     limit = _label_limit(width)
     if max_size >= limit:
         return False
@@ -408,6 +404,14 @@ def _too_large(indexing: IndexingSetKind, max_size: Fraction | int) -> TooLarge:
                     f"{MAX_LABEL_ENTRIES} parts")
 
 
+def require_label_table(indexing: IndexingSetKind,
+                        max_size: Fraction | int) -> None:
+    """Raise TooLarge unless ``label_table_fits``: the refusal of
+    ``label_block``, for a caller to ask before it builds anything."""
+    if not label_table_fits(indexing, max_size):
+        raise _too_large(indexing, max_size)
+
+
 def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlock:
     """The non-trivial labels of the kind with |lambda| <= max_size, as a
     read-only block at the width they fill, shared by every caller asking
@@ -415,8 +419,7 @@ def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlo
     max_size = Fraction(max_size)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    if not label_table_fits(indexing, max_size):
-        raise _too_large(indexing, max_size)
+    require_label_table(indexing, max_size)
     shape = _block_shape(indexing, max_size)
     block = _BLOCKS.get(shape)
     if block is None:

@@ -491,6 +491,24 @@ def test_tables_too_wide_or_grids_too_long_exit_with_code_two(capsys, argv,
     assert elapsed < 1.0  # refused before any array is allocated
 
 
+@pytest.mark.parametrize("argv", [
+    ("tv-bound", "--family", "SU", "--n", "100000", "--eps", "0.5"),
+    ("series", "--family", "SU", "--n", "100000", "--t", "40"),
+    ("tv-bound", "--family", "SUn_SOn", "--n", "100000", "--eps", "0.5"),
+    ("tv-bound", "--family", "SU2n_USpn", "--n", "100000", "--eps", "0.5"),
+], ids=lambda v: "-".join(v[:3:2]))
+def test_type_a_tails_past_the_entry_limit_exit_with_code_two(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "increment stages writes" in captured.err
+    assert "more than 30000000" in captured.err
+    assert elapsed < 1.0  # refused before the DP and the table
+
+
 def test_tv_bound_at_rank_fifty_thousand_is_certified(capsys):
     # the cap-40 table is 40 parts wide at any rank, so the guard passes it
     start = time.perf_counter()

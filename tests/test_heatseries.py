@@ -161,6 +161,17 @@ def test_cap_below_the_first_label_gives_an_empty_sum():
     assert math.isfinite(report.tail_bound)
 
 
+def test_type_a_tail_at_the_entry_limit():
+    # at cap 40 the horizon doubles from 400 to 25,600: SU(1147)'s 1,146
+    # stages write 29,995,977 entries and pass (the zero gap then gives no
+    # certificate), SU(1148)'s 1,147 write 30,022,725 and are refused
+    steps = heatseries._su_steps(describe("SU", 1148), 1.0)
+    with pytest.raises(TooLarge, match="30022725 entries"):
+        heatseries._su_dp_tail(steps, 40)
+    steps = heatseries._su_steps(describe("SU", 1147), 0.0)
+    assert heatseries._su_dp_tail(steps, 40) == math.inf
+
+
 def test_time_must_be_positive():
     d = describe("USp", 3)
     with pytest.raises(ValueError):
@@ -260,6 +271,32 @@ def test_sweep_ties_go_to_the_first_label_in_size_order(family, n, first, dual):
     sw = per_term_bound_sweep(d, 40)
     assert sw.argmax == sw.argmax_integer == a
     assert math.isclose(sw.max_value, per_term_value(d, a), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family,n,labels", [
+    ("SU", 7, [(1,), (1,) * 6]),
+    ("SU2n_USpn", 10, [(1, 1), (1,) * 18]),
+    ("SO", 10, [(1,), (Fraction(1, 2),) * 5]),
+])
+def test_sweep_reports_the_maximum_and_checks_every_tied_label(
+        monkeypatch, family, n, labels):
+    d = describe(family, n)
+    table = heatseries._term_table(d, 40)
+    values = np.exp(table.log_dim - table.b * math.log(d.param))
+    checked = []
+
+    def spy(desc, weight, bound, val):
+        checked.append(weight)
+        return real(desc, weight, bound, val)
+
+    real = heatseries._exceeds
+    monkeypatch.setattr(heatseries, "_exceeds", spy)
+    sw = per_term_bound_sweep(d, 40)
+    half = table.labels.is_half
+    assert sw.max_integer == float(values[~half].max())
+    assert sw.max_value == float(values.max())
+    idx = indexing_set(d)
+    assert checked == [idx.label(parts) for parts in labels]
 
 
 def test_sweep_rank_floors():

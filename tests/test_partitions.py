@@ -359,7 +359,7 @@ def test_label_rows_reject_negative_cap():
 def test_label_limit_counts_bounded_partitions(length):
     for cap in (0, 40, 80, 160, 200, 700):
         want = sum(partition_counts(cap, length)) <= MAX_LABELS
-        assert within_label_limit(cap, length) is want, cap
+        assert within_label_limit(cap, length, min(cap, length)) is want, cap
     # the guard reads partition_counts, so check that against brute force
     counts = partition_counts(30, length)
     for s in range(31):
@@ -380,13 +380,14 @@ def test_label_limit_equals_the_counting_guard():
     caps = [*range(60), 80, 160, 200, 700, 1000, 1094, 1095, 1096, 5000]
     for length in (1, 2, 3, 4, 5, 8, 20, 40, 139, 140, 1000, 50_000):
         for cap in caps:
-            assert (within_label_limit(cap, length)
+            assert (within_label_limit(cap, length, min(cap, length))
                     is oracle_within_label_limit(cap, length)), (cap, length)
 
 
 def test_every_cap_up_to_forty_is_within_the_label_limit():
     assert sum(partition_counts(40, 40)) == 215_308
-    assert all(within_label_limit(40, length) for length in range(1, 61))
+    assert all(within_label_limit(40, length, min(40, length))
+               for length in range(1, 61))
 
 
 def test_label_limit_bounds_labels_times_width():
@@ -396,7 +397,7 @@ def test_label_limit_bounds_labels_times_width():
     assert within_label_limit(40, 139, 139) and not within_label_limit(40, 140, 140)
     start = time.perf_counter()
     for length in (50, 81, 98, 100, 140, 1000, 50_000, 10 ** 9):
-        assert within_label_limit(40, length)
+        assert within_label_limit(40, length, 40)
     assert not within_label_limit(0, MAX_LABEL_ENTRIES + 1, MAX_LABEL_ENTRIES + 1)
     assert time.perf_counter() - start < 0.1  # counts parts <= 40 only
     # the block is 40 wide at any length; rows padded to 50,000 are not
