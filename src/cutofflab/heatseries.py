@@ -6,7 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -17,13 +17,10 @@ from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
                      UnsupportedSpace, require_time)
 from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelBlock, Weight,
                          WeightKind, _half_cap, enumerate_by_size,
-                         label_block, label_table_fits, partition_counts,
-                         require_label_table)
+                         label_block, label_table_fits, require_label_table)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
-_HR_C = math.pi * math.sqrt(2.0 / 3.0)  # Hardy-Ramanujan exponent constant
-_MAX_HORIZON = 60000  # partition tails stop doubling their horizon here
 _SU_DP_HORIZON = 20000  # type A tails stop at the first doubling past this
 
 
@@ -58,13 +55,7 @@ class TruncationReport:
 
     def to_json_dict(self) -> dict:
         tail = self.tail_bound if math.isfinite(self.tail_bound) else "inf"
-        return {
-            "t": self.t,
-            "partial_sum": self.partial_sum,
-            "tail_bound": tail,
-            "terms_used": self.terms_used,
-            "size_cap": self.size_cap,
-        }
+        return {**asdict(self), "tail_bound": tail}  # the fields, in order
 
 
 def _fold(descriptor: SpaceDescriptor) -> int:
@@ -130,7 +121,7 @@ def _chunks(labels: LabelBlock) -> Iterator[tuple[int, int, np.ndarray]]:
     parts of each chunk's labels gathered in the block's narrow type, so
     that a chunk's pair blocks stay within _BLOCK entries."""
     count, width = len(labels.parts2), len(labels.reach)
-    step = max(1, _BLOCK // width)
+    step = max(1, _BLOCK // max(width, 1))
     for start in range(0, count, step):
         stop = min(start + step, count)
         yield start, stop, labels.parts2[labels.order[start:stop]]
@@ -302,28 +293,35 @@ def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarr
     return val
 
 
-def _vector_b(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
+# block -> Q - 4M of its labels (see ``_vector_b``): kept while the block lives
+_RATE_QUADRATIC: "weakref.WeakKeyDictionary[LabelBlock, np.ndarray]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _vector_b(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarray:
     """B(lambda) = <lambda, lambda + 2 rho> / N, less |lambda|^2 / N^2 on
-    type A, summed over the leading columns where some label has a non-zero
-    part (a zero part adds 0); a symmetric root's -l end adds
-    lambda_k (lambda_k - 2 rho_{r-1-k}) at each k.  Every term lies in
-    1/4 Z, and a label's terms add up in absolute value to at most
-    2 (|lambda|^2 + 2 rank |lambda|), below 2^50 while rank |lambda| < 2^46,
-    so each sum is exact in float64 in any order and over any number of
-    zero columns: only the divisions by N and N^2 round."""
-    root = descriptor.root
-    width = parts2.shape[1]
-    while width and not parts2[:, width - 1].any():
-        width -= 1
-    lam = parts2[:, :width] * 0.5
-    rho2 = np.array(root.rho2, dtype=float)
-    rate = np.einsum("ij,ij->i", lam, lam + rho2[:width])
+    type A.  With p = 2 lambda, Q = sum p_i^2, S = sum p_i (``size2``),
+    M = sum i p_i (i from 0) and 2 rho_i = rho2_0 - 2i, the numerator
+    4 <lambda, lambda + 2 rho> is Q + 2 rho2_0 S - 4M, and a symmetric root's
+    -l end adds Q - 2(rho2_0 + 2 - 2r) S - 4M.  It is an exact int64 below
+    2^53, so only the divisions by 4N and N^2 round.  Q - 4M is rank-free:
+    formed once per block, chunk by chunk, with no count x width int64."""
+    quad = _RATE_QUADRATIC.get(labels)
+    if quad is None:
+        quad = np.empty(len(labels.parts2), np.int64)
+        fours = 4 * np.arange(len(labels.reach))
+        for start, stop, chunk in _chunks(labels):
+            chunk = chunk.astype(np.int64)
+            quad[labels.order[start:stop]] = np.einsum("ij,ij->i", chunk,
+                                                       chunk - fours)
+        _RATE_QUADRATIC[labels] = quad
+    root, size2 = descriptor.root, labels.size2.astype(np.int64)
+    num = quad + 2 * root.rho2[0] * size2
     if root.symmetric:
-        rate += np.einsum("ij,ij->i", lam, lam - rho2[::-1][:width])
-    rate /= root.rate_norm
+        num += quad - 2 * (root.rho2[0] + 2 - 2 * root.rank) * size2
+    rate = num / (4 * root.rate_norm)
     if root.type is CharType.A and not root.symmetric:
-        size = np.einsum("ij->i", lam)
-        rate -= size * size / (root.rate_norm ** 2)
+        rate -= (size2 * 0.5) ** 2 / root.rate_norm ** 2
     return rate
 
 
@@ -332,7 +330,7 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     idx = indexing_set(descriptor)
     labels = label_block(idx, size_cap)
     log_dim = _vector_log_dim(descriptor, labels)
-    b = _vector_b(descriptor, labels.parts2)
+    b = _vector_b(descriptor, labels)
     log_a = 2.0 * log_dim if descriptor.is_group else log_dim
     if _fold(descriptor) == 2:
         log_a = log_a + math.log(2.0)
@@ -342,71 +340,67 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
 # -- certified tails -------------------------------------------------------
 
 
-def _hr_ratio(log_x: float, horizon: int) -> float:
-    """e^{c (sqrt(s + 1) - sqrt(s))} x at s = horizon + 1: the Hardy-Ramanujan
-    term ratio past the horizon, which falls as the horizon grows."""
-    s1 = horizon + 1
-    return math.exp(_HR_C * (math.sqrt(s1 + 1) - math.sqrt(s1)) + log_x)
-
-
-def _hr_closing(log_x: float, horizon: int) -> float:
-    """Upper bound on sum_{s > horizon} p(s) x^s via p(s) < e^{c sqrt(s)}."""
-    s1 = horizon + 1
-    first = math.exp(min(_HR_C * math.sqrt(s1) + s1 * log_x, 700.0))
-    ratio = _hr_ratio(log_x, horizon)
-    if ratio >= 1.0:
-        return math.inf
-    return first / (1.0 - ratio)
-
-
-# max_len -> read-only log p(s), s = 0..(largest horizon asked for so far)
-_LOG_COUNTS: dict[int, np.ndarray] = {}
-
-
-def _log_counts(horizon: int, max_len: int) -> np.ndarray:
-    """Read-only log p(s) for s = 0..horizon, partitions of length <= max_len.
-
-    p(s) does not depend on the horizon, so one array per length serves
-    every horizon up to the largest built; a larger horizon rebuilds it.
-    """
-    logs = _LOG_COUNTS.get(max_len)
-    if logs is None or len(logs) <= horizon:
-        logs = np.array([math.log(c) for c in partition_counts(horizon, max_len)])
-        logs.flags.writeable = False
-        # another thread may have stored a longer array meanwhile
-        if len(logs) > len(_LOG_COUNTS.get(max_len, ())):
-            _LOG_COUNTS[max_len] = logs
-    return logs[:horizon + 1]
-
-
 def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
     """Upper bound on the sum of x^{|mu|} over partitions mu of length
-    <= max_len with |mu| > beyond; requires log_x < 0."""
-    if log_x >= 0.0 or -80.0 / log_x > _MAX_HORIZON:
-        return math.inf  # the ratio below is >= 1 at H = 80/|log_x|
-    horizon = max(400, 4 * max(beyond, 0), int(-80.0 / log_x))
-    last = horizon
-    while last < _MAX_HORIZON:
-        last *= 2
-    if _hr_ratio(log_x, last) >= 1.0:
-        # no closing bound at the last horizon the doublings reach, so none
-        # before it: the loop would count up to it and end at exact + inf
+    <= max_len with |mu| > beyond: the exact tail, rounded outward; +inf
+    only when log_x >= 0 or when the product P below overflows.
+
+    By conjugation these are the partitions into parts <= L = max_len, of
+    sum P_L = prod_{k<=L} 1/(1 - w_k), w_k = x^k.  If T_k(b) sums x^{|mu|}
+    over those into parts <= k with |mu| > b, removing a part k gives
+        T_k(b) = T_{k-1}(b) + w_k (T_k(b - k) if b >= k else P_k),
+    T_0(b) = 0 for b >= 0, and T_k(-1) = P_k (T_0 = 1).  T_L(beyond) takes
+    O(min(L, beyond) beyond + L) steps: a stage k > beyond only adds
+    w_k P_k to the last entry, and the stages stop once w_k underflows.
+
+    Rounding.  The inputs err outward by one ``math.nextafter`` step each,
+    which covers libm's exp and expm1 (within 1 ulp on glibc): c_k = k|log x|
+    down, w_k = e^{-c_k} up, 1 - w_k = -expm1(-c_k) down.  T is a sum of
+    products of w_k and 1/(1 - w_k) with positive coefficients, so on these
+    inputs it bounds the true tail.  Each sum, product and quotient by an
+    input rounds once: on positive operands a computed value is y(1 + theta),
+    |theta| <= gamma_n = nu/(1 - nu), u = 2^-53, n one more than the larger
+    count of a sum's operands or the total of a product's (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Lemmas 3.1, 3.3).  P_k
+    counts k and T_k(b), by induction, at most 2k + 2b + 1, so the true tail
+    is at most the computed one over 1 - gamma_n, n = 2K + 2 max(beyond, 0)
+    + 1 after K stages: times 1 + nu/(1 - 2nu), formed, then stepped up.
+
+    Floor.  Below the normal range a product errs by up to 2^-1075 instead
+    (sums of subnormals are exact), reaching the tail times less than 2 P_L,
+    at most K (max(beyond, 0) + 2) times; stages cut by an underflow at k
+    add P_L sum_{j>=k} x^j < P_L 2^-1074 (1 + 1/|log x|).  So the floor
+    P_K 2^-1074 (K (max(beyond, 0) + 2) + 2 + 2/|log x|), stepped up, is
+    added before the factor."""
+    if not log_x < 0.0:
         return math.inf
-    first = max(beyond, -1) + 1
-    while True:
-        sizes = np.arange(first, horizon + 1)
-        val = _log_counts(horizon, max_len)[first:] + sizes * log_x
-        # math.exp, not np.exp, whose vector path rounds some inputs
-        # differently; cumsum adds in size order, where np.sum is pairwise
-        kept = np.minimum(val[val > -745.0], 700.0).tolist()
-        terms = np.fromiter(map(math.exp, kept), float, len(kept))
-        exact = float(terms.cumsum()[-1]) if kept else 0.0
-        closing = _hr_closing(log_x, horizon)
-        if math.isfinite(closing) and closing <= max(1e-12 * exact, 1e-250):
-            return exact + closing
-        if horizon >= _MAX_HORIZON:
-            return exact + closing
-        horizon *= 2
+    rate, beyond = -log_x, max(beyond, -1)
+    tail = [0.0] * (beyond + 1) or [1.0]  # T_k(b), b = 0..beyond; or P_k
+    prod, stages = 1.0, 0
+    for k in range(1, max_len + 1):
+        cost = math.nextafter(k * rate, 0.0)
+        w = math.exp(-cost)
+        if w == 0.0:
+            break
+        w, stages = math.nextafter(w, math.inf), k
+        q = math.nextafter(-math.expm1(-cost), 0.0)
+        prod = prod / q if q else math.inf  # an overflow runs on as +inf
+        step = w * prod
+        if k > beyond:
+            tail[-1] += step
+            continue
+        row = [t + step for t in tail[:k]]
+        append = row.append
+        # the row grows while zip reads it, k entries behind the end
+        for t, lagged in zip(tail[k:], row):
+            append(t + w * lagged)
+        tail = row
+    size = max(beyond, 0)
+    floor = math.ldexp(prod * (stages * (size + 2) + 2.0 + 2.0 / rate), -1074)
+    n = (2 * stages + 2 * size + 1) * 2.0 ** -53
+    factor = math.nextafter(1.0 + n / (1.0 - 2.0 * n), math.inf)
+    total = math.nextafter(tail[-1] + math.nextafter(floor, math.inf), math.inf)
+    return math.nextafter(total * factor, math.inf)
 
 
 def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
@@ -491,9 +485,9 @@ def _tail_constants(descriptor: SpaceDescriptor) -> tuple[float, float, float]:
     if const_half is None:
         return c_int, 0.0, 0.0
     idx = indexing_set(descriptor)
-    half = float(casimir_exponent(descriptor, idx.label((Fraction(1, 2),)
-                                                        * idx.length)))
-    return c_int, fold * float(const_half) ** power, half
+    half = Weight((1,) * idx.length, idx.kind)  # doubled parts of (1/2, ...)
+    return c_int, fold * float(const_half) ** power, float(
+        casimir_exponent(descriptor, half))
 
 
 def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,

@@ -107,27 +107,29 @@ class _Streams:
     """
 
     def __init__(self, seed: int, purpose: int, indices: Sequence[int]) -> None:
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
-        self._bits = np.random.Philox(key=key)
+        key = [seed & 0xFFFFFFFFFFFFFFFF, purpose]
+        self._bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
         self._normals = np.random.Generator(self._bits).standard_normal
-        self._start = self._bits.state  # counter 0, empty buffer
+        # counter 0, empty buffer, in the plain lists the setter reads fastest
+        self._start = {**self._bits.state, "buffer": [0] * 4,
+                       "state": {"counter": [0] * 4, "key": key}}
         # each stream's index until its first kept draw, then its saved state
         self._positions: list = list(indices)
 
     def draw(self, shape: tuple[int, ...], keep: bool = False) -> np.ndarray:
         """The next standard normals of every stream, stacked in index order.
         Only with ``keep`` does a further draw continue the streams."""
-        out = np.empty((len(self._positions),) + shape)
+        out = np.empty((len(self._positions), math.prod(shape)))
         for pos, where in enumerate(self._positions):
             if isinstance(where, dict):
                 self._bits.state = where
             else:
                 self._start["state"]["counter"][2] = where
                 self._bits.state = self._start
-            self._normals(shape, out=out[pos])
+            self._normals(out.shape[1], out=out[pos])
             if keep:
                 self._positions[pos] = self._bits.state
-        return out
+        return out.reshape((len(self._positions),) + shape)
 
 
 @lru_cache(maxsize=16)

@@ -1,12 +1,16 @@
 """Reference tail certificates kept as test oracles for ``heatseries``.
 
-``oracle_partition_tail`` and ``oracle_su_dp_tail`` are the plain loops the
-certified tails were first written as: every horizon doubling recomputes the
-whole recurrence or power sum from size 0, one numpy scalar or one
-big-integer logarithm at a time.  ``oracle_tail_bound`` is the series tail
-as it was first written, one branch per family, on top of the library's two
-tail sums (which the loops above pin).  The library's tails must equal them
-bit for bit (``==``, not approximately).
+``mpmath_partition_tail`` is the partition tail in 50 significant digits,
+from its closed form: the generating function P_L = prod_{k<=L} 1/(1 - x^k)
+less the sizes up to the cap, with the working precision raised by the
+digits that subtraction cancels.  The library's outward-rounded tail must
+lie at or above it, and within 1e-12 relative in the normal range.
+``oracle_su_dp_tail`` is the plain loop the type A tail was first written
+as: every horizon doubling recomputes the whole recurrence from size 0, one
+numpy scalar at a time, and the library's must equal it bit for bit
+(``==``, not approximately).  ``oracle_tail_bound`` is the series tail as it
+was first written, one branch per family, on top of the library's two tail
+sums.
 """
 
 from __future__ import annotations
@@ -14,46 +18,35 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from cutofflab.heatseries import _partition_tail, _su_dp_tail
 from cutofflab.partitions import partition_counts
 from cutofflab.spaces import Family, SpaceDescriptor
 
-_HR_C = math.pi * math.sqrt(2.0 / 3.0)
 
+def mpmath_partition_tail(log_x: float, beyond: int, max_len: int) -> mpmath.mpf:
+    """Sum of x^{|mu|} over partitions with at most max_len parts and
+    |mu| > beyond, to 50 digits: P_L less sum_{s<=beyond} p_L(s) x^s."""
+    def product() -> mpmath.mpf:
+        prod = mpmath.mpf(1)
+        for k in range(1, max_len + 1):
+            prod /= -mpmath.expm1(k * mpmath.mpf(log_x))
+        return prod
 
-def _hr_closing(log_x: float, horizon: int) -> float:
-    s1 = horizon + 1
-    first = math.exp(min(_HR_C * math.sqrt(s1) + s1 * log_x, 700.0))
-    ratio = math.exp(_HR_C * (math.sqrt(s1 + 1) - math.sqrt(s1)) + log_x)
-    if ratio >= 1.0:
-        return math.inf
-    return first / (1.0 - ratio)
-
-
-def oracle_partition_tail(log_x: float, beyond: int, max_len: int) -> float:
-    """Sum of x^{|mu|} over partitions with |mu| > beyond and at most
-    max_len parts, plus the Hardy-Ramanujan closing bound."""
-    if log_x >= 0.0:
-        return math.inf
-    horizon = max(400, 4 * max(beyond, 0), int(-80.0 / log_x))
-    while True:
-        counts = partition_counts(horizon, max_len)
-        exact = 0.0
-        for s in range(max(beyond, -1) + 1, horizon + 1):
-            if s == 0:
-                exact += 1.0
-                continue
-            val = math.log(counts[s]) + s * log_x
-            if val > -745.0:
-                exact += math.exp(min(val, 700.0))
-        closing = _hr_closing(log_x, horizon)
-        if math.isfinite(closing) and closing <= max(1e-12 * exact, 1e-250):
-            return exact + closing
-        if horizon >= 60000:
-            return exact + closing
-        horizon *= 2
+    if beyond < 0:
+        with mpmath.workdps(50):
+            return product()
+    # the tail is at least x^(beyond + 1), so the subtraction cancels at
+    # most log10(P_L) + (beyond + 1) |log x| / log(10) digits
+    with mpmath.workdps(20):
+        cancel = mpmath.log10(product()) - (beyond + 1) * log_x / math.log(10)
+    with mpmath.workdps(50 + int(cancel) + 10):
+        x = mpmath.exp(mpmath.mpf(log_x))
+        head = mpmath.fsum(count * x ** size for size, count
+                           in enumerate(partition_counts(beyond, max_len)))
+        return product() - head
 
 
 def oracle_su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:

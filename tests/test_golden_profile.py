@@ -2,10 +2,12 @@
 
 The recorded stdout in ``tests/data/golden_profile.json`` was captured
 before the tail certificates and the lower-bound coefficients were cached
-(commit 6db0f07).  Both sides of the profile must reproduce it exactly: the
-lower bound from the same floats in the same order, the upper bound from
-tail certificates equal to the last bit.  The ``series`` cases sit just
-above the cut-off time, where the tail horizon doubles several times.
+(commit 6db0f07), and re-recorded when the partition tails became exact
+and outward-rounded.  Both sides of the profile must reproduce it exactly:
+the lower bound from the same floats in the same order, the upper bound
+from tail certificates equal to the last bit.  The ``series`` cases sit
+just above the cut-off time, where the type A tail's horizon doubles
+several times.
 
 Recapture (only when an output change is intended):
 

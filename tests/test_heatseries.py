@@ -609,39 +609,43 @@ def test_density_loop_forms_refuse_a_cap_above_the_label_limit(space, point):
                                      size_cap=MAX_LABELS - 1))
 
 
-def test_log_counts_grow_one_array_per_length(monkeypatch):
-    from cutofflab import heatseries
-    from cutofflab.partitions import partition_counts
-    builds = []
-
-    def counting(max_size, max_len):
-        builds.append((max_size, max_len))
-        return partition_counts(max_size, max_len)
-
-    monkeypatch.setattr(heatseries, "partition_counts", counting)
-    monkeypatch.setattr(heatseries, "_LOG_COUNTS", {})
-    for horizon in (120, 480, 60, 480, 240):
-        logs = heatseries._log_counts(horizon, 7)
-        want = [math.log(c) for c in partition_counts(horizon, 7)]
-        assert logs.tolist() == want
-        assert not logs.flags.writeable
-    assert builds == [(120, 7), (480, 7)]
-
-
 @pytest.mark.parametrize("family", ["SO", "USp"])
-def test_a_tail_with_no_closing_bound_is_infinite_before_any_count(
-        monkeypatch, family):
-    # at 1.0005 t0 the Hardy-Ramanujan ratio stays >= 1 up to the last
-    # horizon, so no partition may be counted on the way to +inf
-    from cutofflab import heatseries
+def test_a_tail_just_above_t0_is_finite_without_any_count(monkeypatch, family):
+    # at 1.0005 t0 the partition tail is finite and large: no partition is
+    # counted on the way, and the bound stays vacuous
+    from cutofflab import partitions
+
+    d = describe(family, 29)
+    t0 = t_zero(d)
+    tv_upper_bound(d, 2.0 * t0)  # the label guard counts, once per cap
 
     def counting(max_size, max_len):
         raise AssertionError(f"counted partitions up to {max_size}")
 
-    monkeypatch.setattr(heatseries, "partition_counts", counting)
-    monkeypatch.setattr(heatseries, "_LOG_COUNTS", {})
-    d = describe(family, 29)
-    t0 = t_zero(d)
+    monkeypatch.setattr(partitions, "partition_counts", counting)
     start = time.perf_counter()
-    assert heatseries._tail_bound(d, 1.0005 * t0, 40, t0) == math.inf
+    assert math.isfinite(heatseries._tail_bound(d, 1.0005 * t0, 40, t0))
     assert time.perf_counter() - start < 0.1
+    assert tv_upper_bound(d, 1.0005 * t0) == 1.0
+
+
+@pytest.mark.parametrize("family,n,q", [
+    ("SO", 10, None), ("SO", 11, None), ("USp", 5, None), ("GrR", 16, 4),
+    ("GrC", 14, 5), ("GrH", 12, 3), ("SO2n_Un", 12, None),
+    ("USpn_Un", 9, None)])
+def test_partition_tails_count_no_partitions(monkeypatch, family, n, q):
+    # the label guard counts partitions; the tail of a family off type A
+    # sums them through its recurrence alone
+    from cutofflab import partitions
+
+    d = describe(family, n, q)
+    t0 = t_zero(d)
+    first = tv_upper_bound(d, 1.3 * t0)  # the guard counts, once per cap
+
+    def counting(max_size, max_len):
+        raise AssertionError(f"counted partitions up to {max_size}")
+
+    monkeypatch.setattr(partitions, "partition_counts", counting)
+    for ratio in (1.01, 1.2, 1.5, 2.0):
+        assert 0.0 < tv_upper_bound(d, ratio * t0) <= 1.0
+    assert tv_upper_bound(d, 1.3 * t0) == first

@@ -400,6 +400,21 @@ def test_batched_haar_samples_match_per_index_sampling(family, n, q):
     assert np.array_equal(sa.haar_sample(desc, seed=13, index=45), batch[5])
 
 
+def test_streams_equal_one_generator_per_stream_at_large_seeds():
+    # the start state is set from plain lists: keys past 2^63 (a negative
+    # seed among them) and counters past 2^32 must cast as the arrays do
+    import sampler_oracle
+    indices = [0, 7, 2 ** 40]
+    for seed in (-1, 2 ** 63, 2 ** 64 - 5):
+        streams = sa._Streams(seed, 0, indices)
+        first = streams.draw((3, 4), keep=True)
+        second = streams.draw((5,))
+        for pos, index in enumerate(indices):
+            want = sampler_oracle._rng(seed, 0, index).standard_normal(17)
+            assert np.array_equal(first[pos].ravel(), want[:12])
+            assert np.array_equal(second[pos], want[12:])
+
+
 _TEN = [("SO", 6, None), ("SU", 4, None), ("USp", 3, None), ("GrR", 7, 3),
         ("GrC", 5, 2), ("GrH", 4, 1), ("SO2n_Un", 3, None),
         ("SUn_SOn", 4, None), ("SU2n_USpn", 2, None), ("USpn_Un", 3, None)]

@@ -1,11 +1,13 @@
 """The certified tails, the term table and the lower-bound coefficients
 against their reference evaluations.
 
-The library extends its tail recurrences across horizon doublings, runs
-them on the gcd-compressed size grid, reorders and chunks the table's
-labels, and caches time-independent floats; none of that may change a
-single bit of the results.  The one exception is log D^lambda, whose Weyl
-factors against a label's trailing zeros telescope: it must lie within
+The library extends the type A tail's recurrence across horizon doublings,
+runs it on the gcd-compressed size grid, reorders and chunks the table's
+labels, and caches time-independent numbers; none of that may change a
+single bit of the results.  Two results have a tolerance instead.  The
+partition tail is exact and rounded outward: it must lie at or above its
+50-digit value and within 1e-12 relative of it.  log D^lambda, whose Weyl
+factors against a label's trailing zeros telescope, must lie within
 LOG_DIM_ATOL of the plain pair loop on every label and of the log of the
 exact dimension on a sample that holds the longest labels.
 """
@@ -13,8 +15,11 @@ exact dimension on a sample that holds the longest labels.
 from __future__ import annotations
 
 import math
+import sys
+import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +34,7 @@ from cutofflab.errors import InvalidRank
 from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
                               minimal_weight)
 from table_oracle import oracle_log_dim, oracle_rate
-from tail_oracle import oracle_partition_tail, oracle_su_dp_tail
+from tail_oracle import mpmath_partition_tail, oracle_su_dp_tail
 
 BEYOND = (-3, -1, 0, 40, 80, 200)
 LOG_DIM_ATOL = 1e-12
@@ -79,26 +84,52 @@ def test_su_dp_tail_without_a_positive_cost_is_infinite():
 
 # -- partition tail --------------------------------------------------------
 
+# a tail below the normal range carries the documented floor, about
+# 2^-1074 P_L (stages x (beyond + 2) + 2 + 2 / |log x|), for its underflow
+SUBNORMAL_SLACK = 2.0 ** -1074 * 1e6
+
+
+def _assert_brackets(log_x, beyond, max_len):
+    """true <= tail <= true (1 + 1e-12), the slack added below 1e-300; +inf
+    only where the true tail passes the largest float."""
+    got = _partition_tail(log_x, beyond, max_len)
+    true = mpmath_partition_tail(log_x, beyond, max_len)
+    if got == math.inf:
+        assert true > sys.float_info.max, (log_x, beyond, max_len)
+        return
+    assert mpmath.mpf(got) >= true, (log_x, beyond, max_len)
+    assert mpmath.mpf(got) <= true * (1 + 1e-12) + SUBNORMAL_SLACK, \
+        (log_x, beyond, max_len, got, true)
+
 
 @pytest.mark.parametrize("log_x", [-0.001, -0.004, -0.02, -0.15, -1.0, -9.0])
 def test_partition_tail_equals_the_oracle(log_x):
-    # small |log_x| take horizons to tens of thousands, where long
-    # partitions cost seconds of big-integer work in the oracle
-    lengths = (1, 4) if log_x > -0.1 else range(1, 21)
+    # at log x = -9 the sizes 81 and 201 put the tail below the normal range
+    lengths = (1, 4, 50, 500) if log_x > -0.1 else (*range(1, 21), 100, 500)
     for max_len in lengths:
         for beyond in BEYOND:
-            assert (_partition_tail(log_x, beyond, max_len)
-                    == oracle_partition_tail(log_x, beyond, max_len)), \
-                (max_len, beyond)
+            _assert_brackets(log_x, beyond, max_len)
 
 
-def test_partition_tail_doubles_its_horizon_like_the_oracle():
-    # closing bounds above 1e-12 of the sum force a second horizon
+def test_partition_tail_brackets_the_oracle_at_long_lengths():
+    # caps past max_len, and beyond 300, where a stage k > beyond only adds
+    # to the last entry
     for log_x in (-0.25, -0.4, -0.7):
-        for max_len in (3, 12, 20):
+        for max_len in (3, 12, 20, 120, 500):
             for beyond in (-1, 300):
-                assert (_partition_tail(log_x, beyond, max_len)
-                        == oracle_partition_tail(log_x, beyond, max_len))
+                _assert_brackets(log_x, beyond, max_len)
+
+
+def test_partition_tail_in_the_subnormal_range():
+    # tails from about 1e-300 down past the least subnormal, and stages
+    # that stop where w_k underflows
+    for log_x, sizes in ((-3.6, (150, 190, 200, 205, 250)),
+                         (-4.5, (150, 160, 170)), (-30.0, (0, 20, 24, 30))):
+        for max_len in (1, 2, 5, 20):
+            for beyond in sizes:
+                _assert_brackets(log_x, beyond, max_len)
+    for beyond in (-1, 0, 3):  # w_1 underflows: no stage runs
+        _assert_brackets(-800.0, beyond, 7)
 
 
 def test_partition_tail_at_non_negative_log_x_is_infinite():
@@ -220,12 +251,13 @@ def test_log_dimension_chunk_edges_cut_the_prefixes(monkeypatch, family, n, q,
                                                     cap):
     # a prime block size puts chunk edges inside the runs of equal length
     monkeypatch.setattr(heatseries, "_BLOCK", 127)
+    monkeypatch.setattr(heatseries, "_RATE_QUADRATIC", weakref.WeakKeyDictionary())
     d = describe(family, n, q)
     parts2 = label_rows(indexing_set(d), cap)[1:]
     labels = label_block(indexing_set(d), cap)
     assert len(parts2) > 2 * (127 // len(labels.reach))
     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
-    assert np.array_equal(_vector_b(d, parts2), oracle_rate(d, parts2))
+    assert np.array_equal(_vector_b(d, labels), oracle_rate(d, parts2))
 
 
 # -- lower-bound coefficients ----------------------------------------------
