@@ -13,7 +13,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,21 +32,6 @@ from .spaces import (FAMILY_NAMES, describe, indexing_set, matrix_side,
                      minimal_weight)
 
 _EXIT_OK, _EXIT_FAILED, _EXIT_USAGE = 0, 1, 2
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CUTOFFLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _threads(args: argparse.Namespace) -> int:
-    """``--threads`` as given, which the library checks, else the default."""
-    return _default_threads() if args.threads is None else args.threads
 
 
 def _json_text(payload) -> str:
@@ -244,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--paths", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threshold", type=float, default=None)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=1)
     _add_output_flags(sub)
 
     sub = subs.add_parser("profile",
@@ -256,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, with_csv=True)
 
     sub = subs.add_parser("verify-all", help="run the full verification suite")
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=1)
     _add_output_flags(sub, with_csv=True)
 
     return parser
@@ -452,7 +436,7 @@ def _omega_json(desc, args: argparse.Namespace,
 def _run_estimate(parser, args) -> int:
     desc = _space(parser, args)
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
-                                       threads=_threads(args))
+                                       threads=args.threads)
     estimate = _sampler.estimate(desc, args.statistic, args.t, config,
                                  threshold=args.threshold)
     payload = estimate.to_json_dict()
@@ -487,7 +471,7 @@ def _run_profile(parser, args) -> int:
 
 
 def _run_verify_all(parser, args) -> int:
-    results = _verification.run_all(threads=_threads(args))
+    results = _verification.run_all(threads=args.threads)
     if args.format == "csv":
         rows = [(r.name, "pass" if r.passed else "FAIL",
                  round(r.elapsed, 3)) for r in results]

@@ -70,9 +70,9 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
     a group and 1 on a quotient: the rows of the term table."""
     table = _term_table(descriptor, size_cap)
     fold, power = _fold(descriptor), 2 if descriptor.is_group else 1
+    pad = indexing_set(descriptor).pad
     out: list[SeriesTerm] = []
-    for row in range(len(table.parts2)):
-        w = table.weight(row)
+    for w in map(pad, table.labels.parts2.tolist()):
         out.append(SeriesTerm(
             weight=w, a_coeff=fold * dimension(descriptor, w) ** power,
             b_exp=casimir_exponent(descriptor, w)))
@@ -90,20 +90,9 @@ class _TermTable:
     are the space's own."""
 
     labels: LabelBlock
-    length: int           # the indexing set's coordinates
     log_dim: np.ndarray   # log D^lambda
     b: np.ndarray         # B_n(lambda)
     log_a: np.ndarray     # log A_n(lambda) with group squaring / factor 2
-
-    @property
-    def parts2(self) -> np.ndarray:
-        """Doubled parts over the block's width, narrow and read-only."""
-        return self.labels.parts2
-
-    def weight(self, row: int) -> Weight:
-        head = self.parts2[row].tolist()
-        return Weight(tuple(head) + (0,) * (self.length - len(head)),
-                      self.labels.kind)
 
 
 # float64 entries in one transient block of pair factors: 512 KiB, so a
@@ -334,7 +323,7 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
     log_a = 2.0 * log_dim if descriptor.is_group else log_dim
     if _fold(descriptor) == 2:
         log_a = log_a + math.log(2.0)
-    return _TermTable(labels, idx.length, log_dim, b, log_a)
+    return _TermTable(labels, log_dim, b, log_a)
 
 
 # -- certified tails -------------------------------------------------------
@@ -556,7 +545,7 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
         with np.errstate(under="ignore"):
             partial = float(np.exp(table.log_a - t * table.b).sum())
         report = TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
-                                  terms_used=len(table.parts2), size_cap=cap)
+                                  terms_used=len(table.b), size_cap=cap)
         if not math.isfinite(tail):
             break  # a larger cap cannot rescue a missing certificate
         if tail < 1e-6 * max(partial, 1e-30):
@@ -658,6 +647,7 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     table = _term_table(descriptor, size_cap)
     log_param = math.log(descriptor.param)
     values = np.exp(table.log_dim - table.b * log_param)
+    pad, parts2 = indexing_set(descriptor).pad, table.labels.parts2
 
     def pick(mask: np.ndarray) -> tuple[Optional[float], Optional[Weight],
                                         np.ndarray]:
@@ -669,10 +659,10 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
             return None, None, idxs
         top = values[idxs].max()
         ties = idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)]
-        return float(top), table.weight(ties[0]), ties
+        return float(top), pad(parts2[ties[0]].tolist()), ties
 
     def exceeds(ties: np.ndarray, bound: Fraction) -> bool:
-        return any(_exceeds(descriptor, table.weight(row), bound,
+        return any(_exceeds(descriptor, pad(parts2[row].tolist()), bound,
                             float(values[row])) for row in ties)
 
     max_all, arg_all, _ = pick(np.ones(len(values), dtype=bool))

@@ -6,12 +6,13 @@ The labels of one kind up to a size cap are enumerated by size into a
 read-only ``LabelBlock``: the leading coordinates they fill, in the
 narrowest signed type holding 2 * cap + 1, built once per (kind, width,
 cap) and shared by every length that asks while someone holds it.
-``label_rows`` pads a block to int64 rows, and ``enumerate_by_size`` gives
-a ``Weight`` view of those."""
+``IndexingSetKind.pad`` turns a block row into a ``Weight`` of the full
+length, and ``enumerate_by_size`` gives every label that way."""
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -23,10 +24,9 @@ import numpy as np
 
 from .errors import TooLarge
 
-# Largest label table built at once: at most MAX_LABELS labels, and at most
-# MAX_LABEL_ENTRIES parts in the rows that hold them, at the width a block
-# stores or at the length ``label_rows`` pads to.  Every cap up to 40 passes
-# at every length (215,308 partitions of width at most 40).
+# Largest label table built at once: at most MAX_LABELS labels (every cap up
+# to 40 passes at every length: 215,308 partitions of width at most 40), and
+# at most MAX_LABEL_ENTRIES parts in the rows padded to the full length.
 MAX_LABELS = 300_000
 MAX_LABEL_ENTRIES = 100 * MAX_LABELS
 
@@ -61,8 +61,24 @@ class IndexingSetKind:
 
     def label(self, head: Sequence[int | Fraction]) -> "Weight":
         """The label of this kind with the given leading parts, zero-padded."""
-        return Weight.of(tuple(head) + (0,) * (self.length - len(head)),
-                         self.kind)
+        return self.pad(_doubled(head))
+
+    def pad(self, head2: Sequence[int]) -> "Weight":
+        """The label of this kind with the given leading doubled parts (a
+        block row, say), zero-padded."""
+        return Weight(tuple(head2) + (0,) * (self.length - len(head2)),
+                      self.kind)
+
+
+def _doubled(values: Iterable[int | Fraction]) -> tuple[int, ...]:
+    """2 * v for each true (possibly half-integer) part value v."""
+    doubled = []
+    for v in values:
+        d = Fraction(v) * 2
+        if d.denominator != 1:
+            raise ValueError(f"part {v} is not a half-integer")
+        doubled.append(int(d))
+    return tuple(doubled)
 
 
 def _fmt_part(doubled: int) -> str:
@@ -116,13 +132,7 @@ class Weight:
     @staticmethod
     def of(values: Iterable[int | Fraction], kind: WeightKind = WeightKind.Y) -> "Weight":
         """Build a weight from true (possibly half-integer) part values."""
-        doubled = []
-        for v in values:
-            d = Fraction(v) * 2
-            if d.denominator != 1:
-                raise ValueError(f"part {v} is not a half-integer")
-            doubled.append(int(d))
-        return Weight(tuple(doubled), kind)
+        return Weight(_doubled(values), kind)
 
     @staticmethod
     def zero(length: int, kind: WeightKind = WeightKind.Y) -> "Weight":
@@ -173,29 +183,6 @@ def partition_counts(max_size: int, max_len: int) -> list[int]:
     return counts
 
 
-def _label_limit(width: int) -> int:
-    """Most labels of ``width`` stored parts built at once."""
-    return min(MAX_LABELS, MAX_LABEL_ENTRIES // max(width, 1))
-
-
-def within_label_limit(max_size: int, length: int, width: int) -> bool:
-    """Whether at most MAX_LABELS partitions have size <= max_size and at
-    most ``length`` parts, and their rows at ``width`` parts each at most
-    MAX_LABEL_ENTRIES parts.
-
-    Every size has a partition, so a cap of the limit or more fails.  With
-    two parts allowed, size s has floor(s/2) + 1 partitions of at most two
-    parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
-    together, so (c + 1)^2 > 4 * limit fails too.  The count left costs
-    c * min(c, length) additions, with c < 2 sqrt(limit) < 1,100."""
-    limit = _label_limit(width)
-    if max_size >= limit:
-        return False
-    if length >= 2 and (max_size + 1) ** 2 > 4 * limit:
-        return False
-    return sum(partition_counts(max_size, length)) <= limit
-
-
 def _half_cap(max_size: Fraction | int, length: int) -> int:
     """Size cap of the half labels: mu + 1/2 has size |mu| + length / 2.
     Halving after the floor keeps an int cap in integer arithmetic."""
@@ -204,22 +191,26 @@ def _half_cap(max_size: Fraction | int, length: int) -> int:
 
 @lru_cache(maxsize=64)
 def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> bool:
-    """Whether ``label_block`` builds the labels of |lambda| <= max_size:
-    the guard of the table and of the size-cap schedule, counting labels
-    times the block's width (``_block_shape``), what the block stores.
+    """Whether ``label_block`` builds the labels of |lambda| <= max_size, at
+    most MAX_LABELS of them: the guard of the table and of the size-cap
+    schedule.
 
     The labels of every kind but halfY are among the partitions of size
-    <= int(max_size), which ``within_label_limit`` bounds; halfY adds a half
-    block, the partitions of size <= its half cap, counted with them."""
+    <= c = int(max_size) with at most ``length`` parts; halfY adds a half
+    block, the partitions of size <= its half cap, counted with them.
+    Every size has a partition, so a cap of MAX_LABELS or more fails.  With
+    two parts allowed, size s has floor(s/2) + 1 partitions of at most two
+    parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
+    together, so (c + 1)^2 > 4 * MAX_LABELS fails too.  The count left costs
+    c * min(c, length) additions, with c < 2 sqrt(MAX_LABELS) < 1,100."""
     cap, length = int(max_size), indexing.length
-    width = _block_shape(indexing, Fraction(max_size))[1]
-    if not within_label_limit(cap, length, width):
+    if cap >= MAX_LABELS or (length >= 2 and (cap + 1) ** 2 > 4 * MAX_LABELS):
         return False
-    if indexing.kind is not WeightKind.halfY:
-        return True
     counts = partition_counts(cap, length)
-    half = counts[:max(_half_cap(max_size, length) + 1, 0)]
-    return sum(counts) + sum(half) <= _label_limit(width)
+    total = sum(counts)
+    if indexing.kind is WeightKind.halfY:
+        total += sum(counts[:max(_half_cap(max_size, length) + 1, 0)])
+    return total <= MAX_LABELS
 
 
 def _partition_rows(max_total: int, length: int,
@@ -428,22 +419,14 @@ def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlo
     return block
 
 
-def label_rows(indexing: IndexingSetKind, max_size: Fraction | int) -> np.ndarray:
-    """Doubled parts (2*lambda_i) of every label of the kind with
-    |lambda| <= max_size, one int64 row per label, ordered by size and then
-    ascending lexicographically: the zero label, then ``label_block``'s rows
-    zero-padded to the length.  The padded rows are refused past
-    MAX_LABEL_ENTRIES parts, as the block is past its width."""
-    parts2 = label_block(indexing, max_size).parts2
-    if (len(parts2) + 1) * indexing.length > MAX_LABEL_ENTRIES:
-        raise _too_large(indexing, max_size)
-    rows = np.zeros((len(parts2) + 1, indexing.length), dtype=np.int64)
-    rows[1:, :parts2.shape[1]] = parts2
-    return rows
-
-
 def enumerate_by_size(indexing: IndexingSetKind, max_size: Fraction | int) -> Iterator[Weight]:
-    """Every weight of the kind with |lambda| <= max_size, grouped by increasing
-    size: a ``Weight`` view of ``label_rows``."""
-    rows = label_rows(indexing, max_size).tolist()
-    return (Weight(tuple(row), indexing.kind) for row in rows)
+    """Every weight of the kind with |lambda| <= max_size, ordered by size
+    and then ascending lexicographically: the zero label, then
+    ``label_block``'s rows padded to the length.  Refused, before any label
+    is given, past MAX_LABEL_ENTRIES padded parts, as the block is past
+    MAX_LABELS labels."""
+    rows = label_block(indexing, max_size).parts2
+    if (len(rows) + 1) * indexing.length > MAX_LABEL_ENTRIES:
+        raise _too_large(indexing, max_size)
+    return itertools.chain([Weight.zero(indexing.length, indexing.kind)],
+                           map(indexing.pad, rows.tolist()))

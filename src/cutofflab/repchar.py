@@ -42,26 +42,31 @@ def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     numerator and denominator by the same integer, so each pair with a
     non-zero part is formed once, from its first non-zero end i; negating
     both terms of a factor leaves it unchanged, so the order of i and j
-    does not matter."""
+    does not matter.  A difference factor of two equal parts is exactly 1
+    too, and is skipped.  Each coordinate's factors are reduced to a
+    Fraction before they are multiplied in, so no product grows past what
+    the reduced dimension needs."""
     root = descriptor.root
     rank, rho2 = root.rank, root.rho2
     parts2 = _root_parts2(descriptor, weight)
     ell = [p + r for p, r in zip(parts2, rho2)]
     sums = root.type is not CharType.A
     diagonal = root.type in (CharType.B, CharType.C)
-    num = den = 1
+    dim = Fraction(1)
     for i in (k for k in range(rank) if parts2[k]):
         js = [j for j in range(rank) if j > i or (j < i and not parts2[j])]
-        li, ri = ell[i], rho2[i]
-        num *= math.prod([li - ell[j] for j in js])
-        den *= math.prod([ri - rho2[j] for j in js])
+        li, ri, pi = ell[i], rho2[i], parts2[i]
+        diffs = [j for j in js if parts2[j] != pi]
+        num = math.prod([li - ell[j] for j in diffs])
+        den = math.prod([ri - rho2[j] for j in diffs])
         if sums:
             num *= math.prod([li + ell[j] for j in js])
             den *= math.prod([ri + rho2[j] for j in js])
         if diagonal:
             num *= li
             den *= ri
-    return Fraction(num, den)
+        dim *= Fraction(num, den)
+    return dim
 
 
 def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:

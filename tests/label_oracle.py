@@ -1,10 +1,14 @@
-"""Recursive label enumerator kept as a test oracle for ``label_rows`` and
-``enumerate_by_size``.
+"""Recursive label enumerator kept as a test oracle for ``label_block`` and
+``enumerate_by_size``, and the label guard that bounded labels times the
+block's width, kept as an oracle for ``label_table_fits``.
 
 It builds the doubled parts of every label (``oracle_rows``), one size
 layer and one kind at a time, and sorts them by (size, doubled parts): the
 reference order the array enumerator must reproduce row for row.
 ``oracle_labels`` wraps each row in a validated ``Weight``.
+``oracle_fits_by_width`` is the guard as it was while it also bounded the
+parts of a block: at most min(MAX_LABELS, MAX_LABEL_ENTRIES // width)
+labels.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from cutofflab.partitions import IndexingSetKind, Weight, WeightKind
+from cutofflab.partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, IndexingSetKind,
+                                  Weight, WeightKind)
 
 
 def int_partitions(total: int, max_len: int,
@@ -91,3 +96,36 @@ def oracle_labels(indexing: IndexingSetKind,
     """Every weight of the kind with |lambda| <= max_size, in reference
     order, each one validated."""
     return [Weight(row, indexing.kind) for row in oracle_rows(indexing, max_size)]
+
+
+def oracle_block_width(indexing: IndexingSetKind, max_size: Fraction | int) -> int:
+    """The coordinates the labels of |lambda| <= max_size fill: every one
+    once there are half labels (|lambda| >= length / 2 on halfY) or odd ones
+    (|lambda| >= length on evenOrOddY), else the most non-zero parts a label
+    of the kind can have."""
+    kind, length, cap = indexing.kind, indexing.length, int(max_size)
+    if kind is WeightKind.halfY and max_size >= Fraction(length, 2):
+        return length
+    if kind is WeightKind.evenOrOddY and cap >= length:
+        return length
+    if kind in (WeightKind.Y, WeightKind.halfY):
+        return min(length, cap)
+    if kind is WeightKind.doubledY:
+        return 2 * min(length // 2, cap // 2)
+    return min(length, cap // 2)
+
+
+def oracle_fits_by_width(indexing: IndexingSetKind, max_size: Fraction | int,
+                         counts: list[int]) -> bool:
+    """The label guard that bounded labels times the block's width: the
+    partitions of size <= int(max_size) with at most ``indexing.length``
+    parts (``counts`` by size, at least int(max_size) + 1 of them), with
+    halfY's half block of size <= max_size - length / 2, at most
+    min(MAX_LABELS, MAX_LABEL_ENTRIES // width)."""
+    max_size = Fraction(max_size)
+    total = sum(counts[:int(max_size) + 1])
+    budget = max_size - Fraction(indexing.length, 2)
+    if indexing.kind is WeightKind.halfY and budget >= 0:
+        total += sum(counts[:int(budget) + 1])
+    width = oracle_block_width(indexing, max_size)
+    return total <= min(MAX_LABELS, MAX_LABEL_ENTRIES // max(width, 1))

@@ -340,13 +340,14 @@ def test_inputs_the_library_refuses_exit_with_its_message(capsys, argv,
     assert captured.err == f"error: {message}\n"
 
 
-def test_threads_env_fallback(monkeypatch):
+def test_threads_default_to_one(monkeypatch):
+    # no environment variable picks the count: only --threads does
     monkeypatch.setenv("CUTOFFLAB_THREADS", "3")
-    assert cli._default_threads() == 3
-    monkeypatch.setenv("CUTOFFLAB_THREADS", "junk")
-    assert cli._default_threads() >= 1
-    monkeypatch.delenv("CUTOFFLAB_THREADS")
-    assert cli._default_threads() >= 1
+    parser = cli._build_parser()
+    for verb in (["verify-all"], ["estimate", "--family", "SU", "--n", "3",
+                                  "--statistic", "trace"]):
+        assert parser.parse_args(verb).threads == 1
+        assert parser.parse_args([*verb, "--threads", "2"]).threads == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ floats within 1e-12 relative:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -55,16 +56,15 @@ def _digest(values) -> str:
 def _row(desc) -> dict:
     from cutofflab.cutoff import variance_cap
     from cutofflab.heatseries import _term_table, t_zero, tv_upper_bound
-    from cutofflab.partitions import Weight, label_rows
+    from cutofflab.partitions import enumerate_by_size, label_block
     from cutofflab.repchar import casimir_exponent, dimension
     from cutofflab.spaces import indexing_set, matrix_side
 
     idx = indexing_set(desc)
     cap = 8
-    while len(label_rows(idx, cap)) < 50 and cap < 64:
+    while len(label_block(idx, cap).parts2) + 1 < 50 and cap < 64:
         cap *= 2
-    labels = [Weight(tuple(row), idx.kind)
-              for row in label_rows(idx, cap)[:50].tolist()]
+    labels = list(itertools.islice(enumerate_by_size(idx, cap), 50))
     t0 = t_zero(desc)
     table = _term_table(desc, 12)
     return {

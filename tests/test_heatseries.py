@@ -76,8 +76,9 @@ def test_vectorized_table_matches_exact_terms(family, n, q):
     d = describe(family, n, q)
     labels = [w for w in oracle_labels(indexing_set(d), 8) if not w.is_zero]
     table = _term_table(d, 8)
-    width = table.parts2.shape[1]
-    padded = np.pad(table.parts2, ((0, 0), (0, table.length - width)))
+    width = table.labels.parts2.shape[1]
+    padded = np.pad(table.labels.parts2,
+                    ((0, 0), (0, indexing_set(d).length - width)))
     assert padded.tolist() == [list(w.parts2) for w in labels]
     assert table.labels.size2.tolist() == [2 * w.size for w in labels]
     assert table.labels.is_half.tolist() == [not w.is_integer for w in labels]
@@ -149,8 +150,10 @@ def test_term_tables_of_one_family_share_their_label_block():
     # USp(n) labels n parts; at cap 40 every n >= 40 fills 40 of them
     tables = [_term_table(describe("USp", n), 40) for n in (41, 45)]
     assert tables[0].labels is tables[1].labels
-    assert [table.weight(7).length for table in tables] == [41, 45]
-    assert not tables[0].parts2.flags.writeable
+    assert [indexing_set(describe("USp", n)).pad(
+        table.labels.parts2[7].tolist()).length
+        for n, table in zip((41, 45), tables)] == [41, 45]
+    assert not tables[0].labels.parts2.flags.writeable
 
 
 def test_cap_below_the_first_label_gives_an_empty_sum():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cutofflab import partitions
 from cutofflab.errors import TooLarge
 from cutofflab.partitions import (
     MAX_LABEL_ENTRIES,
@@ -20,14 +21,13 @@ from cutofflab.partitions import (
     WeightKind,
     enumerate_by_size,
     label_block,
-    label_rows,
     label_table_fits,
     partition_counts,
-    within_label_limit,
 )
 from exact_oracle import (oracle_count_table, oracle_fits_by_length,
                           oracle_within_label_limit)
-from label_oracle import int_partitions, oracle_labels, oracle_rows
+from label_oracle import (int_partitions, oracle_block_width,
+                          oracle_fits_by_width, oracle_labels, oracle_rows)
 
 
 def brute_partitions(total: int, max_len: int, max_part: int | None = None):
@@ -215,6 +215,9 @@ def test_enumerate_fractional_cap():
 
 # -- array enumerator against the recursive oracle ---------------------------
 
+# "label rows" are the labels padded to the full length, as
+# ``enumerate_by_size`` gives them; the block stores them unpadded
+
 HALF_CAPS = [Fraction(2 * c + 1, 2) for c in range(13)]
 
 
@@ -226,11 +229,7 @@ def test_label_rows_match_the_oracle_row_for_row(kind, length):
     if kind is WeightKind.halfY:
         caps += HALF_CAPS
     for cap in caps:
-        want = oracle_labels(idx, cap)
-        assert list(enumerate_by_size(idx, cap)) == want, cap
-        rows = label_rows(idx, cap)
-        assert rows.dtype == np.int64 and rows.shape[1] == length
-        assert rows.tolist() == [list(w.parts2) for w in want], cap
+        assert list(enumerate_by_size(idx, cap)) == oracle_labels(idx, cap), cap
 
 
 @pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
@@ -246,10 +245,9 @@ def test_label_rows_longer_than_the_cap_match_the_oracle(kind, length):
     if kind is WeightKind.evenOrOddY:
         caps.append(length + 2)
     for cap in caps:
-        want = oracle_labels(idx, cap)
-        rows = label_rows(idx, cap)
-        assert rows.dtype == np.int64 and rows.shape[1] == length
-        assert rows.tolist() == [list(w.parts2) for w in want], cap
+        labels = list(enumerate_by_size(idx, cap))
+        assert all(w.length == length for w in labels)
+        assert labels == oracle_labels(idx, cap), cap
 
 
 @pytest.mark.parametrize("length", range(1, 8))
@@ -259,7 +257,8 @@ def test_label_row_counts_are_sums_of_partition_counts(length):
     half_pairs = partition_counts(cap, length // 2)
 
     def rows(kind, max_size=cap):
-        return len(label_rows(IndexingSetKind(kind, length), max_size))
+        return sum(1 for _ in enumerate_by_size(IndexingSetKind(kind, length),
+                                                max_size))
 
     assert rows(WeightKind.Y) == sum(counts)
     assert rows(WeightKind.evenY) == sum(counts[:cap // 2 + 1])
@@ -298,16 +297,17 @@ def test_label_rows_are_the_padded_oracle_around_the_block_width(kind, cap):
         lengths = {2 * cap + 2 if kind is WeightKind.Y else width - 1}
     for length in sorted(lengths):
         idx = IndexingSetKind(kind, length)
-        rows = label_rows(idx, cap)
-        assert rows.dtype == np.int64 and rows.shape[1] == length
-        assert np.array_equal(rows, np.array(oracle_rows(idx, cap))), length
+        want = oracle_rows(idx, cap)
         block = label_block(idx, cap)
         assert block.parts2.dtype == np.int8
         # the block holds the labels but the zero one, at the width they fill
         fill = block.parts2.shape[1]
-        assert np.array_equal(block.parts2, rows[1:, :fill])
-        assert not rows[:, fill:].any()
+        assert fill == oracle_block_width(idx, cap)
+        rows = np.pad(block.parts2, ((1, 0), (0, length - fill)))
+        assert np.array_equal(rows, np.array(want)), length
         assert len(block.reach) == fill and all(block.reach)
+        if cap < 40:
+            assert [w.parts2 for w in enumerate_by_size(idx, cap)] == want
 
 
 @pytest.mark.parametrize("kind", WeightKind, ids=lambda k: k.value)
@@ -317,16 +317,15 @@ def test_label_blocks_hold_the_widest_parts_in_their_type(kind):
         idx = IndexingSetKind(kind, 2)
         block = label_block(idx, cap)
         assert block.parts2.dtype == block.size2.dtype == dtype
-        assert label_rows(idx, cap).tolist() == \
-            [list(row) for row in oracle_rows(idx, cap)]
+        assert list(enumerate_by_size(idx, cap)) == oracle_labels(idx, cap)
         assert block.size2.tolist() == block.parts2.sum(axis=1).tolist()
 
 
 def test_a_cap_below_every_label_gives_an_empty_block():
     block = label_block(IndexingSetKind(WeightKind.evenY, 4), 1)
     assert block.parts2.shape == (0, 0) and block.reach == ()
-    assert label_rows(IndexingSetKind(WeightKind.evenY, 4), 1).tolist() == \
-        [[0, 0, 0, 0]]
+    assert list(enumerate_by_size(IndexingSetKind(WeightKind.evenY, 4), 1)) == \
+        [Weight.zero(4, WeightKind.evenY)]
 
 
 def test_label_blocks_are_read_only_and_shared_across_lengths():
@@ -351,15 +350,17 @@ def test_the_block_cache_keeps_no_block_nobody_holds():
 
 
 def test_label_rows_reject_negative_cap():
-    with pytest.raises(ValueError):
-        label_rows(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
+    for make in (label_block, enumerate_by_size):
+        with pytest.raises(ValueError):
+            make(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 20])
 def test_label_limit_counts_bounded_partitions(length):
     for cap in (0, 40, 80, 160, 200, 700):
         want = sum(partition_counts(cap, length)) <= MAX_LABELS
-        assert within_label_limit(cap, length, min(cap, length)) is want, cap
+        assert label_table_fits(IndexingSetKind(WeightKind.Y, length),
+                                cap) is want, cap
     # the guard reads partition_counts, so check that against brute force
     counts = partition_counts(30, length)
     for s in range(31):
@@ -377,33 +378,58 @@ def test_partition_counts_equal_the_two_dimensional_table():
 
 
 def test_label_limit_equals_the_counting_guard():
+    # the oracle counts against labels times the width, Y's min(cap, length)
     caps = [*range(60), 80, 160, 200, 700, 1000, 1094, 1095, 1096, 5000]
     for length in (1, 2, 3, 4, 5, 8, 20, 40, 139, 140, 1000, 50_000):
+        idx = IndexingSetKind(WeightKind.Y, length)
         for cap in caps:
-            assert (within_label_limit(cap, length, min(cap, length))
+            assert (label_table_fits(idx, cap)
                     is oracle_within_label_limit(cap, length)), (cap, length)
 
 
 def test_every_cap_up_to_forty_is_within_the_label_limit():
+    # cap 40: 215,308 labels, at every length
     assert sum(partition_counts(40, 40)) == 215_308
-    assert all(within_label_limit(40, length, min(40, length))
-               for length in range(1, 61))
-
-
-def test_label_limit_bounds_labels_times_width():
-    # cap 40: 215,308 labels fill at most 40 parts, so every length passes;
-    # at the full length as the width, 139 parts fit in MAX_LABEL_ENTRIES
-    assert MAX_LABEL_ENTRIES == 30_000_000
-    assert within_label_limit(40, 139, 139) and not within_label_limit(40, 140, 140)
+    assert all(label_table_fits(IndexingSetKind(kind, length), 40)
+               for kind in WeightKind for length in range(1, 61))
     start = time.perf_counter()
-    for length in (50, 81, 98, 100, 140, 1000, 50_000, 10 ** 9):
-        assert within_label_limit(40, length, 40)
-    assert not within_label_limit(0, MAX_LABEL_ENTRIES + 1, MAX_LABEL_ENTRIES + 1)
+    for length in (81, 98, 100, 140, 1000, 50_000, 10 ** 9):
+        assert label_table_fits(IndexingSetKind(WeightKind.Y, length), 40)
     assert time.perf_counter() - start < 0.1  # counts parts <= 40 only
     # the block is 40 wide at any length; rows padded to 50,000 are not
-    assert label_block(IndexingSetKind(WeightKind.halfY, 50_000), 40).parts2.shape[1] == 40
+    idx = IndexingSetKind(WeightKind.halfY, 50_000)
+    assert label_block(idx, 40).parts2.shape[1] == 40
+    assert MAX_LABEL_ENTRIES == 30_000_000
     with pytest.raises(TooLarge, match="or more than 30000000 parts"):
-        label_rows(IndexingSetKind(WeightKind.halfY, 50_000), 40)
+        enumerate_by_size(idx, 40)
+
+
+def test_label_table_fits_equals_the_width_rule(monkeypatch):
+    # the guard counts labels alone; the width rule also bounded labels
+    # times the block's width, which no label set wider than 100 parts
+    # reaches before it has more than MAX_LABELS labels.  The counts of
+    # sizes <= c are a prefix of those of sizes <= 250, so each length's
+    # are computed once and the guard reads their prefixes.
+    top, lengths = 250, [*range(1, 301), 1000, 10 ** 5]
+    counts = {length: partition_counts(top, length) for length in lengths}
+    monkeypatch.setattr(partitions, "partition_counts",
+                        lambda size, length: counts[length][:size + 1])
+    label_table_fits.cache_clear()
+    wide = 0
+    try:
+        for kind in WeightKind:
+            caps = list(range(top + 1))
+            if kind is WeightKind.halfY:
+                caps += [Fraction(2 * c + 1, 2) for c in range(top)]
+            for length in lengths:
+                idx = IndexingSetKind(kind, length)
+                for cap in caps:
+                    want = oracle_fits_by_width(idx, cap, counts[length])
+                    assert label_table_fits(idx, cap) is want, (kind, length, cap)
+                    wide += oracle_block_width(idx, cap) > 100
+    finally:
+        label_table_fits.cache_clear()
+    assert wide > 100_000  # the cases where the width rule could decide
 
 
 def test_label_table_fits_equals_the_length_rule_up_to_length_100():
@@ -424,17 +450,19 @@ def test_label_table_fits_equals_the_length_rule_up_to_length_100():
 def test_label_rows_refuse_caps_above_the_label_limit(kind):
     for cap in (1000, 10 ** 9, MAX_LABELS):
         with pytest.raises(TooLarge, match="labels"):
-            label_rows(IndexingSetKind(kind, 1 if cap == MAX_LABELS else 5),
-                       cap)
+            enumerate_by_size(
+                IndexingSetKind(kind, 1 if cap == MAX_LABELS else 5), cap)
     if kind is not WeightKind.halfY:
-        assert len(label_rows(IndexingSetKind(kind, 1), MAX_LABELS - 1)) > 0
+        idx = IndexingSetKind(kind, 1)
+        assert next(enumerate_by_size(idx, MAX_LABELS - 1)) == Weight.zero(1, kind)
         return
     # one part: cap c holds c + 1 integer and c half labels
     idx = IndexingSetKind(kind, 1)
     top = (MAX_LABELS - 1) // 2
-    assert len(label_rows(idx, top)) == 2 * top + 1 <= MAX_LABELS
+    assert len(label_block(idx, top).parts2) + 1 == 2 * top + 1 <= MAX_LABELS
+    assert next(enumerate_by_size(idx, top)) == Weight.zero(1, kind)
     with pytest.raises(TooLarge, match="labels"):
-        label_rows(idx, top + 1)
+        enumerate_by_size(idx, top + 1)
 
 
 def test_indexing_set_label_pads_the_head_with_zeros():

@@ -466,9 +466,10 @@ def test_exact_dimension_at_high_rank_equals_the_all_pairs_route():
     # hundred of the 45,000 pairs of USp(300) to a short label; the oracle
     # multiplies every pair
     spent = 0.0
+    adjoint = (2,) + (1,) * 298  # SU(300)'s adjoint, all but one part equal
     for family, n, heads in (("USp", 300, [(3, 1), (1, 1, 1)]),
                              ("SO", 301, [(3, 1), (2, 2)]),
-                             ("SU", 300, [(3, 1), (2, 1, 1)])):
+                             ("SU", 300, [(3, 1), (2, 1, 1), adjoint])):
         desc = describe(family, n)
         for head in heads:
             weight = indexing_set(desc).label(head)
@@ -477,3 +478,13 @@ def test_exact_dimension_at_high_rank_equals_the_all_pairs_route():
             spent += time.perf_counter() - start
             assert dim == oracle_dimension(desc, weight), (desc, head)
     assert spent < 0.2  # every pair: about 3 s for one label on USp(300)
+
+
+def test_adjoint_dimension_at_rank_one_thousand():
+    # the difference factors of equal parts are skipped: on the adjoint
+    # (2, 1, ..., 1) all but the first part's and the last's are equal
+    desc = describe("SU", 1000)
+    weight = indexing_set(desc).label((2,) + (1,) * 998)
+    start = time.perf_counter()
+    assert dimension(desc, weight) == 1000 ** 2 - 1
+    assert time.perf_counter() - start < 1.0

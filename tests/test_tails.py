@@ -28,7 +28,7 @@ from cutofflab.cutoff import mean_variance, zonal_square_series
 from cutofflab.heatseries import (_partition_tail, _su_dp_tail, _su_steps,
                                   _term_table, _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
-from cutofflab.partitions import Weight, label_block, label_rows
+from cutofflab.partitions import Weight, label_block
 from cutofflab.repchar import casimir_exponent, dimension
 from cutofflab.errors import InvalidRank
 from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
@@ -144,6 +144,14 @@ def _exact_log_dim(d, parts2, row):
     return math.log(dim.numerator) - math.log(dim.denominator)
 
 
+def _padded_rows(d, cap):
+    """The label block of d's kind and cap, padded to int64 rows of the
+    indexing set's length, as the oracles read labels."""
+    length = indexing_set(d).length
+    parts2 = label_block(indexing_set(d), cap).parts2.astype(np.int64)
+    return np.pad(parts2, ((0, 0), (0, length - parts2.shape[1])))
+
+
 def _assert_log_dim(d, log_dim, parts2, samples=24):
     """log D^lambda within LOG_DIM_ATOL of the plain pair loop on every
     label, and of the exact dimension on about ``samples`` labels spread over
@@ -164,7 +172,7 @@ def test_log_dimension_products_equal_the_strided_loops(family, n, q):
     # the oracle's one strided pass per factor, at a cap between the term
     # table test's two
     d = describe(family, n, q)
-    parts2 = label_rows(indexing_set(d), 24)[1:]
+    parts2 = _padded_rows(d, 24)
     labels = label_block(indexing_set(d), 24)
     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
 
@@ -179,7 +187,7 @@ def test_log_dimension_at_the_smallest_caps_equals_the_exact_dimension(family):
             except InvalidRank:
                 continue
             for cap in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
-                parts2 = label_rows(indexing_set(d), cap)[1:]
+                parts2 = _padded_rows(d, cap)
                 if len(parts2):
                     labels = label_block(indexing_set(d), cap)
                     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
@@ -234,11 +242,9 @@ def _oracle_log_a(d, log_dim):
                          ids=[str(describe(*c)) for c in _TABLE_SPACES])
 def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
     d = describe(family, n, q)
-    parts2 = label_rows(indexing_set(d), cap)[1:]
+    parts2 = _padded_rows(d, cap)
     table = _term_table(d, cap)
-    width = table.parts2.shape[1]
-    assert np.array_equal(np.pad(table.parts2, ((0, 0), (0, table.length - width))),
-                          parts2)
+    assert table.labels is label_block(indexing_set(d), cap)
     _assert_log_dim(d, table.log_dim, parts2)
     assert np.array_equal(table.b, oracle_rate(d, parts2))
     assert np.array_equal(table.log_a, _oracle_log_a(d, table.log_dim))
@@ -253,7 +259,7 @@ def test_log_dimension_chunk_edges_cut_the_prefixes(monkeypatch, family, n, q,
     monkeypatch.setattr(heatseries, "_BLOCK", 127)
     monkeypatch.setattr(heatseries, "_RATE_QUADRATIC", weakref.WeakKeyDictionary())
     d = describe(family, n, q)
-    parts2 = label_rows(indexing_set(d), cap)[1:]
+    parts2 = _padded_rows(d, cap)
     labels = label_block(indexing_set(d), cap)
     assert len(parts2) > 2 * (127 // len(labels.reach))
     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
