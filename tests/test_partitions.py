@@ -396,10 +396,18 @@ def test_every_cap_up_to_forty_is_within_the_label_limit():
     for length in (81, 98, 100, 140, 1000, 50_000, 10 ** 9):
         assert label_table_fits(IndexingSetKind(WeightKind.Y, length), 40)
     assert time.perf_counter() - start < 0.1  # counts parts <= 40 only
-    # the block is 40 wide at any length; rows padded to 50,000 are not
+
+
+def test_label_limit_bounds_labels_times_width():
+    # the block is 40 wide at any length; the padded rows of
+    # enumerate_by_size are labels times the length, and at cap 40 (215,308
+    # labels with the zero label) 139 parts fit in MAX_LABEL_ENTRIES, 140 not
+    assert MAX_LABEL_ENTRIES == 30_000_000
+    enumerate_by_size(IndexingSetKind(WeightKind.Y, 139), 40)
+    with pytest.raises(TooLarge, match="or more than 30000000 parts"):
+        enumerate_by_size(IndexingSetKind(WeightKind.Y, 140), 40)
     idx = IndexingSetKind(WeightKind.halfY, 50_000)
     assert label_block(idx, 40).parts2.shape[1] == 40
-    assert MAX_LABEL_ENTRIES == 30_000_000
     with pytest.raises(TooLarge, match="or more than 30000000 parts"):
         enumerate_by_size(idx, 40)
 
