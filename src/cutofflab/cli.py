@@ -435,6 +435,8 @@ def _omega_json(desc, args: argparse.Namespace,
 
 def _run_estimate(parser, args) -> int:
     desc = _space(parser, args)
+    if args.paths < 2:
+        parser.error("--paths must be >= 2: one path has no standard error")
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
                                        threads=args.threads)
     estimate = _sampler.estimate(desc, args.statistic, args.t, config,

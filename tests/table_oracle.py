@@ -7,6 +7,9 @@ factor, in the formula's order.  ``oracle_rate`` is the Casimir rate over
 every root coordinate.  The table's rate must equal ``oracle_rate`` bit for
 bit (``np.array_equal``); its log D^lambda, whose factors against a label's
 trailing zeros telescope, must lie within 1e-12 of ``oracle_log_dim``.
+``oracle_series_sum`` is the dominating series' partial sum as it was first
+summed, one term per label; the sum over the table's rate levels must lie
+within 1e-12 relative of it.
 """
 
 from __future__ import annotations
@@ -62,3 +65,10 @@ def oracle_rate(descriptor: SpaceDescriptor, parts2: np.ndarray) -> np.ndarray:
         size = lam.sum(axis=1)
         rate = rate - size * size / (root.rate_norm ** 2)
     return rate
+
+
+def oracle_series_sum(log_a: np.ndarray, b: np.ndarray, t: float) -> float:
+    """Sum of A e^{-t B} over the table's labels, one exponential per label,
+    in table order."""
+    with np.errstate(under="ignore", over="ignore"):
+        return float(np.exp(log_a - t * b).sum())

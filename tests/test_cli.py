@@ -235,6 +235,31 @@ def test_simulate_argument_errors_exit_with_code_two(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("paths", ["1", "0"])
+def test_estimate_refuses_fewer_than_two_paths(capsys, paths):
+    # one path has a mean but no standard error
+    code = cli.main(["estimate", "--family", "SO", "--n", "4", "--t", "1",
+                     "--statistic", "trace", "--paths", paths])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("error: --paths must be >= 2: one path has no standard error"
+            in captured.err)
+
+
+def test_an_overflowing_partial_sum_prints_as_inf(capsys):
+    # far below cut-off the largest SO(100000) terms pass the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(capsys, "series", "--family", "SO", "--n", "100000",
+                         "--t", "0.0001")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["partial_sum"] == "inf"
+    assert payload["tail_bound"] == "inf"
+    assert payload["size_cap"] == 40
+
+
 def test_simulate_at_time_zero_gives_the_identity_rows(capsys):
     argv = ("simulate", "--family", "SU", "--n", "3", "--t", "0",
             "--paths", "3", "--format", "csv")

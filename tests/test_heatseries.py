@@ -18,7 +18,7 @@ from cutofflab.errors import (
     TooLarge,
     UnsupportedSpace,
 )
-from cutofflab import heatseries
+from cutofflab import heatseries, partitions
 from cutofflab.heatseries import (
     _exceeds,
     _term_table,
@@ -36,6 +36,7 @@ from cutofflab.partitions import MAX_LABELS, Weight, WeightKind
 from cutofflab.repchar import casimir_exponent, dimension, schur
 from cutofflab.spaces import describe, indexing_set, minimal_weight
 from label_oracle import oracle_labels
+from table_oracle import oracle_series_sum
 
 ALL_FAMILIES = [
     ("SO", 11, None), ("SO", 10, None), ("SU", 4, None), ("USp", 3, None),
@@ -162,6 +163,64 @@ def test_cap_below_the_first_label_gives_an_empty_sum():
     assert report.terms_used == 0
     assert report.partial_sum == 0.0
     assert math.isfinite(report.tail_bound)
+
+
+# one space per family, and SO(1000), whose log A passes 300 at cap 40
+LEVEL_SPACES = [
+    ("SO", 10, None), ("SU", 6, None), ("USp", 5, None), ("GrR", 16, 4),
+    ("GrC", 14, 5), ("GrH", 12, 3), ("SO2n_Un", 12, None),
+    ("SUn_SOn", 10, None), ("SU2n_USpn", 10, None), ("USpn_Un", 9, None),
+    ("SO", 1000, None),
+]
+
+
+@pytest.mark.parametrize("family,n,q", LEVEL_SPACES)
+def test_level_sum_equals_the_per_label_oracle(family, n, q):
+    d = describe(family, n, q)
+    table = _term_table(d, 40)
+    t0 = t_zero(d)
+    for t in (0.001, 0.5 * t0, 0.9 * t0, 1.0005 * t0, 1.1 * t0, 2.0 * t0):
+        want = oracle_series_sum(table.log_a, table.b, t)
+        got = dominating_series(d, t, size_cap=40).partial_sum
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+    if n == 1000:
+        assert table.log_a.max() > 300.0
+
+
+@pytest.mark.parametrize("family,n,q,cap", [
+    *[(f, n, q, 40) for f, n, q in LEVEL_SPACES], ("SUn_SOn", 5, None, 1)])
+def test_levels_are_the_distinct_rates_in_ascending_order(family, n, q, cap):
+    table = _term_table(describe(family, n, q), cap)
+    rates, log_a = table.levels
+    assert np.array_equal(rates, np.unique(table.b))
+    assert np.all(np.diff(rates) > 0.0)
+    assert len(rates) == len(log_a) <= len(table.b)
+    # each level's log of its labels' summed A, about the level's largest
+    level = np.searchsorted(rates, table.b)
+    top = np.full(len(rates), -np.inf)
+    np.maximum.at(top, level, table.log_a)
+    sums = np.bincount(level, weights=np.exp(table.log_a - top[level]),
+                       minlength=len(rates))
+    assert np.allclose(log_a, top + np.log(sums), rtol=1e-15, atol=1e-13)
+
+
+def test_size_caps_are_checked_only_when_the_series_reaches_them(monkeypatch):
+    d = describe("USp", 3)
+    t0 = t_zero(d)
+    counted = []
+    count = partitions.partition_counts
+    monkeypatch.setattr(partitions, "partition_counts",
+                        lambda size, length: counted.append(size)
+                        or count(size, length))
+    partitions.label_table_fits.cache_clear()
+    caps, checked = [], []
+    for m in (2.0, 1.3, 1.02):  # the series stops at cap 40, 80 and 200
+        caps.append(dominating_series(d, m * t0).size_cap)
+        checked.append(list(counted))
+    assert caps == [40, 80, 200]
+    assert checked == [[40], [40, 80], [40, 80, 160, 200]]
+    assert heatseries._cap_schedule(d) == [40, 80, 160, 200]
+    assert heatseries._cap_schedule(describe("USp", 5)) == [40]
 
 
 def test_type_a_tail_at_the_entry_limit():
@@ -620,7 +679,8 @@ def test_a_tail_just_above_t0_is_finite_without_any_count(monkeypatch, family):
 
     d = describe(family, 29)
     t0 = t_zero(d)
-    tv_upper_bound(d, 2.0 * t0)  # the label guard counts, once per cap
+    tv_upper_bound(d, 2.0 * t0)  # the label guard counts, once per cap:
+    heatseries._cap_schedule(d)  # the series' first, then the schedule's
 
     def counting(max_size, max_len):
         raise AssertionError(f"counted partitions up to {max_size}")
@@ -643,7 +703,8 @@ def test_partition_tails_count_no_partitions(monkeypatch, family, n, q):
 
     d = describe(family, n, q)
     t0 = t_zero(d)
-    first = tv_upper_bound(d, 1.3 * t0)  # the guard counts, once per cap
+    first = tv_upper_bound(d, 1.3 * t0)  # the guard counts, once per cap:
+    heatseries._cap_schedule(d)  # the series' first, then the schedule's
 
     def counting(max_size, max_len):
         raise AssertionError(f"counted partitions up to {max_size}")
