@@ -373,7 +373,7 @@ def _run_zonal_expansion(parser, args) -> int:
     expansion = _moments.zonal_square_expansion(desc)
     rows = []
     for weight in sorted(expansion, key=lambda w: (w.size, w.parts2)):
-        rate = Fraction(0) if weight.is_zero else casimir_exponent(desc, weight)
+        rate = casimir_exponent(desc, weight)
         rows.append((str(weight), str(expansion[weight]), str(rate)))
     if args.format == "csv":
         _emit(_csv_text(("weight", "coefficient", "decay_rate"), rows),

@@ -165,8 +165,7 @@ def _moment_terms(descriptor: SpaceDescriptor) -> tuple[float, float, float, tup
 @lru_cache(maxsize=64)
 def _zonal_terms(descriptor: SpaceDescriptor) -> tuple[tuple[float, float], ...]:
     """(coefficient, rate) of each zonal function in the squared expansion."""
-    return tuple((float(coeff), float(casimir_exponent(descriptor, w))
-                  if not w.is_zero else 0.0)
+    return tuple((float(coeff), float(casimir_exponent(descriptor, w)))
                  for w, coeff in zonal_square_expansion(descriptor).items())
 
 

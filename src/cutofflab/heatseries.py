@@ -209,13 +209,12 @@ def _zero_block_logs(root: RootDatum, width: int, top: int,
     against every later coordinate j taken as zero (l_j = 2rho_j), and on
     types B and C and on a symmetric root of the factor of i alone.
 
-    A zero j gives 1 + p / 2(j - i) on a difference root and
-    1 + p / 2(rho2_0 - i - j) on a sum root (2rho_i + 2rho_j =
-    2(rho2_0 - i - j)), so over j = i + 1 .. r - 1 the products telescope
-    to entries of ``_log_rising``: h(r-1-i), and h(rho2_0-2i-1) -
-    h(rho2_0-i-r) on a sum root.  A symmetric root (l, 0, ..., 0, -l
-    reversed) meets its zeros from both ends: 2 h(r-2-2i).  Part 0 gives
-    exactly 0.0.  Odd parts (half labels) are read only when ``odd``."""
+    These are the telescoped products of ``repchar.dimension`` against one
+    zero run over j = i + 1 .. r - 1, as entries of ``_log_rising``:
+    h(r-1-i), and h(rho2_0-2i-1) - h(rho2_0-i-r) on a sum root.  A
+    symmetric root meets its zeros from both ends: 2 h(r-2-2i).  Part 0
+    gives exactly 0.0.  Odd parts (half labels) are read only when
+    ``odd``."""
     r = root.rank
     rho2 = np.array(root.rho2[:width], dtype=float)
     rho0 = root.rho2[0]
@@ -241,14 +240,11 @@ def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarr
     """log D^lambda from Weyl's product over l = 2(lambda + rho), whose
     factors against a label's trailing zeros telescope.
 
-    Write p = 2 lambda (parts p_i > 0 for i < ell, zeros after), r for the
-    rank and 2rho_k = rho2_0 - 2k.  Weyl's factors are (l_i - l_j) / 2(j - i)
-    on type A; on types B, C and D, (l_i^2 - l_j^2) / (4rho_i^2 - 4rho_j^2)
-    for i < j, and l_i / 2rho_i on B (e_i) and C (2e_i).  A symmetric root
-    (GrC) reads its label as (l, 0, ..., 0, -l reversed) on type A: its
-    pairs within each end give the difference factors, those across the ends
-    (l_i + l_k) / (2rho_i + 2rho_k) over all i, k < ell, so together the
-    squared factors twice and l_i / 2rho_i once.
+    The factors and their products over a run of equal parts are derived
+    once, in ``repchar.dimension``.  Here p = 2 lambda has parts p_i > 0
+    for i < ell and zeros after, r is the rank, and on types B, C and D a
+    pair's two factors are read as one, (l_i^2 - l_j^2) / (4rho_i^2 -
+    4rho_j^2).
 
     Take every coordinate after i as zero: the factors of i then depend on
     (i, p_i, rank) alone and telescope (``_zero_block_logs``), one lookup

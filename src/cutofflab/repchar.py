@@ -17,70 +17,70 @@ from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 _DEGENERACY_FLOOR = 1e-10
 
 
-def _root_parts2(descriptor: SpaceDescriptor, weight: Weight) -> list[int]:
-    """2 lambda in the root datum's coordinates, zero-padded to its rank: a
-    symmetric (GrC) label l enters as (l, 0, ..., 0, -l reversed)."""
+def _head(descriptor: SpaceDescriptor, weight: Weight) -> tuple[int, ...]:
+    """The label's non-zero doubled parts 2 lambda_i, which lead its root
+    coordinates; the rest are zero, but for a symmetric (GrC) label l,
+    which enters as (l, 0, ..., 0, -l reversed)."""
     idx = indexing_set(descriptor)
     if weight.kind is not idx.kind or weight.length != idx.length:
         raise WeightKindMismatch(
             f"weight {weight} of kind {weight.kind.value}/{weight.length} does not "
             f"index {descriptor} (needs {idx.kind.value}/{idx.length})")
-    head = list(weight.parts2)
-    rank = descriptor.root.rank
-    if descriptor.root.symmetric:
-        return head + [0] * (rank - 2 * len(head)) + [-v for v in reversed(head)]
-    return head + [0] * (rank - len(head))
+    return tuple(p for p in weight.parts2 if p)
 
 
 def dimension(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """Exact dimension of the representation labelled by the weight: Weyl's
     product of <l, alpha> / <2 rho, alpha> over the positive roots alpha,
-    with l = 2(lambda + rho) an integer vector: (l_i - l_j) / (2rho_i - 2rho_j)
-    and, on types B, C, D, (l_i + l_j) / (2rho_i + 2rho_j) for i < j, with
-    the pair i = j (e_i on B, 2e_i on C, each l_i / 2rho_i) on B and C.  A
-    factor whose coordinates are both zero parts of the label multiplies
-    numerator and denominator by the same integer, so each pair with a
-    non-zero part is formed once, from its first non-zero end i; negating
-    both terms of a factor leaves it unchanged, so the order of i and j
-    does not matter.  A difference factor of two equal parts is exactly 1
-    too, and is skipped.  Each coordinate's factors are reduced to a
-    Fraction before they are multiplied in, so no product grows past what
-    the reduced dimension needs."""
-    root = descriptor.root
-    rank, rho2 = root.rank, root.rho2
-    parts2 = _root_parts2(descriptor, weight)
-    ell = [p + r for p, r in zip(parts2, rho2)]
-    sums = root.type is not CharType.A
-    diagonal = root.type in (CharType.B, CharType.C)
+    with l = 2(lambda + rho), p = 2 lambda and 2rho_i = 2rho_0 - 2i.
+
+    The root coordinates fall into runs of equal parts: the non-zero runs,
+    then the zero block (up to the rank, or to a symmetric root's -l end).
+    Coordinate i, of part p, meets a later run of part q on coordinates
+    s..e-1 through (l_i - l_j) / (2rho_i - 2rho_j) = (c + d) / d, with
+    c = (p - q)/2 and d = j - i, and on types B, C and D through
+    (l_i + l_j) / (2rho_i + 2rho_j) = (c' + y) / y, with c' = (p + q)/2 and
+    y = 2rho_0 - i - j.  Over a run each product telescopes:
+    prod_{d=a}^{b} (c + d) / d = C(c + b, c) / C(c + a - 1, c).  Two zero
+    coordinates give 1.  On B (e_i) and C (2e_i) each coordinate adds
+    l_i / 2rho_i.  A symmetric root meets its -l end through the sums over
+    its non-zero runs and mirrors the rest: each coordinate's factors are
+    squared, but for l_i / 2rho_i (the pair i, -i).  Each coordinate's
+    factors are reduced to one Fraction."""
+    root, head = descriptor.root, _head(descriptor, weight)
+    ell, rho0 = len(head), root.rho2[0]
+    runs = [(head.index(q), head.index(q) + head.count(q), q)
+            for q in dict.fromkeys(head)]
+    runs.append((ell, root.rank - ell if root.symmetric else root.rank, 0))
     dim = Fraction(1)
-    for i in (k for k in range(rank) if parts2[k]):
-        js = [j for j in range(rank) if j > i or (j < i and not parts2[j])]
-        li, ri, pi = ell[i], rho2[i], parts2[i]
-        diffs = [j for j in js if parts2[j] != pi]
-        num = math.prod([li - ell[j] for j in diffs])
-        den = math.prod([ri - rho2[j] for j in diffs])
-        if sums:
-            num *= math.prod([li + ell[j] for j in js])
-            den *= math.prod([ri + rho2[j] for j in js])
-        if diagonal:
-            num *= li
-            den *= ri
+    for i, p in enumerate(head):
+        # partners j > i: a run before i, or an empty zero block, has none
+        live = [(max(s, i + 1), e, q) for s, e, q in runs if max(s, i + 1) < e]
+        ranges = [((p - q) // 2, lo - i, e - 1 - i) for lo, e, q in live]
+        if root.symmetric or root.type is not CharType.A:
+            ranges += [((p + q) // 2, rho0 - i - e + 1, rho0 - i - lo)
+                       for lo, e, q in live if q or not root.symmetric]
+        num = math.prod([math.comb(c + b, c) for c, _, b in ranges])
+        den = math.prod([math.comb(c + a - 1, c) for c, a, _ in ranges])
+        if root.symmetric:
+            num, den = num * num, den * den
+        if root.symmetric or root.type in (CharType.B, CharType.C):
+            num, den = num * (p + rho0 - 2 * i), den * (rho0 - 2 * i)
         dim *= Fraction(num, den)
     return dim
 
 
 def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
     """B_n(lambda): the heat-semigroup decay rate of the lambda-block,
-    <lambda, lambda + 2 rho> / N = sum p (p + 2 * 2rho) / 4N over p = 2 lambda,
-    less |lambda|^2 / N^2 = (sum p)^2 / 4N^2 on type A."""
-    parts2 = _root_parts2(descriptor, weight)
-    root = descriptor.root
-    big_n = root.rate_norm
-    total = sum(p * (p + 2 * r2) for p, r2 in zip(parts2, root.rho2))
-    if root.type is CharType.A:
-        size = sum(parts2)
-        return Fraction(total * big_n - size * size, 4 * big_n * big_n)
-    return Fraction(total, 4 * big_n)
+    <lambda, lambda + 2 rho> / N = sum p_i (p_i + 2 * 2rho_i) / 4N over the
+    non-zero p = 2 lambda, less |lambda|^2 / N^2 = (sum p)^2 / 4N^2 on type
+    A.  A symmetric root's -l end doubles the sum and cancels |lambda|."""
+    root, head = descriptor.root, _head(descriptor, weight)
+    big_n, rho0 = root.rate_norm, root.rho2[0]
+    total = sum(p * (p + 2 * (rho0 - 2 * i)) for i, p in enumerate(head))
+    total *= 1 + root.symmetric
+    size = sum(head) if root.type is CharType.A and not root.symmetric else 0
+    return Fraction(total * big_n - size * size, 4 * big_n * big_n)
 
 
 # -- determinant-ratio characters ------------------------------------------

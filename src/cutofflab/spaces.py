@@ -53,14 +53,15 @@ class RootDatum(NamedTuple):
     symmetric: bool = False
 
     @property
-    def rho2(self) -> tuple[int, ...]:
+    def rho2(self) -> range:
         """2 rho, the doubled Weyl vector in label coordinates: 2 rho_i =
         c - 2i for i = 1..rank, with c = rank + 1 on type A (where rho sums
-        to 0), 2 rank + 1 on B, 2 rank + 2 on C and 2 rank on D."""
+        to 0), 2 rank + 1 on B, 2 rank + 2 on C and 2 rank on D.  A range,
+        so reading one entry costs nothing at any rank."""
         r = self.rank
         c = {CharType.A: r + 1, CharType.B: 2 * r + 1, CharType.C: 2 * r + 2,
              CharType.D: 2 * r}[self.type]
-        return tuple(range(c - 2, c - 2 * r - 1, -2))
+        return range(c - 2, c - 2 * r - 1, -2)
 
     @property
     def rate_norm(self) -> int:

@@ -107,16 +107,17 @@ def test_mean_variance_matches_the_closed_forms(family, n, q, t):
 
 
 def test_mean_variance_at_rank_one_thousand_is_quick():
-    # the exact dimensions of the group square terms skip every factor of
-    # two equal parts: the adjoint's are all but O(n)
-    desc = spaces.describe("SU", 1000)
-    t = t_zero(desc)
-    start = time.perf_counter()
-    mean, var = co.mean_variance(desc, t)
-    assert time.perf_counter() - start < 1.0
-    want_mean, want_var = _table_mean_variance("SU", 1000, None, t)
-    assert abs(mean - want_mean) < 1e-12 * (1 + abs(want_mean))
-    assert abs(var - want_var) < 1e-9 * (1 + abs(want_var))
+    # the exact dimensions of the group square terms take a few runs per
+    # coordinate, so SU(10^4) is quick too
+    for n in (1000, 10 ** 4):
+        desc = spaces.describe("SU", n)
+        t = t_zero(desc)
+        start = time.perf_counter()
+        mean, var = co.mean_variance(desc, t)
+        assert time.perf_counter() - start < 1.0, n
+        want_mean, want_var = _table_mean_variance("SU", n, None, t)
+        assert abs(mean - want_mean) < 1e-12 * (1 + abs(want_mean))
+        assert abs(var - want_var) < 1e-9 * (1 + abs(want_var))
 
 
 @pytest.mark.parametrize("family,n,q", _MV_CASES)

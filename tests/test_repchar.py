@@ -102,10 +102,15 @@ def test_symplectic_column_dimension_is_catalan(n):
     ("USp", 3, (1, 0, 0), 6),
     ("USp", 3, (2, 0, 0), 21),
     ("USp", 3, (1, 1, 0), 14),
+    # closed forms at rank 10^5: the adjoint n^2 - 1, the exterior square
+    # n(n - 1)/2 and the symmetric square n(2n + 1)
+    ("SU", 10 ** 5, (2,) + (1,) * (10 ** 5 - 2), 10 ** 10 - 1),
+    ("SO", 10 ** 5, (1, 1), 10 ** 5 * (10 ** 5 - 1) // 2),
+    ("USp", 10 ** 5, (2,), 10 ** 5 * (2 * 10 ** 5 + 1)),
 ])
 def test_known_dimensions(family, n, parts, expected):
     d = describe(family, n)
-    w = Weight.of(parts, indexing_set(d).kind)
+    w = indexing_set(d).label(parts)
     assert dimension(d, w) == expected
 
 
@@ -436,25 +441,34 @@ def test_dimension_equals_the_factor_by_factor_product(family, n, q):
 
 
 def _small_labels():
-    """Every label of size <= 8 of the ten families at n = min_n .. min_n + 8,
-    Grassmannians at q = 1, 2 and n // 2: 3,018 (descriptor, label) pairs."""
+    """Every label of size <= 8 of the seven quotients at n = min_n .. 15,
+    Grassmannians at every q, and of the three groups at n = min_n ..
+    min_n + 8, with those of size <= 5 up to n = 40: 7,127 (descriptor,
+    label) pairs."""
     out = []
     for family in Family:
         min_n = _TABLE[family].min_n
-        for n in range(min_n, min_n + 9):
+        group = family in (Family.SO, Family.SU, Family.USp)
+        for n in range(min_n, 41 if group else 16):
             qs = [None]
             if family in _GRASSMANN:
-                qs = [q for q in (1, 2, n // 2) if 1 <= q <= n - 1]
+                qs = range(1, n // 2 + 1)
+            cap = 8 if n <= min_n + 8 or not group else 5
             for q in qs:
                 desc = describe(family, n, q)
                 out += [(desc, w)
-                        for w in enumerate_by_size(indexing_set(desc), 8)]
+                        for w in enumerate_by_size(indexing_set(desc), cap)]
     return out
 
 
 def test_exact_dimension_and_rate_equal_the_scaled_fraction_route():
     labels = _small_labels()
-    assert len(labels) == 3018
+    assert len(labels) == 7127
+    # the empty zero block of SO(4)'s half label, and GrC at q = n / 2,
+    # whose head and -l end meet with no zeros between them
+    so4 = describe("SO", 4)
+    assert (so4, indexing_set(so4).label((Fraction(1, 2),) * 2)) in labels
+    assert any(d.family is Family.GrC and 2 * d.q == d.n for d, _ in labels)
     for desc, weight in labels:
         assert dimension(desc, weight) == oracle_dimension(desc, weight)
         assert (casimir_exponent(desc, weight)
@@ -462,9 +476,8 @@ def test_exact_dimension_and_rate_equal_the_scaled_fraction_route():
 
 
 def test_exact_dimension_at_high_rank_equals_the_all_pairs_route():
-    # the library skips the pairs of two zero parts, which leaves a few
-    # hundred of the 45,000 pairs of USp(300) to a short label; the oracle
-    # multiplies every pair
+    # the library reads a few runs per non-zero part, where the oracle
+    # multiplies every one of the 45,000 pairs of USp(300)
     spent = 0.0
     adjoint = (2,) + (1,) * 298  # SU(300)'s adjoint, all but one part equal
     for family, n, heads in (("USp", 300, [(3, 1), (1, 1, 1)]),
@@ -481,8 +494,7 @@ def test_exact_dimension_at_high_rank_equals_the_all_pairs_route():
 
 
 def test_adjoint_dimension_at_rank_one_thousand():
-    # the difference factors of equal parts are skipped: on the adjoint
-    # (2, 1, ..., 1) all but the first part's and the last's are equal
+    # the adjoint (2, 1, ..., 1) is two runs and the zero block
     desc = describe("SU", 1000)
     weight = indexing_set(desc).label((2,) + (1,) * 998)
     start = time.perf_counter()

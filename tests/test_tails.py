@@ -194,10 +194,11 @@ def test_log_dimension_at_the_smallest_caps_equals_the_exact_dimension(family):
 
 
 @pytest.mark.parametrize("family,n", [("SO", 1000), ("SU", 1000), ("USp", 1000),
-                                      ("SO2n_Un", 500)])
+                                      ("SO2n_Un", 500), ("SO", 10 ** 5),
+                                      ("SU", 10 ** 5), ("USp", 10 ** 5)])
 def test_log_dimension_at_rank_one_thousand_equals_the_exact_dimension(family, n):
-    # at rank 1000 the plain pair loop is too slow to serve as the reference;
-    # the exact dimension is, on 20 labels holding the longest
+    # from rank 1000 to 10^5 the plain pair loop is too slow to serve as the
+    # reference; the exact dimension is, on 20 labels holding the longest
     d = describe(family, n)
     labels = label_block(indexing_set(d), 12)
     log_dim = _vector_log_dim(d, labels)
