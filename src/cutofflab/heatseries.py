@@ -13,13 +13,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (HalfPartitionUnsupported, InvalidRank, TooLarge,
-                     UnsupportedSpace, require_time)
-from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelBlock, Weight,
-                         WeightKind, _half_cap, enumerate_by_size,
-                         label_block, label_table_fits, require_label_table)
+from .errors import (DegenerateAlphabet, HalfPartitionUnsupported,
+                     InvalidRank, TooLarge, UnsupportedSpace, require_time)
+from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelStore,
+                         LabelTable, Weight, WeightKind, _half_cap,
+                         enumerate_by_size, label_table, label_table_fits,
+                         require_label_table)
 from .repchar import casimir_exponent, dimension, schur
-from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
+from .spaces import (CharType, RootDatum, SpaceDescriptor, _chirality,
+                     indexing_set)
 
 _SU_DP_HORIZON = 20000  # type A tails stop at the first doubling past this
 
@@ -70,11 +72,11 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
     """All non-trivial series terms with |lambda| <= size_cap, size-ordered,
     with exact rational coefficients A = fold * (D^lambda)^power, power 2 on
     a group and 1 on a quotient: the rows of the term table."""
-    table = _term_table(descriptor, size_cap)
+    labels = _term_table(descriptor, size_cap).labels
     fold, power = _fold(descriptor), 2 if descriptor.is_group else 1
     pad = indexing_set(descriptor).pad
     out: list[SeriesTerm] = []
-    for w in map(pad, table.labels.parts2.tolist()):
+    for w in map(pad, labels.rows(labels.by_size).tolist()):
         out.append(SeriesTerm(
             weight=w, a_coeff=fold * dimension(descriptor, w) ** power,
             b_exp=casimir_exponent(descriptor, w)))
@@ -87,11 +89,11 @@ def series_terms(descriptor: SpaceDescriptor, size_cap: int) -> list[SeriesTerm]
 @dataclass(frozen=True)
 class _TermTable:
     """One space's series terms up to a size cap, one row per non-trivial
-    label.  The labels are the shared, read-only ``LabelBlock`` of the
-    space's label kind and cap, at the width they fill; the columns below
-    are the space's own."""
+    label, in the level-major order of its ``LabelTable``: the labels are
+    shared by every space of the same indexing set and cap, and their
+    stores by every length; the columns below are the space's own."""
 
-    labels: LabelBlock
+    labels: LabelTable
     log_dim: np.ndarray   # log D^lambda
     b: np.ndarray         # B_n(lambda)
     log_a: np.ndarray     # log A_n(lambda) with group squaring / factor 2
@@ -102,11 +104,15 @@ class _TermTable:
         the log of the sum of A over its labels, taken about the level's
         largest log A so that no exponential overflows.  Labels of one
         level share a bit-identical rate, so e^{-tb} factors out of their
-        terms exactly; built on a table's first sum, never for a sweep."""
+        terms exactly; built on a table's first sum, never for a sweep,
+        from the labels in size order, so that each level sums its labels
+        in one fixed order."""
         if not len(self.b):
             return self.b, self.log_a
-        order = np.argsort(self.b)
-        rates, log_a = self.b[order], self.log_a[order]
+        by_size = self.labels.by_size
+        b, log_a = self.b[by_size], self.log_a[by_size]
+        order = np.argsort(b)
+        rates, log_a = b[order], log_a[order]
         starts = np.flatnonzero(np.r_[True, rates[1:] != rates[:-1]])
         top = np.maximum.reduceat(log_a, starts)
         log_a -= np.repeat(top, np.diff(np.r_[starts, len(log_a)]))
@@ -117,68 +123,79 @@ class _TermTable:
 # block stays in a core's L2 cache (2^15 to 2^16 measured fastest)
 _BLOCK = 1 << 16
 
-# block -> log of its labels' rank-free pair corrections (type A), in the
-# block's longest-first order: kept while the block lives
-_RANK_FREE: "weakref.WeakKeyDictionary[LabelBlock, np.ndarray]" = (
+# store -> the products of its deepest level's rank-free pair corrections
+# (type A), which the next level carries on, and the logs of every level's
+# from level 0: kept while the store lives
+_RANK_FREE: "weakref.WeakKeyDictionary[LabelStore, tuple]" = (
     weakref.WeakKeyDictionary())
 
 
-def _chunks(labels: LabelBlock) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(start, stop, parts) over the labels in longest-first order, the
-    parts of each chunk's labels gathered in the block's narrow type, so
-    that a chunk's pair blocks stay within _BLOCK entries."""
-    count, width = len(labels.parts2), len(labels.reach)
-    step = max(1, _BLOCK // max(width, 1))
+def _level_products(rows: np.ndarray, prod: np.ndarray, rho2: np.ndarray,
+                    squared: bool, first: int, stop: int,
+                    shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Weyl's pair corrections carried from parent to child, for the labels
+    of one level: each label's parent's running product, in ``prod`` (one
+    per row, updated in place), times, for each column j = first .. stop - 1
+    in turn, the factors of j against every i < j, (l_i - l_j) /
+    (l_i - 2rho_j), or (l_i^2 - l_j^2) / (l_i^2 - 4rho_j^2) when
+    ``squared``, with l = p + 2rho over the doubled parts p = ``rows`` +
+    ``shift`` and, past a row's own columns, p = ``shift``.
+
+    Each factor turns the factor of (i, j) with part j taken as zero into
+    the true one, and lies in (0, 1], as l_i > l_j >= 2rho_j >= 0, so no
+    product overflows.  A column's factors go in one ``multiply.reduce``
+    after the running product, so a label's product is the one its parent
+    carried, times its own columns' factors, in the order of a product
+    over every j < stop.  The rows go in chunks of at most _BLOCK floats per
+    buffer.  Returns the products after the rows' own columns, which the
+    next level's labels carry on, and after ``stop``."""
+    count, cols = rows.shape
+    own = prod if stop == cols else np.empty(count)
+    step = max(1, _BLOCK // max(stop, 1))
+    zero = rho2 * rho2 if squared else rho2  # l_j of a zero part
+    base = rho2[:stop, None] + shift
+    ell_buf, num_buf, den_buf = np.empty((3, stop, min(step, count)))
     for start in range(0, count, step):
-        stop = min(start + step, count)
-        yield start, stop, labels.parts2[labels.order[start:stop]]
+        part = prod[start:start + step]
+        ell = ell_buf[:, :len(part)]
+        np.add(rows[start:start + step].T, base[:cols], out=ell[:cols])
+        ell[cols:] = base[cols:]
+        if squared:
+            ell *= ell
+        for j in range(max(first, 0), stop):  # column 0 has no factor
+            if j == cols:
+                own[start:start + step] = part
+            num, den = num_buf[:j + 1, :len(part)], den_buf[:j, :len(part)]
+            num[0] = part
+            np.subtract(ell[:j], ell[j], out=num[1:])
+            np.subtract(ell[:j], zero[j], out=den)
+            num[1:] /= den
+            np.multiply.reduce(num, axis=0, out=part)
+    return own, prod
 
 
-def _pair_corrections(chunk: np.ndarray, rho2: np.ndarray, squared: bool,
-                      reach: Sequence[int], start: int) -> np.ndarray:
-    """prod over i < j < length of (l_i - l_j) / (l_i - 2rho_j), or of
-    (l_i^2 - l_j^2) / (l_i^2 - 4rho_j^2) when ``squared``, with
-    l = 2 lambda + 2 rho, for the labels of one chunk: each turns the
-    factor of (i, j) with part j taken as zero into the true one, and lies
-    in (0, 1], as l_i > l_j >= 2rho_j >= 0, so no product overflows.  The
-    labels with a non-zero part j are the first reach[j] in longest-first
-    order, so the pairs of one j form one block over i < j, whose first row
-    is the running product."""
-    rows, width = chunk.shape
-    ell = np.empty((width, rows))
-    np.add(chunk.T, rho2[:, None], out=ell)
-    zero = rho2  # l_j of a zero part
-    if squared:
-        ell *= ell
-        zero = rho2 * rho2
-    prod = np.ones(rows)
-    num_buf, den_buf = np.empty((width, rows)), np.empty((width, rows))
-    for j in range(1, width):
-        need = min(rows, reach[j] - start)
-        if need <= 0:
-            break
-        num, den = num_buf[:j + 1, :need], den_buf[:j, :need]
-        num[0] = prod[:need]
-        np.subtract(ell[:j, :need], ell[j, :need], out=num[1:])
-        np.subtract(ell[:j, :need], zero[j], out=den)
-        num[1:] /= den
-        np.multiply.reduce(num, axis=0, out=prod[:need])
-    return prod
+def _rank_free(store: LabelStore, last: int) -> list[np.ndarray]:
+    """log of the type A pair corrections of the labels of levels 0 ..
+    ``last``: (l_i - l_j) / (l_i - 2rho_j) = (p_i - p_j + 2(j - i)) /
+    (p_i + 2(j - i)) at every rank, so once per level of the store."""
+    carried, logs = _RANK_FREE.get(store, (np.ones(1), []))
+    while len(logs) <= last:
+        carried, log = _rank_free_level(store, len(logs), carried)
+        logs.append(log)
+    _RANK_FREE[store] = carried, logs
+    return logs
 
 
-def _rank_free(labels: LabelBlock) -> np.ndarray:
-    """log of the type A pair corrections of every label, in longest-first
-    order: (l_i - l_j) / (l_i - 2rho_j) = (p_i - p_j + 2(j - i)) /
-    (p_i + 2(j - i)) at every rank, so once per block."""
-    log_corr = _RANK_FREE.get(labels)
-    if log_corr is None:
-        log_corr = np.empty(len(labels.parts2))
-        steps = -2.0 * np.arange(len(labels.reach))  # any 2 rho of step -2
-        for start, stop, chunk in _chunks(labels):
-            log_corr[start:stop] = np.log(_pair_corrections(
-                chunk, steps, False, labels.reach, start))
-        _RANK_FREE[labels] = log_corr
-    return log_corr
+def _rank_free_level(store: LabelStore, level: int,
+                     carried: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The type A correction products of one level, from the products
+    ``carried`` by the level above, and their logs."""
+    rows = store.rows[level]
+    cols = rows.shape[1]
+    steps = -2.0 * np.arange(cols)  # any 2 rho of step -2
+    prod, _ = _level_products(rows, carried[store.parents[level]], steps,
+                              False, cols - store.repeat, cols)
+    return prod, np.log(prod)
 
 
 def _log_rising(ds: np.ndarray, top: int, odd: bool) -> np.ndarray:
@@ -236,7 +253,7 @@ def _zero_block_logs(root: RootDatum, width: int, top: int,
     return logs
 
 
-def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarray:
+def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelTable) -> np.ndarray:
     """log D^lambda from Weyl's product over l = 2(lambda + rho), whose
     factors against a label's trailing zeros telescope.
 
@@ -250,10 +267,13 @@ def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarr
     (i, p_i, rank) alone and telescope (``_zero_block_logs``), one lookup
     per (label, i).  The label's own pairs i < j < ell each correct that
     guess by (l_i - l_j) / (l_i - 2rho_j) on type A, a ratio that does not
-    depend on the rank (``_rank_free``, once per block), or by
+    depend on the rank (``_rank_free``, once per level of the store), or by
     (l_i^2 - l_j^2) / (l_i^2 - 4rho_j^2) on the others, per rank.  A label
-    of length ell thus costs O(ell) per rank on type A and O(ell^2) on the
-    others, not O(ell r).
+    carries its parent's product of corrections and multiplies in those of
+    its last column (pair of columns) alone (``_level_products``), so a
+    label costs O(ell) per rank on every type, not O(ell r).  A half (odd)
+    label has no zero part: its prefix tree runs through the store's
+    partitions padded with zeros, each carrying on to the length.
 
     Rounding, to first order in u = 2^-53: a correction's terms are exact
     integers, so it rounds once, and the product of m <= ell(ell - 1)/2 of
@@ -270,54 +290,58 @@ def _vector_log_dim(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarr
     dimension at cap 40: at most 6e-14 up to rank 140, and 1.5e-13 at rank
     1000."""
     root = descriptor.root
-    parts2, order, reach = labels.parts2, labels.order, labels.reach
-    count, width = len(parts2), len(reach)
-    if not count or not width:
-        return np.zeros(count)
-    zero_logs = _zero_block_logs(root, width, int(parts2.max()) + 1,
+    count, width = len(labels), labels.width
+    val = np.empty(count)
+    if not count:
+        return val
+    zero_logs = _zero_block_logs(root, width, labels.top + 1,
                                  bool(labels.is_half.any()))
     rank_free = root.type is CharType.A and not root.symmetric
-    log_corr = _rank_free(labels) if rank_free else None
     twice = 2.0 if root.symmetric else 1.0
     rho2 = np.array(root.rho2[:width], dtype=float)
-    val = np.empty(count)
-    for start, stop, chunk in _chunks(labels):
-        if rank_free:
-            logs = log_corr[start:stop].copy()
-        else:
-            logs = twice * np.log(_pair_corrections(chunk, rho2, True, reach,
-                                                    start))
-        for i in range(width):
-            need = min(stop, reach[i]) - start
-            if need <= 0:
-                break
-            logs[:need] += zero_logs[i].take(chunk[:need, i])
-        val[order[start:stop]] = logs
+    at = 0
+    for part in labels.parts:
+        store, shift = part.store, part.shift
+        lo, hi = part.bounds
+        logs = val[at:at + hi - lo]
+        at += hi - lo
+        corr = _rank_free(store, part.last) if rank_free else None
+        carried = np.ones(1)  # the zero label's, and its parent's
+        for level in range(part.first, part.last + 1):
+            rows = store.rows[level]
+            cols = rows.shape[1]
+            here = logs[store.offsets[level] - lo:store.offsets[level + 1] - lo]
+            if rank_free:
+                here[:] = corr[level]
+            else:
+                carried, prod = _level_products(
+                    rows, carried[store.parents[level]], rho2, True,
+                    cols - store.repeat, width if shift else cols, shift)
+                np.log(prod, out=here)
+                here *= twice
+        # the lookups, column by column, so each label adds its parts' in
+        # order: the labels from ``start`` on have part i, and the earlier
+        # ones have none, or on shifted labels the part ``shift``
+        columns = {i: (start, column) for i, start, column in part.columns()}
+        for i in range(width if shift else len(columns)):
+            start, column = columns.get(i, (hi - lo, None))
+            if shift:
+                logs[:start] += zero_logs[i, shift]
+                column = None if column is None else column + shift
+            if column is not None:
+                logs[start:] += zero_logs[i].take(column)
     return val
 
 
-# block -> Q - 4M of its labels (see ``_vector_b``): kept while the block lives
-_RATE_QUADRATIC: "weakref.WeakKeyDictionary[LabelBlock, np.ndarray]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _vector_b(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarray:
+def _vector_b(descriptor: SpaceDescriptor, labels: LabelTable) -> np.ndarray:
     """B(lambda) = <lambda, lambda + 2 rho> / N, less |lambda|^2 / N^2 on
     type A.  With p = 2 lambda, Q = sum p_i^2, S = sum p_i (``size2``),
     M = sum i p_i (i from 0) and 2 rho_i = rho2_0 - 2i, the numerator
     4 <lambda, lambda + 2 rho> is Q + 2 rho2_0 S - 4M, and a symmetric root's
     -l end adds Q - 2(rho2_0 + 2 - 2r) S - 4M.  It is an exact int64 below
     2^53, so only the divisions by 4N and N^2 round.  Q - 4M is rank-free:
-    formed once per block, chunk by chunk, with no count x width int64."""
-    quad = _RATE_QUADRATIC.get(labels)
-    if quad is None:
-        quad = np.empty(len(labels.parts2), np.int64)
-        fours = 4 * np.arange(len(labels.reach))
-        for start, stop, chunk in _chunks(labels):
-            chunk = chunk.astype(np.int64)
-            quad[labels.order[start:stop]] = np.einsum("ij,ij->i", chunk,
-                                                       chunk - fours)
-        _RATE_QUADRATIC[labels] = quad
+    the table's ``quad``, formed once per level of the store."""
+    quad = labels.quad
     root, size2 = descriptor.root, labels.size2.astype(np.int64)
     num = quad + 2 * root.rho2[0] * size2
     if root.symmetric:
@@ -330,8 +354,7 @@ def _vector_b(descriptor: SpaceDescriptor, labels: LabelBlock) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
-    idx = indexing_set(descriptor)
-    labels = label_block(idx, size_cap)
+    labels = label_table(indexing_set(descriptor), size_cap)
     log_dim = _vector_log_dim(descriptor, labels)
     b = _vector_b(descriptor, labels)
     log_a = 2.0 * log_dim if descriptor.is_group else log_dim
@@ -674,30 +697,28 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     table = _term_table(descriptor, size_cap)
     log_param = math.log(descriptor.param)
     values = np.exp(table.log_dim - table.b * log_param)
-    pad, parts2 = indexing_set(descriptor).pad, table.labels.parts2
+    pad, labels = indexing_set(descriptor).pad, table.labels
 
-    def pick(mask: np.ndarray) -> tuple[Optional[float], Optional[Weight],
-                                        np.ndarray]:
-        """The maximum, the argmax and the rows tied with it: labels of
-        equal value (a type A label and its dual, say) differ by rounding
-        alone, and the first of them in size order is the argmax."""
+    def pick(mask: np.ndarray) -> tuple[Optional[float], list]:
+        """The maximum and the labels tied with it, in size order, each with
+        its value: labels of equal value (a type A label and its dual, say)
+        differ by rounding alone, and the first of them is the argmax."""
         idxs = np.nonzero(mask)[0]
         if len(idxs) == 0:
-            return None, None, idxs
+            return None, []
         top = values[idxs].max()
-        ties = idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)]
-        return float(top), pad(parts2[ties[0]].tolist()), ties
+        ties = labels.in_size_order(idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)])
+        return float(top), [(pad(row), float(values[i])) for i, row in ties]
 
-    def exceeds(ties: np.ndarray, bound: Fraction) -> bool:
-        return any(_exceeds(descriptor, pad(parts2[row].tolist()), bound,
-                            float(values[row])) for row in ties)
+    def exceeds(ties: list, bound: Fraction) -> bool:
+        return any(_exceeds(descriptor, w, bound, val) for w, val in ties)
 
-    max_all, arg_all, _ = pick(np.ones(len(values), dtype=bool))
-    max_int, arg_int, ties_int = pick(~table.labels.is_half)
-    max_half, arg_half, ties_half = pick(table.labels.is_half)
+    max_all, ties_all = pick(np.ones(len(values), dtype=bool))
+    max_int, ties_int = pick(~labels.is_half)
+    max_half, ties_half = pick(labels.is_half)
     if max_all is None or max_int is None:
         raise ValueError("size_cap leaves no labels to sweep")
-    boundary = values[table.labels.size2 > 2 * (size_cap - 2)]
+    boundary = values[labels.size2 > 2 * (size_cap - 2)]
     boundary_max = float(boundary.max()) if len(boundary) else 0.0
     const_int, const_half = descriptor.per_term
     certified = (n >= minimum and size_cap >= 40
@@ -706,9 +727,9 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
     if const_half is not None:
         certified = certified and not exceeds(ties_half, const_half)
     return SweepResult(
-        max_value=max_all, argmax=arg_all, certified=certified,
-        max_integer=max_int, argmax_integer=arg_int,
-        max_half=max_half, argmax_half=arg_half, size_cap=size_cap)
+        max_value=max_all, argmax=ties_all[0][0], certified=certified,
+        max_integer=max_int, argmax_integer=ties_int[0][0], max_half=max_half,
+        argmax_half=ties_half[0][0] if ties_half else None, size_cap=size_cap)
 
 
 # -- growth-step quotients -------------------------------------------------
@@ -744,6 +765,12 @@ def eta_quotient(descriptor: SpaceDescriptor, base_weight: Weight, l: int,
 
 
 # -- densities -------------------------------------------------------------
+
+
+# eigenvalue angles within this of a multiple of 2 pi are the identity
+# class's: a character there is within (|l| theta)^2 / 2 relative of its
+# limit, far below rounding
+_IDENTITY_ANGLE = 1e-12
 
 
 def _heat_sum(descriptor: SpaceDescriptor, t: float, labels: Sequence[Weight],
@@ -833,8 +860,22 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
         # a half label is a representation of Spin(n), not of SO(n)
         labels = [w for w in enumerate_by_size(indexing_set(descriptor),
                                                size_cap) if w.is_integer]
-        return _heat_sum(descriptor, t, labels, (
-            schur(root.type, list(w.parts), alphabet).real for w in labels))
+        angles = [cmath.phase(z) for z in alphabet]
+        if all(abs(a) <= _IDENTITY_ANGLE for a in angles):
+            # Weyl's ratio is 0/0 at the identity; its limit is the
+            # dimension of the chirality pieces the label stands for
+            return _heat_sum(descriptor, t, labels, (
+                float(_chirality(descriptor, w) * dimension(descriptor, w))
+                for w in labels))
+        try:
+            return _heat_sum(descriptor, t, labels, (
+                schur(root.type, list(w.parts), alphabet).real
+                for w in labels))
+        except DegenerateAlphabet as exc:
+            raise DegenerateAlphabet(
+                "the class of eigenvalue angles "
+                f"({', '.join(f'{a:.17g}' for a in angles)}) is singular: "
+                f"{exc}") from None
 
     if "theta" in point_spec:
         theta = _angle(point_spec)

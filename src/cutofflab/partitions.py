@@ -2,23 +2,27 @@
 their even, doubled and parity-constrained variants, and bounded-length
 partition counts.
 
-The labels of one kind up to a size cap are enumerated by size into a
-read-only ``LabelBlock``: the leading coordinates they fill, in the
-narrowest signed type holding 2 * cap + 1, built once per (kind, width,
-cap) and shared by every length that asks while someone holds it.
-``IndexingSetKind.pad`` turns a block row into a ``Weight`` of the full
-length, and ``enumerate_by_size`` gives every label that way."""
+The labels of one kind up to a size cap come from one level-major
+``LabelStore`` per partition shape and cap (2 lambda, 4 mu, or the pairs
+(2 mu, 2 mu)), level k holding the labels of k parts (pairs) with their
+parents; it grows a level at a time, as longer lengths ask, and is shared
+by every table that holds it.  ``label_table`` reads the levels a length
+allows as a ``LabelTable``, with halfY's half labels or evenOrOddY's odd
+ones after them, ``IndexingSetKind.pad`` turns a table row into a
+``Weight`` of the full length, and ``enumerate_by_size`` gives every label
+that way, in size order."""
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +69,7 @@ class IndexingSetKind:
 
     def pad(self, head2: Sequence[int]) -> "Weight":
         """The label of this kind with the given leading doubled parts (a
-        block row, say), zero-padded."""
+        table row, say), zero-padded."""
         return Weight(tuple(head2) + (0,) * (self.length - len(head2)),
                       self.kind)
 
@@ -191,7 +195,7 @@ def _half_cap(max_size: Fraction | int, length: int) -> int:
 
 @lru_cache(maxsize=64)
 def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> bool:
-    """Whether ``label_block`` builds the labels of |lambda| <= max_size, at
+    """Whether ``label_table`` builds the labels of |lambda| <= max_size, at
     most MAX_LABELS of them: the guard of the table and of the size-cap
     schedule.
 
@@ -213,180 +217,287 @@ def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> boo
     return total <= MAX_LABELS
 
 
-def _partition_rows(max_total: int, length: int,
-                    dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every partition with at most ``length`` parts and size <= max_total,
-    one zero-padded row each, in ascending lexicographic order, with each
-    row's size and number of non-zero parts.
+class LabelStore:
+    """The partitions of size at most ``total`` as labels of one shape,
+    level-major: level k holds those of exactly k parts, each a row of the
+    doubled parts ``scale * mu_i``, each part ``repeat`` times (2 lambda:
+    scale 2; 4 mu: scale 4; the pairs (2 mu_i, 2 mu_i): scale 2, repeat 2),
+    in the narrowest signed type holding the largest size, and each label's
+    parent, the label without its last part (pair), as an index into level
+    k - 1.  Level 0 is the zero label alone.  ``columns[i]`` holds part i of
+    every label that has one, level-major: the levels past i (past i // 2
+    on pairs), contiguous.
 
-    The partitions form a tree: the children of a partition of k parts, the
-    last v and the size left r, are its extensions by a part 1..min(v, r).
-    In lexicographic order a partition comes right before its descendants
-    (its zero-padded row is below every extension of it), and sibling
-    subtrees follow in increasing last part: the tree's preorder.  The tree
-    is built level by level, one node per partition; subtree sizes summed
-    bottom-up give every node its row, and part k, the value of the level-k
-    node, fills column k over its subtree's rows.
-    """
-    if max_total < 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return np.zeros((0, length), dtype=dtype), empty, empty
-    cols = min(length, max_total)
-    if cols == 0:
-        zero = np.zeros(1, dtype=np.int64)
-        return np.zeros((1, length), dtype=dtype), zero, zero
-    # level 0: the first part, 0..max_total; fan is each node's child count
-    values = [np.arange(max_total + 1)]
-    budgets = [max_total - values[0]]
-    fans, firsts, parents = [], [], []
-    for _ in range(1, cols):
-        fan = np.minimum(values[-1], budgets[-1])
+    A level extends each label of the level above by a part 1 .. min(its
+    last part, the size left), in turn, so its rows are in lexicographic
+    order.  ``grow`` appends levels and changes none that is built: a table
+    of length L reads levels up to L as they stand.  The rank-free columns
+    ``size2`` (2|lambda|) and ``quad`` (Q - 4M, see ``_quadratic``) run
+    contiguously over every level built, so a table's labels are the slice
+    ``[offsets[1]:offsets[L + 1]]`` of them, and a column's labels a prefix
+    of it."""
+
+    def __init__(self, scale: int, repeat: int, total: int) -> None:
+        self.scale, self.repeat, self.total = scale, repeat, total
+        self.dtype = np.min_scalar_type(-(scale * repeat * total + 1))
+        self.rows = [_read_only(np.zeros((1, 0), self.dtype))]
+        self.parents = [_read_only(np.zeros(1, np.uint8))]
+        self.offsets = [0, 1]
+        self.size2 = _read_only(np.zeros(1, self.dtype))
+        self.quad = _read_only(np.zeros(1, np.int64))
+        self.columns: list[np.ndarray] = []
+        self._order: Optional[np.ndarray] = None
+
+    @property
+    def depth(self) -> int:
+        """The last level built: the most parts (pairs) of a label."""
+        return len(self.rows) - 1
+
+    def grow(self, depth: int) -> None:
+        """Build the levels up to ``depth``; none past ``total`` has a
+        label."""
+        depth = min(depth, self.total)
+        if depth <= self.depth:
+            return
+        start, built = self.offsets[-2], len(self.rows)
+        size2, quad = [self.size2[start:]], [self.quad[start:]]
+        while self.depth < depth:
+            level_size2, level_quad = self._append_level(size2[-1], quad[-1])
+            size2.append(level_size2)
+            quad.append(level_quad)
+            self.offsets.append(self.offsets[-1] + len(level_size2))
+        self.size2 = _read_only(np.concatenate([self.size2, *size2[1:]]))
+        self.quad = _read_only(np.concatenate([self.quad, *quad[1:]]))
+        new = self.rows[built:]
+        self.columns = [_read_only(np.concatenate(
+            self.columns[i:i + 1] + [rows[:, i] for rows in new if rows.shape[1] > i]))
+            for i in range(new[-1].shape[1])]
+        self._order = None
+
+    def _append_level(self, size2: np.ndarray,
+                      quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append the next level, from the last one's rows, ``size2`` and
+        ``quad``; return the new level's two columns."""
+        scale, repeat = self.scale, self.repeat
+        last = self.rows[-1]
+        if last.shape[1]:
+            fan = np.minimum(last[:, -1].astype(np.int64) // scale,
+                             self.total - size2.astype(np.int64) // (scale * repeat))
+        else:
+            fan = np.array([self.total])  # the zero label's parts
         parent = np.repeat(np.arange(len(fan)), fan)
-        first = np.cumsum(fan) - fan
-        values.append(np.arange(1, len(parent) + 1) - first[parent])
-        budgets.append(budgets[-1][parent] - values[-1])
-        fans.append(fan)
-        firsts.append(first)
-        parents.append(parent)
-    # subtree sizes, bottom-up, with each level's running sums of them
-    subtree = [np.ones(len(values[-1]), dtype=np.int64)]
-    sums = []
-    for fan, first in zip(fans[::-1], firsts[::-1]):
-        total = np.zeros(len(subtree[0]) + 1, dtype=np.int64)
-        np.cumsum(subtree[0], out=total[1:])
-        sums.insert(0, total)
-        subtree.insert(0, 1 + total[first + fan] - total[first])
-    count = int(subtree[0].sum())
-    size = np.empty(count, dtype=np.int64)
-    parts = np.empty(count, dtype=np.int64)
-    # column k holds the level-k node's value over its subtree's rows
-    # [row, row + subtree): a running sum of +value at row, -value after
-    steps = np.zeros((length, count + 1), dtype=dtype)
-    row = np.cumsum(subtree[0]) - subtree[0]
-    for k in range(cols):
-        if k:
-            # a child's subtree starts after its parent's row and the
-            # subtrees of its elder siblings
-            total = sums[k - 1]
-            row = (row + 1 - total[firsts[k - 1]])[parents[k - 1]] + total[:-1]
-        steps[k, row] = values[k]
-        steps[k, row + subtree[k]] -= values[k]
-        size[row] = max_total - budgets[k]
-        parts[row] = k + 1
-    parts[0] = 0  # the zero partition
-    columns = np.cumsum(steps[:, :count], axis=1, dtype=dtype)
-    return np.ascontiguousarray(columns.T), size, parts
+        value = np.arange(1, len(parent) + 1) - (np.cumsum(fan) - fan)[parent]
+        part = scale * value
+        cols = last.shape[1] + repeat
+        rows = np.empty((len(parent), cols), self.dtype)
+        rows[:, :-repeat] = last[parent]
+        rows[:, -repeat:] = part[:, None]
+        self.rows.append(_read_only(rows))
+        self.parents.append(_read_only(
+            parent.astype(np.min_scalar_type(max(len(fan) - 1, 0)))))
+        return ((size2[parent] + repeat * part).astype(self.dtype),
+                _quadratic(quad[parent], part, cols - repeat, repeat))
+
+    def size_order(self) -> np.ndarray:
+        """Every label built, ordered by size and then lexicographically, as
+        indices into the level-major order: the zero label first.
+
+        The labels form a tree by parent, whose preorder, with each label's
+        children in increasing last part, is the lexicographic order of the
+        zero-padded rows (a label comes right before its descendants, whose
+        rows extend it).  Subtree sizes summed bottom-up give each label its
+        place: after its parent and the subtrees of its elder siblings.  A
+        stable sort of that order by size finishes it; built once per depth,
+        for the tables that ask."""
+        if self._order is not None:
+            return self._order
+        counts = [len(rows) for rows in self.rows]
+        subtree = np.ones(counts[-1], np.int64)
+        running, eldest = [None] * len(counts), [None] * len(counts)
+        for k in range(len(counts) - 1, 0, -1):
+            nodes = np.arange(counts[k - 1])
+            first = np.searchsorted(self.parents[k], nodes)
+            after = np.searchsorted(self.parents[k], nodes, side="right")
+            running[k] = np.concatenate([[0], np.cumsum(subtree)])
+            eldest[k] = first
+            subtree = 1 + running[k][after] - running[k][first]
+        place = [np.zeros(1, np.int64)]
+        for k in range(1, len(counts)):
+            parent = self.parents[k]
+            place.append(place[-1][parent] + 1 + running[k][:-1]
+                         - running[k][eldest[k][parent]])
+        lex = np.empty(self.offsets[-1], np.min_scalar_type(self.offsets[-1]))
+        lex[np.concatenate(place)] = np.arange(self.offsets[-1])
+        self._order = _read_only(lex[np.argsort(self.size2[lex], kind="stable")])
+        return self._order
 
 
-@dataclass(frozen=True, eq=False)
-class LabelBlock:
-    """The non-trivial labels of one kind up to one size cap, read-only.
-
-    ``parts2`` holds the doubled parts (2*lambda_i) of every label but the
-    zero label, one row each, ordered by size and then ascending
-    lexicographically, over the leading coordinates the labels fill (the
-    block's width): every later part of every label is zero, so one block
-    serves every length of at least its width.  It is stored in the narrowest signed type
-    holding 2 * cap + 1, as is ``size2``.  ``order`` lists the rows longest
-    first (stably), and ``reach[k]`` counts the labels with a non-zero part
-    k: the longest-first prefix a factor of coordinate k reaches."""
-
-    kind: WeightKind
-    parts2: np.ndarray    # (labels, width)
-    size2: np.ndarray     # 2|lambda|
-    is_half: np.ndarray   # half-integer parts, a bool mask
-    order: np.ndarray     # row indices, longest first, narrow unsigned
-    reach: tuple[int, ...]
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-# shape -> block, kept while a caller holds the block (a cached term table
-# does), so the cache keeps alive no block that nothing else uses
-_BLOCKS: "weakref.WeakValueDictionary[tuple, LabelBlock]" = (
+def _quadratic(quad: np.ndarray, part: np.ndarray, column: int,
+               repeat: int) -> np.ndarray:
+    """Q - 4M = sum_i p_i (p_i - 4i) over the doubled parts p (i from 0) of
+    the labels whose parents have ``quad``, extended by ``part`` in columns
+    ``column`` .. ``column + repeat - 1``: exact int64, once per level."""
+    quad = quad.copy()
+    for i in range(column, column + repeat):
+        quad += part * (part - 4 * i)
+    return quad
+
+
+# (scale, repeat, total) -> store, and (indexing set, cap) -> table, kept
+# while a caller holds the table (a cached term table does), so the caches
+# keep alive no table or store that nothing else uses
+_STORES: "weakref.WeakValueDictionary[tuple, LabelStore]" = (
+    weakref.WeakValueDictionary())
+_TABLES: "weakref.WeakValueDictionary[tuple, LabelTable]" = (
     weakref.WeakValueDictionary())
 
 
-def _block_shape(indexing: IndexingSetKind,
-                 max_size: Fraction) -> tuple[WeightKind, int, int, int]:
-    """(kind, width, cap, second cap): what a label set depends on.  The
-    second cap sizes halfY's half block or evenOrOddY's odd block, -1 when
-    it is empty; such a block fills all ``length`` coordinates.  Otherwise
-    partitions of size <= c fill min(length, c) of them: c = cap on Y and
-    halfY, cap // 2 on evenY and evenOrOddY, and doubledY's pairs fill two
-    coordinates each."""
-    kind, length = indexing.kind, indexing.length
-    cap = int(max_size)
-    second = -1
-    if kind is WeightKind.halfY:
-        second = max(_half_cap(max_size, length), -1)
-    elif kind is WeightKind.evenOrOddY:
-        second = max((cap - length) // 2, -1)
-    if second >= 0:
-        width = length
-    elif kind in (WeightKind.Y, WeightKind.halfY):
-        width = min(length, cap)
-    elif kind is WeightKind.doubledY:
-        width = 2 * min(length // 2, cap // 2)
-    else:
-        width = min(length, cap // 2)
-    return kind, width, cap, second
+@dataclass(frozen=True)
+class LabelPart:
+    """Levels ``first`` .. ``last`` of ``store``, with ``shift`` added to
+    every part: a shifted part's labels fill every coordinate of the table,
+    their parts past the row's own being ``shift``."""
+
+    store: LabelStore
+    first: int
+    last: int
+    shift: int
+
+    @property
+    def bounds(self) -> tuple[int, int]:
+        """The part's slice of the store's level-major order."""
+        return self.store.offsets[self.first], self.store.offsets[self.last + 1]
+
+    def first_parts(self) -> np.ndarray:
+        """The first doubled part of each of the part's labels."""
+        lo, hi = self.bounds
+        first = np.full(hi - lo, self.shift, dtype=np.int64)
+        if self.last:
+            start = self.store.offsets[1]
+            first[start - lo:] += self.store.columns[0][:hi - start]
+        return first
+
+    def columns(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(i, start, parts): part i of the part's labels from the
+        ``start``-th on, the labels that have one; the earlier ones hold
+        zero (``shift``) there."""
+        lo, hi = self.bounds
+        offsets = self.store.offsets
+        for i in range(self.last * self.store.repeat):
+            start = offsets[i // self.store.repeat + 1]
+            yield i, start - lo, self.store.columns[i][:hi - start]
 
 
-def _build_block(kind: WeightKind, width: int, cap: int,
-                 second: int) -> LabelBlock:
-    """The block of one ``_block_shape``, enumerated straight into its
-    type: parts and sizes are at most 2 * cap + 1 (a half label's, at a
-    fractional size cap)."""
-    dtype = np.min_scalar_type(-(2 * cap + 1))
-    if kind is WeightKind.doubledY:
-        rows, size, parts = _partition_rows(cap // 2, width // 2, dtype)
-        rows = np.repeat(rows, 2, axis=1)
-        rows *= 2
-        size2, nonzero = 4 * size, 2 * parts
-    elif kind in (WeightKind.evenY, WeightKind.evenOrOddY):
-        rows, size, nonzero = _partition_rows(cap // 2, width, dtype)
-        rows *= 4
-        size2 = 4 * size
-    else:
-        rows, size, nonzero = _partition_rows(cap, width, dtype)
-        rows *= 2
-        size2 = 2 * size
-    # drop the zero label, row 0
-    rows, size2, nonzero = rows[1:], size2[1:], nonzero[1:]
-    integral = len(rows)
-    key = size2
-    if second >= 0:
-        # half labels add 1/2 to every part of an integer label, odd ones 1
-        # to every part of an even label: all ``width`` parts are non-zero
-        scale, shift = (2, 1) if kind is WeightKind.halfY else (4, 2)
-        extra, size, _ = _partition_rows(second, width, dtype)
-        extra *= scale
-        extra += shift
-        rows = np.concatenate([rows, extra])
-        size2 = np.concatenate([size2, scale * size + shift * width])
-        nonzero = np.concatenate([nonzero, np.full(len(extra), width)])
-        # rows of the two blocks differ in their first part (parity, or
-        # residue mod 4), so ordering by (size, first part) keeps the
-        # lexicographic order within a size
-        first = rows[:, 0].astype(np.int64)
-        key = size2 * (int(first.max()) + 1) + first
-    is_half = np.zeros(len(rows), dtype=bool)
-    if kind is WeightKind.halfY:
-        is_half[integral:] = True
-    # each block is in ascending lexicographic order, so a stable sort by
-    # the key leaves every row in (size, lexicographic) order; a stable
-    # sort of a small unsigned key is a radix sort
-    by_size = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))),
-                         kind="stable")
-    parts2, size2 = rows[by_size], size2[by_size].astype(dtype)
-    is_half, nonzero = is_half[by_size], nonzero[by_size]
-    order = np.argsort((width - nonzero).astype(np.min_scalar_type(width)),
-                       kind="stable").astype(np.min_scalar_type(len(rows)))
-    # reach[k]: the labels with more than k non-zero parts
-    longer = len(nonzero) - np.cumsum(np.bincount(nonzero, minlength=width + 1))
-    for array in (parts2, size2, is_half, order):
-        array.flags.writeable = False
-    return LabelBlock(kind, parts2, size2, is_half, order,
-                      tuple(int(c) for c in longer[:width]))
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """The non-trivial labels of one kind and length up to one size cap,
+    level-major: levels 1 .. of the store of the kind's partitions (the
+    integer labels: 2 lambda, 4 mu or the pairs (2 mu, 2 mu)), then halfY's
+    half labels or evenOrOddY's odd ones, levels 0 .. of the store of their
+    second cap with 1/2 (or 1) added to each of the ``length`` parts.
+    ``size2``, ``quad`` and ``is_half`` follow that order;
+    ``by_size`` gives the order by size and then lexicographically, built
+    when asked, and ``rows`` the doubled parts over the table's ``width``,
+    in the narrowest signed type holding 2 * cap + 1."""
+
+    length: int
+    dtype: np.dtype
+    parts: tuple[LabelPart, ...]
+    size2: np.ndarray
+    quad: np.ndarray
+    is_half: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.size2)
+
+    @property
+    def width(self) -> int:
+        """The coordinates the labels fill."""
+        if len(self.parts) > 1:
+            return self.length
+        part = self.parts[0]
+        return part.last * part.store.repeat
+
+    @property
+    def top(self) -> int:
+        """The largest doubled part, 0 on an empty table: a level-1 label
+        holds the store's whole size."""
+        return max((p.store.scale * p.store.total * (p.last > 0) + p.shift
+                    for p in self.parts if p.last >= p.first), default=0)
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """The doubled parts of the labels at ``index``, one row each."""
+        out = np.zeros((len(self), self.width), self.dtype)
+        at = 0
+        for part in self.parts:
+            lo, hi = part.bounds
+            for i, start, column in part.columns():
+                out[at + start:at + hi - lo, i] = column
+            out[at:at + hi - lo] += part.shift
+            at += hi - lo
+        return out[index]
+
+    @cached_property
+    def by_size(self) -> np.ndarray:
+        """Row indices by size and then lexicographically: each part's from
+        its store's order, and the two parts merged by (size, first part),
+        in which their rows differ (parity, or residue mod 4)."""
+        orders, base = [], 0
+        for part in self.parts:
+            lo, hi = part.bounds
+            order = part.store.size_order()
+            orders.append(order[(order >= lo) & (order < hi)].astype(np.intp)
+                          - lo + base)
+            base += hi - lo
+        if len(orders) == 1:
+            return _read_only(orders[0])
+        merged = np.concatenate(orders)
+        first = np.concatenate([part.first_parts() for part in self.parts])[merged]
+        key = self.size2[merged].astype(np.int64) * (int(first.max()) + 1) + first
+        return _read_only(merged[np.argsort(key, kind="stable")])
+
+    def row(self, index: int) -> tuple[int, ...]:
+        """The doubled parts of the label at ``index``: its own on an
+        integer label, all ``length`` on a shifted one."""
+        for part in self.parts:
+            lo, hi = part.bounds
+            if index < hi - lo:
+                offsets = part.store.offsets
+                at = lo + index
+                level = bisect.bisect_right(offsets, at) - 1
+                row = part.store.rows[level][at - offsets[level]].tolist()
+                if part.shift:
+                    row = [p + part.shift for p in row]
+                    row += [part.shift] * (self.length - len(row))
+                return tuple(row)
+            index -= hi - lo
+        raise IndexError(index)
+
+    def in_size_order(self, index: np.ndarray) -> list[tuple[int, tuple]]:
+        """(index, row) of the labels at ``index``, ordered by size and then
+        lexicographically (rows of different lengths compare as their
+        zero-padded forms do: a row that is a prefix of another is
+        smaller)."""
+        keyed = sorted((int(self.size2[i]), self.row(i), int(i)) for i in index)
+        return [(i, row) for _, row, i in keyed]
+
+
+def _part(scale: int, repeat: int, total: int, first: int, depth: int,
+          shift: int) -> LabelPart:
+    """Levels ``first`` .. ``depth`` of the (scale, repeat, total) store,
+    built as far as they go and shared while someone holds the store."""
+    key = (scale, repeat, total)
+    store = _STORES.get(key)
+    if store is None:
+        store = LabelStore(scale, repeat, total)
+        _STORES[key] = store
+    store.grow(depth)
+    return LabelPart(store, first, min(depth, store.depth), shift)
 
 
 def _too_large(indexing: IndexingSetKind, max_size: Fraction | int) -> TooLarge:
@@ -398,35 +509,73 @@ def _too_large(indexing: IndexingSetKind, max_size: Fraction | int) -> TooLarge:
 def require_label_table(indexing: IndexingSetKind,
                         max_size: Fraction | int) -> None:
     """Raise TooLarge unless ``label_table_fits``: the refusal of
-    ``label_block``, for a caller to ask before it builds anything."""
+    ``label_table``, for a caller to ask before it builds anything."""
     if not label_table_fits(indexing, max_size):
         raise _too_large(indexing, max_size)
 
 
-def label_block(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelBlock:
-    """The non-trivial labels of the kind with |lambda| <= max_size, as a
-    read-only block at the width they fill, shared by every caller asking
-    for the same (kind, width, cap, second cap) while one holds it."""
+def label_table(indexing: IndexingSetKind, max_size: Fraction | int) -> LabelTable:
+    """The non-trivial labels of the kind with |lambda| <= max_size: the
+    integer labels are partitions of c = cap (Y, halfY), c = cap // 2 in 4 mu
+    (evenY, evenOrOddY) or in pairs (doubledY, at most length // 2 of them);
+    halfY's half labels add 1/2 to every part of a partition of at most
+    ``_half_cap``, and evenOrOddY's odd ones 1 to every part of an even
+    label of at most cap - length.  One table per (indexing set, cap),
+    shared by every caller that asks while one holds it."""
     max_size = Fraction(max_size)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     require_label_table(indexing, max_size)
-    shape = _block_shape(indexing, max_size)
-    block = _BLOCKS.get(shape)
-    if block is None:
-        block = _build_block(*shape)
-        _BLOCKS[shape] = block
-    return block
+    table = _TABLES.get((indexing, max_size))
+    if table is None:
+        table = _build_table(indexing, max_size)
+        _TABLES[indexing, max_size] = table
+    return table
+
+
+def _build_table(indexing: IndexingSetKind, max_size: Fraction) -> LabelTable:
+    kind, length, cap = indexing.kind, indexing.length, int(max_size)
+    if kind in (WeightKind.Y, WeightKind.halfY):
+        scale, repeat, total = 2, 1, cap
+    elif kind is WeightKind.doubledY:
+        scale, repeat, total = 2, 2, cap // 2
+    else:
+        scale, repeat, total = 4, 1, cap // 2
+    parts = [_part(scale, repeat, total, 1, length // repeat, 0)]
+    lo, hi = parts[0].bounds
+    size2, quad = parts[0].store.size2[lo:hi], parts[0].store.quad[lo:hi]
+    is_half = np.zeros(hi - lo, dtype=bool)
+    second = -1
+    if kind is WeightKind.halfY:
+        second, shift = _half_cap(max_size, length), 1
+    elif kind is WeightKind.evenOrOddY:
+        second, shift = (cap - length) // 2, 2
+    if second >= 0:
+        half = _part(scale, 1, second, 0, length, shift)
+        lo, hi = half.bounds
+        # every coordinate gains the shift s: sum_i (p_i + s)(p_i + s - 4i)
+        # = Q - 4M + 2 s S + L s^2 - 2 s L (L - 1)
+        half_size2 = half.store.size2[lo:hi].astype(np.int64)
+        size2 = np.concatenate([size2, half_size2 + shift * length])
+        quad = np.concatenate([quad, half.store.quad[lo:hi] + 2 * shift * half_size2
+                               + shift * length * (shift - 2 * (length - 1))])
+        is_half = np.concatenate([is_half, np.full(hi - lo, kind is WeightKind.halfY)])
+        parts.append(half)
+    dtype = np.min_scalar_type(-(2 * cap + 1))
+    return LabelTable(length, dtype, tuple(parts),
+                      _read_only(size2.astype(dtype, copy=False)),
+                      _read_only(quad), _read_only(is_half))
 
 
 def enumerate_by_size(indexing: IndexingSetKind, max_size: Fraction | int) -> Iterator[Weight]:
     """Every weight of the kind with |lambda| <= max_size, ordered by size
     and then ascending lexicographically: the zero label, then
-    ``label_block``'s rows padded to the length.  Refused, before any label
-    is given, past MAX_LABEL_ENTRIES padded parts, as the block is past
-    MAX_LABELS labels."""
-    rows = label_block(indexing, max_size).parts2
-    if (len(rows) + 1) * indexing.length > MAX_LABEL_ENTRIES:
+    ``label_table``'s rows in ``by_size`` order, padded to the length.
+    Refused, before any label is given, past MAX_LABEL_ENTRIES padded parts,
+    as the table is past MAX_LABELS labels."""
+    labels = label_table(indexing, max_size)
+    if (len(labels) + 1) * indexing.length > MAX_LABEL_ENTRIES:
         raise _too_large(indexing, max_size)
+    rows = labels.rows(labels.by_size).tolist()
     return itertools.chain([Weight.zero(indexing.length, indexing.kind)],
-                           map(indexing.pad, rows.tolist()))
+                           map(indexing.pad, rows))

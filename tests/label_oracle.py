@@ -1,4 +1,4 @@
-"""Recursive label enumerator kept as a test oracle for ``label_block`` and
+"""Recursive label enumerator kept as a test oracle for ``label_table`` and
 ``enumerate_by_size``, and the label guard that bounded labels times the
 block's width, kept as an oracle for ``label_table_fits``.
 

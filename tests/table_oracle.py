@@ -10,12 +10,23 @@ trailing zeros telescope, must lie within 1e-12 of ``oracle_log_dim``.
 ``oracle_series_sum`` is the dominating series' partial sum as it was first
 summed, one term per label; the sum over the table's rate levels must lie
 within 1e-12 relative of it.
+
+``oracle_block_columns`` is the term table's log D^lambda and rate as they
+were computed over one label block per (kind, width, cap): the labels in
+size order, gathered longest first in chunks, every pair i < j < ell of a
+label's own parts multiplied into its correction (``_pair_corrections``),
+and Q - 4M summed over each chunk's parts.  The table, which carries each
+label's corrections on from its parent, must equal it bit for bit, label by
+label (``float.hex``).
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
 
+from cutofflab.heatseries import _BLOCK, _zero_block_logs
 from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor
 
 
@@ -72,3 +83,87 @@ def oracle_series_sum(log_a: np.ndarray, b: np.ndarray, t: float) -> float:
     in table order."""
     with np.errstate(under="ignore", over="ignore"):
         return float(np.exp(log_a - t * b).sum())
+
+
+def _chunks(parts2: np.ndarray, order: np.ndarray,
+            width: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(start, stop, parts) over the labels in longest-first ``order``, so
+    that a chunk's pair blocks stay within _BLOCK entries."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, len(parts2), step):
+        stop = min(start + step, len(parts2))
+        yield start, stop, parts2[order[start:stop]]
+
+
+def _pair_corrections(chunk: np.ndarray, rho2: np.ndarray, squared: bool,
+                      reach: Sequence[int], start: int) -> np.ndarray:
+    """prod over i < j < length of (l_i - l_j) / (l_i - 2rho_j), or of
+    (l_i^2 - l_j^2) / (l_i^2 - 4rho_j^2) when ``squared``, for the labels of
+    one chunk: the labels with a non-zero part j are the first reach[j] in
+    longest-first order, so the pairs of one j form one block over i < j,
+    whose first row is the running product."""
+    rows, width = chunk.shape
+    ell = np.empty((width, rows))
+    np.add(chunk.T, rho2[:, None], out=ell)
+    zero = rho2  # l_j of a zero part
+    if squared:
+        ell *= ell
+        zero = rho2 * rho2
+    prod = np.ones(rows)
+    num_buf, den_buf = np.empty((width, rows)), np.empty((width, rows))
+    for j in range(1, width):
+        need = min(rows, reach[j] - start)
+        if need <= 0:
+            break
+        num, den = num_buf[:j + 1, :need], den_buf[:j, :need]
+        num[0] = prod[:need]
+        np.subtract(ell[:j, :need], ell[j, :need], out=num[1:])
+        np.subtract(ell[:j, :need], zero[j], out=den)
+        num[1:] /= den
+        np.multiply.reduce(num, axis=0, out=prod[:need])
+    return prod
+
+
+def oracle_block_columns(descriptor: SpaceDescriptor, parts2: np.ndarray,
+                         is_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log D^lambda, B(lambda)) of the labels with doubled parts ``parts2``
+    (one row each, over the coordinates they fill), in their order, as the
+    block kernel computed them."""
+    root = descriptor.root
+    count, width = parts2.shape
+    nonzero = np.count_nonzero(parts2, axis=1)
+    order = np.argsort(width - nonzero, kind="stable")
+    longer = count - np.cumsum(np.bincount(nonzero, minlength=width + 1))
+    reach = [int(c) for c in longer[:width]]
+    log_dim = np.zeros(count)
+    if count and width:
+        zero_logs = _zero_block_logs(root, width, int(parts2.max()) + 1,
+                                     bool(is_half.any()))
+        rank_free = root.type is CharType.A and not root.symmetric
+        twice = 2.0 if root.symmetric else 1.0
+        rho2 = (-2.0 * np.arange(width) if rank_free
+                else np.array(root.rho2[:width], dtype=float))
+        for start, stop, chunk in _chunks(parts2, order, width):
+            logs = np.log(_pair_corrections(chunk, rho2, not rank_free,
+                                            reach, start))
+            if not rank_free:
+                logs = twice * logs
+            for i in range(width):
+                need = min(stop, reach[i]) - start
+                if need <= 0:
+                    break
+                logs[:need] += zero_logs[i].take(chunk[:need, i])
+            log_dim[order[start:stop]] = logs
+    quad, size2 = np.empty(count, np.int64), np.empty(count, np.int64)
+    for start, stop, chunk in _chunks(parts2, order, width):
+        chunk = chunk.astype(np.int64)
+        quad[order[start:stop]] = np.einsum("ij,ij->i", chunk,
+                                            chunk - 4 * np.arange(width))
+        size2[order[start:stop]] = chunk.sum(axis=1)
+    num = quad + 2 * root.rho2[0] * size2
+    if root.symmetric:
+        num += quad - 2 * (root.rho2[0] + 2 - 2 * root.rank) * size2
+    rate = num / (4 * root.rate_norm)
+    if root.type is CharType.A and not root.symmetric:
+        rate -= (size2 * 0.5) ** 2 / root.rate_norm ** 2
+    return log_dim, rate

@@ -3,7 +3,8 @@
 ``mpmath_partition_tail`` is the partition tail in 50 significant digits,
 from its closed form: the generating function P_L = prod_{k<=L} 1/(1 - x^k)
 less the sizes up to the cap, with the working precision raised by the
-digits that subtraction cancels.  The library's outward-rounded tail must
+digits that subtraction cancels; past a few hundred such digits, the
+tail's first terms summed directly, with a geometric closing bound.  The library's outward-rounded tail must
 lie at or above it, and within 1e-12 relative in the normal range.
 ``oracle_su_dp_tail`` is the plain loop the type A tail was first written
 as: every horizon doubling recomputes the whole recurrence from size 0, one
@@ -26,27 +27,57 @@ from cutofflab.partitions import partition_counts
 from cutofflab.spaces import Family, SpaceDescriptor
 
 
+# past this many digits cancelled by the head, the tail is summed directly
+_DIRECT_DIGITS = 300
+
+
 def mpmath_partition_tail(log_x: float, beyond: int, max_len: int) -> mpmath.mpf:
     """Sum of x^{|mu|} over partitions with at most max_len parts and
-    |mu| > beyond, to 50 digits: P_L less sum_{s<=beyond} p_L(s) x^s."""
-    def product() -> mpmath.mpf:
+    |mu| > beyond, to 50 digits: P_L less sum_{s<=beyond} p_L(s) x^s, or,
+    when that subtraction would cancel more than _DIRECT_DIGITS digits, the
+    tail's first terms summed directly (``_direct_tail``)."""
+    def product(log_w) -> mpmath.mpf:
         prod = mpmath.mpf(1)
         for k in range(1, max_len + 1):
-            prod /= -mpmath.expm1(k * mpmath.mpf(log_x))
+            prod /= -mpmath.expm1(k * mpmath.mpf(log_w))
         return prod
 
     if beyond < 0:
         with mpmath.workdps(50):
-            return product()
+            return product(log_x)
+    if (beyond + 1) * -log_x / math.log(10) > _DIRECT_DIGITS:
+        return _direct_tail(log_x, beyond, max_len, product)
     # the tail is at least x^(beyond + 1), so the subtraction cancels at
     # most log10(P_L) + (beyond + 1) |log x| / log(10) digits
     with mpmath.workdps(20):
-        cancel = mpmath.log10(product()) - (beyond + 1) * log_x / math.log(10)
+        cancel = mpmath.log10(product(log_x)) - (beyond + 1) * log_x / math.log(10)
     with mpmath.workdps(50 + int(cancel) + 10):
         x = mpmath.exp(mpmath.mpf(log_x))
         head = mpmath.fsum(count * x ** size for size, count
                            in enumerate(partition_counts(beyond, max_len)))
-        return product() - head
+        return product(log_x) - head
+
+
+def _direct_tail(log_x: float, beyond: int, max_len: int,
+                 product) -> mpmath.mpf:
+    """sum_{beyond < s <= S} p_L(s) x^s plus a geometric closing bound on
+    the sizes past S, an upper bound within 1e-60 relative of the tail.
+
+    With y = sqrt(x), p_L(s) x^s = p_L(s) y^s y^s <= P_L(y) y^s, so the
+    sizes past S add at most P_L(y) y^(S+1) / (1 - y); S is the least size
+    that puts this below 1e-60 x^(beyond + 1), itself below the tail."""
+    with mpmath.workdps(60):
+        log_y = mpmath.mpf(log_x) / 2
+        factor = product(log_y) / -mpmath.expm1(log_y)
+        # P_L(y) y^(S+1) / (1 - y) <= 1e-60 x^(beyond + 1)
+        need = (mpmath.log(mpmath.mpf(10) ** -60) + (beyond + 1) * log_x
+                - mpmath.log(factor)) / log_y
+        last = max(beyond + 1, int(mpmath.ceil(need)) - 1)
+        x = mpmath.exp(mpmath.mpf(log_x))
+        counts = partition_counts(last, max_len)
+        head = mpmath.fsum(counts[size] * x ** size
+                           for size in range(beyond + 1, last + 1))
+        return head + factor * mpmath.exp(log_y * (last + 1))
 
 
 def oracle_su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:

@@ -429,6 +429,32 @@ def test_density_outside_the_domain_exits_with_code_two(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("family,n,identity,theta", [
+    ("SO", 3, "0", ("--theta", "0")),
+    ("SU", 3, "0,0,0", None),
+    ("SO", 4, "6.283185307179586,0", None),
+])
+def test_density_at_the_identity_class_is_finite(capsys, family, n, identity,
+                                                 theta):
+    code, out = _run(capsys, "density", "--family", family, "--n", str(n),
+                     "--t", "1", "--alphabet", identity)
+    value = json.loads(out)["density"]
+    assert code == 0 and math.isfinite(value) and value > 1.0
+    if theta is not None:
+        _, by_angle = _run(capsys, "density", "--family", family, "--n",
+                           str(n), "--t", "1", *theta)
+        assert value == pytest.approx(json.loads(by_angle)["density"],
+                                      rel=1e-12, abs=0.0)
+
+
+def test_density_at_another_singular_class_exits_with_code_two(capsys):
+    code = cli.main(["density", "--family", "SU", "--n", "3", "--t", "1",
+                     "--alphabet", "0,0,1.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "the class of eigenvalue angles (0, 0, 1.5) is singular" in captured.err
+
+
 def test_describe_names_the_given_q_when_out_of_range(capsys):
     assert cli.main(["describe", "--family", "GrC", "--n", "6",
                      "--q", "9"]) == 2

@@ -4,8 +4,8 @@
 least rank to n0 + 7 (both parities) and q in {1, floor(n/2)}: the indexing
 set, the ambient bookkeeping, the per-term constants, the variance cap, the
 exact dimension and Casimir rate of the first 50 labels, digests of the
-float term table at cap 12 and the total-variation upper bound at 1.1 and
-1.5 times the cut-off time.  Floats are stored with ``float.hex`` and
+float term table at cap 12, its labels in size order, and the
+total-variation upper bound at 1.1 and 1.5 times the cut-off time.  Floats are stored with ``float.hex`` and
 arrays as SHA-256 digests of their bytes, so the comparison is exact.
 
 Recapture (only when an output change is intended):
@@ -56,13 +56,13 @@ def _digest(values) -> str:
 def _row(desc) -> dict:
     from cutofflab.cutoff import variance_cap
     from cutofflab.heatseries import _term_table, t_zero, tv_upper_bound
-    from cutofflab.partitions import enumerate_by_size, label_block
+    from cutofflab.partitions import enumerate_by_size, label_table
     from cutofflab.repchar import casimir_exponent, dimension
     from cutofflab.spaces import indexing_set, matrix_side
 
     idx = indexing_set(desc)
     cap = 8
-    while len(label_block(idx, cap).parts2) + 1 < 50 and cap < 64:
+    while len(label_table(idx, cap)) + 1 < 50 and cap < 64:
         cap *= 2
     labels = list(itertools.islice(enumerate_by_size(idx, cap), 50))
     t0 = t_zero(desc)
@@ -81,8 +81,8 @@ def _row(desc) -> dict:
         "labels": [str(w) for w in labels],
         "dimension": [str(dimension(desc, w)) for w in labels],
         "casimir_exponent": [str(casimir_exponent(desc, w)) for w in labels],
-        "log_dim": _digest(table.log_dim),
-        "b": _digest(table.b),
+        "log_dim": _digest(table.log_dim[table.labels.by_size]),
+        "b": _digest(table.b[table.labels.by_size]),
         "tv_upper_bound": [tv_upper_bound(desc, f * t0).hex()
                            for f in (1.1, 1.5)],
     }

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cutofflab.errors import (
+    DegenerateAlphabet,
     HalfPartitionUnsupported,
     InvalidRank,
     InvalidTime,
@@ -32,9 +33,10 @@ from cutofflab.heatseries import (
     t_zero,
     tv_upper_bound,
 )
-from cutofflab.partitions import MAX_LABELS, Weight, WeightKind
+from cutofflab.partitions import (MAX_LABELS, Weight, WeightKind,
+                                  enumerate_by_size)
 from cutofflab.repchar import casimir_exponent, dimension, schur
-from cutofflab.spaces import describe, indexing_set, minimal_weight
+from cutofflab.spaces import _chirality, describe, indexing_set, minimal_weight
 from label_oracle import oracle_labels
 from table_oracle import oracle_series_sum
 
@@ -77,15 +79,17 @@ def test_vectorized_table_matches_exact_terms(family, n, q):
     d = describe(family, n, q)
     labels = [w for w in oracle_labels(indexing_set(d), 8) if not w.is_zero]
     table = _term_table(d, 8)
-    width = table.labels.parts2.shape[1]
-    padded = np.pad(table.labels.parts2,
+    by_size = table.labels.by_size
+    width = table.labels.width
+    padded = np.pad(table.labels.rows(by_size),
                     ((0, 0), (0, indexing_set(d).length - width)))
     assert padded.tolist() == [list(w.parts2) for w in labels]
-    assert table.labels.size2.tolist() == [2 * w.size for w in labels]
-    assert table.labels.is_half.tolist() == [not w.is_integer for w in labels]
+    assert table.labels.size2[by_size].tolist() == [2 * w.size for w in labels]
+    assert table.labels.is_half[by_size].tolist() == [
+        not w.is_integer for w in labels]
     terms = series_terms(d, 8)
     assert [term.weight for term in terms] == labels
-    for i, term in enumerate(terms):
+    for i, term in zip(by_size, terms):
         log_a = (math.log(term.a_coeff.numerator)
                  - math.log(term.a_coeff.denominator))
         assert abs(log_a - table.log_a[i]) < 1e-10 * max(1.0, abs(log_a))
@@ -148,13 +152,16 @@ def test_unproven_rank_reports_infinite_tail():
 
 
 def test_term_tables_of_one_family_share_their_label_block():
-    # USp(n) labels n parts; at cap 40 every n >= 40 fills 40 of them
-    tables = [_term_table(describe("USp", n), 40) for n in (41, 45)]
-    assert tables[0].labels is tables[1].labels
+    # USp(n) labels n parts; at cap 40 every n >= 40 reads the store's 40
+    # levels, and USp(39) the first 39 of the same store
+    tables = [_term_table(describe("USp", n), 40) for n in (41, 45, 39)]
+    stores = [table.labels.parts[0].store for table in tables]
+    assert stores[0] is stores[1] is stores[2]
+    assert [table.labels.parts[0].last for table in tables] == [40, 40, 39]
     assert [indexing_set(describe("USp", n)).pad(
-        table.labels.parts2[7].tolist()).length
+        table.labels.rows([7])[0].tolist()).length
         for n, table in zip((41, 45), tables)] == [41, 45]
-    assert not tables[0].labels.parts2.flags.writeable
+    assert not tables[0].labels.size2.flags.writeable
 
 
 def test_cap_below_the_first_label_gives_an_empty_sum():
@@ -594,6 +601,37 @@ def test_so_alphabet_density_sums_integer_labels_only():
                      * schur("B", list(w.parts), z).real)
     assert density(d, {"alphabet": z}, 0.6, 12) == pytest.approx(want,
                                                                 rel=1e-12)
+
+
+def test_alphabet_density_at_the_identity_takes_the_character_limit():
+    # Weyl's ratio is 0/0 at the identity; its limit is chi * D^lambda, and
+    # angles of 2 pi (whose sine rounds to -2.4e-16) name the same class
+    so3 = describe("SO", 3)
+    for t in (0.3, 1.0, 2.5):
+        for angle in (0.0, 2.0 * math.pi, -4.0 * math.pi):
+            at_id = density(so3, {"alphabet": [cmath.exp(1j * angle)]}, t)
+            assert at_id == pytest.approx(density(so3, {"theta": 0.0}, t),
+                                          rel=1e-12, abs=0.0)
+    for family, n in (("SU", 3), ("SO", 4), ("USp", 2)):
+        d = describe(family, n)
+        want = 0.0
+        for w in enumerate_by_size(indexing_set(d), 12):
+            if w.is_integer:
+                dim = dimension(d, w)
+                want += (float(_chirality(d, w) * dim * dim)
+                         * math.exp(-0.7 * float(casimir_exponent(d, w)) / 2.0))
+        ones = [1.0] * d.root.rank
+        assert density(d, {"alphabet": ones}, 0.7, 12) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+
+def test_alphabet_density_at_another_singular_class_names_it():
+    # two equal eigenvalues away from the identity: Weyl's ratio stays 0/0
+    with pytest.raises(DegenerateAlphabet,
+                       match=r"class of eigenvalue angles \(1.5, 1.5, 0\) "
+                             "is singular"):
+        density(describe("SU", 3), {"alphabet": [cmath.exp(1.5j)] * 2 + [1.0]},
+                1.0)
 
 
 def test_rank_one_zonal_density_matches_series_at_half_time():

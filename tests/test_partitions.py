@@ -20,7 +20,7 @@ from cutofflab.partitions import (
     Weight,
     WeightKind,
     enumerate_by_size,
-    label_block,
+    label_table,
     label_table_fits,
     partition_counts,
 )
@@ -216,7 +216,7 @@ def test_enumerate_fractional_cap():
 # -- array enumerator against the recursive oracle ---------------------------
 
 # "label rows" are the labels padded to the full length, as
-# ``enumerate_by_size`` gives them; the block stores them unpadded
+# ``enumerate_by_size`` gives them; the table holds them unpadded
 
 HALF_CAPS = [Fraction(2 * c + 1, 2) for c in range(13)]
 
@@ -272,7 +272,7 @@ def test_label_row_counts_are_sums_of_partition_counts(length):
             sum(counts[:int(max_size) + 1]) + half
 
 
-# -- shared label blocks ------------------------------------------------------
+# -- shared label stores -----------------------------------------------------
 
 
 def _cap_width(kind, cap):
@@ -292,20 +292,21 @@ def test_label_rows_are_the_padded_oracle_around_the_block_width(kind, cap):
     lengths = {width - 1, width, width + 1, 2 * cap + 2} - {-1, 0}
     if cap == 40 and kind in (WeightKind.Y, WeightKind.halfY):
         # 215,308 labels, about four seconds a length: Y's far past the
-        # width, halfY's one below it, where its half block fills the rows
-        # and its integer block is the partitions of up to 39 parts
+        # width, halfY's one below it, where its half labels fill the rows
+        # and its integer labels are the partitions of up to 39 parts
         lengths = {2 * cap + 2 if kind is WeightKind.Y else width - 1}
     for length in sorted(lengths):
         idx = IndexingSetKind(kind, length)
         want = oracle_rows(idx, cap)
-        block = label_block(idx, cap)
-        assert block.parts2.dtype == np.int8
-        # the block holds the labels but the zero one, at the width they fill
-        fill = block.parts2.shape[1]
-        assert fill == oracle_block_width(idx, cap)
-        rows = np.pad(block.parts2, ((1, 0), (0, length - fill)))
+        table = label_table(idx, cap)
+        rows = table.rows(table.by_size)
+        assert rows.dtype == np.int8
+        # the table holds the labels but the zero one, at the width they
+        # fill, and some label fills each of those coordinates
+        assert table.width == rows.shape[1] == oracle_block_width(idx, cap)
+        assert (rows != 0).any(axis=0).all()
+        rows = np.pad(rows, ((1, 0), (0, length - table.width)))
         assert np.array_equal(rows, np.array(want)), length
-        assert len(block.reach) == fill and all(block.reach)
         if cap < 40:
             assert [w.parts2 for w in enumerate_by_size(idx, cap)] == want
 
@@ -315,42 +316,60 @@ def test_label_blocks_hold_the_widest_parts_in_their_type(kind):
     # 2 * 63 + 1 = 127 is the largest int8; cap 64 moves to int16
     for cap, dtype in ((63, np.int8), (64, np.int16)):
         idx = IndexingSetKind(kind, 2)
-        block = label_block(idx, cap)
-        assert block.parts2.dtype == block.size2.dtype == dtype
+        table = label_table(idx, cap)
+        rows = table.rows(np.arange(len(table)))
+        assert rows.dtype == table.size2.dtype == dtype
+        assert table.parts[0].store.rows[-1].dtype == dtype
         assert list(enumerate_by_size(idx, cap)) == oracle_labels(idx, cap)
-        assert block.size2.tolist() == block.parts2.sum(axis=1).tolist()
+        assert table.size2.tolist() == rows.sum(axis=1).tolist()
 
 
 def test_a_cap_below_every_label_gives_an_empty_block():
-    block = label_block(IndexingSetKind(WeightKind.evenY, 4), 1)
-    assert block.parts2.shape == (0, 0) and block.reach == ()
+    table = label_table(IndexingSetKind(WeightKind.evenY, 4), 1)
+    assert len(table) == table.width == 0
+    assert table.rows(table.by_size).shape == (0, 0)
     assert list(enumerate_by_size(IndexingSetKind(WeightKind.evenY, 4), 1)) == \
         [Weight.zero(4, WeightKind.evenY)]
 
 
 def test_label_blocks_are_read_only_and_shared_across_lengths():
-    wide = label_block(IndexingSetKind(WeightKind.Y, 45), 40)
-    assert label_block(IndexingSetKind(WeightKind.Y, 41), 40) is wide
-    assert label_block(IndexingSetKind(WeightKind.Y, 39), 40) is not wide
-    for array in (wide.parts2, wide.size2, wide.is_half, wide.order):
+    # one store per shape and cap: each length reads a prefix of its levels
+    wide = label_table(IndexingSetKind(WeightKind.Y, 45), 40)
+    store = wide.parts[0].store
+    assert store.depth == 40 and wide.parts[0].last == 40
+    for length in (41, 39, 3):
+        table = label_table(IndexingSetKind(WeightKind.Y, length), 40)
+        assert table.parts[0].store is store
+        assert table.parts[0].last == min(length, 40)
+        assert np.shares_memory(table.size2, store.size2)
+        end = store.offsets[min(length, 40) + 1]
+        assert np.array_equal(table.quad, store.quad[1:end])
+    for array in (wide.size2, wide.quad, wide.is_half, store.rows[7],
+                  store.parents[7], store.size_order()):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    # the rows longest first, and a prefix of them per coordinate
-    lengths = np.count_nonzero(wide.parts2, axis=1)[wide.order]
-    assert (np.diff(lengths) <= 0).all()
-    assert wide.reach == tuple(int((lengths > k).sum()) for k in range(40))
+    # level k: the labels of k parts, in lexicographic order, each its
+    # parent's row extended by its last part
+    for k in range(1, 41):
+        rows = store.rows[k]
+        assert rows.shape[1] == k and (rows > 0).all()
+        assert np.array_equal(rows[:, :-1], store.rows[k - 1][store.parents[k]])
+        assert len(rows) == store.offsets[k + 1] - store.offsets[k]
+        listed = rows.tolist()
+        assert listed == sorted(listed)
+    assert store.offsets[-1] == sum(partition_counts(40, 40))
 
 
 def test_the_block_cache_keeps_no_block_nobody_holds():
-    # a cap no term table in the suite uses, so no table holds this block
+    # a cap no term table in the suite uses, so no table holds this store
     idx = IndexingSetKind(WeightKind.doubledY, 30)
-    ref = weakref.ref(label_block(idx, 23))
+    ref = weakref.ref(label_table(idx, 23).parts[0].store)
     gc.collect()
     assert ref() is None
 
 
 def test_label_rows_reject_negative_cap():
-    for make in (label_block, enumerate_by_size):
+    for make in (label_table, enumerate_by_size):
         with pytest.raises(ValueError):
             make(IndexingSetKind(WeightKind.Y, 2), Fraction(-1, 2))
 
@@ -399,7 +418,7 @@ def test_every_cap_up_to_forty_is_within_the_label_limit():
 
 
 def test_label_limit_bounds_labels_times_width():
-    # the block is 40 wide at any length; the padded rows of
+    # the table is 40 wide at any length; the padded rows of
     # enumerate_by_size are labels times the length, and at cap 40 (215,308
     # labels with the zero label) 139 parts fit in MAX_LABEL_ENTRIES, 140 not
     assert MAX_LABEL_ENTRIES == 30_000_000
@@ -407,7 +426,7 @@ def test_label_limit_bounds_labels_times_width():
     with pytest.raises(TooLarge, match="or more than 30000000 parts"):
         enumerate_by_size(IndexingSetKind(WeightKind.Y, 140), 40)
     idx = IndexingSetKind(WeightKind.halfY, 50_000)
-    assert label_block(idx, 40).parts2.shape[1] == 40
+    assert label_table(idx, 40).width == 40
     with pytest.raises(TooLarge, match="or more than 30000000 parts"):
         enumerate_by_size(idx, 40)
 
@@ -467,7 +486,7 @@ def test_label_rows_refuse_caps_above_the_label_limit(kind):
     # one part: cap c holds c + 1 integer and c half labels
     idx = IndexingSetKind(kind, 1)
     top = (MAX_LABELS - 1) // 2
-    assert len(label_block(idx, top).parts2) + 1 == 2 * top + 1 <= MAX_LABELS
+    assert len(label_table(idx, top)) + 1 == 2 * top + 1 <= MAX_LABELS
     assert next(enumerate_by_size(idx, top)) == Weight.zero(1, kind)
     with pytest.raises(TooLarge, match="labels"):
         enumerate_by_size(idx, top + 1)

@@ -2,9 +2,9 @@
 against their reference evaluations.
 
 The library extends the type A tail's recurrence across horizon doublings,
-runs it on the gcd-compressed size grid, reorders and chunks the table's
-labels, and caches time-independent numbers; none of that may change a
-single bit of the results.  Two results have a tolerance instead.  The
+runs it on the gcd-compressed size grid, carries each label's corrections
+on from its parent in chunks, and caches time-independent numbers; none of
+that may change a single bit of the results.  Two results have a tolerance instead.  The
 partition tail is exact and rounded outward: it must lie at or above its
 50-digit value and within 1e-12 relative of it.  log D^lambda, whose Weyl
 factors against a label's trailing zeros telescope, must lie within
@@ -28,7 +28,7 @@ from cutofflab.cutoff import mean_variance, zonal_square_series
 from cutofflab.heatseries import (_partition_tail, _su_dp_tail, _su_steps,
                                   _term_table, _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
-from cutofflab.partitions import Weight, label_block
+from cutofflab.partitions import Weight, label_table
 from cutofflab.repchar import casimir_exponent, dimension
 from cutofflab.errors import InvalidRank
 from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
@@ -132,6 +132,17 @@ def test_partition_tail_in_the_subnormal_range():
         _assert_brackets(-800.0, beyond, 7)
 
 
+def test_partition_tail_far_below_the_subnormal_range():
+    # the oracle sums these tails directly: subtracting the head from P_L
+    # would cancel (beyond + 1) |log x| / ln 10 digits, 52,000 at
+    # log x = -800 and size 150
+    for log_x in (-50.0, -100.0, -800.0):
+        for max_len in (1, 2, 5, 20, 150):
+            for beyond in (0, 40, 80, 150):
+                _assert_brackets(log_x, beyond, max_len)
+    assert mpmath_partition_tail(-800.0, 150, 20) < mpmath.mpf(10) ** -52000
+
+
 def test_partition_tail_at_non_negative_log_x_is_infinite():
     assert _partition_tail(0.0, 5, 3) == math.inf
 
@@ -145,10 +156,11 @@ def _exact_log_dim(d, parts2, row):
 
 
 def _padded_rows(d, cap):
-    """The label block of d's kind and cap, padded to int64 rows of the
-    indexing set's length, as the oracles read labels."""
+    """The label table of d's kind and cap in its own order, padded to
+    int64 rows of the indexing set's length, as the oracles read labels."""
     length = indexing_set(d).length
-    parts2 = label_block(indexing_set(d), cap).parts2.astype(np.int64)
+    labels = label_table(indexing_set(d), cap)
+    parts2 = labels.rows(np.arange(len(labels))).astype(np.int64)
     return np.pad(parts2, ((0, 0), (0, length - parts2.shape[1])))
 
 
@@ -173,7 +185,7 @@ def test_log_dimension_products_equal_the_strided_loops(family, n, q):
     # table test's two
     d = describe(family, n, q)
     parts2 = _padded_rows(d, 24)
-    labels = label_block(indexing_set(d), 24)
+    labels = label_table(indexing_set(d), 24)
     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
 
 
@@ -189,7 +201,7 @@ def test_log_dimension_at_the_smallest_caps_equals_the_exact_dimension(family):
             for cap in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
                 parts2 = _padded_rows(d, cap)
                 if len(parts2):
-                    labels = label_block(indexing_set(d), cap)
+                    labels = label_table(indexing_set(d), cap)
                     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
 
 
@@ -200,9 +212,9 @@ def test_log_dimension_at_rank_one_thousand_equals_the_exact_dimension(family, n
     # from rank 1000 to 10^5 the plain pair loop is too slow to serve as the
     # reference; the exact dimension is, on 20 labels holding the longest
     d = describe(family, n)
-    labels = label_block(indexing_set(d), 12)
+    labels = label_table(indexing_set(d), 12)
     log_dim = _vector_log_dim(d, labels)
-    parts2 = labels.parts2
+    parts2 = labels.rows(np.arange(len(labels)))
     lengths = (parts2 != 0).sum(axis=1)
     rows = set(np.argsort(-lengths, kind="stable")[:8].tolist())
     rows.update(range(0, len(parts2), max(1, len(parts2) // 16)))
@@ -245,7 +257,8 @@ def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
     d = describe(family, n, q)
     parts2 = _padded_rows(d, cap)
     table = _term_table(d, cap)
-    assert table.labels is label_block(indexing_set(d), cap)
+    assert [part.store for part in table.labels.parts] == [
+        part.store for part in label_table(indexing_set(d), cap).parts]
     _assert_log_dim(d, table.log_dim, parts2)
     assert np.array_equal(table.b, oracle_rate(d, parts2))
     assert np.array_equal(table.log_a, _oracle_log_a(d, table.log_dim))
@@ -256,13 +269,14 @@ def test_term_table_equals_the_plain_pair_loop(family, n, q, cap):
     ("SO", 11, None, 12), ("SO", 25, None, 12)])
 def test_log_dimension_chunk_edges_cut_the_prefixes(monkeypatch, family, n, q,
                                                     cap):
-    # a prime block size puts chunk edges inside the runs of equal length
+    # a prime block size puts chunk edges inside the levels, and the type A
+    # corrections are carried again under it
     monkeypatch.setattr(heatseries, "_BLOCK", 127)
-    monkeypatch.setattr(heatseries, "_RATE_QUADRATIC", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(heatseries, "_RANK_FREE", weakref.WeakKeyDictionary())
     d = describe(family, n, q)
     parts2 = _padded_rows(d, cap)
-    labels = label_block(indexing_set(d), cap)
-    assert len(parts2) > 2 * (127 // len(labels.reach))
+    labels = label_table(indexing_set(d), cap)
+    assert len(parts2) > 2 * (127 // labels.width)
     _assert_log_dim(d, _vector_log_dim(d, labels), parts2)
     assert np.array_equal(_vector_b(d, labels), oracle_rate(d, parts2))
 
