@@ -17,8 +17,8 @@ from .errors import (DegenerateAlphabet, HalfPartitionUnsupported,
                      InvalidRank, TooLarge, UnsupportedSpace, require_time)
 from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelStore,
                          LabelTable, Weight, WeightKind, _half_cap,
-                         enumerate_by_size, label_table, label_table_fits,
-                         require_label_table)
+                         _size_lex_order, enumerate_by_size, label_table,
+                         label_table_fits, require_label_table)
 from .repchar import casimir_exponent, dimension, schur
 from .spaces import (CharType, RootDatum, SpaceDescriptor, _chirality,
                      indexing_set)
@@ -104,15 +104,14 @@ class _TermTable:
         the log of the sum of A over its labels, taken about the level's
         largest log A so that no exponential overflows.  Labels of one
         level share a bit-identical rate, so e^{-tb} factors out of their
-        terms exactly; built on a table's first sum, never for a sweep,
-        from the labels in size order, so that each level sums its labels
-        in one fixed order."""
+        terms exactly; built on a table's first sum, never for a sweep.
+        The labels are sorted by rate from the table's level-major order,
+        never by size, so that each level sums its labels in one order
+        fixed by the table."""
         if not len(self.b):
             return self.b, self.log_a
-        by_size = self.labels.by_size
-        b, log_a = self.b[by_size], self.log_a[by_size]
-        order = np.argsort(b)
-        rates, log_a = b[order], log_a[order]
+        order = np.argsort(self.b)
+        rates, log_a = self.b[order], self.log_a[order]
         starts = np.flatnonzero(np.r_[True, rates[1:] != rates[:-1]])
         top = np.maximum.reduceat(log_a, starts)
         log_a -= np.repeat(top, np.diff(np.r_[starts, len(log_a)]))
@@ -707,8 +706,11 @@ def per_term_bound_sweep(descriptor: SpaceDescriptor,
         if len(idxs) == 0:
             return None, []
         top = values[idxs].max()
-        ties = labels.in_size_order(idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)])
-        return float(top), [(pad(row), float(values[i])) for i, row in ties]
+        ties = idxs[values[idxs] >= top * (1.0 - _TIE_RTOL)]
+        rows = labels.rows(ties)
+        order = _size_lex_order(labels.size2[ties], rows)
+        return float(top), [(pad(row), float(values[i])) for i, row
+                            in zip(ties[order], rows[order].tolist())]
 
     def exceeds(ties: list, bound: Fraction) -> bool:
         return any(_exceeds(descriptor, w, bound, val) for w, val in ties)
@@ -806,7 +808,7 @@ def _rank_one_character(root: RootDatum, weight: Weight, theta: float) -> float:
     a2 = sum((p + r) * s for p, r, s in zip(parts2, root.rho2, v))
     b2 = sum(r * s for r, s in zip(root.rho2, v))
     dim = a2 // b2
-    psi = b2 * theta / 2.0
+    psi = theta * (b2 / 2)
     m = round(psi / math.pi)
     delta = psi - m * math.pi
     sign = (-1) ** (m * (dim - 1))

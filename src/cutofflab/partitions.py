@@ -14,7 +14,6 @@ that way, in size order."""
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import math
@@ -22,7 +21,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -173,24 +172,42 @@ class Weight:
 # -- enumeration -----------------------------------------------------------
 
 
-def partition_counts(max_size: int, max_len: int) -> list[int]:
-    """counts[s] = number of partitions of s with at most ``max_len`` parts.
-
-    By conjugation these are the partitions of s into parts <= max_len, and
-    a partition of s <= max_size has at most max_size parts: each part value
-    up to min(max_len, max_size) is added in turn, counts[s] gaining the
-    partitions that use it at least once."""
+def _count_stages(max_size: int) -> Iterator[list[int]]:
+    """Stage L = 0, 1, .. max_size: counts[s], the partitions of s <=
+    max_size with at most L parts, one list updated in place.  By
+    conjugation these have parts <= L: stage L adds the partitions that use
+    part value L.  Stage max_size holds every longer length's counts too."""
     counts = [1] + [0] * max_size
-    for part in range(1, min(max_len, max_size) + 1):
+    yield counts
+    for part in range(1, max_size + 1):
         for s in range(part, max_size + 1):
             counts[s] += counts[s - part]
-    return counts
+        yield counts
+
+
+def partition_counts(max_size: int, max_len: int) -> list[int]:
+    """counts[s] = number of partitions of s with at most ``max_len`` parts,
+    for s = 0 .. max_size."""
+    return next(itertools.islice(_count_stages(max_size),
+                                 min(max_len, max_size), None))
 
 
 def _half_cap(max_size: Fraction | int, length: int) -> int:
     """Size cap of the half labels: mu + 1/2 has size |mu| + length / 2.
     Halving after the floor keeps an int cap in integer arithmetic."""
     return math.floor(2 * max_size - length) // 2
+
+
+@lru_cache(maxsize=16)
+def _label_sums(cap: int) -> tuple[np.ndarray, ...]:
+    """sums[L][s]: the partitions of sizes 0 .. s with at most L parts, from
+    one pass of the recurrence, up to the first L past MAX_LABELS."""
+    sums = []
+    for counts in _count_stages(cap):
+        sums.append(np.cumsum(counts, dtype=np.int64))
+        if sums[-1][-1] > MAX_LABELS:
+            break
+    return tuple(sums)
 
 
 @lru_cache(maxsize=64)
@@ -201,19 +218,20 @@ def label_table_fits(indexing: IndexingSetKind, max_size: Fraction | int) -> boo
 
     The labels of every kind but halfY are among the partitions of size
     <= c = int(max_size) with at most ``length`` parts; halfY adds a half
-    block, the partitions of size <= its half cap, counted with them.
-    Every size has a partition, so a cap of MAX_LABELS or more fails.  With
-    two parts allowed, size s has floor(s/2) + 1 partitions of at most two
-    parts, and sizes 0..c have floor((c + 2)^2 / 4) >= (c + 1)^2 / 4 of them
-    together, so (c + 1)^2 > 4 * MAX_LABELS fails too.  The count left costs
-    c * min(c, length) additions, with c < 2 sqrt(MAX_LABELS) < 1,100."""
+    block, the partitions of size <= its half cap, a prefix of the same
+    stage.  Every size has a partition, so a cap of MAX_LABELS or more
+    fails.  With two parts allowed, sizes 0..c have floor((c + 2)^2 / 4) >=
+    (c + 1)^2 / 4 partitions, so (c + 1)^2 > 4 * MAX_LABELS fails too.
+    Each stage left costs c < 2 sqrt(MAX_LABELS) additions, once a cap."""
     cap, length = int(max_size), indexing.length
     if cap >= MAX_LABELS or (length >= 2 and (cap + 1) ** 2 > 4 * MAX_LABELS):
         return False
-    counts = partition_counts(cap, length)
-    total = sum(counts)
-    if indexing.kind is WeightKind.halfY:
-        total += sum(counts[:max(_half_cap(max_size, length) + 1, 0)])
+    sums = _label_sums(cap)
+    stage = sums[min(length, len(sums) - 1)]
+    total = int(stage[-1])
+    half = _half_cap(max_size, length)
+    if indexing.kind is WeightKind.halfY and half >= 0:
+        total += int(stage[half])
     return total <= MAX_LABELS
 
 
@@ -246,7 +264,6 @@ class LabelStore:
         self.size2 = _read_only(np.zeros(1, self.dtype))
         self.quad = _read_only(np.zeros(1, np.int64))
         self.columns: list[np.ndarray] = []
-        self._order: Optional[np.ndarray] = None
 
     @property
     def depth(self) -> int:
@@ -272,7 +289,6 @@ class LabelStore:
         self.columns = [_read_only(np.concatenate(
             self.columns[i:i + 1] + [rows[:, i] for rows in new if rows.shape[1] > i]))
             for i in range(new[-1].shape[1])]
-        self._order = None
 
     def _append_level(self, size2: np.ndarray,
                       quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,39 +313,6 @@ class LabelStore:
             parent.astype(np.min_scalar_type(max(len(fan) - 1, 0)))))
         return ((size2[parent] + repeat * part).astype(self.dtype),
                 _quadratic(quad[parent], part, cols - repeat, repeat))
-
-    def size_order(self) -> np.ndarray:
-        """Every label built, ordered by size and then lexicographically, as
-        indices into the level-major order: the zero label first.
-
-        The labels form a tree by parent, whose preorder, with each label's
-        children in increasing last part, is the lexicographic order of the
-        zero-padded rows (a label comes right before its descendants, whose
-        rows extend it).  Subtree sizes summed bottom-up give each label its
-        place: after its parent and the subtrees of its elder siblings.  A
-        stable sort of that order by size finishes it; built once per depth,
-        for the tables that ask."""
-        if self._order is not None:
-            return self._order
-        counts = [len(rows) for rows in self.rows]
-        subtree = np.ones(counts[-1], np.int64)
-        running, eldest = [None] * len(counts), [None] * len(counts)
-        for k in range(len(counts) - 1, 0, -1):
-            nodes = np.arange(counts[k - 1])
-            first = np.searchsorted(self.parents[k], nodes)
-            after = np.searchsorted(self.parents[k], nodes, side="right")
-            running[k] = np.concatenate([[0], np.cumsum(subtree)])
-            eldest[k] = first
-            subtree = 1 + running[k][after] - running[k][first]
-        place = [np.zeros(1, np.int64)]
-        for k in range(1, len(counts)):
-            parent = self.parents[k]
-            place.append(place[-1][parent] + 1 + running[k][:-1]
-                         - running[k][eldest[k][parent]])
-        lex = np.empty(self.offsets[-1], np.min_scalar_type(self.offsets[-1]))
-        lex[np.concatenate(place)] = np.arange(self.offsets[-1])
-        self._order = _read_only(lex[np.argsort(self.size2[lex], kind="stable")])
-        return self._order
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -373,15 +356,6 @@ class LabelPart:
         """The part's slice of the store's level-major order."""
         return self.store.offsets[self.first], self.store.offsets[self.last + 1]
 
-    def first_parts(self) -> np.ndarray:
-        """The first doubled part of each of the part's labels."""
-        lo, hi = self.bounds
-        first = np.full(hi - lo, self.shift, dtype=np.int64)
-        if self.last:
-            start = self.store.offsets[1]
-            first[start - lo:] += self.store.columns[0][:hi - start]
-        return first
-
     def columns(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """(i, start, parts): part i of the part's labels from the
         ``start``-th on, the labels that have one; the earlier ones hold
@@ -400,10 +374,9 @@ class LabelTable:
     integer labels: 2 lambda, 4 mu or the pairs (2 mu, 2 mu)), then halfY's
     half labels or evenOrOddY's odd ones, levels 0 .. of the store of their
     second cap with 1/2 (or 1) added to each of the ``length`` parts.
-    ``size2``, ``quad`` and ``is_half`` follow that order;
-    ``by_size`` gives the order by size and then lexicographically, built
-    when asked, and ``rows`` the doubled parts over the table's ``width``,
-    in the narrowest signed type holding 2 * cap + 1."""
+    ``size2``, ``quad`` and ``is_half`` follow that order, all a sum or a
+    sweep reads; ``rows`` gathers the doubled parts of the labels asked for
+    over the ``width``, in the narrowest signed type holding 2 * cap + 1."""
 
     length: int
     dtype: np.dtype
@@ -430,61 +403,47 @@ class LabelTable:
         return max((p.store.scale * p.store.total * (p.last > 0) + p.shift
                     for p in self.parts if p.last >= p.first), default=0)
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """The doubled parts of the labels at ``index``, one row each."""
-        out = np.zeros((len(self), self.width), self.dtype)
-        at = 0
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, list[tuple[np.ndarray, int]]]:
+        """Where each store level the table reads starts in the table, and
+        that level's rows with its part's shift."""
+        starts, levels = [0], []
         for part in self.parts:
-            lo, hi = part.bounds
-            for i, start, column in part.columns():
-                out[at + start:at + hi - lo, i] = column
-            out[at:at + hi - lo] += part.shift
-            at += hi - lo
-        return out[index]
+            for k in range(part.first, part.last + 1):
+                levels.append((part.store.rows[k], part.shift))
+                starts.append(starts[-1] + len(levels[-1][0]))
+        return np.array(starts[:-1], dtype=np.intp), levels
+
+    def rows(self, index: np.ndarray | Sequence[int]) -> np.ndarray:
+        """The doubled parts of the labels at ``index``, one row each,
+        gathered from the store levels that hold them and from no other."""
+        index = np.asarray(index, dtype=np.intp)
+        out = np.zeros((len(index), self.width), self.dtype)
+        starts, levels = self._levels
+        level = np.searchsorted(starts, index, side="right") - 1
+        by_level = np.argsort(level, kind="stable")
+        counts = np.bincount(level, minlength=len(levels))
+        ends = np.cumsum(counts)
+        for k in np.flatnonzero(counts):
+            rows, shift = levels[k]
+            held = by_level[ends[k] - counts[k]:ends[k]]
+            out[held, :rows.shape[1]] = rows[index[held] - starts[k]]
+            if shift:
+                out[held] += shift
+        return out
 
     @cached_property
     def by_size(self) -> np.ndarray:
-        """Row indices by size and then lexicographically: each part's from
-        its store's order, and the two parts merged by (size, first part),
-        in which their rows differ (parity, or residue mod 4)."""
-        orders, base = [], 0
-        for part in self.parts:
-            lo, hi = part.bounds
-            order = part.store.size_order()
-            orders.append(order[(order >= lo) & (order < hi)].astype(np.intp)
-                          - lo + base)
-            base += hi - lo
-        if len(orders) == 1:
-            return _read_only(orders[0])
-        merged = np.concatenate(orders)
-        first = np.concatenate([part.first_parts() for part in self.parts])[merged]
-        key = self.size2[merged].astype(np.int64) * (int(first.max()) + 1) + first
-        return _read_only(merged[np.argsort(key, kind="stable")])
+        """Every row index by size and then lexicographically: the order of
+        ``enumerate_by_size`` and ``series_terms``."""
+        rows = self.rows(np.arange(len(self)))
+        return _read_only(_size_lex_order(self.size2, rows))
 
-    def row(self, index: int) -> tuple[int, ...]:
-        """The doubled parts of the label at ``index``: its own on an
-        integer label, all ``length`` on a shifted one."""
-        for part in self.parts:
-            lo, hi = part.bounds
-            if index < hi - lo:
-                offsets = part.store.offsets
-                at = lo + index
-                level = bisect.bisect_right(offsets, at) - 1
-                row = part.store.rows[level][at - offsets[level]].tolist()
-                if part.shift:
-                    row = [p + part.shift for p in row]
-                    row += [part.shift] * (self.length - len(row))
-                return tuple(row)
-            index -= hi - lo
-        raise IndexError(index)
 
-    def in_size_order(self, index: np.ndarray) -> list[tuple[int, tuple]]:
-        """(index, row) of the labels at ``index``, ordered by size and then
-        lexicographically (rows of different lengths compare as their
-        zero-padded forms do: a row that is a prefix of another is
-        smaller)."""
-        keyed = sorted((int(self.size2[i]), self.row(i), int(i)) for i in index)
-        return [(i, row) for _, row, i in keyed]
+def _size_lex_order(size2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The order of labels by size (``size2``) and then lexicographically
+    by their rows, zero-padded to one width: one lexsort, size first."""
+    return np.lexsort(np.vstack([rows.T[::-1], size2]))
 
 
 def _part(scale: int, repeat: int, total: int, first: int, depth: int,

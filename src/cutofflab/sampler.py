@@ -390,6 +390,8 @@ def estimate(descriptor: SpaceDescriptor, statistic: str, t: Optional[float],
         raise UnsupportedStatistic(statistic)
     if statistic == "indicator" and threshold is None:
         raise ValueError("the indicator statistic needs a threshold")
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("the indicator threshold must not be NaN")
     n = config.paths
     # at most one worker per _CHUNK paths; values do not depend on the split
     workers = min(config.threads, -(-n // _CHUNK))

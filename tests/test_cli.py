@@ -455,6 +455,26 @@ def test_density_at_another_singular_class_exits_with_code_two(capsys):
     assert "the class of eigenvalue angles (0, 0, 1.5) is singular" in captured.err
 
 
+@pytest.mark.parametrize("family,n,theta", [
+    ("SU", "2", "1e308"), ("SO", "3", "1e308"),
+    ("SU", "2", "1.7976931348623157e308"),
+])
+def test_density_at_a_huge_angle_is_finite(capsys, family, n, theta):
+    # psi = theta * (b2 / 2) stays finite where b2 * theta did not
+    code, out = _run(capsys, "density", "--family", family, "--n", n,
+                     "--t", "0.5", "--theta", theta)
+    assert code == 0 and math.isfinite(json.loads(out)["density"])
+
+
+def test_estimate_refuses_a_nan_threshold(capsys):
+    code = cli.main(["estimate", "--family", "SO", "--n", "3", "--statistic",
+                     "indicator", "--threshold", "nan", "--t", "0.1",
+                     "--paths", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the indicator threshold must not be NaN\n"
+
+
 def test_describe_names_the_given_q_when_out_of_range(capsys):
     assert cli.main(["describe", "--family", "GrC", "--n", "6",
                      "--q", "9"]) == 2

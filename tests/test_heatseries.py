@@ -215,10 +215,9 @@ def test_size_caps_are_checked_only_when_the_series_reaches_them(monkeypatch):
     d = describe("USp", 3)
     t0 = t_zero(d)
     counted = []
-    count = partitions.partition_counts
-    monkeypatch.setattr(partitions, "partition_counts",
-                        lambda size, length: counted.append(size)
-                        or count(size, length))
+    sums = partitions._label_sums
+    monkeypatch.setattr(partitions, "_label_sums",
+                        lambda cap: counted.append(cap) or sums(cap))
     partitions.label_table_fits.cache_clear()
     caps, checked = [], []
     for m in (2.0, 1.3, 1.02):  # the series stops at cap 40, 80 and 200

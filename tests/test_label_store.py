@@ -26,11 +26,13 @@ import pytest
 
 from cutofflab import heatseries, partitions
 from cutofflab.errors import InvalidRank
-from cutofflab.heatseries import _term_table, series_terms
+from cutofflab.cutoff import profile
+from cutofflab.heatseries import (_term_table, per_term_bound_sweep,
+                                  series_terms, t_zero, tv_upper_bound)
 from cutofflab.partitions import (LabelStore, enumerate_by_size, label_table,
                                   label_table_fits)
 from cutofflab.spaces import _TABLE, FAMILY_NAMES, Family, describe, indexing_set
-from label_oracle import oracle_labels
+from label_oracle import oracle_labels, oracle_rows
 from table_oracle import oracle_block_columns
 
 
@@ -96,6 +98,44 @@ def test_series_terms_and_enumerate_by_size_keep_the_size_order(family):
     rows = labels.rows(labels.by_size).tolist()
     keys = list(zip(labels.size2[labels.by_size].tolist(), rows))
     assert keys == sorted(keys) and len(set(map(tuple, rows))) == len(rows)
+
+
+@pytest.mark.parametrize("family,n,q,cap", [
+    ("SO", 11, None, 40), ("GrR", 20, 5, 40),
+    # at cap 80 those two pass MAX_LABELS: one length less each
+    ("SO", 9, None, 80), ("GrR", 20, 4, 80),
+])
+def test_by_size_equals_the_oracle_on_two_part_tables(family, n, q, cap):
+    # halfY's half labels and evenOrOddY's odd ones follow the integer
+    # labels in the table; one lexsort interleaves them
+    d = describe(family, n, q)
+    idx = indexing_set(d)
+    assert not label_table_fits(idx, 80) or cap == 80
+    labels = label_table(idx, cap)
+    assert len(labels.parts) == 2
+    rows = np.pad(labels.rows(labels.by_size),
+                  ((1, 0), (0, idx.length - labels.width)))
+    assert np.array_equal(rows, np.array(oracle_rows(idx, cap)))
+
+
+def test_sums_and_sweeps_never_order_a_table_by_size(monkeypatch):
+    # only a listing builds by_size; fresh tables, so none is left over
+    # from a listing elsewhere in the suite
+    for cache in ("_STORES", "_TABLES"):
+        monkeypatch.setattr(partitions, cache, weakref.WeakValueDictionary())
+    heatseries._term_table.cache_clear()
+    try:
+        for d in (describe("SO", 11), describe("GrR", 20, 5),
+                  describe("SU", 6), describe("SUn_SOn", 10)):
+            t0 = t_zero(d)
+            tv_upper_bound(d, 1.5 * t0)
+            profile(d, [0.5 * t0, 1.2 * t0, 2.0 * t0])
+            per_term_bound_sweep(d, 40)
+        tables = list(partitions._TABLES.values())
+        assert len(tables) >= 4
+        assert not any("by_size" in table.__dict__ for table in tables)
+    finally:
+        heatseries._term_table.cache_clear()
 
 
 def test_a_sweep_over_ranks_builds_each_level_once(monkeypatch):

@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cutofflab import partitions
 from cutofflab.errors import TooLarge
 from cutofflab.partitions import (
     MAX_LABEL_ENTRIES,
@@ -345,7 +344,7 @@ def test_label_blocks_are_read_only_and_shared_across_lengths():
         end = store.offsets[min(length, 40) + 1]
         assert np.array_equal(table.quad, store.quad[1:end])
     for array in (wide.size2, wide.quad, wide.is_half, store.rows[7],
-                  store.parents[7], store.size_order()):
+                  store.parents[7], wide.by_size):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     # level k: the labels of k parts, in lexicographic order, each its
@@ -431,16 +430,15 @@ def test_label_limit_bounds_labels_times_width():
         enumerate_by_size(idx, 40)
 
 
-def test_label_table_fits_equals_the_width_rule(monkeypatch):
+def test_label_table_fits_equals_the_width_rule():
     # the guard counts labels alone; the width rule also bounded labels
     # times the block's width, which no label set wider than 100 parts
     # reaches before it has more than MAX_LABELS labels.  The counts of
     # sizes <= c are a prefix of those of sizes <= 250, so each length's
-    # are computed once and the guard reads their prefixes.
+    # are computed once for the oracle; the guard takes every length's at
+    # one cap from one pass, so the caps run outermost.
     top, lengths = 250, [*range(1, 301), 1000, 10 ** 5]
     counts = {length: partition_counts(top, length) for length in lengths}
-    monkeypatch.setattr(partitions, "partition_counts",
-                        lambda size, length: counts[length][:size + 1])
     label_table_fits.cache_clear()
     wide = 0
     try:
@@ -448,9 +446,9 @@ def test_label_table_fits_equals_the_width_rule(monkeypatch):
             caps = list(range(top + 1))
             if kind is WeightKind.halfY:
                 caps += [Fraction(2 * c + 1, 2) for c in range(top)]
-            for length in lengths:
-                idx = IndexingSetKind(kind, length)
-                for cap in caps:
+            for cap in caps:
+                for length in lengths:
+                    idx = IndexingSetKind(kind, length)
                     want = oracle_fits_by_width(idx, cap, counts[length])
                     assert label_table_fits(idx, cap) is want, (kind, length, cap)
                     wide += oracle_block_width(idx, cap) > 100

@@ -110,6 +110,17 @@ def test_statistic_validation():
         sa.estimate(desc, "skewness", 1.0, config)
     with pytest.raises(ValueError):
         sa.estimate(desc, "indicator", 1.0, config)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        sa.estimate(desc, "indicator", 1.0, config, threshold=math.nan)
+
+
+def test_infinite_thresholds_keep_their_meaning():
+    # |v| >= -inf holds on every path and |v| >= inf on none
+    desc = spaces.describe("SO", 3)
+    config = sa.SimulationConfig(paths=4, seed=1)
+    for threshold, mean in ((-math.inf, 1.0), (math.inf, 0.0)):
+        est = sa.estimate(desc, "indicator", 0.1, config, threshold=threshold)
+        assert est.mean == mean
 
 
 def test_unitary_trace_matches_its_heat_flow_mean():
