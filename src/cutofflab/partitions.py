@@ -242,9 +242,8 @@ class LabelStore:
     scale 2; 4 mu: scale 4; the pairs (2 mu_i, 2 mu_i): scale 2, repeat 2),
     in the narrowest signed type holding the largest size, and each label's
     parent, the label without its last part (pair), as an index into level
-    k - 1.  Level 0 is the zero label alone.  ``columns[i]`` holds part i of
-    every label that has one, level-major: the levels past i (past i // 2
-    on pairs), contiguous.
+    k - 1.  Level 0 is the zero label alone.  Each part is held once, in its
+    level's rows, so a reader carries each label's sums from its parent.
 
     A level extends each label of the level above by a part 1 .. min(its
     last part, the size left), in turn, so its rows are in lexicographic
@@ -263,7 +262,6 @@ class LabelStore:
         self.offsets = [0, 1]
         self.size2 = _read_only(np.zeros(1, self.dtype))
         self.quad = _read_only(np.zeros(1, np.int64))
-        self.columns: list[np.ndarray] = []
 
     @property
     def depth(self) -> int:
@@ -276,7 +274,7 @@ class LabelStore:
         depth = min(depth, self.total)
         if depth <= self.depth:
             return
-        start, built = self.offsets[-2], len(self.rows)
+        start = self.offsets[-2]
         size2, quad = [self.size2[start:]], [self.quad[start:]]
         while self.depth < depth:
             level_size2, level_quad = self._append_level(size2[-1], quad[-1])
@@ -285,10 +283,6 @@ class LabelStore:
             self.offsets.append(self.offsets[-1] + len(level_size2))
         self.size2 = _read_only(np.concatenate([self.size2, *size2[1:]]))
         self.quad = _read_only(np.concatenate([self.quad, *quad[1:]]))
-        new = self.rows[built:]
-        self.columns = [_read_only(np.concatenate(
-            self.columns[i:i + 1] + [rows[:, i] for rows in new if rows.shape[1] > i]))
-            for i in range(new[-1].shape[1])]
 
     def _append_level(self, size2: np.ndarray,
                       quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +338,8 @@ _TABLES: "weakref.WeakValueDictionary[tuple, LabelTable]" = (
 class LabelPart:
     """Levels ``first`` .. ``last`` of ``store``, with ``shift`` added to
     every part: a shifted part's labels fill every coordinate of the table,
-    their parts past the row's own being ``shift``."""
+    their parts past the row's own being ``shift``; a reader carries what
+    it makes of a label's parts on from its parent, level by level."""
 
     store: LabelStore
     first: int
@@ -356,16 +351,6 @@ class LabelPart:
         """The part's slice of the store's level-major order."""
         return self.store.offsets[self.first], self.store.offsets[self.last + 1]
 
-    def columns(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """(i, start, parts): part i of the part's labels from the
-        ``start``-th on, the labels that have one; the earlier ones hold
-        zero (``shift``) there."""
-        lo, hi = self.bounds
-        offsets = self.store.offsets
-        for i in range(self.last * self.store.repeat):
-            start = offsets[i // self.store.repeat + 1]
-            yield i, start - lo, self.store.columns[i][:hi - start]
-
 
 @dataclass(frozen=True, eq=False)
 class LabelTable:
@@ -375,8 +360,9 @@ class LabelTable:
     half labels or evenOrOddY's odd ones, levels 0 .. of the store of their
     second cap with 1/2 (or 1) added to each of the ``length`` parts.
     ``size2``, ``quad`` and ``is_half`` follow that order, all a sum or a
-    sweep reads; ``rows`` gathers the doubled parts of the labels asked for
-    over the ``width``, in the narrowest signed type holding 2 * cap + 1."""
+    sweep reads; the term table reads ``parts`` level by level; ``rows``
+    gathers the doubled parts of the labels asked for over the ``width``,
+    in the narrowest signed type holding 2 * cap + 1."""
 
     length: int
     dtype: np.dtype

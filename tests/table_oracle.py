@@ -15,9 +15,12 @@ within 1e-12 relative of it.
 were computed over one label block per (kind, width, cap): the labels in
 size order, gathered longest first in chunks, every pair i < j < ell of a
 label's own parts multiplied into its correction (``_pair_corrections``),
-and Q - 4M summed over each chunk's parts.  The table, which carries each
-label's corrections on from its parent, must equal it bit for bit, label by
-label (``float.hex``).
+and Q - 4M summed over each chunk's parts.  Its zero-block lookups are
+added in the order the table carries them from parent to child
+(``_add_lookups``): a label's own parts in column order from 0.0, then the
+correction, then on a half or odd label the constant of its parts past its
+row's own.  The table must equal it bit for bit, label by label
+(``float.hex``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cutofflab.heatseries import _BLOCK, _zero_block_logs
-from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor
+from cutofflab.partitions import WeightKind
+from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 
 def _root_rows(root: RootDatum, parts2: np.ndarray) -> np.ndarray:
@@ -124,6 +128,34 @@ def _pair_corrections(chunk: np.ndarray, rho2: np.ndarray, squared: bool,
     return prod
 
 
+def _add_lookups(log_dim: np.ndarray, descriptor: SpaceDescriptor,
+                 parts2: np.ndarray, is_half: np.ndarray,
+                 zero_logs: np.ndarray) -> None:
+    """Add each label's zero-block lookups to its ``log_dim`` in the term
+    table's order: a label of ``own`` parts above its shift s (1 on halfY's
+    half labels, 2 on evenOrOddY's odd ones, else 0) adds the sum of
+    z[i, p_i] over i = 0 .. own - 1, taken in turn from 0.0, and a shifted
+    label then the sum of z[i, s] over i = own .. width - 1, taken from the
+    last coordinate down."""
+    count, width = parts2.shape
+    kind = indexing_set(descriptor).kind
+    if kind is WeightKind.halfY:
+        shift = np.where(is_half, 1, 0)
+    elif kind is WeightKind.evenOrOddY:
+        shift = parts2[:, 0] % 4  # 2 on an odd label, 0 on an even one
+    else:
+        shift = np.zeros(count, dtype=int)
+    own = np.count_nonzero(parts2 > shift[:, None], axis=1)
+    sums = np.zeros(count)
+    for i in range(width):
+        has = own > i
+        sums[has] += zero_logs[i].take(parts2[has, i])
+    log_dim += sums
+    for s in np.unique(shift[shift > 0]):
+        suffix = np.r_[np.cumsum(zero_logs[::-1, s])[::-1], 0.0]
+        log_dim[shift == s] += suffix[own[shift == s]]
+
+
 def oracle_block_columns(descriptor: SpaceDescriptor, parts2: np.ndarray,
                          is_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log D^lambda, B(lambda)) of the labels with doubled parts ``parts2``
@@ -148,12 +180,8 @@ def oracle_block_columns(descriptor: SpaceDescriptor, parts2: np.ndarray,
                                             reach, start))
             if not rank_free:
                 logs = twice * logs
-            for i in range(width):
-                need = min(stop, reach[i]) - start
-                if need <= 0:
-                    break
-                logs[:need] += zero_logs[i].take(chunk[:need, i])
             log_dim[order[start:stop]] = logs
+        _add_lookups(log_dim, descriptor, parts2, is_half, zero_logs)
     quad, size2 = np.empty(count, np.int64), np.empty(count, np.int64)
     for start, stop, chunk in _chunks(parts2, order, width):
         chunk = chunk.astype(np.int64)

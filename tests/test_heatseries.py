@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -579,6 +580,30 @@ def test_rank_one_densities_keep_their_digits_near_a_pole(space, pole, t):
         for theta in (pole - offset, pole + offset):
             value = density(d, {"theta": theta}, t)
             assert abs(value - at_pole) <= 1e-6 * abs(at_pole), (theta, t)
+
+
+@pytest.mark.parametrize("space", ["SU", "SO"])
+@pytest.mark.parametrize("theta", [1e15, 1e17, 1e308])
+def test_rank_one_densities_at_huge_angles_equal_the_exact_reduction(
+        space, theta):
+    # theta reduced mod 2 pi in 400 digits: a float reduction by m * pi
+    # loses every digit of the angle once ulp(psi) passes pi
+    d = describe(space, 2 if space == "SU" else 3)
+    root = d.root
+    b2 = sum(r * s for r, s in zip(root.rho2, (1, -1)[:root.rank]))
+    for t in (0.5, 1.0):
+        scale = density(d, {"theta": 0.0}, t)  # every term at its largest
+        with mpmath.workdps(400):
+            psi = mpmath.mpf(theta) * b2 / 2
+            want = mpmath.mpf(0)
+            for w in heatseries._rank_one_labels(d, 40):
+                dim, b = dimension(d, w), casimir_exponent(d, w)
+                dim = mpmath.mpf(dim.numerator) / dim.denominator
+                b = mpmath.mpf(b.numerator) / b.denominator
+                want += (dim * mpmath.exp(-t * b / 2)
+                         * mpmath.sin(dim * psi) / mpmath.sin(psi))
+        value = density(d, {"theta": theta}, t)
+        assert abs(value - float(want)) <= 1e-15 * scale, (t, value, want)
 
 
 def test_group_density_near_cutoff_is_positive():

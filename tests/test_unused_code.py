@@ -1,7 +1,8 @@
 """Dead code in the package: imported names a module never uses,
 module-level private functions and assigned names that nothing in ``src/``
-or ``tests/`` references, and public methods and properties that no
-attribute access in ``src/``, ``perfbench/`` or ``demos/`` reads.  The scan
+or ``tests/`` references, and public methods and properties, and instance
+attributes stored as ``self.name = ...``, that no attribute access in
+``src/``, ``perfbench/`` or ``demos/`` reads.  The scan
 uses the standard library's ``ast`` only, since neither pyflakes nor ruff is
 a test dependency.
 """
@@ -193,3 +194,50 @@ def test_the_method_scan_sees_a_method_nothing_reads(tmp_path):
     assert [name for name in _public_methods(tree)
             if name.split(".")[1] not in reads] == ["Probe.unread",
                                                     "Probe.stored"]
+
+
+def _stored_attributes(tree: ast.Module) -> list[str]:
+    """Class.name of each instance attribute a module's classes store,
+    ``self.name = ...``, once each."""
+    out = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for sub in (sub for target in targets for sub in ast.walk(target)):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    out[f"{cls.name}.{sub.attr}"] = None
+    return list(out)
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    reads = _attribute_reads(CONSUMERS)
+    orphans = [f"{path.name}: {name}" for path in MODULES
+               for name in _stored_attributes(_tree(path))
+               if name.split(".")[1] not in reads]
+    assert not orphans, f"attributes stored and never read: {orphans}"
+
+
+def test_the_attribute_scan_sees_an_array_nothing_reads(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("class Probe:\n"
+                      "    def __init__(self) -> None:\n"
+                      "        self.rows, self.total = [], 0\n"
+                      "        self.columns: list = []\n\n"
+                      "    def grow(self) -> None:\n"
+                      "        self.total = len(self.rows)\n"
+                      "        self.columns = [self.total]\n")
+    tree = _tree(module)
+    assert _stored_attributes(tree) == ["Probe.rows", "Probe.total",
+                                        "Probe.columns"]
+    reads = _attribute_reads([module])
+    assert [name for name in _stored_attributes(tree)
+            if name.split(".")[1] not in reads] == ["Probe.columns"]
