@@ -3,7 +3,6 @@ evaluation for the four classical root types."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -11,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateAlphabet, InvalidRank, WeightKindMismatch
-from .partitions import Weight
+from .partitions import Weight, _doubled
 from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 _DEGENERACY_FLOOR = 1e-10
@@ -86,70 +85,61 @@ def casimir_exponent(descriptor: SpaceDescriptor, weight: Weight) -> Fraction:
 # -- determinant-ratio characters ------------------------------------------
 
 
-def _power_matrix(thetas: Sequence[float], exponents: Sequence[Fraction],
-                  combine: str) -> np.ndarray:
-    """M[i,j] built from e^{i a_j theta_i}, optionally +- the reciprocal power."""
+# complex entries in one stack of numerator matrices: 4 MiB
+_STACK = 1 << 18
+
+
+def characters(char_type: CharType | str, rows2: np.ndarray,
+               alphabet: Sequence[complex]) -> np.ndarray:
+    """Characters at the alphabet of a stack of labels, one per row of
+    doubled parts 2 lambda (zero-padded to the alphabet's length): Weyl's
+    ratio det(f(z_i, l_j + rho_j)) / det(f(z_i, rho_j)) with the root
+    type's entry f(z, a) = z^a, z^a - z^-a (B, C) or z^a + z^-a (D),
+    z^a = e^{i a arg z}.  One denominator, and one ``np.linalg.det`` over
+    each stack of at most _STACK numerator entries: a row's value is the
+    one it has alone.  Type D sums both signs of a non-zero last part.  A
+    denominator below 1e-10 in modulus raises DegenerateAlphabet."""
+    char_type = CharType(char_type)
+    thetas = np.angle(np.asarray(alphabet, dtype=complex))
     n = len(thetas)
-    mat = np.empty((n, len(exponents)), dtype=complex)
-    for j, a in enumerate(exponents):
-        af = float(a)
-        for i, th in enumerate(thetas):
-            zp = cmath.exp(1j * af * th)
-            if combine == "plain":
-                mat[i, j] = zp
-            elif combine == "diff":
-                mat[i, j] = zp - cmath.exp(-1j * af * th)
-            else:
-                mat[i, j] = zp + cmath.exp(-1j * af * th)
-    return mat
+    if rows2.shape[1] > n:
+        raise ValueError(f"label longer than alphabet: {rows2.shape[1]} "
+                         f"parts vs n={n}")
+    rho2 = np.array(RootDatum(char_type, n).rho2)
+    if char_type is CharType.A:
+        rho2 -= rho2[-1]  # a common shift of the exponents cancels
+    ell2 = np.broadcast_to(rho2, (len(rows2), n)).copy()
+    ell2[:, :rows2.shape[1]] += rows2
 
+    def entries(ells2: np.ndarray) -> np.ndarray:
+        """f(z_i, a_j) at the exponents a = ``ells2`` / 2."""
+        power = np.exp(1j * (thetas[:, None] * (ells2[..., None, :] / 2)))
+        if char_type is CharType.A:
+            return power
+        mirror = power.conj()
+        return power + mirror if char_type is CharType.D else power - mirror
 
-def _det(mat: np.ndarray) -> complex:
-    return complex(np.linalg.det(mat))
-
-
-# the determinant entry at exponent a of each root type
-_ENTRY = {CharType.A: "plain", CharType.B: "diff", CharType.C: "diff",
-          CharType.D: "sum"}
+    den = complex(np.linalg.det(entries(rho2)))
+    if abs(den) < _DEGENERACY_FLOOR:
+        raise DegenerateAlphabet(f"denominator {abs(den):.3e} below floor")
+    num = np.empty(len(ell2), dtype=complex)
+    step = max(1, _STACK // (n * n))
+    for start in range(0, len(ell2), step):
+        num[start:start + step] = np.linalg.det(
+            entries(ell2[start:start + step]))
+    if char_type is CharType.D and rows2.shape[1] == n:
+        # the denominator's zero-exponent column carries a factor 2 that the
+        # numerator lacks once the last exponent is non-zero
+        num[rows2[:, -1] != 0] *= 2.0
+    return num / den
 
 
 def schur(char_type: CharType | str, lam: "Weight | Sequence[Fraction]",
           alphabet: Sequence[complex]) -> complex:
-    """Character value at the alphabet via Weyl's determinant ratio
-    det(f(z_i, l_j + rho_j)) / det(f(z_i, rho_j)), with the root type's
-    entry f(z, a) = z^a, z^a - z^-a (B, C) or z^a + z^-a (D).
-
-    Type D returns the sum over both signs of the last part when it is non-zero
-    and the plain value when it is zero.
-    """
-    if isinstance(char_type, str):
-        char_type = CharType(char_type)
-    values = tuple(complex(z) for z in alphabet)
-    n = len(values)
-    if isinstance(lam, Weight):
-        parts = list(lam.parts)
-    else:
-        parts = [Fraction(v) for v in lam]
-    if len(parts) > n:
-        raise ValueError(f"label longer than alphabet: {parts} vs n={n}")
-    parts = parts + [Fraction(0)] * (n - len(parts))
-    thetas = [cmath.phase(z) for z in values]
-    entry = _ENTRY[char_type]
-    rho2 = RootDatum(char_type, n).rho2
-    if entry == "plain":
-        # a common shift of the exponents cancels: take rho ending at 0
-        rho2 = tuple(v - rho2[-1] for v in rho2)
-    rho = [Fraction(v, 2) for v in rho2]
-    den = _det(_power_matrix(thetas, rho, entry))
-    if abs(den) < _DEGENERACY_FLOOR:
-        raise DegenerateAlphabet(f"denominator {abs(den):.3e} below floor")
-    total = _det(_power_matrix(thetas, [p + v for p, v in zip(parts, rho)],
-                               entry))
-    if char_type is CharType.D and parts[-1] != 0:
-        # the denominator's zero-exponent column carries a factor 2 that the
-        # numerator lacks once the last exponent is non-zero
-        total *= 2.0
-    return total / den
+    """One label's character at the alphabet, a Weight or its
+    (half-integer) parts: ``characters`` of the one row 2 lambda."""
+    parts2 = lam.parts2 if isinstance(lam, Weight) else _doubled(lam)
+    return complex(characters(char_type, np.array([parts2]), alphabet)[0])
 
 
 def verify_square_identity(char_type: CharType | str, n: int,

@@ -11,16 +11,27 @@ they fill.  ``oracle_fits_by_length`` is the table guard as it was before it
 counted a block's width: labels times the indexing length.  The library
 must give the same Fractions, integers and booleans (``==``, not
 approximately).
+
+``oracle_density`` is the heat-kernel density as it was summed before it
+read the term table: one label at a time from ``enumerate_by_size``, with
+the exact dimension and rate, and each character from its own scalar
+determinant ratio or rank-one sine ratio.  It returns the sum of |terms|
+beside the sum, the scale of the float engine's tolerance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from cutofflab.partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, IndexingSetKind,
-                                  Weight, WeightKind)
-from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor
+                                  Weight, WeightKind, enumerate_by_size)
+from cutofflab.repchar import casimir_exponent, dimension
+from cutofflab.spaces import (CharType, RootDatum, SpaceDescriptor, _chirality,
+                              indexing_set)
 
 
 def _scaled(parts: list[Fraction], length: int) -> tuple[list[int], int]:
@@ -138,3 +149,84 @@ def oracle_fits_by_length(indexing: IndexingSetKind, max_size: int,
         half_cap = math.floor(2 * max_size - length) // 2
         total += sum(counts[:max(half_cap + 1, 0)])
     return total <= min(MAX_LABELS, MAX_LABEL_ENTRIES // length)
+
+
+def _weyl_ratio(root: RootDatum, weight: Weight, thetas: list[float]) -> float:
+    """The real part of det(f(z_i, l_j + rho_j)) / det(f(z_i, rho_j)),
+    each entry one ``cmath.exp``: z^a, z^a - z^-a (B, C) or z^a + z^-a (D);
+    type D doubles a label with a non-zero last part (both chiralities)."""
+    n = len(thetas)
+    rho2 = list(RootDatum(root.type, n).rho2)
+    if root.type is CharType.A:
+        rho2 = [v - rho2[-1] for v in rho2]
+    parts2 = list(weight.parts2) + [0] * (n - weight.length)
+
+    def det(exps2: list[int]) -> complex:
+        mat = np.empty((n, n), dtype=complex)
+        for j, a2 in enumerate(exps2):
+            for i, th in enumerate(thetas):
+                zp = cmath.exp(1j * (a2 / 2) * th)
+                if root.type is CharType.A:
+                    mat[i, j] = zp
+                elif root.type is CharType.D:
+                    mat[i, j] = zp + cmath.exp(-1j * (a2 / 2) * th)
+                else:
+                    mat[i, j] = zp - cmath.exp(-1j * (a2 / 2) * th)
+        return complex(np.linalg.det(mat))
+
+    total = det([p + r for p, r in zip(parts2, rho2)])
+    if root.type is CharType.D and parts2[-1]:
+        total *= 2.0
+    return (total / det(rho2)).real
+
+
+def _sine_ratio(root: RootDatum, weight: Weight, theta: float) -> float:
+    """sin(D psi) / sin(psi) on SU(2) or SO(3), psi = <2 rho, v> theta / 2,
+    after reducing psi to m pi + delta, |delta| <= pi/2."""
+    v = (1, -1)[:root.rank]
+    parts2 = weight.parts2 + (0,) * (root.rank - weight.length)
+    a2 = sum((p + r) * s for p, r, s in zip(parts2, root.rho2, v))
+    b2 = sum(r * s for r, s in zip(root.rho2, v))
+    dim = a2 // b2
+    psi = theta * (b2 / 2)
+    r = math.atan2(math.sin(psi), math.cos(psi))
+    m = round(r / math.pi)
+    delta = r - m * math.pi
+    sign = (-1) ** (m * (dim - 1))
+    if delta == 0.0:
+        return float(dim * sign)
+    return sign * math.sin(dim * delta) / math.sin(delta)
+
+
+def oracle_density(descriptor: SpaceDescriptor, point_spec: dict, t: float,
+                   size_cap: int = 40) -> tuple[float, float]:
+    """(sum, sum of |terms|) of D^lambda f(lambda) e^{-t B / 2} over the
+    space's own labels, one exact label at a time: the integer labels of
+    |lambda| <= size_cap at an alphabet (chi * D at the identity, every
+    angle within 1e-12 of 0), the rank-one labels (k, ..., k),
+    k <= size_cap, at an angle, and those with k below the number of zonal
+    values, f(k) the k-th."""
+    idx, root = indexing_set(descriptor), descriptor.root
+    rank_one = [idx.label((k,) * idx.length) for k in range(size_cap + 1)]
+    if "alphabet" in point_spec:
+        thetas = [cmath.phase(complex(z)) for z in point_spec["alphabet"]]
+        labels = [w for w in enumerate_by_size(idx, size_cap) if w.is_integer]
+        if all(abs(a) <= 1e-12 for a in thetas):
+            values = [float(_chirality(descriptor, w)
+                            * dimension(descriptor, w)) for w in labels]
+        else:
+            values = [_weyl_ratio(root, w, thetas) for w in labels]
+    elif "theta" in point_spec:
+        labels = rank_one
+        values = [_sine_ratio(root, w, point_spec["theta"]) for w in labels]
+    else:
+        values = [float(v) for v in point_spec["zonal_values"]]
+        labels = rank_one[:len(values)]
+    total = scale = 0.0
+    for w, value in zip(labels, values):
+        term = (float(dimension(descriptor, w))
+                * math.exp(-t * float(casimir_exponent(descriptor, w)) / 2.0)
+                * value)
+        total += term
+        scale += abs(term)
+    return total, scale

@@ -29,7 +29,6 @@ from cutofflab.heatseries import (
     eta_quotient,
     per_term_bound_sweep,
     per_term_exceeds,
-    per_term_value,
     series_terms,
     t_zero,
     tv_upper_bound,
@@ -38,6 +37,7 @@ from cutofflab.partitions import (MAX_LABELS, Weight, WeightKind,
                                   enumerate_by_size)
 from cutofflab.repchar import casimir_exponent, dimension, schur
 from cutofflab.spaces import _chirality, describe, indexing_set, minimal_weight
+from exact_oracle import oracle_density
 from label_oracle import oracle_labels
 from table_oracle import oracle_series_sum
 
@@ -339,7 +339,8 @@ def test_sweep_ties_go_to_the_first_label_in_size_order(family, n, first, dual):
     assert casimir_exponent(d, a) == casimir_exponent(d, b)
     sw = per_term_bound_sweep(d, 40)
     assert sw.argmax == sw.argmax_integer == a
-    assert math.isclose(sw.max_value, per_term_value(d, a), rel_tol=1e-12)
+    assert math.isclose(sw.max_value, heatseries._per_term_value(d, a),
+                        rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family,n,labels", [
@@ -394,7 +395,7 @@ def test_per_term_exact_comparison_on_rational_value():
     assert not per_term_exceeds(d, w, value)
     assert per_term_exceeds(d, w, value - Fraction(1, 10**15))
     assert not per_term_exceeds(d, w, value + Fraction(1, 10**15))
-    assert abs(per_term_value(d, w) - 15.0 / 16.0) < 1e-14
+    assert abs(heatseries._per_term_value(d, w) - 15.0 / 16.0) < 1e-14
 
 
 def test_per_term_float_filter_far_from_bound():
@@ -596,7 +597,9 @@ def test_rank_one_densities_at_huge_angles_equal_the_exact_reduction(
         with mpmath.workdps(400):
             psi = mpmath.mpf(theta) * b2 / 2
             want = mpmath.mpf(0)
-            for w in heatseries._rank_one_labels(d, 40):
+            for w in enumerate_by_size(indexing_set(d), 40):
+                if not w.is_integer:
+                    continue
                 dim, b = dimension(d, w), casimir_exponent(d, w)
                 dim = mpmath.mpf(dim.numerator) / dim.denominator
                 b = mpmath.mpf(b.numerator) / b.denominator
@@ -625,6 +628,33 @@ def test_so_alphabet_density_sums_integer_labels_only():
                      * schur("B", list(w.parts), z).real)
     assert density(d, {"alphabet": z}, 0.6, 12) == pytest.approx(want,
                                                                 rel=1e-12)
+
+
+_ALPHABET = (0.3, 0.9, -1.4, 2.0, 2.6)  # a regular class at every rank <= 5
+
+
+@pytest.mark.parametrize("space,point,cap", [
+    *[((family, n, None), {"alphabet": angles[:rank]}, cap)
+      for family, n, rank, cap in (("SO", 5, 2, 40), ("SO", 6, 3, 40),
+                                   ("SO", 10, 5, 16), ("SO", 11, 5, 16),
+                                   ("USp", 5, 5, 16), ("SU", 3, 3, 40))
+      for angles in (_ALPHABET, (0.0,) * 5)],
+    *[((family, n, None), {"theta": theta}, 40)
+      for family, n in (("SU", 2), ("SO", 3))
+      for theta in (0.0, math.pi, 1e17, 1e308)],
+    *[((family, n, 1), {"zonal_values": [1.0] + [math.cos(0.7 * k) / k
+                                                 for k in range(1, 30)]}, 40)
+      for family, n in (("GrR", 7), ("GrC", 5), ("GrH", 4))],
+], ids=str)
+def test_density_equals_the_exact_oracle(space, point, cap):
+    # the engine reads D and B from the term table and each character from
+    # one batched routine; the oracle sums exact labels one at a time
+    d = describe(*space)
+    if "alphabet" in point:
+        point = {"alphabet": [cmath.exp(1j * a) for a in point["alphabet"]]}
+    for t in (1.0, 2.0):
+        want, scale = oracle_density(d, point, t, cap)
+        assert abs(density(d, point, t, cap) - want) <= 1e-13 * scale
 
 
 def test_alphabet_density_at_the_identity_takes_the_character_limit():
@@ -707,6 +737,10 @@ def test_density_error_paths():
      "zonal values must be finite"),
     ("circle", {"theta": 1.0}, -5, "size_cap must be >= 0"),
     ("SO", {"theta": 1.0}, -5, "size_cap must be >= 0"),
+    # phi_0 is 1 on every zonal function: an empty list or another first
+    # value names no density
+    ("GrC", {"zonal_values": []}, 40, "must start with phi_0 = 1"),
+    ("GrC", {"zonal_values": [0.5, 0.2]}, 0, "must start with phi_0 = 1"),
 ])
 def test_density_rejects_points_and_caps_outside_the_domain(space, point, cap,
                                                             message):

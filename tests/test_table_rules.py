@@ -1,7 +1,9 @@
 """The certificate path derives every per-family fact from the table row and
 the root datum: the series tail equals the per-family tail it replaced bit
 for bit, the fold and the chirality factor sit where the root types say,
-and the functions on the path name no ``Family`` member."""
+and the functions on the path name no ``Family`` member.  The density's
+float engine reads the term table alone: neither it nor a helper it calls
+names an exact per-label route."""
 
 from __future__ import annotations
 
@@ -107,3 +109,46 @@ def test_the_scan_sees_a_family_branch():
                      "    return Family.SU\n")
     assert _family_members_named(tree, ("_tail_bound",)) == {
         "_tail_bound": ["line 2: Family.SO"]}
+
+
+# -- the density reads the term table --------------------------------------
+
+EXACT_ROUTES = ("dimension", "casimir_exponent", "enumerate_by_size")
+
+
+def _names_reached(tree: ast.Module, root: str) -> set[str]:
+    """Every name and attribute read in the top-level function ``root``
+    and in the module's functions it calls, transitively."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), [root], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for sub in ast.walk(functions[name]):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+                if sub.id in functions:
+                    todo.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def test_the_density_names_no_exact_route():
+    tree = ast.parse((PACKAGE / "heatseries.py").read_text())
+    named = _names_reached(tree, "density") & set(EXACT_ROUTES)
+    assert not named, f"density reaches exact per-label routes: {named}"
+
+
+def test_the_scan_follows_the_density_into_its_helpers():
+    tree = ast.parse("def density(d):\n"
+                     "    return _rows(d) + d.total\n\n\n"
+                     "def _rows(d):\n"
+                     "    return repchar.dimension(d)\n\n\n"
+                     "def other(d):\n"
+                     "    return enumerate_by_size(d)\n")
+    named = _names_reached(tree, "density") & set(EXACT_ROUTES)
+    assert named == {"dimension"}
