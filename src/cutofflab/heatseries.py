@@ -20,7 +20,8 @@ from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelStore,
                          _size_lex_order, enumerate_by_size, label_table,
                          label_table_fits, require_label_table)
 from .repchar import casimir_exponent, characters, dimension
-from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
+from .spaces import (CharType, RootDatum, SpaceDescriptor, _chiralities,
+                     indexing_set)
 
 _SU_DP_HORIZON = 20000  # type A tails stop at the first doubling past this
 
@@ -569,10 +570,80 @@ def _cap_schedule(descriptor: SpaceDescriptor) -> list[int]:
     return list(_escalating_caps(descriptor))
 
 
+def _level_sums(levels: tuple[np.ndarray, np.ndarray],
+                times: np.ndarray) -> np.ndarray:
+    """sum_k e^{log a_k - t b_k} over a table's levels at each time: one
+    row of exponentials per time, summed along the row.  Whole rows go in
+    chunks of at most _BLOCK floats (one row when a row is longer), so each
+    sum is numpy's pairwise sum of the same row a single time would form,
+    bit for bit, and a long grid never holds more than a block."""
+    rates, log_a = levels
+    out = np.empty(len(times))
+    step = max(1, _BLOCK // max(len(rates), 1))
+    block = np.empty((min(step, len(times)), len(rates)))
+    with np.errstate(under="ignore", over="ignore"):
+        for start in range(0, len(times), step):
+            chunk = times[start:start + step, None]
+            rows = block[:len(chunk)]
+            np.multiply(chunk, rates, out=rows)
+            np.subtract(log_a, rows, out=rows)
+            np.exp(rows, out=rows)
+            rows.sum(axis=1, out=out[start:start + step])
+    return out
+
+
+def _series_grid(descriptor: SpaceDescriptor, times: Sequence[float],
+                 size_cap: Optional[int] = None, uncertified: bool = False
+                 ) -> tuple[list[float], list[float], list[int]]:
+    """The dominating series at every time of a grid: (partial sums, tails,
+    caps), one entry per time, in the grid's order.
+
+    Each cap, from ``size_cap`` or escalating from 40, first certifies the
+    tail at every time still open, one ``_tail_bound`` per time.  A time
+    with no certificate (+inf, at or below cut-off time) is settled: a
+    larger cap cannot rescue it, and its partial sum is NaN, unread, unless
+    ``uncertified`` asks for the sum at that cap.  The other times sum the
+    cap's table in one ``_level_sums``, and only those whose tail is still
+    at least 1e-6 of their sum go on to the next cap while a larger label
+    table fits.  Every entry equals, bit for bit, that of the same time
+    evaluated alone: the tails are the scalar ones, and each sum is the
+    same row's pairwise sum.  An empty grid does nothing."""
+    for t in times:
+        require_time(t)
+    count = len(times)
+    partial, tail, caps = [math.nan] * count, [math.inf] * count, [0] * count
+    if not count:
+        return partial, tail, caps
+    t0 = t_zero(descriptor)
+    idx = indexing_set(descriptor)
+    active = range(count)
+    for cap in ([size_cap] if size_cap is not None
+                else _escalating_caps(descriptor)):
+        if cap < 1:
+            raise ValueError("size_cap must be >= 1")
+        # the labels refuse a cap, and then the tail a type A rank, before
+        # the table is built
+        require_label_table(idx, cap)
+        for i in active:
+            tail[i], caps[i] = _tail_bound(descriptor, times[i], cap, t0), cap
+        summed = [i for i in active if uncertified or math.isfinite(tail[i])]
+        if summed:
+            sums = _level_sums(_term_table(descriptor, cap).levels,
+                               np.array([times[i] for i in summed], dtype=float))
+            for i, value in zip(summed, sums.tolist()):
+                partial[i] = value
+        active = [i for i in active if math.isfinite(tail[i])
+                  and not tail[i] < 1e-6 * max(partial[i], 1e-30)]
+        if not active:
+            break  # before the next cap's fit is checked
+    return partial, tail, caps
+
+
 def dominating_series(descriptor: SpaceDescriptor, t: float,
                       size_cap: Optional[int] = None) -> TruncationReport:
     """Sum of A_n(lambda) e^{-t B_n(lambda)} over non-trivial labels, with a
-    certified tail; tail_bound is the +inf sentinel at or below cut-off time.
+    certified tail; tail_bound is the +inf sentinel at or below cut-off time,
+    where the partial sum is the first cap's.
 
     The sum runs over the table's levels, one per distinct rate b, as
     sum_k e^{log a_k - t b_k} with a_k the sum of A over the level's labels
@@ -580,39 +651,27 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
     from which it differs only in the order of the additions and in the
     rounding of each level's log and exp.  A sum past the float range is
     +inf.  Without a ``size_cap`` the cap escalates from 40 while the tail
-    exceeds 1e-6 of the sum and a larger label table fits."""
-    require_time(t)
-    caps = [size_cap] if size_cap is not None else _escalating_caps(descriptor)
-    t0 = t_zero(descriptor)
-    idx = indexing_set(descriptor)
-    report = None
-    for cap in caps:
-        if cap < 1:
-            raise ValueError("size_cap must be >= 1")
-        # the labels refuse a cap, and then the tail a type A rank, before
-        # the table is built
-        require_label_table(idx, cap)
-        tail = _tail_bound(descriptor, t, cap, t0)
-        table = _term_table(descriptor, cap)
-        rates, log_a = table.levels
-        with np.errstate(under="ignore", over="ignore"):
-            partial = float(np.exp(log_a - t * rates).sum())
-        report = TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
-                                  terms_used=len(table.b), size_cap=cap)
-        if not math.isfinite(tail):
-            break  # a larger cap cannot rescue a missing certificate
-        if tail < 1e-6 * max(partial, 1e-30):
-            break
-    assert report is not None
-    return report
+    exceeds 1e-6 of the sum and a larger label table fits: the one-time
+    view of ``_series_grid``."""
+    (partial,), (tail,), (cap,) = _series_grid(descriptor, [t], size_cap,
+                                               uncertified=True)
+    return TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
+                            terms_used=len(_term_table(descriptor, cap).b),
+                            size_cap=cap)
+
+
+def _upper_bounds(descriptor: SpaceDescriptor,
+                  times: Sequence[float]) -> list[float]:
+    """``tv_upper_bound`` at every time of a grid, from one
+    ``_series_grid``: a time with no certificate reads no table."""
+    partial, tail, _ = _series_grid(descriptor, times)
+    return [min(1.0, 0.5 * math.sqrt(s + r)) if math.isfinite(r) else 1.0
+            for s, r in zip(partial, tail)]
 
 
 def tv_upper_bound(descriptor: SpaceDescriptor, t: float) -> float:
     """min(1, sqrt(S_n(t) + tail)/2); 1 whenever no tail certificate exists."""
-    report = dominating_series(descriptor, t)
-    if not math.isfinite(report.tail_bound):
-        return 1.0
-    return min(1.0, 0.5 * math.sqrt(report.total))
+    return _upper_bounds(descriptor, [t])[0]
 
 
 # -- per-term sweep --------------------------------------------------------
@@ -878,9 +937,7 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
         if all(abs(a) <= _IDENTITY_ANGLE for a in angles):
             # Weyl's ratio is 0/0 at the identity; its limit is the
             # dimension of the chirality pieces the label stands for
-            last = rows[:, -1] if rows.shape[1] == root.rank else 0
-            values = np.where((root.type is CharType.D) & (last != 0),
-                              2.0, 1.0) * dim
+            values = _chiralities(root, rows) * dim
         else:
             try:
                 values = characters(root.type, rows, alphabet).real

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import InvalidRank, UnknownFamily
 from .partitions import IndexingSetKind, Weight, WeightKind
 
@@ -295,13 +297,19 @@ def indexing_set(descriptor: SpaceDescriptor) -> IndexingSetKind:
 _ENTRY_LABEL = {"square": (2,), "modulus": (1,), "det": (1, 1)}
 
 
-def _chirality(descriptor: SpaceDescriptor, weight: Weight) -> int:
-    """2 when the label, in root coordinates, is a type D highest weight
-    with a non-zero last part: it then stands for the two chirality pieces
+def _chiralities(root: RootDatum, rows: np.ndarray) -> np.ndarray:
+    """For each row of doubled parts: 2 when the label, in root
+    coordinates, is a type D highest weight with a non-zero last part (a
+    row as wide as the rank): it then stands for the two chirality pieces
     (last part +l and -l), each of the Weyl dimension; else 1."""
-    root = descriptor.root
-    last = weight.parts2[-1] if weight.length == root.rank else 0
-    return 2 if root.type is CharType.D and last else 1
+    if root.type is CharType.D and rows.shape[1] == root.rank:
+        return np.where(rows[:, -1] != 0, 2, 1)
+    return np.ones(len(rows), dtype=int)
+
+
+def _chirality(descriptor: SpaceDescriptor, weight: Weight) -> int:
+    """``_chiralities`` of one label."""
+    return int(_chiralities(descriptor.root, np.array([weight.parts2]))[0])
 
 
 def minimal_weight(descriptor: SpaceDescriptor) -> tuple[Weight, Fraction, Fraction]:

@@ -9,7 +9,11 @@ bit (``np.array_equal``); its log D^lambda, whose factors against a label's
 trailing zeros telescope, must lie within 1e-12 of ``oracle_log_dim``.
 ``oracle_series_sum`` is the dominating series' partial sum as it was first
 summed, one term per label; the sum over the table's rate levels must lie
-within 1e-12 relative of it.
+within 1e-12 relative of it.  ``oracle_series_report`` and
+``oracle_upper_bound`` are the series and the upper bound evaluated one
+time alone, as they were before a grid was evaluated in one pass: every
+cap reads the table, even at a time with no tail certificate, and sums
+its levels in one 1-D row.  The grid must equal them bit for bit.
 
 ``oracle_block_columns`` is the term table's log D^lambda and rate as they
 were computed over one label block per (kind, width, cap): the labels in
@@ -25,12 +29,15 @@ row's own.  The table must equal it bit for bit, label by label
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from cutofflab.heatseries import _BLOCK, _zero_block_logs
-from cutofflab.partitions import WeightKind
+from cutofflab.errors import require_time
+from cutofflab.heatseries import (_BLOCK, _cap_schedule, _tail_bound,
+                                  _term_table, _zero_block_logs, t_zero)
+from cutofflab.partitions import WeightKind, require_label_table
 from cutofflab.spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
 
 
@@ -87,6 +94,35 @@ def oracle_series_sum(log_a: np.ndarray, b: np.ndarray, t: float) -> float:
     in table order."""
     with np.errstate(under="ignore", over="ignore"):
         return float(np.exp(log_a - t * b).sum())
+
+
+def oracle_series_report(descriptor: SpaceDescriptor, t: float,
+                         size_cap: Optional[int] = None
+                         ) -> tuple[float, float, int, int]:
+    """(partial sum, tail, terms used, cap) of the dominating series at one
+    time: at each cap, from ``size_cap`` or escalating, the tail and then
+    the sum over the cap's levels, until the tail is missing or below 1e-6
+    of the sum."""
+    require_time(t)
+    t0 = t_zero(descriptor)
+    for cap in [size_cap] if size_cap is not None else _cap_schedule(descriptor):
+        require_label_table(indexing_set(descriptor), cap)
+        tail = _tail_bound(descriptor, t, cap, t0)
+        table = _term_table(descriptor, cap)
+        rates, log_a = table.levels
+        with np.errstate(under="ignore", over="ignore"):
+            partial = float(np.exp(log_a - t * rates).sum())
+        if not math.isfinite(tail) or tail < 1e-6 * max(partial, 1e-30):
+            break
+    return partial, tail, len(table.b), cap
+
+
+def oracle_upper_bound(descriptor: SpaceDescriptor, t: float) -> float:
+    """min(1, sqrt(partial + tail) / 2) at one time; 1 without a tail."""
+    partial, tail, _, _ = oracle_series_report(descriptor, t)
+    if not math.isfinite(tail):
+        return 1.0
+    return min(1.0, 0.5 * math.sqrt(partial + tail))
 
 
 def _chunks(parts2: np.ndarray, order: np.ndarray,

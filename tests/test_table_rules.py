@@ -1,6 +1,7 @@
 """The certificate path derives every per-family fact from the table row and
 the root datum: the series tail equals the per-family tail it replaced bit
-for bit, the fold and the chirality factor sit where the root types say,
+for bit, the fold and the chirality factor sit where the root types say
+(the factor as one rule over rows of doubled parts),
 and the functions on the path name no ``Family`` member.  The density's
 float engine reads the term table alone: neither it nor a helper it calls
 names an exact per-label route."""
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from cutofflab.heatseries import _fold, _su_steps, _tail_bound, t_zero
+from cutofflab.heatseries import (_fold, _su_steps, _tail_bound, _term_table,
+                                  t_zero)
 from cutofflab.spaces import (FAMILY_NAMES, CharType, Family, _TABLE,
-                              _chirality, describe, indexing_set)
+                              _chiralities, _chirality, describe,
+                              indexing_set)
 from tail_oracle import oracle_su_steps, oracle_tail_bound
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cutofflab"
@@ -68,6 +71,28 @@ def test_chirality_counts_both_pieces_of_a_full_length_type_d_label():
     assert _chirality(grr, indexing_set(grr).label((2,))) == 1
     so2n_un = describe("SO2n_Un", 2)  # SO(4), label (1, 1)
     assert _chirality(so2n_un, indexing_set(so2n_un).label((1, 1))) == 2
+
+
+@pytest.mark.parametrize("family,n,cap,width", [
+    ("SO", 8, 6, 4), ("SO", 9, 6, 4), ("SO2n_Un", 4, 6, 4),
+    ("SO2n_Un", 4, 3, 2)])
+def test_chirality_over_table_rows_is_the_rule_of_each_label(family, n, cap,
+                                                             width):
+    # the term table's rows are as wide as its widest label: at cap 3 no
+    # SO2n_Un(4) label (pairs of equal parts) reaches the fourth coordinate,
+    # and every factor is 1
+    desc = describe(family, n)
+    table = _term_table(desc, cap)
+    rows = table.labels.rows(range(len(table.b)))
+    assert rows.shape[1] == width
+    got = _chiralities(desc.root, rows)
+    idx = indexing_set(desc)
+    assert got.tolist() == [_chirality(desc, idx.pad(row))
+                            for row in rows.tolist()]
+    full = desc.root.type is CharType.D and width == desc.root.rank
+    assert got.tolist() == [2 if full and row[-1] else 1
+                            for row in rows.tolist()]
+    assert (2 in got.tolist()) == full
 
 
 # -- no family branches on the certificate path ----------------------------
