@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FieldMismatch, UnsupportedSpace, require_time
-from .heatseries import _upper_bounds, t_zero
+from .heatseries import t_zero, tv_upper_bound
 from .moments import _qnorm, moment, zonal_square_expansion
 from .partitions import Weight
 from .repchar import casimir_exponent, dimension
@@ -232,15 +232,13 @@ class ProfilePoint:
 
 def profile(descriptor: SpaceDescriptor,
             t_grid: Iterable[float]) -> list[ProfilePoint]:
-    """Lower and upper total-variation bounds along a time grid: the lower
-    bound time by time, then the upper bounds of the whole grid in one
-    pass (``heatseries._upper_bounds``), each equal, bit for bit, to
-    ``tv_upper_bound`` at its time.  An invalid time raises the
-    InvalidTime that its lower bound, or else its upper bound, raises."""
-    times = [float(t) for t in t_grid]
-    lowers = [lower_bound(descriptor, t) for t in times]
-    return [ProfilePoint(t, lower, upper) for t, lower, upper
-            in zip(times, lowers, _upper_bounds(descriptor, times))]
+    """Lower and upper total-variation bounds along a time grid."""
+    points = []
+    for t in t_grid:
+        t = float(t)
+        points.append(ProfilePoint(t, lower_bound(descriptor, t),
+                                   tv_upper_bound(descriptor, t)))
+    return points
 
 
 # -- squared zonal functions through the moment engine ---------------------

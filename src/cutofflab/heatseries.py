@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (DegenerateAlphabet, HalfPartitionUnsupported,
                      InvalidRank, TooLarge, UnsupportedSpace, require_time)
-from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, LabelStore,
-                         LabelTable, Weight, WeightKind, _half_cap,
+from .partitions import (MAX_LABEL_ENTRIES, MAX_LABELS, IndexingSetKind,
+                         LabelStore, LabelTable, Weight, WeightKind, _half_cap,
                          _size_lex_order, enumerate_by_size, label_table,
                          label_table_fits, require_label_table)
 from .repchar import casimir_exponent, characters, dimension
@@ -520,19 +520,24 @@ def _tail_constants(descriptor: SpaceDescriptor) -> tuple[float, float, float]:
         casimir_exponent(descriptor, half))
 
 
+def _has_tail(descriptor: SpaceDescriptor, t: float, t0: float) -> bool:
+    """Whether the series has a tail certificate at t: only past the
+    cut-off time t0, and only from the proven minimum rank on."""
+    return descriptor.n >= descriptor.proven_min_n and t > t0
+
+
 def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
                 t0: float) -> float:
-    """Certified bound on the series mass above the size cap: every term is
-    at most fold * C^power e^{-(t - t0) B}, and B >= |lambda|/2 (|lambda|
-    on symmetric labels).  Each label kind maps to partitions of a size and
-    a length: even labels halve the size, doubled labels halve both, and a
-    half label is 1/2 added to each part of a partition; on type A the
-    delta-coordinate steps replace the partitions."""
-    if descriptor.n < descriptor.proven_min_n:
+    """Certified bound on the series mass above the size cap, +inf without
+    a certificate (``_has_tail``): every term is at most fold * C^power
+    e^{-(t - t0) B}, and B >= |lambda|/2 (|lambda| on symmetric labels).
+    Each label kind maps to partitions of a size and a length: even labels
+    halve the size, doubled labels halve both, and a half label is 1/2
+    added to each part of a partition; on type A the delta-coordinate steps
+    replace the partitions."""
+    if not _has_tail(descriptor, t, t0):
         return math.inf
     gap = t - t0
-    if gap <= 0.0:
-        return math.inf
     c_int, c_half, half_shift = _tail_constants(descriptor)
     root = descriptor.root
     if root.type is CharType.A and not root.symmetric:
@@ -554,96 +559,25 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
     return tail
 
 
-def _escalating_caps(descriptor: SpaceDescriptor) -> Iterator[int]:
+def _escalating_caps(indexing: IndexingSetKind) -> Iterator[int]:
     """Escalating size caps, stopping before the label table passes
     MAX_LABELS: a cap's fit is checked only when the series reaches it."""
-    idx = indexing_set(descriptor)
     yield 40
     for cap in (80, 160, 200):
-        if not label_table_fits(idx, cap):
+        if not label_table_fits(indexing, cap):
             return
         yield cap
 
 
 def _cap_schedule(descriptor: SpaceDescriptor) -> list[int]:
     """Every cap of ``_escalating_caps``."""
-    return list(_escalating_caps(descriptor))
-
-
-def _level_sums(levels: tuple[np.ndarray, np.ndarray],
-                times: np.ndarray) -> np.ndarray:
-    """sum_k e^{log a_k - t b_k} over a table's levels at each time: one
-    row of exponentials per time, summed along the row.  Whole rows go in
-    chunks of at most _BLOCK floats (one row when a row is longer), so each
-    sum is numpy's pairwise sum of the same row a single time would form,
-    bit for bit, and a long grid never holds more than a block."""
-    rates, log_a = levels
-    out = np.empty(len(times))
-    step = max(1, _BLOCK // max(len(rates), 1))
-    block = np.empty((min(step, len(times)), len(rates)))
-    with np.errstate(under="ignore", over="ignore"):
-        for start in range(0, len(times), step):
-            chunk = times[start:start + step, None]
-            rows = block[:len(chunk)]
-            np.multiply(chunk, rates, out=rows)
-            np.subtract(log_a, rows, out=rows)
-            np.exp(rows, out=rows)
-            rows.sum(axis=1, out=out[start:start + step])
-    return out
-
-
-def _series_grid(descriptor: SpaceDescriptor, times: Sequence[float],
-                 size_cap: Optional[int] = None, uncertified: bool = False
-                 ) -> tuple[list[float], list[float], list[int]]:
-    """The dominating series at every time of a grid: (partial sums, tails,
-    caps), one entry per time, in the grid's order.
-
-    Each cap, from ``size_cap`` or escalating from 40, first certifies the
-    tail at every time still open, one ``_tail_bound`` per time.  A time
-    with no certificate (+inf, at or below cut-off time) is settled: a
-    larger cap cannot rescue it, and its partial sum is NaN, unread, unless
-    ``uncertified`` asks for the sum at that cap.  The other times sum the
-    cap's table in one ``_level_sums``, and only those whose tail is still
-    at least 1e-6 of their sum go on to the next cap while a larger label
-    table fits.  Every entry equals, bit for bit, that of the same time
-    evaluated alone: the tails are the scalar ones, and each sum is the
-    same row's pairwise sum.  An empty grid does nothing."""
-    for t in times:
-        require_time(t)
-    count = len(times)
-    partial, tail, caps = [math.nan] * count, [math.inf] * count, [0] * count
-    if not count:
-        return partial, tail, caps
-    t0 = t_zero(descriptor)
-    idx = indexing_set(descriptor)
-    active = range(count)
-    for cap in ([size_cap] if size_cap is not None
-                else _escalating_caps(descriptor)):
-        if cap < 1:
-            raise ValueError("size_cap must be >= 1")
-        # the labels refuse a cap, and then the tail a type A rank, before
-        # the table is built
-        require_label_table(idx, cap)
-        for i in active:
-            tail[i], caps[i] = _tail_bound(descriptor, times[i], cap, t0), cap
-        summed = [i for i in active if uncertified or math.isfinite(tail[i])]
-        if summed:
-            sums = _level_sums(_term_table(descriptor, cap).levels,
-                               np.array([times[i] for i in summed], dtype=float))
-            for i, value in zip(summed, sums.tolist()):
-                partial[i] = value
-        active = [i for i in active if math.isfinite(tail[i])
-                  and not tail[i] < 1e-6 * max(partial[i], 1e-30)]
-        if not active:
-            break  # before the next cap's fit is checked
-    return partial, tail, caps
+    return list(_escalating_caps(indexing_set(descriptor)))
 
 
 def dominating_series(descriptor: SpaceDescriptor, t: float,
                       size_cap: Optional[int] = None) -> TruncationReport:
     """Sum of A_n(lambda) e^{-t B_n(lambda)} over non-trivial labels, with a
-    certified tail; tail_bound is the +inf sentinel at or below cut-off time,
-    where the partial sum is the first cap's.
+    certified tail; tail_bound is the +inf sentinel at or below cut-off time.
 
     The sum runs over the table's levels, one per distinct rate b, as
     sum_k e^{log a_k - t b_k} with a_k the sum of A over the level's labels
@@ -651,27 +585,42 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
     from which it differs only in the order of the additions and in the
     rounding of each level's log and exp.  A sum past the float range is
     +inf.  Without a ``size_cap`` the cap escalates from 40 while the tail
-    exceeds 1e-6 of the sum and a larger label table fits: the one-time
-    view of ``_series_grid``."""
-    (partial,), (tail,), (cap,) = _series_grid(descriptor, [t], size_cap,
-                                               uncertified=True)
+    exceeds 1e-6 of the sum and a larger label table fits."""
+    require_time(t)
+    idx = indexing_set(descriptor)
+    caps = [size_cap] if size_cap is not None else _escalating_caps(idx)
+    t0 = t_zero(descriptor)
+    for cap in caps:
+        if cap < 1:
+            raise ValueError("size_cap must be >= 1")
+        # the labels refuse a cap, and then the tail a type A rank, before
+        # the table is built
+        require_label_table(idx, cap)
+        tail = _tail_bound(descriptor, t, cap, t0)
+        table = _term_table(descriptor, cap)
+        rates, log_a = table.levels
+        row = rates * t  # one buffer for exp(log_a - t * rates)
+        np.subtract(log_a, row, out=row)
+        with np.errstate(under="ignore", over="ignore"):
+            partial = float(np.exp(row, out=row).sum())
+        # a larger cap cannot rescue a missing certificate
+        if not math.isfinite(tail) or tail < 1e-6 * max(partial, 1e-30):
+            break
     return TruncationReport(t=t, partial_sum=partial, tail_bound=tail,
-                            terms_used=len(_term_table(descriptor, cap).b),
-                            size_cap=cap)
-
-
-def _upper_bounds(descriptor: SpaceDescriptor,
-                  times: Sequence[float]) -> list[float]:
-    """``tv_upper_bound`` at every time of a grid, from one
-    ``_series_grid``: a time with no certificate reads no table."""
-    partial, tail, _ = _series_grid(descriptor, times)
-    return [min(1.0, 0.5 * math.sqrt(s + r)) if math.isfinite(r) else 1.0
-            for s, r in zip(partial, tail)]
+                            terms_used=len(table.b), size_cap=cap)
 
 
 def tv_upper_bound(descriptor: SpaceDescriptor, t: float) -> float:
-    """min(1, sqrt(S_n(t) + tail)/2); 1 whenever no tail certificate exists."""
-    return _upper_bounds(descriptor, [t])[0]
+    """min(1, sqrt(S_n(t) + tail)/2); 1 whenever no tail certificate exists,
+    and then without reading the term table (a cap-40 label table fits at
+    every rank, so the series would refuse nothing there)."""
+    require_time(t)
+    if not _has_tail(descriptor, t, t_zero(descriptor)):
+        return 1.0
+    report = dominating_series(descriptor, t)
+    if not math.isfinite(report.tail_bound):
+        return 1.0  # the tail overflowed
+    return min(1.0, 0.5 * math.sqrt(report.total))
 
 
 # -- per-term sweep --------------------------------------------------------

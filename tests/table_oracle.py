@@ -10,10 +10,10 @@ trailing zeros telescope, must lie within 1e-12 of ``oracle_log_dim``.
 ``oracle_series_sum`` is the dominating series' partial sum as it was first
 summed, one term per label; the sum over the table's rate levels must lie
 within 1e-12 relative of it.  ``oracle_series_report`` and
-``oracle_upper_bound`` are the series and the upper bound evaluated one
-time alone, as they were before a grid was evaluated in one pass: every
-cap reads the table, even at a time with no tail certificate, and sums
-its levels in one 1-D row.  The grid must equal them bit for bit.
+``oracle_upper_bound`` are the series and the upper bound at one time as
+they were first evaluated: every cap reads the table, even at a time with
+no tail certificate, and sums its levels as ``np.exp(log_a - t * b).sum()``.
+The upper bound, the profile and the series must equal them bit for bit.
 
 ``oracle_block_columns`` is the term table's log D^lambda and rate as they
 were computed over one label block per (kind, width, cap): the labels in

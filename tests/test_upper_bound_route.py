@@ -1,7 +1,7 @@
-"""The upper bound over a whole time grid in one pass
-(``heatseries._series_grid``): equal, bit for bit, to the same times
-evaluated one at a time, with no table read at a time that has no tail
-certificate, and a summed block of bounded size on a long grid."""
+"""The upper bound along a time grid: ``profile`` and ``tv_upper_bound``
+equal, bit for bit, the per-time route that reads the term table at every
+time (``table_oracle``), while a time with no tail certificate reads no
+table at all, and a long grid holds one row of the table at a time."""
 
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ import pytest
 from cutofflab import cli, heatseries
 from cutofflab.cutoff import ProfilePoint, lower_bound, profile
 from cutofflab.errors import InvalidTime, TooLarge
-from cutofflab.heatseries import (_BLOCK, _cap_schedule, _series_grid,
-                                  _term_table, _upper_bounds,
-                                  dominating_series, t_zero, tv_upper_bound)
+from cutofflab.heatseries import (_cap_schedule, dominating_series, t_zero,
+                                  tv_upper_bound)
 from cutofflab.spaces import _GRASSMANN, _TABLE, Family, describe
 from table_oracle import oracle_series_report, oracle_upper_bound
 
@@ -48,12 +47,10 @@ def _per_time(d, times) -> list:
 
 
 @pytest.mark.parametrize("family,n,q", SPACES)
-def test_the_grid_equals_the_per_time_route(family, n, q):
+def test_the_profile_equals_the_per_time_route(family, n, q):
     d = describe(family, n, q)
-    t0 = t_zero(d)
-    grid = _grid(t0)
+    grid = _grid(t_zero(d))
     want = [oracle_upper_bound(d, t) for t in grid]
-    assert [u.hex() for u in _upper_bounds(d, grid)] == [w.hex() for w in want]
     assert [tv_upper_bound(d, t).hex() for t in grid] == [w.hex() for w in want]
     assert _hex(profile(d, grid)) == _hex(_per_time(d, grid))
     for t in grid[::8] + grid[41:]:
@@ -105,7 +102,7 @@ def test_an_invalid_time_anywhere_raises_as_the_per_time_route(bad, at):
         profile(d, grid)
     assert str(got.value) == str(want.value)
     with pytest.raises(InvalidTime):
-        _upper_bounds(d, grid)
+        tv_upper_bound(d, bad)
 
 
 def test_a_type_a_rank_past_the_tail_ceiling_raises_too_large(capsys):
@@ -124,6 +121,20 @@ def test_a_type_a_rank_past_the_tail_ceiling_raises_too_large(capsys):
     assert captured.err == f"error: {got.value}\n"
 
 
+def test_the_first_time_that_fails_decides_the_error():
+    # the grid runs time by time, the lower bound before the upper: a time
+    # past t0 refuses SU(5000)'s type A tail before a later invalid time is
+    # reached, and an invalid time before it is refused first
+    d = describe("SU", 5000)
+    grid = _grid(t_zero(d))
+    late, early = list(grid), list(grid)
+    late[41] = early[10] = math.nan
+    with pytest.raises(TooLarge):
+        profile(d, late)
+    with pytest.raises(InvalidTime):
+        profile(d, early)
+
+
 def _spy(monkeypatch, name: str) -> list:
     """Record the arguments of every call of a heatseries function."""
     calls = []
@@ -134,14 +145,17 @@ def _spy(monkeypatch, name: str) -> list:
 
 
 @pytest.mark.parametrize("family,n,q", [("SO", 10, None), ("GrH", 12, 3),
-                                        ("SU", 6, None)])
+                                        ("SU", 6, None), ("SO", 8, None)])
 def test_a_time_without_certificate_reads_no_table(monkeypatch, family, n, q):
     d = describe(family, n, q)
     t0 = t_zero(d)
+    times = (0.25 * t0, 0.999 * t0, t0)
+    if d.n < d.proven_min_n:
+        times += (2.0 * t0,)
     reads = _spy(monkeypatch, "_term_table")
-    for t in (0.25 * t0, 0.999 * t0, t0):
+    for t in times:
         assert tv_upper_bound(d, t) == 1.0
-    assert [p.upper for p in profile(d, [0.5 * t0, t0])] == [1.0, 1.0]
+    assert [p.upper for p in profile(d, times)] == [1.0] * len(times)
     assert reads == []
     # the series at the same time still reports its partial sum, at cap 40
     report = dominating_series(d, 0.5 * t0)
@@ -151,63 +165,58 @@ def test_a_time_without_certificate_reads_no_table(monkeypatch, family, n, q):
     assert set(reads) == {(d, 40)}
 
 
-def test_a_grid_sums_only_its_certified_times(monkeypatch):
+def test_a_profile_sums_only_its_certified_times(monkeypatch):
     d = describe("SO", 10)
     t0 = t_zero(d)
     grid = _grid(t0)
-    summed = _spy(monkeypatch, "_level_sums")
+    tails = _spy(monkeypatch, "_tail_bound")
+    reads = _spy(monkeypatch, "_term_table")
     profile(d, grid)
-    assert len(summed) == 1  # SO(10) certifies every time after t0 at cap 40
-    assert summed[0][1].tolist() == [t for t in grid if t > t0]
+    # every time after t0, at each cap its series reaches: one tail and
+    # one table read (and sum) per cap
+    assert sorted({t for _, t, _, _ in tails}) == sorted(
+        t for t in grid if t > t0)
+    assert [(desc, cap) for desc, _, cap, _ in tails] == reads
 
 
-def test_a_long_grid_sums_in_blocks_of_bounded_memory(monkeypatch):
+def test_the_series_reports_each_time_at_its_own_cap():
+    d = describe("USp", 3)
+    t0 = t_zero(d)
+    grid = [2.0 * t0, 1.3 * t0, 1.02 * t0, 0.5 * t0]
+    reports = [dominating_series(d, t) for t in grid]
+    assert [r.size_cap for r in reports] == [40, 80, 200, 40]
+    for t, r in zip(grid, reports):
+        want = oracle_series_report(d, t)
+        assert (r.partial_sum.hex(), r.tail_bound.hex(), r.terms_used) == (
+            want[0].hex(), want[1].hex(), want[2])
+    # a fixed cap: every time summed at it, certified or not
+    for t in grid:
+        r, want = dominating_series(d, t, size_cap=20), oracle_series_report(
+            d, t, size_cap=20)
+        assert (r.partial_sum.hex(), r.tail_bound.hex(), r.size_cap) == (
+            want[0].hex(), want[1].hex(), 20)
+
+
+def test_a_long_grid_holds_one_table_row_at_a_time(monkeypatch):
     d = describe("SO", 10)
     t0 = t_zero(d)
     grid = np.linspace(0.25 * t0, 2.5 * t0, 20_000)
-    levels = _term_table(d, 40).levels
-    assert len(grid) * len(levels[0]) * 8 > 300e6  # one block: 320 MB
+    # one block of every time's row would take 320 MB
+    assert len(grid) * len(heatseries._term_table(d, 40).b) * 8 > 300e6
     # the scalar tails keep nothing past a call: they are memoised by the
-    # first run so that the traced run takes a second, not sixteen
+    # first run so that the traced run takes seconds, not tens of seconds
     monkeypatch.setattr(heatseries, "_tail_bound",
                         functools.lru_cache(maxsize=None)(heatseries._tail_bound))
     first = profile(d, grid)
     tracemalloc.start()
     try:
         points = profile(d, grid)
-        profile_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        heatseries._level_sums(levels, grid)
-        sums_peak = tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 20,000 points and their inputs: 3.0 MB measured
-    assert profile_peak < 8e6
-    # the output, one block of at most _BLOCK floats, and numpy's ufunc
-    # buffers (measured 128 KiB)
-    assert sums_peak < 8 * (len(grid) + _BLOCK) + 2 ** 18
+    # the 20,000 points and their inputs, and one row of cap 40's levels
+    assert peak < 8e6
     assert _hex(points) == _hex(first)
     sample = list(range(0, len(grid), 997)) + [len(grid) - 1]
     assert _hex([points[i] for i in sample]) == _hex(
         _per_time(d, grid[sample]))
-
-
-def test_the_series_reports_every_time_of_the_grid_at_its_own_cap():
-    d = describe("USp", 3)
-    t0 = t_zero(d)
-    grid = [2.0 * t0, 1.3 * t0, 1.02 * t0, 0.5 * t0]
-    partial, tail, caps = _series_grid(d, grid, uncertified=True)
-    assert caps == [40, 80, 200, 40]
-    for t, s, r, cap in zip(grid, partial, tail, caps):
-        want = oracle_series_report(d, t)
-        assert (s.hex(), r.hex(), cap) == (
-            want[0].hex(), want[1].hex(), want[3])
-    partial, _, _ = _series_grid(d, grid)
-    assert math.isnan(partial[-1])  # an uncertified time is not summed
-    # a fixed cap: every time summed at it, certified or not
-    got = _series_grid(d, grid, size_cap=20, uncertified=True)
-    want = [oracle_series_report(d, t, size_cap=20) for t in grid]
-    assert [[v.hex() for v in column] for column in got[:2]] == [
-        [w[k].hex() for w in want] for k in (0, 1)]
-    assert got[2] == [20] * len(grid)
