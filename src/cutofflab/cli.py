@@ -58,17 +58,29 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
         yield buffer.getvalue()
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    return "".join(_csv_lines(header, rows))
-
-
-def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
-    """A payload as indented JSON, or as one CSV row under its sorted keys."""
-    if args.format == "csv":
-        keys = sorted(payload)
-        _emit(_csv_text(keys, [[payload[k] for k in keys]]), args.out)
-    else:
+def _write(args: argparse.Namespace, payload: dict,
+           table: Optional[tuple] = None) -> None:
+    """A verb's output: the payload as indented JSON, or, under ``--format
+    csv``, the table's header and rows, or without a table the payload as
+    one row under its sorted keys."""
+    if getattr(args, "format", "json") == "json":
         _emit(_json_text(payload), args.out)
+        return
+    if table is None:
+        keys = sorted(payload)
+        table = (keys, [[payload[k] for k in keys]])
+    _emit(_csv_lines(*table), args.out)
+
+
+def _columns(records: Sequence[dict], *names: str) -> tuple:
+    """A table of the named fields of each record, in order."""
+    return names, [[record[name] for name in names] for record in records]
+
+
+def _or_inf(value: float):
+    """A float, or "inf" where it is not finite: a sum past the float range
+    or a missing tail certificate."""
+    return value if math.isfinite(value) else "inf"
 
 
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
@@ -252,8 +264,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_describe(parser, args) -> int:
     desc = _space(parser, args)
     weight, a_min, b_min = minimal_weight(desc)
-    payload = desc.to_json_dict()
-    payload.update({
+    _write(args, {
+        "family": desc.family.value,
+        "n": desc.n,
+        "q": desc.q,
+        "beta": desc.beta,
+        "alpha_cutoff": desc.alpha_cutoff,
+        "n0": desc.n0,
+        "c_lower": desc.c_lower,
+        "C_upper": desc.C_upper,
+        "gamma_b": desc.gamma_b,
+        "gamma_a": desc.gamma_a,
+        "drift_alpha": str(desc.drift_alpha),
+        "is_group": desc.is_group,
         "param": desc.param,
         "matrix_size": matrix_side(desc.algebra, desc.param),
         "t_cutoff": t_zero(desc),
@@ -261,14 +284,16 @@ def _run_describe(parser, args) -> int:
         "a_min": str(a_min),
         "b_min": str(b_min),
     })
-    _emit_payload(payload, args)
     return _EXIT_OK
 
 
 def _run_series(parser, args) -> int:
     desc = _space(parser, args)
     report = dominating_series(desc, args.t, size_cap=args.cap)
-    _emit_payload(report.to_json_dict(), args)
+    _write(args, {"t": report.t, "partial_sum": _or_inf(report.partial_sum),
+                  "tail_bound": _or_inf(report.tail_bound),
+                  "terms_used": report.terms_used,
+                  "size_cap": report.size_cap})
     return _EXIT_OK
 
 
@@ -282,15 +307,23 @@ def _run_tv_bound(parser, args) -> int:
                "certified": value < 1.0}
     if args.eps is not None:
         payload["eps"] = args.eps
-    _emit(_json_text(payload), args.out)
+    _write(args, payload)
     return _EXIT_OK
 
 
 def _run_bound_sweep(parser, args) -> int:
     desc = _space(parser, args)
-    payload = per_term_bound_sweep(desc, size_cap=args.cap).to_json_dict()
-    payload["space"] = str(desc)
-    _emit(_json_text(payload), args.out)
+    sweep = per_term_bound_sweep(desc, size_cap=args.cap)
+    payload = {"space": str(desc), "max_value": sweep.max_value,
+               "argmax_weight": str(sweep.argmax),
+               "certified": sweep.certified,
+               "max_integer": sweep.max_integer,
+               "argmax_integer": str(sweep.argmax_integer),
+               "size_cap": sweep.size_cap}
+    if sweep.max_half is not None:  # the labels have half parts
+        payload["max_half"] = sweep.max_half
+        payload["argmax_half"] = str(sweep.argmax_half)
+    _write(args, payload)
     return _EXIT_OK
 
 
@@ -305,14 +338,11 @@ def _run_eta(parser, args) -> int:
         parser.error("--cap must be >= 1")
     if args.cap > MAX_LABELS:
         raise TooLarge(f"--cap {args.cap} exceeds the limit {MAX_LABELS}")
-    rows = [(k, eta_quotient(desc, base, args.l, k, t0=args.t))
-            for k in range(1, args.cap + 1)]
-    if args.format == "csv":
-        _emit(_csv_text(("k", "eta"), rows), args.out)
-    else:
-        _emit(_json_text({"space": str(desc), "base": str(base), "l": args.l,
-                          "quotients": [{"k": k, "eta": v} for k, v in rows]}),
-              args.out)
+    quotients = [{"k": k, "eta": eta_quotient(desc, base, args.l, k, t0=args.t)}
+                 for k in range(1, args.cap + 1)]
+    _write(args, {"space": str(desc), "base": str(base), "l": args.l,
+                  "quotients": quotients},
+           _columns(quotients, "k", "eta"))
     return _EXIT_OK
 
 
@@ -337,8 +367,7 @@ def _run_density(parser, args) -> int:
         point = {"alphabet": [complex(math.cos(a), math.sin(a))
                               for a in angles]}
     value = density(desc, point, args.t, size_cap=args.cap)
-    _emit(_json_text({"space": label, "t": args.t, "density": value}),
-          args.out)
+    _write(args, {"space": label, "t": args.t, "density": value})
     return _EXIT_OK
 
 
@@ -346,43 +375,40 @@ def _run_moment(parser, args) -> int:
     desc = _space(parser, args)
     pattern = _parse_pattern(parser, args.pattern)
     value = complex(_moments.moment(desc.algebra, args.n, pattern, args.t))
-    _emit(_json_text({"space": str(desc), "pattern": args.pattern,
-                      "t": args.t, "value_re": value.real,
-                      "value_im": value.imag}), args.out)
+    _write(args, {"space": str(desc), "pattern": args.pattern, "t": args.t,
+                  "value_re": value.real, "value_im": value.imag})
     return _EXIT_OK
 
 
 def _run_eigentable(parser, args) -> int:
     desc = _space(parser, args)
     report = _moments.verify_eigentable(desc.algebra, args.n, args.k, args.l)
-    payload = report.to_json_dict()
-    if report.verified:
-        _emit(_json_text(payload), args.out)
-        return _EXIT_OK
-    payload["failures"] = [
-        {"claimed": e.claimed_mult, "computed": e.computed_mult,
-         "eigenvalue": str(e.eigenvalue), "tolerance": e.tolerance,
-         "residual": e.max_residual}
-        for e in report.entries if not e.verified]
-    _emit(_json_text(payload), args.out)
-    return _EXIT_FAILED
+    payload = {"algebra": report.algebra, "n": report.n, "k": report.k,
+               "l": report.l, "dims_match": report.dims_match,
+               "verified": report.verified,
+               "entries": [{"eigenvalue": str(e.eigenvalue),
+                            "claimed_mult": e.claimed_mult,
+                            "computed_mult": e.computed_mult,
+                            "max_residual": e.max_residual}
+                           for e in report.entries]}
+    if not report.verified:
+        payload["failures"] = [
+            {"claimed": e.claimed_mult, "computed": e.computed_mult,
+             "eigenvalue": str(e.eigenvalue), "tolerance": e.tolerance,
+             "residual": e.max_residual}
+            for e in report.entries if not e.verified]
+    _write(args, payload)
+    return _EXIT_OK if report.verified else _EXIT_FAILED
 
 
 def _run_zonal_expansion(parser, args) -> int:
     desc = _space(parser, args)
     expansion = _moments.zonal_square_expansion(desc)
-    rows = []
-    for weight in sorted(expansion, key=lambda w: (w.size, w.parts2)):
-        rate = casimir_exponent(desc, weight)
-        rows.append((str(weight), str(expansion[weight]), str(rate)))
-    if args.format == "csv":
-        _emit(_csv_text(("weight", "coefficient", "decay_rate"), rows),
-              args.out)
-    else:
-        _emit(_json_text({
-            "space": str(desc),
-            "terms": [{"weight": w, "coefficient": c, "decay_rate": r}
-                      for w, c, r in rows]}), args.out)
+    terms = [{"weight": str(weight), "coefficient": str(expansion[weight]),
+              "decay_rate": str(casimir_exponent(desc, weight))}
+             for weight in sorted(expansion, key=lambda w: (w.size, w.parts2))]
+    _write(args, {"space": str(desc), "terms": terms},
+           _columns(terms, "weight", "coefficient", "decay_rate"))
     return _EXIT_OK
 
 
@@ -441,10 +467,13 @@ def _run_estimate(parser, args) -> int:
                                        threads=args.threads)
     estimate = _sampler.estimate(desc, args.statistic, args.t, config,
                                  threshold=args.threshold)
-    payload = estimate.to_json_dict()
-    payload["space"] = str(desc)
-    payload["seed"] = args.seed
-    _emit(_json_text(payload), args.out)
+    mean = estimate.mean
+    _write(args, {"space": str(desc), "seed": args.seed,
+                  "statistic": estimate.statistic, "t": estimate.t,
+                  "mean": ({"re": mean.real, "im": mean.imag}
+                           if isinstance(mean, complex) else mean),
+                  "std_error": estimate.std_error,
+                  "n_samples": estimate.n_samples})
     return _EXIT_OK
 
 
@@ -460,29 +489,23 @@ def _run_profile(parser, args) -> int:
     if args.points > MAX_LABELS:
         raise TooLarge(f"--points {args.points} exceeds the limit {MAX_LABELS}")
     grid = np.linspace(t_min, t_max, args.points)
-    points = _cutoff.profile(desc, grid)
-    if args.format == "csv":
-        header = [f.name for f in dataclasses.fields(_cutoff.ProfilePoint)]
-        _emit(_csv_text(header, [dataclasses.astuple(p) for p in points]),
-              args.out)
-    else:
-        _emit(_json_text({"space": str(desc),
-                          "points": [p.to_json_dict() for p in points]}),
-              args.out)
+    points = [dataclasses.asdict(p) for p in _cutoff.profile(desc, grid)]
+    header = [f.name for f in dataclasses.fields(_cutoff.ProfilePoint)]
+    _write(args, {"space": str(desc), "points": points},
+           _columns(points, *header))
     return _EXIT_OK
 
 
 def _run_verify_all(parser, args) -> int:
-    results = _verification.run_all(threads=args.threads)
-    if args.format == "csv":
-        rows = [(r.name, "pass" if r.passed else "FAIL",
-                 round(r.elapsed, 3)) for r in results]
-        _emit(_csv_text(("check", "result", "seconds"), rows), args.out)
-    else:
-        _emit(_json_text({
-            "checks": [r.to_json_dict() for r in results],
-            "all_passed": all(r.passed for r in results)}), args.out)
-    return _EXIT_OK if all(r.passed for r in results) else _EXIT_FAILED
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail,
+               "elapsed_seconds": round(r.elapsed, 3)}
+              for r in _verification.run_all(threads=args.threads)]
+    passed = all(c["passed"] for c in checks)
+    _write(args, {"checks": checks, "all_passed": passed},
+           (("check", "result", "seconds"),
+            [(c["name"], "pass" if c["passed"] else "FAIL",
+              c["elapsed_seconds"]) for c in checks]))
+    return _EXIT_OK if passed else _EXIT_FAILED
 
 
 _RUNNERS = {

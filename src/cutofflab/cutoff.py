@@ -11,7 +11,7 @@ this yields the full profile.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable
@@ -225,9 +225,6 @@ class ProfilePoint:
     t: float
     lower: float
     upper: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def profile(descriptor: SpaceDescriptor,

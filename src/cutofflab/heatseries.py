@@ -6,7 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -54,12 +54,6 @@ class TruncationReport:
     @property
     def total(self) -> float:
         return self.partial_sum + self.tail_bound
-
-    def to_json_dict(self) -> dict:
-        """The fields, in order; an overflowing partial sum and a missing
-        certificate print as "inf"."""
-        return {k: v if not isinstance(v, float) or math.isfinite(v) else "inf"
-                for k, v in asdict(self).items()}
 
 
 def _fold(descriptor: SpaceDescriptor) -> int:
@@ -599,9 +593,10 @@ def dominating_series(descriptor: SpaceDescriptor, t: float,
         tail = _tail_bound(descriptor, t, cap, t0)
         table = _term_table(descriptor, cap)
         rates, log_a = table.levels
-        row = rates * t  # one buffer for exp(log_a - t * rates)
-        np.subtract(log_a, row, out=row)
+        # a huge t overflows t * rates to +inf, whose exp is 0
         with np.errstate(under="ignore", over="ignore"):
+            row = rates * t  # one buffer for exp(log_a - t * rates)
+            np.subtract(log_a, row, out=row)
             partial = float(np.exp(row, out=row).sum())
         # a larger cap cannot rescue a missing certificate
         if not math.isfinite(tail) or tail < 1e-6 * max(partial, 1e-30):
@@ -638,20 +633,6 @@ class SweepResult:
     max_half: Optional[float]
     argmax_half: Optional[Weight]
     size_cap: int
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "max_value": self.max_value,
-            "argmax_weight": str(self.argmax),
-            "certified": self.certified,
-            "max_integer": self.max_integer,
-            "argmax_integer": str(self.argmax_integer),
-            "size_cap": self.size_cap,
-        }
-        if self.max_half is not None:
-            out["max_half"] = self.max_half
-            out["argmax_half"] = str(self.argmax_half)
-        return out
 
 
 # values of a sweep this close to its maximum, relative, tie: well above
@@ -919,5 +900,6 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
     else:
         raise UnsupportedSpace(
             "point_spec needs 'alphabet', 'theta' or 'zonal_values'")
-    return 1.0 + float((dim * np.exp(-t / 2.0 * rate) * values).sum())
+    with np.errstate(under="ignore", over="ignore"):  # as in the series
+        return 1.0 + float((dim * np.exp(-t / 2.0 * rate) * values).sum())
 

@@ -478,14 +478,6 @@ class EigenEntry:
         return (self.max_residual <= self.tolerance
                 and self.computed_mult == self.claimed_mult)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalue": str(self.eigenvalue),
-            "claimed_mult": self.claimed_mult,
-            "computed_mult": self.computed_mult,
-            "max_residual": self.max_residual,
-        }
-
 
 @dataclass(frozen=True)
 class EigenReport:
@@ -496,17 +488,6 @@ class EigenReport:
     entries: tuple[EigenEntry, ...]
     dims_match: bool
     verified: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "dims_match": self.dims_match,
-            "verified": self.verified,
-        }
 
 
 def _claimed_eigentable(algebra: str, n: int, k: int,

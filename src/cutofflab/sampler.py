@@ -39,6 +39,11 @@ __all__ = [
 
 _MAX_STEP = 0.05
 MAX_PATHS = 1_000_000  # most paths one estimate or simulation runs
+# most Euler steps one path runs: a time with more steps of the configured
+# size is refused before any draw.  A step of two paths on SO(3), SU(3) or
+# USp(2) took 50-70 us on one Xeon core, so one chunk of paths at the limit
+# runs for several seconds, and 256 paths for about half a minute
+_MAX_STEP_COUNT = 100_000
 _RENORM_EVERY = 50  # Euler steps between projections back onto the group
 _PURPOSE_PATH = 0
 _PURPOSE_HAAR = 1
@@ -85,16 +90,6 @@ class Estimate:
     n_samples: int
     statistic: str
     t: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        mean = self.mean
-        payload = {"mean": mean.real if abs(mean.imag) < 1e-14 else
-                   {"re": mean.real, "im": mean.imag},
-                   "std_error": self.std_error,
-                   "n_samples": self.n_samples,
-                   "statistic": self.statistic,
-                   "t": self.t}
-        return payload
 
 
 class _Streams:
@@ -277,6 +272,10 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
     stream, so its endpoint does not depend on which other paths run with it.
     """
     require_time(t, allow_zero=True)
+    # compared before rounding: t / step_size may overflow ceil's range
+    if t / config.step_size > _MAX_STEP_COUNT:
+        raise TooLarge(f"t = {t} at step size {config.step_size} needs "
+                       f"more than {_MAX_STEP_COUNT} steps")
     algebra, rank = descriptor.algebra, descriptor.param
     size = matrix_side(algebra, rank)
     # the path runs in real form; see ``_real_form``

@@ -197,22 +197,6 @@ class SpaceDescriptor:
         """The isometry group of this space as a group-family descriptor."""
         return self if self.is_group else describe(self.ambient, self.param)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "n": self.n,
-            "q": self.q,
-            "beta": self.beta,
-            "alpha_cutoff": self.alpha_cutoff,
-            "n0": self.n0,
-            "c_lower": self.c_lower,
-            "C_upper": self.C_upper,
-            "gamma_b": self.gamma_b,
-            "gamma_a": self.gamma_a,
-            "drift_alpha": str(self.drift_alpha),
-            "is_group": self.is_group,
-        }
-
     def __str__(self) -> str:
         if self.q is not None:
             return f"{self.family.value}({self.n},{self.q})"

@@ -39,14 +39,6 @@ class CheckResult:
     detail: dict
     elapsed: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
-
 
 # -- 1: special-unitary dimensions against tableau counting ----------------
 
@@ -263,8 +255,13 @@ def _check_eigen_tables() -> tuple[bool, dict]:
         report = _moments.verify_eigentable(algebra, n, k, l)
         label = f"{algebra} n={n} k={k} l={l}"
         if not report.verified:  # a residual past tolerance or a count off
-            return False, {"case": label,
-                           "report": report.to_json_dict()}
+            return False, {"case": label, "dims_match": report.dims_match,
+                           "failures": [
+                               {"eigenvalue": str(e.eigenvalue),
+                                "claimed": e.claimed_mult,
+                                "computed": e.computed_mult,
+                                "residual": e.max_residual}
+                               for e in report.entries if not e.verified]}
         summaries.append({"case": label, "distinct": len(report.entries),
                           "max_residual": max(e.max_residual
                                               for e in report.entries)})

@@ -206,7 +206,8 @@ def test_simulate_streams_the_bytes_of_the_whole_text(capsys, tmp_path, fmt,
                                            0, paths, None)
         rows = [(i, float(v.real), float(v.imag)) for i, v in enumerate(values)]
         if fmt == "csv":
-            want = cli._csv_text(("path", "omega_re", "omega_im"), rows)
+            want = "".join(cli._csv_lines(("path", "omega_re", "omega_im"),
+                                          rows))
         else:
             want = cli._json_text({
                 "space": str(desc), "t": float(t), "seed": 3,
@@ -329,6 +330,57 @@ def test_verify_all_exit_code_tracks_the_results(capsys, monkeypatch):
     assert code == 1
     assert payload["all_passed"] is False
     assert payload["checks"][2]["passed"] is False
+
+
+def test_verify_all_writes_one_rounding_to_json_and_csv(capsys, monkeypatch):
+    results = [CheckResult("alpha", True, {"worst": 0.5}, 0.12345),
+               CheckResult("beta", False, {"case": "x"}, 2.0)]
+    monkeypatch.setattr(cli._verification, "run_all",
+                        lambda threads=1: results)
+    code, out = _run(capsys, "verify-all")
+    assert code == 1
+    assert json.loads(out) == {
+        "all_passed": False,
+        "checks": [{"name": "alpha", "passed": True, "detail": {"worst": 0.5},
+                    "elapsed_seconds": 0.123},
+                   {"name": "beta", "passed": False, "detail": {"case": "x"},
+                    "elapsed_seconds": 2.0}]}
+    code, out = _run(capsys, "verify-all", "--format", "csv")
+    assert code == 1
+    assert out == "check,result,seconds\nalpha,pass,0.123\nbeta,FAIL,2\n"
+
+
+def test_a_failing_eigen_table_check_reports_plain_data(capsys, monkeypatch):
+    from cutofflab import verification
+
+    real = moments.verify_eigentable
+
+    def broken(algebra, n, k, l=0):
+        report = real(algebra, n, k, l)
+        first = report.entries[0]
+        entry = moments.EigenEntry(first.eigenvalue, claimed_mult=999,
+                                   computed_mult=first.computed_mult,
+                                   max_residual=first.max_residual)
+        return moments.EigenReport(report.algebra, report.n, report.k,
+                                   report.l, (entry,) + report.entries[1:],
+                                   report.dims_match, False)
+
+    monkeypatch.setattr(verification._moments, "verify_eigentable", broken)
+    result = verification.run_check("eigen-tables")
+    assert not result.passed
+    assert result.detail["case"] == "so n=4 k=2 l=0"
+    assert result.detail["failures"] == [{
+        "eigenvalue": str(real("so", 4, 2).entries[0].eigenvalue),
+        "claimed": 999,
+        "computed": real("so", 4, 2).entries[0].computed_mult,
+        "residual": real("so", 4, 2).entries[0].max_residual}]
+    # the detail goes through the writer as it is
+    monkeypatch.setattr(cli._verification, "run_all",
+                        lambda threads=1: [result])
+    code, out = _run(capsys, "verify-all")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["detail"] == json.loads(
+        json.dumps(result.detail))
 
 
 @pytest.mark.parametrize("verb", [
@@ -541,6 +593,26 @@ def test_path_counts_and_loop_caps_above_their_limits_exit_with_code_two(
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("verb", [
+    ("simulate", "--t", "1e308"),
+    ("estimate", "--statistic", "trace", "--t", "1e308"),
+    ("simulate", "--t", "5000.001"),
+    ("estimate", "--statistic", "trace", "--t", "5000.001"),
+    ("simulate", "--t", "1", "--steps", "100001"),
+], ids=lambda v: " ".join(v))
+def test_step_counts_above_the_limit_exit_with_code_two(capsys, verb):
+    argv = [*verb, "--family", "SO", "--n", "3", "--paths", "2"]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: t = ")
+    assert "needs more than 100000 steps" in captured.err
     assert elapsed < 1.0
 
 

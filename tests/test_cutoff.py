@@ -348,11 +348,16 @@ def test_profile_csv_layout(capsys):
     assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
-def test_profile_json_round_trip():
+def test_profile_json_round_trip(capsys):
     import json
 
+    from cutofflab import cli
+
+    assert cli.main(["profile", "--family", "SO", "--n", "11", "--t-min", "2",
+                     "--t-max", "3", "--points", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["points"][0]["t"] == 2.0
+    assert set(payload["points"][0]) == {"t", "lower", "upper"}
     desc = spaces.describe("SO", 11)
-    points = co.profile(desc, [2.0])
-    payload = json.loads(json.dumps([p.to_json_dict() for p in points]))
-    assert payload[0]["t"] == 2.0
-    assert set(payload[0]) == {"t", "lower", "upper"}
+    assert [[p["t"], p["lower"], p["upper"]] for p in payload["points"]] == [
+        [p.t, p.lower, p.upper] for p in co.profile(desc, [2.0, 3.0])]

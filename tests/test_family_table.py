@@ -68,7 +68,12 @@ def _row(desc) -> dict:
     t0 = t_zero(desc)
     table = _term_table(desc, 12)
     return {
-        "descriptor": desc.to_json_dict(),
+        "descriptor": {
+            "family": desc.family.value, "n": desc.n, "q": desc.q,
+            "beta": desc.beta, "alpha_cutoff": desc.alpha_cutoff,
+            "n0": desc.n0, "c_lower": desc.c_lower, "C_upper": desc.C_upper,
+            "gamma_b": desc.gamma_b, "gamma_a": desc.gamma_a,
+            "drift_alpha": str(desc.drift_alpha), "is_group": desc.is_group},
         "algebra": desc.algebra,
         "proven_min_n": desc.proven_min_n,
         "indexing_set": [idx.kind.value, idx.length],

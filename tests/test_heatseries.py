@@ -36,7 +36,8 @@ from cutofflab.heatseries import (
 from cutofflab.partitions import (MAX_LABELS, Weight, WeightKind,
                                   enumerate_by_size)
 from cutofflab.repchar import casimir_exponent, dimension, schur
-from cutofflab.spaces import _chirality, describe, indexing_set, minimal_weight
+from cutofflab.spaces import (FAMILY_NAMES, _TABLE, Family, _chirality,
+                              describe, indexing_set, minimal_weight)
 from exact_oracle import oracle_density
 from label_oracle import oracle_labels
 from table_oracle import oracle_series_sum
@@ -141,7 +142,6 @@ def test_below_cutoff_reports_infinite_tail():
     d = describe("SO", 11)
     report = dominating_series(d, 0.5 * t_zero(d))
     assert math.isinf(report.tail_bound)
-    assert report.to_json_dict()["tail_bound"] == "inf"
     assert tv_upper_bound(d, 0.5 * t_zero(d)) == 1.0
 
 
@@ -378,11 +378,92 @@ def test_sweep_rank_floors():
         per_term_bound_sweep(describe("USp", 3), size_cap=1)
 
 
-def test_sweep_json_shape():
-    out = per_term_bound_sweep(describe("SO", 11), 20).to_json_dict()
-    assert {"max_value", "argmax_weight", "certified", "max_integer",
-            "argmax_integer", "max_half", "argmax_half",
-            "size_cap"} <= set(out)
+def test_sweep_json_shape(capsys):
+    import json
+
+    from cutofflab import cli
+
+    for family, n, half in (("SO", 11, True), ("USp", 5, False)):
+        assert cli.main(["bound-sweep", "--family", family, "--n", str(n),
+                         "--cap", "20"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        sweep = per_term_bound_sweep(describe(family, n), 20)
+        assert out["argmax_weight"] == str(sweep.argmax)
+        assert {"space", "max_value", "argmax_weight", "certified",
+                "max_integer", "argmax_integer", "size_cap"} <= set(out)
+        # the half fields appear exactly where the labels have half parts
+        assert ({"max_half", "argmax_half"} <= set(out)) is half
+        assert (sweep.max_half is not None) is half
+
+
+def test_a_huge_time_warns_of_no_overflow():
+    import warnings
+
+    from cutofflab.cutoff import profile
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family, n, q in (("SO", 10, None), ("SU", 5, None),
+                             ("GrR", 12, 3), ("USpn_Un", 5, None)):
+            d = describe(family, n, q)
+            report = dominating_series(d, 1e308)
+            assert report.partial_sum == 0.0
+            assert math.isfinite(report.tail_bound)
+            assert tv_upper_bound(d, 1e308) < 1e-150
+            assert [p.upper for p in profile(d, [1.0, 1e308])][1] < 1e-150
+        for family, n, angles in (("SO", 5, (0.3, 1.1)),
+                                  ("SU", 3, (0.1, 0.5, -0.6)),
+                                  ("USp", 2, (0.4, 1.3))):
+            alphabet = [cmath.exp(1j * a) for a in angles]
+            assert density(describe(family, n), {"alphabet": alphabet},
+                           1e308) == 1.0
+        assert density(describe("SU", 2), {"theta": 0.3}, 1e308) == 1.0
+
+
+def test_the_command_line_prints_nothing_on_stderr_at_a_huge_time():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutofflab.cli", "tv-bound", "--family", "SO",
+         "--n", "10", "--t", "1e308"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert '"certified": true' in proc.stdout
+
+
+def _per_term_sweep_spaces(family: str) -> list:
+    """n from the proven rank to 13 past it, with q in {1, 2, n // 2} on
+    the Grassmannians, each space once (q and n - q are one space)."""
+    start = _TABLE[Family(family)].proven_min_n
+    out = {}
+    for n in range(start, start + 14):
+        for q in ({1, 2, n // 2} if family.startswith("Gr") else {None}):
+            if q is None or q < n:
+                desc = describe(family, n, q)
+                out[str(desc)] = desc
+    return list(out.values())
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_per_term_constants_hold_on_every_family(family):
+    # each argmax of a cap-40 sweep against the row's constants, exactly
+    spaces = _per_term_sweep_spaces(family)
+    assert len(spaces) >= 14
+    for desc in spaces:
+        sweep = per_term_bound_sweep(desc, 40)
+        const_int, const_half = desc.per_term
+        assert not per_term_exceeds(desc, sweep.argmax_integer, const_int), (
+            str(desc), str(sweep.argmax_integer))
+        if sweep.argmax_half is not None:
+            assert const_half is not None, str(desc)
+            assert not per_term_exceeds(desc, sweep.argmax_half,
+                                        const_half), (
+                str(desc), str(sweep.argmax_half))
 
 
 def test_per_term_exact_comparison_on_rational_value():

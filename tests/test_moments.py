@@ -193,9 +193,7 @@ def test_eigen_tables_verify(algebra, n, spec):
     total = sum(e.computed_mult for e in report.entries)
     d = 2 * n if algebra == "usp" else n
     assert total == d ** (k + l)
-    payload = report.to_json_dict()
-    assert payload["verified"] is True
-    assert all("max_residual" in e for e in payload["entries"])
+    assert all(e.verified for e in report.entries)
 
 
 @pytest.mark.parametrize("algebra,n,spec", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ def test_config_refuses_more_paths_than_the_limit():
         sa.SimulationConfig(paths=sa.MAX_PATHS + 1)
 
 
+def test_step_counts_past_the_limit_are_refused_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused time drew normals")
+
+    monkeypatch.setattr(sa, "_Streams", no_draws)
+    desc = spaces.describe("SO", 3)
+    config = sa.SimulationConfig(paths=2)
+    limit = sa._MAX_STEP_COUNT * config.step_size
+    for t in (1e308, limit * (1.0 + 1e-12), math.nextafter(limit, math.inf)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="needs more than 100000 steps"):
+            sa.simulate_endpoints(desc, t, config, [0, 1])
+        assert time.perf_counter() - start < 1.0
+    # the limit sits far above every time the checks and benchmarks run
+    assert limit >= 1000.0
+
+
 def test_statistic_validation():
     desc = spaces.describe("SO", 4)
     config = sa.SimulationConfig(paths=2)
@@ -180,15 +198,21 @@ def test_omega_statistic_reduces_to_the_trace_on_groups():
     assert a.mean == b.mean
 
 
-def test_estimate_serialization():
-    desc = spaces.describe("SU", 2)
-    config = sa.SimulationConfig(paths=8, seed=0)
-    est = sa.estimate(desc, "trace", 0.4, config)
-    payload = est.to_json_dict()
+def test_estimate_serialization(capsys):
+    import json
+
+    from cutofflab import cli
+
+    assert cli.main(["estimate", "--family", "SU", "--n", "2", "--t", "0.4",
+                     "--statistic", "trace", "--paths", "8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["statistic"] == "trace"
     assert payload["n_samples"] == 8
     assert payload["t"] == 0.4
-    assert "std_error" in payload
+    est = sa.estimate(spaces.describe("SU", 2), "trace", 0.4,
+                      sa.SimulationConfig(paths=8, seed=0))
+    assert payload["mean"] == est.mean
+    assert payload["std_error"] == est.std_error
 
 
 def test_step_count_scales_with_time():

@@ -124,12 +124,16 @@ def test_str_forms():
     assert str(describe("SO", 10)) == "SO(10)"
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
+    from cutofflab import cli
+
     d = describe("GrH", 5, 2)
-    parsed = json.loads(json.dumps(d.to_json_dict()))
-    assert parsed == d.to_json_dict()
+    assert cli.main(["describe", "--family", "GrH", "--n", "5",
+                     "--q", "2"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
     assert parsed["family"] == "GrH" and parsed["n"] == 5 and parsed["q"] == 2
     assert parsed["drift_alpha"] == str(d.drift_alpha)
+    assert parsed["is_group"] is False and parsed["beta"] == d.beta
 
 
 # -- indexing sets ---------------------------------------------------------

@@ -4,7 +4,8 @@ for bit, the fold and the chirality factor sit where the root types say
 (the factor as one rule over rows of doubled parts),
 and the functions on the path name no ``Family`` member.  The density's
 float engine reads the term table alone: neither it nor a helper it calls
-names an exact per-label route."""
+names an exact per-label route.  The output format has one home: no module
+but the command line defines ``to_json_dict`` or imports ``json``."""
 
 from __future__ import annotations
 
@@ -177,3 +178,44 @@ def test_the_scan_follows_the_density_into_its_helpers():
                      "    return enumerate_by_size(d)\n")
     named = _names_reached(tree, "density") & set(EXACT_ROUTES)
     assert named == {"dimension"}
+
+
+# -- the command line is the one home of the output format ------------------
+
+
+def _output_policy(tree: ast.Module) -> list[str]:
+    """``to_json_dict`` definitions and ``json`` imports anywhere in a module."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "to_json_dict"):
+            out.append(f"line {node.lineno}: def to_json_dict")
+        elif isinstance(node, ast.Import):
+            out += [f"line {node.lineno}: import {a.name}" for a in node.names
+                    if a.name.split(".")[0] == "json"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "json"):
+            out.append(f"line {node.lineno}: from {node.module} import")
+    return out
+
+
+def test_only_the_command_line_formats_output():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "cli.py" in modules
+    found = {path.name: _output_policy(ast.parse(path.read_text()))
+             for path in modules if path.name != "cli.py"}
+    found = {name: refs for name, refs in found.items() if refs}
+    assert not found, f"output format outside cli.py: {found}"
+
+
+def test_the_scan_sees_output_policy():
+    tree = ast.parse("import json as js\n"
+                     "from json import dumps\n\n\n"
+                     "class Report:\n"
+                     "    def to_json_dict(self):\n"
+                     "        return {}\n\n\n"
+                     "def to_dict():\n"
+                     "    import jsonschema\n")
+    assert _output_policy(tree) == ["line 1: import json",
+                                    "line 2: from json import",
+                                    "line 6: def to_json_dict"]
