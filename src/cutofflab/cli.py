@@ -418,7 +418,13 @@ def _run_simulate(parser, args) -> int:
         parser.error("--steps must be >= 1")
     require_time(args.t, allow_zero=True)
     # at t = 0 every path stays at the identity, whatever the steps
-    step = args.t / args.steps if args.steps and args.t > 0 else 0.05
+    step = 0.05
+    if args.steps and args.t > 0:
+        # the sampler runs ceil(t / step) steps, one too many where t / steps
+        # rounds down: step up to the first size that gives the count asked
+        step = args.t / args.steps
+        while step and math.ceil(args.t / step) > args.steps:
+            step = math.nextafter(step, math.inf)
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
                                        step_size=step)
     # chunk by chunk, as in estimate: memory grows with one value per path

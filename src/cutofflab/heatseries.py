@@ -364,18 +364,23 @@ def _term_table(descriptor: SpaceDescriptor, size_cap: int) -> _TermTable:
 # -- certified tails -------------------------------------------------------
 
 
-def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
-    """Upper bound on the sum of x^{|mu|} over partitions mu of length
-    <= max_len with |mu| > beyond: the exact tail, rounded outward; +inf
+def _partition_tails(log_x: float, beyonds: Sequence[int],
+                     max_len: int) -> list[float]:
+    """Upper bounds on the sum of x^{|mu|} over partitions mu of length
+    <= max_len with |mu| > beyond, for one or two sizes ``beyonds``, from
+    one pass over the stages: each the exact tail, rounded outward; +inf
     only when log_x >= 0 or when the product P below overflows.
 
     By conjugation these are the partitions into parts <= L = max_len, of
     sum P_L = prod_{k<=L} 1/(1 - w_k), w_k = x^k.  If T_k(b) sums x^{|mu|}
     over those into parts <= k with |mu| > b, removing a part k gives
         T_k(b) = T_{k-1}(b) + w_k (T_k(b - k) if b >= k else P_k),
-    T_0(b) = 0 for b >= 0, and T_k(-1) = P_k (T_0 = 1).  T_L(beyond) takes
-    O(min(L, beyond) beyond + L) steps: a stage k > beyond only adds
-    w_k P_k to the last entry, and the stages stop once w_k underflows.
+    T_0(b) = 0 for b >= 0, and T_k(-1) = P_k (T_0 = 1).  The row T_k(0 ..
+    top), top the larger size, holds the smaller one's tail too, and
+    T_k(-1) only adds w_k P_k, so each tail is the value a pass of its own
+    would give, bit for bit, from one set of stages.  The pass takes
+    O(min(L, top) top + L) steps: a stage k > top only adds w_k P_k to the
+    two tails, and the stages stop once w_k underflows.
 
     Rounding.  The inputs err outward by one ``math.nextafter`` step each,
     which covers libm's exp and expm1 (within 1 ulp on glibc): c_k = k|log x|
@@ -395,23 +400,29 @@ def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
     at most K (max(beyond, 0) + 2) times; stages cut by an underflow at k
     add P_L sum_{j>=k} x^j < P_L 2^-1074 (1 + 1/|log x|).  So the floor
     P_K 2^-1074 (K (max(beyond, 0) + 2) + 2 + 2/|log x|), stepped up, is
-    added before the factor."""
+    added before the factor.  Each tail takes its own floor and factor."""
     if not log_x < 0.0:
-        return math.inf
-    rate, beyond = -log_x, max(beyond, -1)
-    tail = [0.0] * (beyond + 1) or [1.0]  # T_k(b), b = 0..beyond; or P_k
+        return [math.inf] * len(beyonds)
+    nextafter, exp, expm1, inf = math.nextafter, math.exp, math.expm1, math.inf
+    rate = -log_x
+    top, low_end = max(beyonds), min(beyonds)  # a size below 0 acts as -1
+    tail = [0.0] * (top + 1) or [1.0]  # T_k(b), b = 0..top; or P_k
+    # T_k(top) and T_k(low_end) as scalars: the row holds them up to stage
+    # top, and T_k(-1) adds every step
+    high, low = tail[-1], 1.0 if low_end < 0 else 0.0
     prod, stages = 1.0, 0
     for k in range(1, max_len + 1):
-        cost = math.nextafter(k * rate, 0.0)
-        w = math.exp(-cost)
+        cost = nextafter(k * rate, 0.0)
+        w = exp(-cost)
         if w == 0.0:
             break
-        w, stages = math.nextafter(w, math.inf), k
-        q = math.nextafter(-math.expm1(-cost), 0.0)
-        prod = prod / q if q else math.inf  # an overflow runs on as +inf
+        w, stages = nextafter(w, inf), k
+        q = nextafter(-expm1(-cost), 0.0)
+        prod = prod / q if q else inf  # an overflow runs on as +inf
         step = w * prod
-        if k > beyond:
-            tail[-1] += step
+        low += step
+        if k > top:
+            high += step
             continue
         row = [t + step for t in tail[:k]]
         append = row.append
@@ -419,12 +430,24 @@ def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
         for t, lagged in zip(tail[k:], row):
             append(t + w * lagged)
         tail = row
-    size = max(beyond, 0)
-    floor = math.ldexp(prod * (stages * (size + 2) + 2.0 + 2.0 / rate), -1074)
-    n = (2 * stages + 2 * size + 1) * 2.0 ** -53
-    factor = math.nextafter(1.0 + n / (1.0 - 2.0 * n), math.inf)
-    total = math.nextafter(tail[-1] + math.nextafter(floor, math.inf), math.inf)
-    return math.nextafter(total * factor, math.inf)
+        high = tail[-1]
+        if low_end >= 0:
+            low = tail[low_end]
+    ldexp, out = math.ldexp, []
+    for end in beyonds:
+        size = end if end > 0 else 0
+        floor = ldexp(prod * (stages * (size + 2) + 2.0 + 2.0 / rate), -1074)
+        n = (2 * stages + 2 * size + 1) * 2.0 ** -53
+        factor = nextafter(1.0 + n / (1.0 - 2.0 * n), inf)
+        total = nextafter((high if end == top else low)
+                          + nextafter(floor, inf), inf)
+        out.append(nextafter(total * factor, inf))
+    return out
+
+
+def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
+    """The one tail beyond a size: ``_partition_tails`` at one size."""
+    return _partition_tails(log_x, (beyond,), max_len)[0]
 
 
 def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
@@ -546,11 +569,12 @@ def _tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
         log_x, beyond = 2.0 * log_x, cap // 2
         if kind is WeightKind.doubledY:
             length //= 2
-    tail = c_int * _partition_tail(log_x, beyond, length)
-    if kind is WeightKind.halfY:
-        tail += (c_half * math.exp(-gap * half_shift)
-                 * _partition_tail(log_x, _half_cap(cap, length), length))
-    return tail
+    if kind is not WeightKind.halfY:
+        return c_int * _partition_tails(log_x, (beyond,), length)[0]
+    # the integer labels and the half labels from one pass
+    ints, halves = _partition_tails(log_x, (beyond, _half_cap(cap, length)),
+                                    length)
+    return c_int * ints + c_half * math.exp(-gap * half_shift) * halves
 
 
 def _escalating_caps(indexing: IndexingSetKind) -> Iterator[int]:

@@ -294,9 +294,11 @@ def _identity_part(algebra: str, n: int, k: int, l: int) -> float:
     return (same - k * l) / (n * n)
 
 
+@lru_cache(maxsize=256)
 def _shift(algebra: str, n: int, k: int, l: int) -> float:
     """The scalar part of the generator: the drift of every slot, plus the
-    identity parts of the pair terms."""
+    identity parts of the pair terms; cached, as the exact drift costs
+    microseconds of ``Fraction`` arithmetic a call."""
     return (float((k + l) * drift_coefficient(algebra, n) / 2)
             + _identity_part(algebra, n, k, l))
 

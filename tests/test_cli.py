@@ -7,6 +7,7 @@ import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from cutofflab import cli, moments
@@ -270,6 +271,51 @@ def test_simulate_at_time_zero_gives_the_identity_rows(capsys):
     code, with_steps = _run(capsys, *argv, "--steps", "4")
     assert code == 0
     assert with_steps == out
+
+
+STEP_TIMES = ("0.3", "0.5", "0.7", "1", "1.3", "2.9", "3.7")
+
+
+def test_simulate_steps_gives_the_sampler_that_many_steps(capsys, monkeypatch):
+    # t / steps rounds down on 39 of these 1,393 pairs, where ceil(t / step),
+    # the count simulate_endpoints runs, was steps + 1; a step size past
+    # 0.05 is refused as before
+    seen = []
+
+    def record(desc, statistic, t, config, start, stop, threshold):
+        seen.append((t, config.step_size))
+        return np.zeros(stop - start, dtype=complex)
+
+    monkeypatch.setattr(cli._sampler, "_values_for_range", record)
+    for t in STEP_TIMES:
+        for steps in range(1, 200):
+            seen.clear()
+            code, _ = _run(capsys, "simulate", "--family", "SO", "--n", "3",
+                           "--t", t, "--paths", "1", "--steps", str(steps))
+            if float(t) / steps > 0.05:
+                assert code == 2, (t, steps)
+                continue
+            assert code == 0, (t, steps)
+            [(time_, step)] = seen
+            assert math.ceil(time_ / step) == steps, (t, steps)
+            # the nearest such step: one ulp less gives steps + 1
+            assert step == float(t) / steps or math.ceil(
+                time_ / math.nextafter(step, 0.0)) == steps + 1, (t, steps)
+
+
+@pytest.mark.parametrize("t,steps", [("0.5", 49), ("2.9", 59), ("3.7", 104),
+                                     ("0.3", 7)])
+def test_simulate_runs_the_steps_asked_for(capsys, monkeypatch, t, steps):
+    from cutofflab import sampler
+
+    calls = []
+    real = sampler._expm_antisymmetric
+    monkeypatch.setattr(sampler, "_expm_antisymmetric",
+                        lambda xi: calls.append(1) or real(xi))
+    code, _ = _run(capsys, "simulate", "--family", "SO", "--n", "3", "--t", t,
+                   "--paths", "1", "--steps", str(steps))
+    assert code == 0
+    assert len(calls) == steps
 
 
 def test_circle_density_matches_the_theta_series(capsys):

@@ -16,6 +16,7 @@ import pytest
 
 from cutofflab.heatseries import (_fold, _su_steps, _tail_bound, _term_table,
                                   t_zero)
+from cutofflab.partitions import _half_cap
 from cutofflab.spaces import (FAMILY_NAMES, CharType, Family, _TABLE,
                               _chiralities, _chirality, describe,
                               indexing_set)
@@ -44,6 +45,27 @@ def test_tail_bound_equals_the_per_family_oracle(family):
                 got = _tail_bound(desc, ratio * t0, cap, t0)
                 want = oracle_tail_bound(desc, ratio * t0, cap, t0)
                 assert got == want, (str(desc), ratio, cap)
+
+
+# SO(n)'s half labels sit above the half cap (2 cap - n // 2) // 2, which
+# falls from positive through 0 to far below it as the length grows
+LONG_SO = (10, 81, 82, 161, 1001, 10**5)
+
+
+@pytest.mark.parametrize("n", LONG_SO)
+def test_tail_bound_equals_the_oracle_at_long_lengths(n):
+    desc = describe("SO", n)
+    t0 = t_zero(desc)
+    for cap in (40, 80, 160):
+        for ratio in RATIOS:
+            got = _tail_bound(desc, ratio * t0, cap, t0)
+            want = oracle_tail_bound(desc, ratio * t0, cap, t0)
+            assert got == want, (n, ratio, cap)
+
+
+def test_the_long_lengths_reach_every_sign_of_the_half_cap():
+    halves = {_half_cap(cap, n // 2) for n in LONG_SO for cap in (40, 80, 160)}
+    assert min(halves) < 0 and 0 in halves and max(halves) > 0
 
 
 @pytest.mark.parametrize("family", ("SU", "SUn_SOn", "SU2n_USpn"))

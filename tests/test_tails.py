@@ -25,10 +25,11 @@ import pytest
 
 from cutofflab import cutoff, heatseries
 from cutofflab.cutoff import mean_variance, zonal_square_series
-from cutofflab.heatseries import (_partition_tail, _su_dp_tail, _su_steps,
-                                  _term_table, _vector_b, _vector_log_dim)
+from cutofflab.heatseries import (_partition_tail, _partition_tails,
+                                  _su_dp_tail, _su_steps, _term_table,
+                                  _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
-from cutofflab.partitions import Weight, label_table
+from cutofflab.partitions import Weight, _half_cap, label_table
 from cutofflab.repchar import casimir_exponent, dimension
 from cutofflab.errors import InvalidRank
 from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
@@ -141,6 +142,21 @@ def test_partition_tail_far_below_the_subnormal_range():
             for beyond in (0, 40, 80, 150):
                 _assert_brackets(log_x, beyond, max_len)
     assert mpmath_partition_tail(-800.0, 150, 20) < mpmath.mpf(10) ** -52000
+
+
+def test_one_pass_brackets_the_oracle_below_a_half_cap_of_zero():
+    # SO(1001) at cap 40: the half labels' size cap is -210, so their tail
+    # sums every partition of at most 500 parts, in the pass that gives the
+    # integer labels' tail beyond 40
+    desc = describe("SO", 1001)
+    t0 = heatseries.t_zero(desc)
+    log_x = -(1.1 * t0 - t0) / 2.0
+    half = _half_cap(40, 500)
+    assert half < -1
+    for got, beyond in zip(_partition_tails(log_x, (40, half), 500),
+                           (40, half)):
+        true = mpmath_partition_tail(log_x, beyond, 500)
+        assert true <= mpmath.mpf(got) <= true * (1 + 1e-12), beyond
 
 
 def test_partition_tail_at_non_negative_log_x_is_infinite():

@@ -179,6 +179,23 @@ def test_a_profile_sums_only_its_certified_times(monkeypatch):
     assert [(desc, cap) for desc, _, cap, _ in tails] == reads
 
 
+@pytest.mark.parametrize("family,n,q,sizes", [
+    ("SO", 10, None, 2), ("SO", 1001, None, 2), ("USp", 5, None, 1),
+    ("GrR", 14, 3, 1)])
+def test_each_tail_bound_runs_one_partition_tail_pass(monkeypatch, family, n,
+                                                      q, sizes):
+    # SO(n)'s integer and half labels share one pass, whose half size is
+    # below 0 at SO(1001); the other families have one tail
+    d = describe(family, n, q)
+    passes = _spy(monkeypatch, "_partition_tails")
+    single = _spy(monkeypatch, "_partition_tail")
+    tails = _spy(monkeypatch, "_tail_bound")
+    profile(d, _grid(t_zero(d)))
+    assert tails and len(passes) == len(tails)
+    assert [len(beyonds) for _, beyonds, _ in passes] == [sizes] * len(tails)
+    assert single == []
+
+
 def test_the_series_reports_each_time_at_its_own_cap():
     d = describe("USp", 3)
     t0 = t_zero(d)
