@@ -347,12 +347,7 @@ def _run_eta(parser, args) -> int:
 
 
 def _run_density(parser, args) -> int:
-    if args.family == "circle":
-        desc = "circle"
-        label = "circle"
-    else:
-        desc = _space(parser, args)
-        label = str(desc)
+    desc = "circle" if args.family == "circle" else _space(parser, args)
     if (args.theta is None) == (args.alphabet is None):
         parser.error("give exactly one of --theta and --alphabet")
     if args.theta is not None:
@@ -367,7 +362,7 @@ def _run_density(parser, args) -> int:
         point = {"alphabet": [complex(math.cos(a), math.sin(a))
                               for a in angles]}
     value = density(desc, point, args.t, size_cap=args.cap)
-    _write(args, {"space": label, "t": args.t, "density": value})
+    _write(args, {"space": str(desc), "t": args.t, "density": value})
     return _EXIT_OK
 
 
@@ -418,12 +413,24 @@ def _run_simulate(parser, args) -> int:
         parser.error("--steps must be >= 1")
     require_time(args.t, allow_zero=True)
     # at t = 0 every path stays at the identity, whatever the steps
-    step = 0.05
+    step, limit = _sampler._MAX_STEP, _sampler._MAX_STEP_COUNT
     if args.steps and args.t > 0:
-        # the sampler runs ceil(t / step) steps, one too many where t / steps
-        # rounds down: step up to the first size that gives the count asked
-        step = args.t / args.steps
-        while step and math.ceil(args.t / step) > args.steps:
+        # the sampler runs ceil(t / step) steps, at least ceil(t / largest)
+        ratio = args.t / step
+        if ratio > args.steps:
+            raise ValueError(
+                f"--steps {args.steps} is too few for --t {args.t!r}: the "
+                f"step size must lie in (0, {step}], so " + (
+                    f"--t needs more than {limit} steps, the limit"
+                    if ratio > limit else
+                    f"--steps must be at least {math.ceil(ratio)}"))
+        step = min(args.t / args.steps, step)
+        if not step:
+            raise ValueError(f"--t {args.t!r} over --steps {args.steps} gives "
+                             "a step that underflows to 0: take fewer steps")
+        # one step too many where t / steps rounds down: step up to the first
+        # size that gives the count asked, at most the largest
+        while math.ceil(args.t / step) > args.steps:
             step = math.nextafter(step, math.inf)
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
                                        step_size=step)

@@ -445,11 +445,6 @@ def _partition_tails(log_x: float, beyonds: Sequence[int],
     return out
 
 
-def _partition_tail(log_x: float, beyond: int, max_len: int) -> float:
-    """The one tail beyond a size: ``_partition_tails`` at one size."""
-    return _partition_tails(log_x, (beyond,), max_len)[0]
-
-
 def _su_dp_tail(steps: Sequence[tuple[int, float]], beyond: int) -> float:
     """Upper bound on the sum of prod_i e^{-cost_i * delta_i} over delta >= 0
     with total size sum_i inc_i*delta_i > beyond; costs must be positive.
@@ -664,42 +659,24 @@ class SweepResult:
 _TIE_RTOL = 1e-12
 
 
-def _per_term_value(descriptor: SpaceDescriptor, weight: Weight) -> float:
-    """D^lambda * param^{-B} from the exact D and B: the float pre-filter of
-    ``per_term_exceeds``."""
-    dim = dimension(descriptor, weight)
-    b = casimir_exponent(descriptor, weight)
-    log_v = (math.log(dim.numerator) - math.log(dim.denominator)
-             - float(b) * math.log(descriptor.param))
-    return math.exp(log_v)
-
-
 def per_term_exceeds(descriptor: SpaceDescriptor, weight: Weight,
                      bound: Fraction) -> bool:
-    """Exact test of D^lambda * param^{-B} > bound.
-
-    A float pre-filter with a wide safety margin handles clear cases; values
-    within the margin fall back to exact integer power comparison.
-    """
-    return _exceeds(descriptor, weight, bound,
-                    _per_term_value(descriptor, weight))
+    """Exact test of D^lambda * param^{-B} > bound, by integer powers:
+    (D / bound)^q > param^p for B = p / q."""
+    dim = dimension(descriptor, weight)
+    b = casimir_exponent(descriptor, weight)
+    return ((dim / bound) ** b.denominator
+            > Fraction(descriptor.param) ** b.numerator)
 
 
 def _exceeds(descriptor: SpaceDescriptor, weight: Weight, bound: Fraction,
              val: float) -> bool:
     """per_term_exceeds with ``val``, a float of D^lambda * param^{-B} far
-    closer than 1e-6 relative, as the pre-filter: the exact dimension is
-    computed only within the margin."""
-    margin = 1e-6 * float(bound)
-    if val < float(bound) - margin:
-        return False
-    if val > float(bound) + margin:
-        return True
-    dim = dimension(descriptor, weight)
-    b = casimir_exponent(descriptor, weight)
-    lhs = (dim / bound) ** b.denominator
-    rhs = Fraction(descriptor.param) ** b.numerator
-    return lhs > rhs
+    closer than 1e-6 relative, as the pre-filter: the exact test runs only
+    within the margin."""
+    if abs(val - float(bound)) > 1e-6 * float(bound):
+        return val > float(bound)
+    return per_term_exceeds(descriptor, weight, bound)
 
 
 def per_term_bound_sweep(descriptor: SpaceDescriptor,
@@ -842,24 +819,21 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
     """Heat-kernel density p_t = sum_lambda D^lambda f(lambda) e^{-t B / 2}
     on a group (f the character at an eigenvalue alphabet, over the
     group's own integer labels), on SU(2) and SO(3) at a rotation angle,
-    on the circle, and on a rank-one quotient from caller-supplied zonal
-    values phi_k, phi_0 = 1, for k <= size_cap.
+    and on the circle; a quotient has no density form.
 
-    Every descriptor form sums the term table's integer rows up to the cap
-    (GrH's label (k, k) has size 2k), with D = exp(log_dim) and B = b, and
-    1 for the trivial label; the alphabet's characters come from one
-    ``repchar.characters`` call (chi * D at the identity class).  A value
-    differs from the per-label exact sum only in the order of additions
-    and the rounding of D: measured within 2e-14 of the sum of |terms| at
-    the identity class, where a term is chi D^2 e^{-tB/2}, and 1e-15
-    elsewhere.  It is a partial sum with no certificate for the rest, and
-    near the cut-off time it can be negative (at the angles (0.3, 0.9, 1.4,
-    2.0, 2.6) and t = 1, SO(10) reads -0.0022 at cap 40 and 2.1e-10 at cap
-    60, USp(5) -0.011 at cap 40).
+    Every form sums the term table's integer rows up to the cap, with
+    D = exp(log_dim) and B = b, and 1 for the trivial label; the alphabet's
+    characters come from one ``repchar.characters`` call (chi * D at the
+    identity class).  A value differs from the per-label exact sum only in
+    the order of additions and the rounding of D: measured within 2e-14 of
+    the sum of |terms| at the identity class, where a term is
+    chi D^2 e^{-tB/2}, and 1e-15 elsewhere.  It is a partial sum with no
+    certificate for the rest, and near the cut-off time it can be negative
+    (at the angles (0.3, 0.9, 1.4, 2.0, 2.6) and t = 1, SO(10) reads
+    -0.0022 at cap 40 and 2.1e-10 at cap 60, USp(5) -0.011 at cap 40).
 
-    A non-finite point, a negative ``size_cap`` or zonal values not led by
-    phi_0 = 1 raise ValueError; a ``size_cap`` of MAX_LABELS or more
-    raises TooLarge in every form."""
+    A non-finite point or a negative ``size_cap`` raises ValueError; a
+    ``size_cap`` of MAX_LABELS or more raises TooLarge in every form."""
     require_time(t)
     if size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
@@ -907,23 +881,8 @@ def density(descriptor: "SpaceDescriptor | str", point_spec: dict, t: float,
             raise UnsupportedSpace(f"no angle-form density for {descriptor}")
         rows, dim, rate = _own_rows(descriptor, size_cap)
         values = _rank_one_character(root, rows, theta)
-    elif "zonal_values" in point_spec:
-        if descriptor.is_group or descriptor.q != 1:
-            raise UnsupportedSpace(
-                "zonal-value densities exist for rank-one quotients only, "
-                f"not {descriptor}")
-        zonal = np.array([float(v) for v in point_spec["zonal_values"]])
-        if not np.isfinite(zonal).all():
-            raise ValueError("zonal values must be finite")
-        if not len(zonal) or zonal[0] != 1.0:
-            raise ValueError("zonal values must start with phi_0 = 1")
-        top = min(size_cap, len(zonal) - 1)
-        rows, dim, rate = _own_rows(
-            descriptor, top * indexing_set(descriptor).length)
-        values = zonal[rows[:, 0] // 2] if len(rows) else zonal[:0]
     else:
-        raise UnsupportedSpace(
-            "point_spec needs 'alphabet', 'theta' or 'zonal_values'")
+        raise UnsupportedSpace("point_spec needs 'alphabet' or 'theta'")
     with np.errstate(under="ignore", over="ignore"):  # as in the series
         return 1.0 + float((dim * np.exp(-t / 2.0 * rate) * values).sum())
 

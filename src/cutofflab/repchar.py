@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import DegenerateAlphabet, InvalidRank, WeightKindMismatch
 from .partitions import Weight, _doubled
-from .spaces import CharType, RootDatum, SpaceDescriptor, indexing_set
+from .spaces import (CharType, RootDatum, SpaceDescriptor, _chiralities,
+                     indexing_set)
 
 _DEGENERACY_FLOOR = 1e-10
 
@@ -105,7 +106,8 @@ def characters(char_type: CharType | str, rows2: np.ndarray,
     if rows2.shape[1] > n:
         raise ValueError(f"label longer than alphabet: {rows2.shape[1]} "
                          f"parts vs n={n}")
-    rho2 = np.array(RootDatum(char_type, n).rho2)
+    root = RootDatum(char_type, n)
+    rho2 = np.array(root.rho2)
     if char_type is CharType.A:
         rho2 -= rho2[-1]  # a common shift of the exponents cancels
     ell2 = np.broadcast_to(rho2, (len(rows2), n)).copy()
@@ -127,10 +129,9 @@ def characters(char_type: CharType | str, rows2: np.ndarray,
     for start in range(0, len(ell2), step):
         num[start:start + step] = np.linalg.det(
             entries(ell2[start:start + step]))
-    if char_type is CharType.D and rows2.shape[1] == n:
-        # the denominator's zero-exponent column carries a factor 2 that the
-        # numerator lacks once the last exponent is non-zero
-        num[rows2[:, -1] != 0] *= 2.0
+    # type D: the denominator's zero-exponent column carries a factor 2 that
+    # the numerator of a label of two chirality pieces lacks
+    num[_chiralities(root, rows2) == 2] *= 2.0
     return num / den
 
 

@@ -423,13 +423,16 @@ def _check_profiles() -> tuple[bool, dict]:
         points = _cutoff.profile(desc, grid)
         uppers = [p.upper for p in points]
         monotone = all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
-        lower_ok = points[0].lower >= 1.0 - 36.0 / n ** 0.4 - 1e-12
-        upper_ok = points[-1].upper <= 6.0 / math.sqrt(n) + 1e-12
+        # the paper's bounds at the grid's ends: eps = 0.2 and eps = 1
+        floor = 1.0 - desc.c_lower / n ** (desc.gamma_b * 0.2)
+        ceiling = desc.C_upper / math.sqrt(n ** (desc.gamma_a * 1.0 / 2))
+        lower_ok = points[0].lower >= floor - 1e-12
+        upper_ok = points[-1].upper <= ceiling + 1e-12
         detail[f"SO({n})"] = {
             "lower_at_early_time": points[0].lower,
-            "lower_floor": 1.0 - 36.0 / n ** 0.4,
+            "lower_floor": floor,
             "upper_at_late_time": points[-1].upper,
-            "upper_ceiling": 6.0 / math.sqrt(n),
+            "upper_ceiling": ceiling,
             "upper_nonincreasing": monotone,
         }
         if not (monotone and lower_ok and upper_ok):

@@ -203,11 +203,9 @@ def oracle_density(descriptor: SpaceDescriptor, point_spec: dict, t: float,
     """(sum, sum of |terms|) of D^lambda f(lambda) e^{-t B / 2} over the
     space's own labels, one exact label at a time: the integer labels of
     |lambda| <= size_cap at an alphabet (chi * D at the identity, every
-    angle within 1e-12 of 0), the rank-one labels (k, ..., k),
-    k <= size_cap, at an angle, and those with k below the number of zonal
-    values, f(k) the k-th."""
+    angle within 1e-12 of 0), and the rank-one labels (k), k <= size_cap,
+    at an angle."""
     idx, root = indexing_set(descriptor), descriptor.root
-    rank_one = [idx.label((k,) * idx.length) for k in range(size_cap + 1)]
     if "alphabet" in point_spec:
         thetas = [cmath.phase(complex(z)) for z in point_spec["alphabet"]]
         labels = [w for w in enumerate_by_size(idx, size_cap) if w.is_integer]
@@ -216,12 +214,9 @@ def oracle_density(descriptor: SpaceDescriptor, point_spec: dict, t: float,
                             * dimension(descriptor, w)) for w in labels]
         else:
             values = [_weyl_ratio(root, w, thetas) for w in labels]
-    elif "theta" in point_spec:
-        labels = rank_one
-        values = [_sine_ratio(root, w, point_spec["theta"]) for w in labels]
     else:
-        values = [float(v) for v in point_spec["zonal_values"]]
-        labels = rank_one[:len(values)]
+        labels = [idx.label((k,)) for k in range(size_cap + 1)]
+        values = [_sine_ratio(root, w, point_spec["theta"]) for w in labels]
     total = scale = 0.0
     for w, value in zip(labels, values):
         term = (float(dimension(descriptor, w))

@@ -11,7 +11,7 @@ as: every horizon doubling recomputes the whole recurrence from size 0, one
 numpy scalar at a time, and the library's must equal it bit for bit
 (``==``, not approximately).  ``oracle_tail_bound`` is the series tail as it
 was first written, one branch per family, on top of the library's two tail
-sums.
+sums, with ``partition_tail``, the library's one-pass tails at one size.
 """
 
 from __future__ import annotations
@@ -22,9 +22,14 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from cutofflab.heatseries import _partition_tail, _su_dp_tail
+from cutofflab.heatseries import _partition_tails, _su_dp_tail
 from cutofflab.partitions import partition_counts
 from cutofflab.spaces import Family, SpaceDescriptor
+
+
+def partition_tail(log_x: float, beyond: int, max_len: int) -> float:
+    """The library's partition tail beyond one size."""
+    return _partition_tails(log_x, (beyond,), max_len)[0]
 
 
 # past this many digits cancelled by the head, the tail is summed directly
@@ -142,26 +147,26 @@ def oracle_tail_bound(descriptor: SpaceDescriptor, t: float, cap: int,
         else:
             c_int, c_half = float(const_int), None
         plen = rank if fam is Family.SO else descriptor.q
-        tail = c_int * _partition_tail(log_x, cap, plen)
+        tail = c_int * partition_tail(log_x, cap, plen)
         if c_half is not None:
             shift = rank / 4.0 if n % 2 else (2 * rank - 1) / 8.0
             half_beyond = math.floor(cap - rank / 2.0)
             tail += (c_half * math.exp(-gap * shift)
-                     * _partition_tail(log_x, half_beyond, rank))
+                     * partition_tail(log_x, half_beyond, rank))
         return tail
     if fam is Family.USp:
-        return float(const_int) ** 2 * _partition_tail(log_x, cap, n)
+        return float(const_int) ** 2 * partition_tail(log_x, cap, n)
     if fam is Family.SU:
         return float(const_int) ** 2 * _su_dp_tail(
             oracle_su_steps(descriptor, gap), cap)
     if fam is Family.GrC:
-        return _partition_tail(-gap, cap, descriptor.q)
+        return partition_tail(-gap, cap, descriptor.q)
     if fam is Family.GrH:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2,
-                                                  descriptor.q)
+        return float(const_int) * partition_tail(2.0 * log_x, cap // 2,
+                                                 descriptor.q)
     if fam is Family.SO2n_Un:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2, n // 2)
+        return float(const_int) * partition_tail(2.0 * log_x, cap // 2, n // 2)
     if fam is Family.USpn_Un:
-        return float(const_int) * _partition_tail(2.0 * log_x, cap // 2, n)
+        return float(const_int) * partition_tail(2.0 * log_x, cap // 2, n)
     assert fam in (Family.SUn_SOn, Family.SU2n_USpn)
     return float(const_int) * _su_dp_tail(oracle_su_steps(descriptor, gap), cap)

@@ -229,6 +229,7 @@ def test_simulate_streams_the_bytes_of_the_whole_text(capsys, tmp_path, fmt,
     (("--t", "nan", "--steps", "2"), "time must be finite with t >= 0"),
     (("--t", "-1", "--steps", "2"), "time must be finite with t >= 0"),
     (("--t", "1", "--steps", "2"), "step size must lie in (0, 0.05]"),
+    (("--t", "5e-324", "--steps", "2"), "gives a step that underflows to 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_simulate_argument_errors_exit_with_code_two(capsys, argv, message):
     assert cli.main(["simulate", "--family", "SU", "--n", "3", *argv]) == 2
@@ -316,6 +317,43 @@ def test_simulate_runs_the_steps_asked_for(capsys, monkeypatch, t, steps):
                    "--paths", "1", "--steps", str(steps))
     assert code == 0
     assert len(calls) == steps
+
+
+# the float t / steps is 0.05 at 29 steps on the fourth time, yet ceil(t /
+# 0.05) is 30; it is above 0.05 at 41 steps on the last, where ceil(t / 0.05)
+# is 41: the count the sampler runs decides, not the step t / steps
+@pytest.mark.parametrize("t", ["1", "0.3", "2.9", "1.4500000000000002",
+                               "2.0500000000000003"])
+def test_too_few_steps_name_the_least_count(capsys, monkeypatch, t):
+    seen = []
+
+    def record(desc, statistic, time_, config, start, stop, threshold):
+        seen.append(math.ceil(time_ / config.step_size))
+        return np.zeros(stop - start, dtype=complex)
+
+    monkeypatch.setattr(cli._sampler, "_values_for_range", record)
+    least = math.ceil(float(t) / 0.05)
+    argv = ["simulate", "--family", "SO", "--n", "3", "--t", t, "--paths", "1"]
+    assert cli.main([*argv, "--steps", str(least - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --steps {least - 1} is too few for --t {float(t)!r}: the "
+        f"step size must lie in (0, 0.05], so --steps must be at least "
+        f"{least}\n")
+    assert cli.main([*argv, "--steps", str(least)]) == 0
+    assert seen == [least]
+
+
+@pytest.mark.parametrize("t", ["5000.001", "1e308"])
+def test_too_few_steps_past_the_step_limit_name_the_limit(capsys, t):
+    code = cli.main(["simulate", "--family", "SO", "--n", "3", "--t", t,
+                     "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("so --t needs more than 100000 steps, the "
+                                 "limit\n")
 
 
 def test_circle_density_matches_the_theta_series(capsys):

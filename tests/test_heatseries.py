@@ -339,8 +339,7 @@ def test_sweep_ties_go_to_the_first_label_in_size_order(family, n, first, dual):
     assert casimir_exponent(d, a) == casimir_exponent(d, b)
     sw = per_term_bound_sweep(d, 40)
     assert sw.argmax == sw.argmax_integer == a
-    assert math.isclose(sw.max_value, heatseries._per_term_value(d, a),
-                        rel_tol=1e-12)
+    assert math.isclose(sw.max_value, _exact_value(d, a), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family,n,labels", [
@@ -466,6 +465,13 @@ def test_per_term_constants_hold_on_every_family(family):
                 str(desc), str(sweep.argmax_half))
 
 
+def _exact_value(d, w) -> float:
+    """D^lambda * param^{-B}, rounded from the exact D and B."""
+    dim = dimension(d, w)
+    return math.exp(math.log(dim.numerator) - math.log(dim.denominator)
+                    - float(casimir_exponent(d, w)) * math.log(d.param))
+
+
 def test_per_term_exact_comparison_on_rational_value():
     # label with integer decay exponent: the per-term value is exactly 15/16
     d = describe("SU", 4)
@@ -476,7 +482,7 @@ def test_per_term_exact_comparison_on_rational_value():
     assert not per_term_exceeds(d, w, value)
     assert per_term_exceeds(d, w, value - Fraction(1, 10**15))
     assert not per_term_exceeds(d, w, value + Fraction(1, 10**15))
-    assert abs(heatseries._per_term_value(d, w) - 15.0 / 16.0) < 1e-14
+    assert abs(_exact_value(d, w) - 15.0 / 16.0) < 1e-14
 
 
 def test_per_term_float_filter_far_from_bound():
@@ -723,9 +729,6 @@ _ALPHABET = (0.3, 0.9, -1.4, 2.0, 2.6)  # a regular class at every rank <= 5
     *[((family, n, None), {"theta": theta}, 40)
       for family, n in (("SU", 2), ("SO", 3))
       for theta in (0.0, math.pi, 1e17, 1e308)],
-    *[((family, n, 1), {"zonal_values": [1.0] + [math.cos(0.7 * k) / k
-                                                 for k in range(1, 30)]}, 40)
-      for family, n in (("GrR", 7), ("GrC", 5), ("GrH", 4))],
 ], ids=str)
 def test_density_equals_the_exact_oracle(space, point, cap):
     # the engine reads D and B from the term table and each character from
@@ -769,12 +772,17 @@ def test_alphabet_density_at_another_singular_class_names_it():
                 1.0)
 
 
-def test_rank_one_zonal_density_matches_series_at_half_time():
-    d = describe("GrC", 6, 1)
-    t = 1.2 * t_zero(d)
-    rho = density(d, {"zonal_values": [1.0] * 30}, t, 25)
-    ser = dominating_series(d, t / 2.0, size_cap=25)
-    assert abs(rho - 1.0 - ser.partial_sum) < 1e-9
+def test_identity_density_matches_series_at_half_time():
+    # p_t(e) = sum D^2 e^{-tB/2}, the series at t/2 plus the trivial label,
+    # on groups with no fold and no half labels
+    for family, n in (("SU", 3), ("SU", 5), ("USp", 2), ("USp", 4)):
+        d = describe(family, n)
+        ones = [1.0] * d.root.rank
+        for t in (0.5, 1.0, 2.0):
+            rho = density(d, {"alphabet": ones}, t)
+            ser = dominating_series(d, t / 2.0, size_cap=40)
+            assert math.isclose(rho, 1.0 + ser.partial_sum, rel_tol=1e-13,
+                                abs_tol=0.0), (str(d), t)
 
 
 @pytest.mark.parametrize("family,n,expected", [
@@ -797,10 +805,8 @@ def test_density_error_paths():
     d = describe("GrC", 6, 2)
     with pytest.raises(UnsupportedSpace):
         density(d, {"alphabet": [1j, -1j]}, 1.0)
-    with pytest.raises(UnsupportedSpace):
-        density(d, {"zonal_values": [1.0]}, 1.0)  # q=2 is not rank one
-    with pytest.raises(UnsupportedSpace):
-        density(describe("SU", 3), {"zonal_values": [1.0]}, 1.0)
+    with pytest.raises(UnsupportedSpace):  # a rank-one quotient has no form
+        density(describe("GrC", 6, 1), {"theta": 0.5}, 1.0)
     with pytest.raises(UnsupportedSpace):
         density(describe("SU", 3), {}, 1.0)
     with pytest.raises(ValueError):
@@ -814,19 +820,15 @@ def test_density_error_paths():
     ("SO", {"theta": math.inf}, 40, "angle theta must be finite"),
     ("SU", {"alphabet": [1.0, complex(math.nan, math.nan)]}, 40,
      "alphabet eigenvalues must be finite"),
-    ("GrC", {"zonal_values": [1.0, math.inf]}, 40,
-     "zonal values must be finite"),
+    ("SU", {"alphabet": [1.0, complex(math.inf, 0.0)]}, 40,
+     "alphabet eigenvalues must be finite"),
     ("circle", {"theta": 1.0}, -5, "size_cap must be >= 0"),
     ("SO", {"theta": 1.0}, -5, "size_cap must be >= 0"),
-    # phi_0 is 1 on every zonal function: an empty list or another first
-    # value names no density
-    ("GrC", {"zonal_values": []}, 40, "must start with phi_0 = 1"),
-    ("GrC", {"zonal_values": [0.5, 0.2]}, 0, "must start with phi_0 = 1"),
 ])
 def test_density_rejects_points_and_caps_outside_the_domain(space, point, cap,
                                                             message):
     desc = {"circle": "circle", "SO": describe("SO", 3),
-            "SU": describe("SU", 2), "GrC": describe("GrC", 4, 1)}[space]
+            "SU": describe("SU", 2)}[space]
     with pytest.raises(ValueError, match=message):
         density(desc, point, 1.0, size_cap=cap)
 
@@ -835,17 +837,13 @@ def test_density_rejects_points_and_caps_outside_the_domain(space, point, cap,
     ("circle", {"theta": 1.0}),
     ("SO", {"theta": 1.0}),
     ("SU", {"theta": 1.0}),
-    ("GrC", {"zonal_values": [1.0, 0.5]}),
 ])
 def test_density_loop_forms_refuse_a_cap_above_the_label_limit(space, point):
     desc = {"circle": "circle", "SO": describe("SO", 3),
-            "SU": describe("SU", 2), "GrC": describe("GrC", 4, 1)}[space]
+            "SU": describe("SU", 2)}[space]
     for cap in (MAX_LABELS, 10 ** 9):
         with pytest.raises(TooLarge, match="gives more than 300000 labels"):
             density(desc, point, 1.0, size_cap=cap)
-    if space == "GrC":  # the sum stops at the values given
-        assert math.isfinite(density(desc, point, 1.0,
-                                     size_cap=MAX_LABELS - 1))
 
 
 @pytest.mark.parametrize("family", ["SO", "USp"])

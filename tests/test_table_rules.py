@@ -1,7 +1,8 @@
 """The certificate path derives every per-family fact from the table row and
 the root datum: the series tail equals the per-family tail it replaced bit
 for bit, the fold and the chirality factor sit where the root types say
-(the factor as one rule over rows of doubled parts),
+(the factor as one rule over rows of doubled parts, which alone tests a
+label's last part against 0 and which the characters read),
 and the functions on the path name no ``Family`` member.  The density's
 float engine reads the term table alone: neither it nor a helper it calls
 names an exact per-label route.  The output format has one home: no module
@@ -200,6 +201,67 @@ def test_the_scan_follows_the_density_into_its_helpers():
                      "    return enumerate_by_size(d)\n")
     named = _names_reached(tree, "density") & set(EXACT_ROUTES)
     assert named == {"dimension"}
+
+
+# -- the chirality rule has one home ----------------------------------------
+
+
+def _is_last_part(node: ast.AST) -> bool:
+    """A subscript whose last index is -1: ``row[-1]``, ``rows[:, -1]``."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    if isinstance(index, ast.Tuple):
+        index = index.elts[-1]
+    try:
+        return ast.literal_eval(index) == -1
+    except ValueError:
+        return False
+
+
+def _last_part_zero_tests(tree: ast.Module) -> list[str]:
+    """``function: line n`` of each ``== 0`` or ``!= 0`` test of a last
+    part, the chirality rule's test, in each top-level function or class."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                    and isinstance(node.ops[0], (ast.Eq, ast.NotEq))):
+                sides = (node.left, node.comparators[0])
+                if (any(_is_last_part(side) for side in sides)
+                        and any(isinstance(side, ast.Constant)
+                                and side.value == 0 for side in sides)):
+                    out.append(f"{getattr(top, 'name', '<module>')}: "
+                               f"line {node.lineno}")
+    return out
+
+
+def test_only_the_chirality_rule_tests_a_last_part_against_zero():
+    found = {path.name: _last_part_zero_tests(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: tests for name, tests in found.items() if tests}
+    assert list(found) == ["spaces.py"], found
+    assert [where.split(":")[0] for where in found["spaces.py"]] == [
+        "_chiralities"], found
+
+
+def test_the_characters_read_the_chirality_rule():
+    tree = ast.parse((PACKAGE / "repchar.py").read_text())
+    assert "_chiralities" in _names_reached(tree, "characters")
+
+
+def test_the_scan_sees_a_copy_of_the_chirality_rule():
+    tree = ast.parse("def characters(rows2, num, n):\n"
+                     "    if rows2.shape[1] == n:\n"
+                     "        num[rows2[:, -1] != 0] *= 2.0\n"
+                     "    return num\n\n\n"
+                     "def other(weight):\n"
+                     "    if weight.parts2[-1] < 0 or weight.parts2[0] == 0:\n"
+                     "        return 0\n"
+                     "    return 2 if 0 == weight.parts2[-1] else 1\n")
+    assert _last_part_zero_tests(tree) == ["characters: line 3",
+                                           "other: line 10"]
+    assert "_chiralities" not in _names_reached(tree, "characters")
 
 
 # -- the command line is the one home of the output format ------------------

@@ -25,9 +25,8 @@ import pytest
 
 from cutofflab import cutoff, heatseries
 from cutofflab.cutoff import mean_variance, zonal_square_series
-from cutofflab.heatseries import (_partition_tail, _partition_tails,
-                                  _su_dp_tail, _su_steps, _term_table,
-                                  _vector_b, _vector_log_dim)
+from cutofflab.heatseries import (_partition_tails, _su_dp_tail, _su_steps,
+                                  _term_table, _vector_b, _vector_log_dim)
 from cutofflab.moments import zonal_square_expansion
 from cutofflab.partitions import Weight, _half_cap, label_table
 from cutofflab.repchar import casimir_exponent, dimension
@@ -35,7 +34,8 @@ from cutofflab.errors import InvalidRank
 from cutofflab.spaces import (FAMILY_NAMES, CharType, describe, indexing_set,
                               minimal_weight)
 from table_oracle import oracle_log_dim, oracle_rate
-from tail_oracle import mpmath_partition_tail, oracle_su_dp_tail
+from tail_oracle import (mpmath_partition_tail, oracle_su_dp_tail,
+                         partition_tail)
 
 BEYOND = (-3, -1, 0, 40, 80, 200)
 LOG_DIM_ATOL = 1e-12
@@ -93,7 +93,7 @@ SUBNORMAL_SLACK = 2.0 ** -1074 * 1e6
 def _assert_brackets(log_x, beyond, max_len):
     """true <= tail <= true (1 + 1e-12), the slack added below 1e-300; +inf
     only where the true tail passes the largest float."""
-    got = _partition_tail(log_x, beyond, max_len)
+    got = partition_tail(log_x, beyond, max_len)
     true = mpmath_partition_tail(log_x, beyond, max_len)
     if got == math.inf:
         assert true > sys.float_info.max, (log_x, beyond, max_len)
@@ -160,7 +160,7 @@ def test_one_pass_brackets_the_oracle_below_a_half_cap_of_zero():
 
 
 def test_partition_tail_at_non_negative_log_x_is_infinite():
-    assert _partition_tail(0.0, 5, 3) == math.inf
+    assert partition_tail(0.0, 5, 3) == math.inf
 
 
 # -- log-dimension products ------------------------------------------------

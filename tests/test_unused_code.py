@@ -1,10 +1,10 @@
 """Dead code in the package: imported names a module never uses,
-module-level private functions and assigned names that nothing in ``src/``
-or ``tests/`` references, and public methods and properties, and instance
-attributes stored as ``self.name = ...``, that no attribute access in
-``src/``, ``perfbench/`` or ``demos/`` reads.  The scan
-uses the standard library's ``ast`` only, since neither pyflakes nor ruff is
-a test dependency.
+module-level private functions and assigned names that nothing in ``src/``,
+``perfbench/`` or ``demos/`` references, and public methods and properties,
+and instance attributes stored as ``self.name = ...``, that no attribute
+access there reads.  References from tests do not count: a helper only a
+test calls is dead in the package.  The scan uses the standard library's
+``ast`` only, since neither pyflakes nor ruff is a test dependency.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cutofflab"
 MODULES = sorted(PACKAGE.glob("*.py"))
-# the code whose reads keep a public method alive: tests do not count
+# the code whose reads keep a name alive: tests do not count
 CONSUMERS = sorted(path for folder in ("src", "perfbench", "demos")
                    for path in (ROOT / folder).rglob("*.py"))
 
@@ -98,7 +98,7 @@ def test_module_uses_every_name_it_imports(path):
 
 
 def test_every_private_function_is_referenced():
-    refs = _references(MODULES + sorted((ROOT / "tests").glob("*.py")))
+    refs = _references(CONSUMERS)
     orphans = [f"{path.name}: {node.name}"
                for path in MODULES for node in _tree(path).body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -124,7 +124,7 @@ def _private_assignments(tree: ast.Module) -> list[str]:
 
 
 def test_every_private_assignment_is_referenced():
-    refs = _references(MODULES + sorted((ROOT / "tests").glob("*.py")))
+    refs = _references(CONSUMERS)
     orphans = [f"{path.name}: {name}" for path in MODULES
                for name in _private_assignments(_tree(path))
                if name not in refs]

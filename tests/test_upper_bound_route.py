@@ -188,12 +188,10 @@ def test_each_tail_bound_runs_one_partition_tail_pass(monkeypatch, family, n,
     # below 0 at SO(1001); the other families have one tail
     d = describe(family, n, q)
     passes = _spy(monkeypatch, "_partition_tails")
-    single = _spy(monkeypatch, "_partition_tail")
     tails = _spy(monkeypatch, "_tail_bound")
     profile(d, _grid(t_zero(d)))
     assert tails and len(passes) == len(tails)
     assert [len(beyonds) for _, beyonds, _ in passes] == [sizes] * len(tails)
-    assert single == []
 
 
 def test_the_series_reports_each_time_at_its_own_cap():
