@@ -409,11 +409,13 @@ def _run_zonal_expansion(parser, args) -> int:
 
 def _run_simulate(parser, args) -> int:
     desc = _space(parser, args)
+    step, limit = _sampler._MAX_STEP, _sampler._MAX_STEP_COUNT
     if args.steps is not None and args.steps < 1:
         parser.error("--steps must be >= 1")
+    if args.steps is not None and args.steps > limit:
+        raise TooLarge(f"--steps {args.steps} exceeds the limit {limit}")
     require_time(args.t, allow_zero=True)
     # at t = 0 every path stays at the identity, whatever the steps
-    step, limit = _sampler._MAX_STEP, _sampler._MAX_STEP_COUNT
     if args.steps and args.t > 0:
         # the sampler runs ceil(t / step) steps, at least ceil(t / largest)
         ratio = args.t / step

@@ -6,10 +6,11 @@ metric, so the chain's quadratic variation matches the Casimir tensor and
 the scheme is weakly first order.  Paths run in real arithmetic: on su(n)
 and usp(n) in the real 2m x 2m images of their matrices, and each step's
 exponential is a scaling-and-squaring Taylor polynomial evaluated by matrix
-products, with no eigendecomposition.  Randomness is counter-based: every path
-and every uniform sample owns one Philox stream, keyed by (seed, purpose)
-with its index as counter, so estimates are reproducible bit for bit under
-any scheduling and any batching.
+products, with no eigendecomposition.  Randomness is counter-based: every
+chunk of 256 paths or uniform samples owns one Philox stream, keyed by
+(seed, purpose) with the chunk's number as counter, and index i reads row
+i % 256 of each of its chunk's draws, so estimates are reproducible bit for
+bit under any scheduling and any batching.
 """
 
 from __future__ import annotations
@@ -47,8 +48,14 @@ _MAX_STEP_COUNT = 100_000
 _RENORM_EVERY = 50  # Euler steps between projections back onto the group
 _PURPOSE_PATH = 0
 _PURPOSE_HAAR = 1
-# Euler steps whose normals are drawn in one go; bounds memory at long t
+# indices that share one random stream; an estimate simulates a chunk at a
+# time, and each worker takes whole chunks
+_CHUNK = 256
+# Euler steps whose normals are drawn in one go, at most _WINDOW and at most
+# _WINDOW_NORMALS numbers a chunk: a window's memory is bounded at any time
+# and any algebra, however few of a chunk's paths run
 _WINDOW = 64
+_WINDOW_NORMALS = 1 << 20
 # Taylor coefficients 1/k! of the step's exponential in Paterson-Stockmeyer
 # blocks of four, and the largest 2-norm bound theta at which the truncation
 # error sum_{k>16} theta^k / k! stays below the unit roundoff 2**-53
@@ -93,12 +100,18 @@ class Estimate:
 
 
 class _Streams:
-    """One Philox stream per index: key (seed, purpose), counter (0, 0, index, 0).
+    """One Philox stream per chunk of ``_CHUNK`` indices: key (seed,
+    purpose), counter (0, 0, index // _CHUNK, 0).
 
-    A single generator is switched between the streams by setting its
-    state, which is much cheaper than building a generator per stream.
-    Consecutive draws on a stream give exactly the numbers of one larger
-    draw.
+    A draw fills one block per chunk, ``lead + (_CHUNK,) + shape``: at every
+    position of the leading shape the chunk's rows in index order, and index
+    i reads row i % _CHUNK of each.  A draw covers whole chunks, so an
+    index's numbers do not depend on the other indices drawn with it; with
+    no leading shape, rows past the last one read are left undrawn, which
+    changes none.  A single generator is switched between the streams by
+    setting its state, which is much cheaper than building a generator per
+    stream.  Consecutive draws on a stream give exactly the numbers of one
+    larger draw.
     """
 
     def __init__(self, seed: int, purpose: int, indices: Sequence[int]) -> None:
@@ -108,23 +121,36 @@ class _Streams:
         # counter 0, empty buffer, in the plain lists the setter reads fastest
         self._start = {**self._bits.state, "buffer": [0] * 4,
                        "state": {"counter": [0] * 4, "key": key}}
-        # each stream's index until its first kept draw, then its saved state
-        self._positions: list = list(indices)
+        index = np.asarray(indices, dtype=np.int64)
+        chunk_of, row_of = np.divmod(index, _CHUNK)
+        self._count = len(index)
+        # each stream's chunk until its first kept draw, then its saved state
+        self._positions: list = np.unique(chunk_of).tolist()
+        # per chunk: where its indices sit in a draw, and the rows they read
+        self._reads = []
+        for chunk in self._positions:
+            slots = np.flatnonzero(chunk_of == chunk)
+            self._reads.append((slots, row_of[slots]))
 
-    def draw(self, shape: tuple[int, ...], keep: bool = False) -> np.ndarray:
-        """The next standard normals of every stream, stacked in index order.
-        Only with ``keep`` does a further draw continue the streams."""
-        out = np.empty((len(self._positions), math.prod(shape)))
+    def draw(self, lead: tuple[int, ...], shape: tuple[int, ...],
+             keep: bool = False) -> np.ndarray:
+        """The next standard normals of every index, ``lead + (indices,) +
+        shape`` in index order.  Only with ``keep`` does a further draw
+        continue the streams."""
+        out = np.empty((math.prod(lead), self._count, math.prod(shape)))
         for pos, where in enumerate(self._positions):
             if isinstance(where, dict):
                 self._bits.state = where
             else:
                 self._start["state"]["counter"][2] = where
                 self._bits.state = self._start
-            self._normals(out.shape[1], out=out[pos])
+            slots, rows = self._reads[pos]
+            top = _CHUNK if lead or keep else int(rows.max()) + 1
+            block = self._normals((len(out), top, out.shape[2]))
             if keep:
                 self._positions[pos] = self._bits.state
-        return out.reshape((len(self._positions),) + shape)
+            out[:, slots] = block[:, rows]
+        return out.reshape(lead + (self._count,) + shape)
 
 
 @lru_cache(maxsize=16)
@@ -268,8 +294,10 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
                        path_indices: Sequence[int]) -> np.ndarray:
     """Endpoints of independent heat-flow paths at time t, one per index.
 
-    Path p draws all its normals, (steps, dim g) in step order, from its own
-    stream, so its endpoint does not depend on which other paths run with it.
+    The paths of a chunk draw their normals from the chunk's stream, one
+    (steps, ``_CHUNK``, dim g) block in step order, and path p reads row
+    p % ``_CHUNK`` of every step, so its endpoint does not depend on which
+    other paths run with it.
     """
     require_time(t, allow_zero=True)
     # compared before rounding: t / step_size may overflow ceil's range
@@ -287,13 +315,14 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
     sqrt_h = math.sqrt(t / num_steps)
     dim = len(_dense_basis(algebra, rank))
     streams = _Streams(config.seed, _PURPOSE_PATH, path_indices)
+    window = max(1, min(_WINDOW, _WINDOW_NORMALS // (_CHUNK * dim)))
     step = 0
-    for start in range(0, num_steps, _WINDOW):
-        normals = streams.draw((min(_WINDOW, num_steps - start), dim),
-                               keep=start + _WINDOW < num_steps)
+    for start in range(0, num_steps, window):
+        normals = streams.draw((min(window, num_steps - start),), (dim,),
+                               keep=start + window < num_steps)
         normals *= sqrt_h
-        for offset in range(normals.shape[1]):
-            xi = _algebra_elements(algebra, rank, normals[:, offset])
+        for z in normals:
+            xi = _algebra_elements(algebra, rank, z)
             g = g @ _expm_antisymmetric(xi)
             step += 1
             if step % _RENORM_EVERY == 0:
@@ -306,24 +335,25 @@ def haar_samples(descriptor: SpaceDescriptor, seed: int,
                  indices: Sequence[int]) -> np.ndarray:
     """Uniform samples from the isometry group of the space, one per index.
 
-    Sample i reads its Ginibre entries from its own stream; QR with the
-    sign fix (or the quaternionic projection) runs on the whole stack.
+    Sample i reads its Ginibre entries from row i % ``_CHUNK`` of its
+    chunk's stream; QR with the sign fix (or the quaternionic projection)
+    runs on the whole stack.
     """
     algebra, rank = descriptor.algebra, descriptor.param
     size = matrix_side(algebra, rank)
     streams = _Streams(seed, _PURPOSE_HAAR, indices)
     if algebra == "so":
-        q, r = np.linalg.qr(streams.draw((size, size)))
+        q, r = np.linalg.qr(streams.draw((), (size, size)))
         q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
         q[..., 0] *= np.sign(np.linalg.det(q))[..., None]
         return q
     if algebra == "su":
-        parts = streams.draw((2, size, size))
+        parts = streams.draw((), (2, size, size))
         q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2))
         d = np.diagonal(r, axis1=-2, axis2=-1)
         q = q * (d / np.abs(d))[..., None, :]
         return q * np.exp(-1j * np.angle(np.linalg.det(q)) / size)[..., None, None]
-    parts = streams.draw((4, rank, rank))
+    parts = streams.draw((), (4, rank, rank))
     return _project("usp", _embed_quaternion(parts[:, 0] + 1j * parts[:, 1],
                                              parts[:, 2] + 1j * parts[:, 3]))
 
@@ -358,9 +388,6 @@ def _statistic_values(descriptor: SpaceDescriptor, statistic: str,
     return values
 
 
-_CHUNK = 256
-
-
 def _values_for_range(descriptor: SpaceDescriptor, statistic: str,
                       t: Optional[float], config: SimulationConfig,
                       start: int, stop: int,
@@ -392,13 +419,16 @@ def estimate(descriptor: SpaceDescriptor, statistic: str, t: Optional[float],
     if threshold is not None and math.isnan(threshold):
         raise ValueError("the indicator threshold must not be NaN")
     n = config.paths
-    # at most one worker per _CHUNK paths; values do not depend on the split
-    workers = min(config.threads, -(-n // _CHUNK))
+    # each worker takes whole chunks, so no chunk's stream is drawn twice;
+    # values do not depend on the split
+    chunks = -(-n // _CHUNK)
+    workers = min(config.threads, chunks)
     if workers == 1:
         values = _values_for_range(descriptor, statistic, t, config,
                                    0, n, threshold)
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
+        bounds = np.minimum(
+            np.linspace(0, chunks, workers + 1, dtype=int) * _CHUNK, n)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 lambda se: _values_for_range(descriptor, statistic, t, config,

@@ -230,6 +230,7 @@ def test_simulate_streams_the_bytes_of_the_whole_text(capsys, tmp_path, fmt,
     (("--t", "-1", "--steps", "2"), "time must be finite with t >= 0"),
     (("--t", "1", "--steps", "2"), "step size must lie in (0, 0.05]"),
     (("--t", "5e-324", "--steps", "2"), "gives a step that underflows to 0"),
+    (("--t", "1", "--steps", "100001"), "--steps 100001 exceeds the limit 100000"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_simulate_argument_errors_exit_with_code_two(capsys, argv, message):
     assert cli.main(["simulate", "--family", "SU", "--n", "3", *argv]) == 2
@@ -685,7 +686,6 @@ def test_path_counts_and_loop_caps_above_their_limits_exit_with_code_two(
     ("estimate", "--statistic", "trace", "--t", "1e308"),
     ("simulate", "--t", "5000.001"),
     ("estimate", "--statistic", "trace", "--t", "5000.001"),
-    ("simulate", "--t", "1", "--steps", "100001"),
 ], ids=lambda v: " ".join(v))
 def test_step_counts_above_the_limit_exit_with_code_two(capsys, verb):
     argv = [*verb, "--family", "SO", "--n", "3", "--paths", "2"]

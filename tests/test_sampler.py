@@ -261,20 +261,23 @@ def test_estimates_are_identical_for_every_thread_count(family, n, q,
 @pytest.mark.parametrize("family,n,algebra", [("SU", 3, "su"), ("SO", 4, "so"),
                                               ("USp", 2, "usp")])
 def test_a_path_reads_its_own_philox_stream(family, n, algebra):
-    # key (seed, 0), counter (0, 0, path, 0); one (steps, dim g) block
+    # key (seed, 0), counter (0, 0, path // 256, 0): one (steps, 256, dim g)
+    # block in step order, of which the path reads row path % 256
     from scipy.linalg import expm
     desc = spaces.describe(family, n)
-    seed, path, t = 9, 7, 0.2
+    seed, t = 9, 0.2
     basis = sa._dense_basis(algebra, n)
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([0, 0, path, 0], dtype=np.uint64)))
-    normals = rng.standard_normal((4, len(basis)))
-    want = np.eye(spaces.matrix_side(desc.algebra, desc.param))
-    for z in normals:
-        want = want @ expm(math.sqrt(t / 4) * np.einsum("k,kij->ij", z, basis))
-    got = _endpoint(desc, t, seed=seed, path=path)
-    assert np.abs(got - want).max() < 1e-12
+    for path in (7, 300):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64),
+            counter=np.array([0, 0, path // 256, 0], dtype=np.uint64)))
+        normals = rng.standard_normal((4, 256, len(basis)))[:, path % 256]
+        want = np.eye(spaces.matrix_side(desc.algebra, desc.param))
+        for z in normals:
+            want = want @ expm(
+                math.sqrt(t / 4) * np.einsum("k,kij->ij", z, basis))
+        got = _endpoint(desc, t, seed=seed, path=path)
+        assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("family,n", [("SU", 3), ("SO", 4), ("USp", 2)])
@@ -287,6 +290,26 @@ def test_drawing_window_does_not_change_the_paths(family, n, monkeypatch):
         monkeypatch.setattr(sa, "_WINDOW", window)
         assert np.array_equal(
             sa.simulate_endpoints(desc, t, config, range(4)), default)
+
+
+def test_a_window_holds_a_bounded_count_of_normals(monkeypatch):
+    # SO(12) has dim g = 66: a budget of 256 * 66 * 3 numbers draws its
+    # 13 steps three at a time, with the same endpoints
+    desc = spaces.describe("SO", 12)
+    config = sa.SimulationConfig(paths=2, seed=8)
+    default = sa.simulate_endpoints(desc, 0.63, config, [1, 300])
+    sizes = []
+    draw = sa._Streams.draw
+
+    def recording(self, lead, shape, keep=False):
+        sizes.append(lead[0] * 256 * shape[0])
+        return draw(self, lead, shape, keep)
+
+    monkeypatch.setattr(sa._Streams, "draw", recording)
+    monkeypatch.setattr(sa, "_WINDOW_NORMALS", 256 * 66 * 3 + 5)
+    windowed = sa.simulate_endpoints(desc, 0.63, config, [1, 300])
+    assert np.array_equal(windowed, default)
+    assert sizes == [256 * 66 * 3] * 4 + [256 * 66]
 
 
 # -- one invariant metric ---------------------------------------------------
@@ -428,8 +451,10 @@ _MC_POOL = [("SO", 4, None), ("SU", 3, None), ("USp", 2, None), ("GrR", 5, 2),
 def test_batched_haar_samples_match_per_index_sampling(family, n, q):
     import sampler_oracle
     desc = spaces.describe(family, n, q)
-    batch = sa.haar_samples(desc, 13, range(40, 70))
-    for row, index in zip(batch, range(40, 70)):
+    # 30 indices inside chunk 0, then 30 across the boundary into chunk 1
+    indices = [*range(40, 70), *range(241, 271)]
+    batch = sa.haar_samples(desc, 13, indices)
+    for row, index in zip(batch, indices):
         want = sampler_oracle.haar_sample(desc, seed=13, index=index)
         assert np.abs(row - want).max() < 1e-14
     assert np.array_equal(sa.haar_sample(desc, seed=13, index=45), batch[5])
@@ -437,17 +462,56 @@ def test_batched_haar_samples_match_per_index_sampling(family, n, q):
 
 def test_streams_equal_one_generator_per_stream_at_large_seeds():
     # the start state is set from plain lists: keys past 2^63 (a negative
-    # seed among them) and counters past 2^32 must cast as the arrays do
+    # seed among them) and chunk counters past 2^32 must cast as the arrays
+    # do; index i reads row i % 256 of its chunk's step-major draws
     import sampler_oracle
-    indices = [0, 7, 2 ** 40]
+    indices = [0, 7, 2 ** 40 + 5]
     for seed in (-1, 2 ** 63, 2 ** 64 - 5):
         streams = sa._Streams(seed, 0, indices)
-        first = streams.draw((3, 4), keep=True)
-        second = streams.draw((5,))
+        first = streams.draw((3,), (2, 2), keep=True)
+        second = streams.draw((5,), (4,))
         for pos, index in enumerate(indices):
-            want = sampler_oracle._rng(seed, 0, index).standard_normal(17)
-            assert np.array_equal(first[pos].ravel(), want[:12])
-            assert np.array_equal(second[pos], want[12:])
+            rng = sampler_oracle._rng(seed, 0, index // 256)
+            want = rng.standard_normal((8, 256, 4))[:, index % 256]
+            assert np.array_equal(first[:, pos].reshape(3, 4), want[:3])
+            assert np.array_equal(second[:, pos], want[3:])
+
+
+@pytest.mark.parametrize("family,n,q", [("SO", 4, None), ("SU", 3, None),
+                                        ("USp", 2, None), ("GrC", 4, 1)])
+def test_scattered_indices_read_the_rows_of_full_range_draws(family, n, q):
+    # two rows at either end of chunk 0, the first of chunk 1 and one of
+    # chunk 2: each equals its row of a call over every index up to 700
+    desc = spaces.describe(family, n, q)
+    picked = [3, 255, 256, 700]
+    part = sa._Streams(5, 0, picked).draw((2,), (3,))
+    full = sa._Streams(5, 0, range(701)).draw((2,), (3,))
+    assert np.array_equal(part, full[:, picked])
+    assert np.array_equal(sa.haar_samples(desc, 5, picked),
+                          sa.haar_samples(desc, 5, range(701))[picked])
+    config = sa.SimulationConfig(paths=701, seed=5)
+    assert np.array_equal(
+        sa.simulate_endpoints(desc, 0.12, config, picked),
+        sa.simulate_endpoints(desc, 0.12, config, range(701))[picked])
+
+
+def test_estimate_draws_each_chunk_once_across_workers(monkeypatch):
+    # two workers split 600 paths at the chunk boundary 256, not at 300,
+    # where both would draw chunk 1's normals
+    made = []
+
+    class Recording(sa._Streams):
+        def __init__(self, seed, purpose, indices):
+            super().__init__(seed, purpose, indices)
+            made.extend(self._positions)
+
+    monkeypatch.setattr(sa, "_Streams", Recording)
+    desc = spaces.describe("SO", 4)
+    for statistic, t in (("abs_trace_sq", None), ("trace", 0.15)):
+        made.clear()
+        sa.estimate(desc, statistic, t,
+                    sa.SimulationConfig(paths=600, seed=2, threads=2))
+        assert sorted(made) == [0, 1, 2]
 
 
 _TEN = [("SO", 6, None), ("SU", 4, None), ("USp", 3, None), ("GrR", 7, 3),
