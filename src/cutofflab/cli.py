@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -544,9 +545,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _RUNNERS[args.verb](parser, args)
+        code = _RUNNERS[args.verb](parser, args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except SystemExit as exit_:
         return int(exit_.code or 0)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that the
+        # interpreter's last flush of what is still buffered prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: stdout was closed before the output ended\n")
+        return _EXIT_USAGE
     except (CutoffLabError, ValueError) as exc:
         # the library raises ValueError for out-of-domain arguments, and
         # _json_text for a non-finite value: both are domain errors

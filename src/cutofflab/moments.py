@@ -9,10 +9,11 @@ relabelling the indices the start does not name.  That span has at most 102
 patterns at degree four, whatever the rank.  ``moment`` exponentiates the
 generator on it, and ``verify_eigentable`` reads the generator's whole
 spectrum from the same orbit matrices through a trace formula; both need
-numpy only.  The generator on the whole tensor space (``casimir``,
-``moment_generator``) is kept for reference and needs scipy, imported where
-it is used.  The module also records the closed-form moment formulas and
-the expansion of squared basepoint-normalized zonal functions.
+numpy only.  The generator on the whole tensor space, ``moment_generator``,
+is built from its definition, half the Casimir of the diagonal action; it
+is kept for reference and needs scipy, imported where it is used.  The
+module also records the closed-form moment formulas and the expansion of
+squared basepoint-normalized zonal functions.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "CasimirTensor",
     "MomentTensor",
     "EigenEntry",
     "EigenReport",
-    "casimir",
     "moment_generator",
     "moment",
     "verify_eigentable",
@@ -351,90 +350,6 @@ def moment(algebra: str, n: int, pattern: Iterable, t: float) -> complex:
 
 
 @dataclass(frozen=True)
-class CasimirTensor:
-    """Sum of tensor squares of an orthonormal anti-Hermitian basis."""
-
-    algebra: str
-    n: int
-    dim: int
-    matrix: sp.csr_matrix
-    basis: tuple[sp.csr_matrix, ...]
-
-
-def casimir(algebra: str, n: int) -> CasimirTensor:
-    """Assemble the Casimir tensor of so(n), su(n) or usp(n) sparsely."""
-    import scipy.sparse as sp
-
-    _check_algebra(algebra, n)
-    basis = tuple(sp.csr_matrix(x) for x in _orthonormal_basis(algebra, n))
-    d = matrix_side(algebra, n)
-    total = sp.coo_matrix((d * d, d * d), dtype=basis[0].dtype)
-    for x in basis:
-        total = total + sp.kron(x, x, format="coo")
-    return CasimirTensor(algebra, n, d, total.tocsr(), basis)
-
-
-def _pair_block(ct: CasimirTensor, left_conj: bool, right_conj: bool) -> sp.csr_matrix:
-    """Two-slot Casimir block with the sign and transpose rules for conjugated slots."""
-    import scipy.sparse as sp
-
-    if not left_conj and not right_conj:
-        return ct.matrix
-    d = ct.dim
-    total = sp.coo_matrix((d * d, d * d), dtype=complex)
-    for x in ct.basis:
-        left = x.T.tocsr() if left_conj else x
-        right = x.T.tocsr() if right_conj else x
-        total = total + sp.kron(left, right, format="coo")
-    sign = -1.0 if left_conj != right_conj else 1.0
-    return (sign * total).tocsr()
-
-
-def _embed_pair(block: sp.csr_matrix, d: int, slots: int,
-                slot_i: int, slot_j: int) -> sp.coo_matrix:
-    """Place a two-slot operator at positions (slot_i, slot_j) of a tensor power."""
-    import scipy.sparse as sp
-
-    coo = block.tocoo()
-    r1, r2 = np.divmod(coo.row, d)
-    c1, c2 = np.divmod(coo.col, d)
-    rest = [s for s in range(slots) if s not in (slot_i, slot_j)]
-    strides = d ** (slots - 1 - np.arange(slots))
-    side = d ** len(rest)
-    # identity multi-indices on the untouched slots
-    combos = np.arange(side)
-    digits = []
-    for pos in range(len(rest)):
-        digits.append((combos // d ** (len(rest) - 1 - pos)) % d)
-    rows = r1[:, None] * strides[slot_i] + r2[:, None] * strides[slot_j]
-    cols = c1[:, None] * strides[slot_i] + c2[:, None] * strides[slot_j]
-    for pos, s in enumerate(rest):
-        rows = rows + digits[pos][None, :] * strides[s]
-        cols = cols + digits[pos][None, :] * strides[s]
-    data = np.broadcast_to(coo.data[:, None], rows.shape)
-    size = d ** slots
-    return sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
-
-
-@lru_cache(maxsize=16)
-def _eta_sum(algebra: str, n: int, k: int, l: int) -> sp.csr_matrix:
-    """Sum over slot pairs of the (possibly conjugated) Casimir embeddings."""
-    import scipy.sparse as sp
-
-    ct = casimir(algebra, n)
-    d = ct.dim
-    slots = k + l
-    size = d ** slots
-    total = sp.coo_matrix((size, size), dtype=ct.matrix.dtype if l == 0 else complex)
-    for i in range(slots):
-        for j in range(i + 1, slots):
-            block = _pair_block(ct, i >= k, j >= k)
-            total = total + _embed_pair(block, d, slots, i, j)
-    return total.tocsr()
-
-
-@dataclass(frozen=True)
 class MomentTensor:
     """Generator of the tensor-moment flow: drift plus pairwise Casimir terms."""
 
@@ -447,18 +362,28 @@ class MomentTensor:
 
 
 def moment_generator(algebra: str, n: int, k: int, l: int = 0) -> MomentTensor:
-    """Generator whose exponential gives joint moments of k plain and l conjugated copies."""
+    """Generator whose exponential gives joint moments of k plain and l
+    conjugated copies: half the Casimir of the diagonal action, the sum of
+    L_X^2 / 2 over the orthonormal basis, where L_X acts by X on each plain
+    slot and by its conjugate on each conjugated one."""
     import scipy.sparse as sp
 
     _check_slots(algebra, n, k, l)
-    d = matrix_side(algebra, n)
-    if d ** (k + l) > _MAX_TENSOR_DIM:
-        raise TooLarge(f"tensor space of dimension {d}^{k + l} exceeds the guard")
-    eta = _eta_sum(algebra, n, k, l)
-    drift = float((k + l) * drift_coefficient(algebra, n) / 2)
-    size = d ** (k + l)
-    gen = (eta + drift * sp.identity(size, dtype=eta.dtype, format="csr")).tocsr()
-    return MomentTensor(algebra, n, k, l, d, gen)
+    d, slots = matrix_side(algebra, n), k + l
+    if d ** slots > _MAX_TENSOR_DIM:
+        raise TooLarge(f"tensor space of dimension {d}^{slots} exceeds the guard")
+    basis = np.stack(_orthonormal_basis(algebra, n))
+    # v stacks the L_X, row (X, p) holding row p of L_X; the L_X are
+    # anti-Hermitian, so the sum of their squares is -v^H v
+    v = 0
+    for i in range(slots):
+        x = (basis.conj() if i >= k else basis).reshape(-1, d)
+        block = sp.kron(sp.kron(sp.identity(d ** i), x),
+                        sp.identity(d ** (slots - 1 - i)), format="csr")
+        # the rows of block run over (slots before i, X, the rest)
+        v = v + block[np.arange(block.shape[0]).reshape(d ** i, len(basis), -1)
+                      .transpose(1, 0, 2).ravel()]
+    return MomentTensor(algebra, n, k, l, d, (-(v.conj().T @ v) / 2).tocsr())
 
 
 # -- eigen-structure verification ------------------------------------------

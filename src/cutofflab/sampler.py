@@ -156,7 +156,7 @@ class _Streams:
 @lru_cache(maxsize=16)
 def _dense_basis(algebra: str, n: int) -> np.ndarray:
     """The invariant metric's orthonormal basis as one (dim g, m, m) array:
-    the basis whose tensor squares sum to ``moments.casimir``."""
+    ``moments``' basis, whose tensor squares sum to the Casimir tensor."""
     basis = np.stack(_orthonormal_basis(algebra, n))
     basis.flags.writeable = False
     return basis

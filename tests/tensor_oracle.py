@@ -5,7 +5,9 @@ tensors with scipy's ``expm_multiply``, and ``dense_eigentable``
 diagonalises the pairwise Casimir sum as a dense d^(k+l) matrix: the routes
 by which ``moments`` computed moments and eigen-tables before the orbit
 engine, for ``moments.moment`` and ``moments.verify_eigentable``, which
-must give the same numbers.
+must give the same numbers.  ``casimir_tensor`` is the sum of the tensor
+squares of an orthonormal basis of the algebra in closed form, which the
+basis and the generator's pair terms must equal.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from cutofflab import moments
-from cutofflab.spaces import drift_coefficient
+from cutofflab.spaces import drift_coefficient, matrix_side
 
 
 def _flat_index(multi: Sequence[int], d: int) -> int:
@@ -26,6 +28,24 @@ def _flat_index(multi: Sequence[int], d: int) -> int:
             raise ValueError(f"index {v} out of range for dimension {d}")
         idx = idx * d + v
     return idx
+
+
+def casimir_tensor(algebra: str, n: int, conjugate: bool = False) -> np.ndarray:
+    """The sum of X (x) X over an orthonormal basis, or of X (x) conj(X)
+    across a conjugated slot (su only), with K = |vec I><vec I| and P the
+    swap: (K - P)/n on so(n); -P/n + I/n^2 on su(n), and K/n - I/n^2
+    across a conjugated slot; (K_J - P)/(2n) on usp(n), where K_J is K of
+    J, the direct sum of n blocks [[0, 1], [-1, 0]]."""
+    d = matrix_side(algebra, n)
+    eye = np.eye(d * d)
+    swap = eye.reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    k = np.outer(np.eye(d).ravel(), np.eye(d).ravel())
+    if algebra == "so":
+        return (k - swap) / n
+    if algebra == "su":
+        return k / n - eye / n ** 2 if conjugate else -swap / n + eye / n ** 2
+    j = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    return (np.outer(j.ravel(), j.ravel()) - swap) / (2 * n)
 
 
 @lru_cache(maxsize=16)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -802,3 +806,29 @@ def test_verbs_without_a_csv_form_refuse_the_format_flag(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "unrecognized arguments: --format csv" in captured.err
+
+
+@pytest.mark.parametrize("argv,keep", [
+    # 400 kB of rows, more than a pipe holds: the reader leaves after 16 bytes
+    (("simulate", "--family", "SO", "--n", "3", "--t", "0.1", "--paths",
+      "5000"), 16),
+    # a few hundred bytes, which only the last flush writes: the reader has
+    # gone before the process starts
+    (("describe", "--family", "SO", "--n", "5"), 0),
+], ids=["simulate-after-16-bytes", "describe-before-any"])
+def test_a_closed_stdout_exits_with_code_two_and_no_traceback(argv, keep):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read, write = os.pipe()
+    if not keep:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "cutofflab.cli", *argv],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if keep:
+        with open(read, "rb", buffering=0) as out:
+            out.read(keep)
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: stdout was closed before the output ended\n"

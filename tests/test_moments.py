@@ -25,33 +25,33 @@ from cutofflab.errors import (
 )
 from cutofflab.partitions import WeightKind
 from cutofflab.repchar import dimension
-from tensor_oracle import dense_eigentable, expectation_entries
+from tensor_oracle import casimir_tensor, dense_eigentable, expectation_entries
 
 
 @pytest.mark.parametrize("algebra,n", [("so", 4), ("so", 7), ("su", 2),
                                        ("su", 5), ("usp", 2), ("usp", 4)])
 def test_contraction_gives_scalar_drift(algebra, n):
-    ct = mo.casimir(algebra, n)
-    want = float(spaces.drift_coefficient(algebra, n)) * np.eye(ct.dim)
-    contracted = sum((x @ x).toarray() for x in ct.basis)
+    basis = mo._orthonormal_basis(algebra, n)
+    want = (float(spaces.drift_coefficient(algebra, n))
+            * np.eye(spaces.matrix_side(algebra, n)))
+    contracted = sum(x @ x for x in basis)
     assert np.abs(contracted - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("algebra,n,count", [
     ("so", 5, 10), ("su", 4, 15), ("usp", 3, 21)])
 def test_basis_sizes_match_group_dimension(algebra, n, count):
-    assert len(mo.casimir(algebra, n).basis) == count
+    assert len(mo._orthonormal_basis(algebra, n)) == count
 
 
 @pytest.mark.parametrize("algebra,n", [("so", 4), ("su", 3), ("usp", 2)])
 def test_basis_is_orthonormal_and_anti_hermitian(algebra, n):
-    basis = mo.casimir(algebra, n).basis
+    basis = mo._orthonormal_basis(algebra, n)
     scale = {"so": n / 2, "su": n, "usp": n}[algebra]
     for a, x in enumerate(basis):
-        xd = x.toarray()
-        assert np.abs(xd + xd.conj().T).max() < 1e-12
+        assert np.abs(x + x.conj().T).max() < 1e-12
         for b, y in enumerate(basis):
-            inner = -scale * np.trace(xd @ y.toarray()).real
+            inner = -scale * np.trace(x @ y).real
             assert abs(inner - (1.0 if a == b else 0.0)) < 1e-10
 
 
@@ -67,9 +67,8 @@ def test_generator_is_hermitian(algebra, n, k, l):
 @pytest.mark.parametrize("t", [0.3, 1.5])
 def test_single_entry_moment_decays_at_the_drift_rate(algebra, t):
     n = 4
-    ct = mo.casimir(algebra, n)
     rate = float(spaces.drift_coefficient(algebra, n)) / 2
-    d = ct.dim
+    d = spaces.matrix_side(algebra, n)
     for i, j in [(0, 0), (1, 1), (0, 1)]:
         got = mo.moment(algebra, n, [(i, j)], t)
         want = np.exp(rate * t) if i == j else 0.0
@@ -259,7 +258,7 @@ def test_symplectic_degree_four_table_claims_every_count():
 @pytest.mark.parametrize("algebra,n", [("so", 2), ("su", 1), ("usp", 1)])
 def test_rank_floor_is_enforced(algebra, n):
     with pytest.raises(InvalidRank):
-        mo.casimir(algebra, n)
+        mo.moment_generator(algebra, n, 2)
 
 
 def test_oversized_tensor_space_is_refused():
@@ -461,11 +460,25 @@ def test_moment_verb_has_no_rank_cap(capsys):
 
 
 def test_dense_basis_squares_to_the_oracle_casimir():
-    for algebra, n in [("so", 4), ("su", 3), ("usp", 2)]:
+    cases = [("so", False), ("su", False), ("su", True), ("usp", False)]
+    for (algebra, conjugate), n in itertools.product(cases, (3, 4, 5)):
         basis = mo._orthonormal_basis(algebra, n)
         assert all(isinstance(x, np.ndarray) for x in basis)
-        total = sum(np.kron(x, x) for x in basis)
-        assert np.abs(total - mo.casimir(algebra, n).matrix.toarray()).max() < 1e-14
+        total = sum(np.kron(x, x.conj() if conjugate else x) for x in basis)
+        err = np.abs(total - casimir_tensor(algebra, n, conjugate)).max()
+        assert err < 1e-15, (algebra, conjugate, n)
+
+
+@pytest.mark.parametrize("algebra,n,k,l", [
+    ("so", 4, 2, 0), ("so", 5, 2, 0), ("su", 3, 2, 0), ("su", 3, 1, 1),
+    ("su", 3, 0, 2), ("su", 4, 1, 1), ("usp", 2, 2, 0), ("usp", 3, 2, 0)])
+def test_two_slot_generator_is_the_drift_plus_the_casimir_tensor(algebra, n, k, l):
+    # on two slots the drift (k + l) alpha / 2 is alpha, and the one pair
+    # term is conj(sum X (x) X) = sum X (x) X on (0, 2)
+    gen = mo.moment_generator(algebra, n, k, l).generator.toarray()
+    drift = float(spaces.drift_coefficient(algebra, n)) * np.eye(len(gen))
+    want = casimir_tensor(algebra, n, conjugate=k == l)
+    assert np.abs(gen - drift - want).max() < 1e-14
 
 
 def test_runtime_routes_do_not_import_scipy():

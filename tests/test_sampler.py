@@ -13,6 +13,7 @@ from cutofflab import sampler as sa
 from cutofflab import spaces
 from cutofflab.errors import TooLarge, UnsupportedStatistic
 from cutofflab.repchar import casimir_exponent
+from tensor_oracle import casimir_tensor
 
 
 def _membership_residual(desc, g):
@@ -320,10 +321,9 @@ _ALGEBRAS = ([("so", n) for n in range(3, 7)] + [("su", n) for n in range(2, 6)]
 
 @pytest.mark.parametrize("algebra,n", _ALGEBRAS)
 def test_sampler_basis_squares_to_the_casimir_tensor(algebra, n):
-    from cutofflab.moments import casimir
     basis = sa._dense_basis(algebra, n)
     total = sum(np.kron(x, x) for x in basis)
-    assert np.abs(total - casimir(algebra, n).matrix.toarray()).max() < 1e-14
+    assert np.abs(total - casimir_tensor(algebra, n)).max() < 1e-14
 
 
 @pytest.mark.parametrize("algebra,n", _ALGEBRAS)
@@ -430,7 +430,7 @@ def test_estimate_starts_at_most_one_worker_per_chunk(monkeypatch):
         runs = [sa.estimate(desc, statistic, t,
                             sa.SimulationConfig(paths=paths, seed=2, threads=k))
                 for paths in (600, 100) for k in (10 ** 6, 1)]
-        assert seen == [3]  # three workers split 600 paths at 200 and 400
+        assert seen == [3]  # three workers split 600 paths at 256 and 512
         assert runs[0] == runs[1] and runs[2] == runs[3]
 
 

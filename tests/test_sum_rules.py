@@ -21,6 +21,15 @@ Rates: the pair terms of the Casimir on V^{(x)k} have trace 0, so the same
 sums weighted by B(lambda) give k B(box) N^k, where B(box), the rate of V
 itself, is 1 - 1/N^2 on SU(N), 1 - 1/N on SO(N) and 1 + 1/N on USp(N).
 
+Rank-one quotients: the labels of the sphere GrR(n, 1) are the degrees j
+of harmonic polynomials in n real variables, and those of degree at most k
+restrict the polynomials of degree k and k - 1, so
+
+    1 + sum_{0 < |lambda| <= k} D^lambda = C(n+k-1, k) + C(n+k-2, k-1);
+
+on GrC(n, 1) the label j spans the harmonics of bidegree (j, j), and those
+with j <= k the polynomials of bidegree (k, k): C(n+k-1, k)^2.
+
 D and B are read from the integer rows of ``heatseries._term_table`` and
 chi from ``spaces._chiralities``; f^lambda is the hook-length count.  No
 exact dimension formula is used, so the rules check the table, not the
@@ -50,11 +59,13 @@ def _hook_count(parts: tuple[int, ...]) -> int:
     return math.factorial(sum(parts)) // hooks
 
 
-def _level_sums(family: str, n: int) -> tuple[int, dict, dict]:
+def _level_sums(family: str, n: int, q: int | None = None,
+                cap: int = K_MAX) -> tuple[int, dict, dict]:
     """(N, dims, rates): N the side of V, and per size m >= 1 the sums of
-    f chi D and f chi D B over the table's integer labels of size m."""
-    desc = describe(family, n)
-    table = _term_table(desc, K_MAX)
+    f chi D and f chi D B over the table's integer labels of size m, up to
+    the size cap."""
+    desc = describe(family, n, q)
+    table = _term_table(desc, cap)
     labels = table.labels
     keep = np.flatnonzero(~labels.is_half)
     rows = labels.rows(keep)
@@ -114,3 +125,18 @@ def test_hook_counts_match_small_cases():
     shapes = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert [_hook_count(p) for p in shapes] == [1, 3, 2, 3, 1]
     assert _hook_count(()) == 1 and _hook_count((3, 2, 1)) == 16
+
+
+_RANK_ONE = {
+    "GrR": lambda n, k: math.comb(n + k - 1, k) + math.comb(n + k - 2, k - 1),
+    "GrC": lambda n, k: math.comb(n + k - 1, k) ** 2}
+
+
+@pytest.mark.parametrize("n", [50, 1000, 100_000])
+@pytest.mark.parametrize("family", sorted(_RANK_ONE))
+def test_rank_one_quotients_count_their_polynomials(family, n):
+    _, dims, _ = _level_sums(family, n, q=1, cap=12)
+    for k in range(1, 11):
+        got = 1.0 + sum(dims[m] for m in range(1, k + 1))
+        assert got == pytest.approx(float(_RANK_ONE[family](n, k)),
+                                    rel=RTOL, abs=0.0), k

@@ -2,8 +2,10 @@
 module-level private functions and assigned names that nothing in ``src/``,
 ``perfbench/`` or ``demos/`` references, and public methods and properties,
 and instance attributes stored as ``self.name = ...``, that no attribute
-access there reads.  References from tests do not count: a helper only a
-test calls is dead in the package.  The scan uses the standard library's
+access there reads, and names in ``cutofflab.__all__`` that nothing there
+but ``__init__.py`` reads, unless ``perfbench/spans.py`` traces them by
+name.  References from tests do not count: a helper only a test calls is
+dead in the package.  The scan uses the standard library's
 ``ast`` only, since neither pyflakes nor ruff is a test dependency.
 """
 
@@ -241,3 +243,22 @@ def test_the_attribute_scan_sees_an_array_nothing_reads(tmp_path):
     reads = _attribute_reads([module])
     assert [name for name in _stored_attributes(tree)
             if name.split(".")[1] not in reads] == ["Probe.columns"]
+
+
+def _traced_names() -> set[str]:
+    """The functions ``perfbench/spans.py`` wraps by name, its ``TRACED``."""
+    for node in _tree(ROOT / "perfbench" / "spans.py").body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                        for t in node.targets)):
+            return {pair.elts[1].value for pair in node.value.elts}
+    raise AssertionError("perfbench/spans.py binds no TRACED")
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    import cutofflab
+    refs = _references(path for path in CONSUMERS
+                       if path != PACKAGE / "__init__.py")
+    kept = refs | _traced_names()
+    orphans = [name for name in cutofflab.__all__ if name not in kept]
+    assert not orphans, f"public names only tests read: {orphans}"
