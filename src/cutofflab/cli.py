@@ -94,11 +94,8 @@ def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
             handle.writelines(pieces)
 
 
-def _space(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    try:
-        return describe(args.family, args.n, getattr(args, "q", None))
-    except CutoffLabError as exc:
-        parser.error(str(exc))
+def _space(args: argparse.Namespace):
+    return describe(args.family, args.n, getattr(args, "q", None))
 
 
 def _parse_weight(parser: argparse.ArgumentParser, desc, text: str) -> Weight:
@@ -110,10 +107,7 @@ def _parse_weight(parser: argparse.ArgumentParser, desc, text: str) -> Weight:
     if len(parts) > idx.length:
         parser.error(f"weight {text!r} has {len(parts)} parts, but the labels "
                      f"of {desc} have {idx.length}")
-    try:
-        return idx.label(parts)
-    except CutoffLabError as exc:
-        parser.error(str(exc))
+    return idx.label(parts)
 
 
 def _parse_pattern(parser: argparse.ArgumentParser, text: str) -> list[tuple]:
@@ -263,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_describe(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     weight, a_min, b_min = minimal_weight(desc)
     _write(args, {
         "family": desc.family.value,
@@ -289,7 +283,7 @@ def _run_describe(parser, args) -> int:
 
 
 def _run_series(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     report = dominating_series(desc, args.t, size_cap=args.cap)
     _write(args, {"t": report.t, "partial_sum": _or_inf(report.partial_sum),
                   "tail_bound": _or_inf(report.tail_bound),
@@ -299,7 +293,7 @@ def _run_series(parser, args) -> int:
 
 
 def _run_tv_bound(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     if (args.t is None) == (args.eps is None):
         parser.error("give exactly one of --t and --eps")
     t = args.t if args.t is not None else (1.0 + args.eps) * t_zero(desc)
@@ -313,7 +307,7 @@ def _run_tv_bound(parser, args) -> int:
 
 
 def _run_bound_sweep(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     sweep = per_term_bound_sweep(desc, size_cap=args.cap)
     payload = {"space": str(desc), "max_value": sweep.max_value,
                "argmax_weight": str(sweep.argmax),
@@ -329,7 +323,7 @@ def _run_bound_sweep(parser, args) -> int:
 
 
 def _run_eta(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     idx = indexing_set(desc)
     if args.base is not None:
         base = _parse_weight(parser, desc, args.base)
@@ -348,7 +342,7 @@ def _run_eta(parser, args) -> int:
 
 
 def _run_density(parser, args) -> int:
-    desc = "circle" if args.family == "circle" else _space(parser, args)
+    desc = "circle" if args.family == "circle" else _space(args)
     if (args.theta is None) == (args.alphabet is None):
         parser.error("give exactly one of --theta and --alphabet")
     if args.theta is not None:
@@ -368,7 +362,7 @@ def _run_density(parser, args) -> int:
 
 
 def _run_moment(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     pattern = _parse_pattern(parser, args.pattern)
     value = complex(_moments.moment(desc.algebra, args.n, pattern, args.t))
     _write(args, {"space": str(desc), "pattern": args.pattern, "t": args.t,
@@ -377,7 +371,7 @@ def _run_moment(parser, args) -> int:
 
 
 def _run_eigentable(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     report = _moments.verify_eigentable(desc.algebra, args.n, args.k, args.l)
     payload = {"algebra": report.algebra, "n": report.n, "k": report.k,
                "l": report.l, "dims_match": report.dims_match,
@@ -398,7 +392,7 @@ def _run_eigentable(parser, args) -> int:
 
 
 def _run_zonal_expansion(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     expansion = _moments.zonal_square_expansion(desc)
     terms = [{"weight": str(weight), "coefficient": str(expansion[weight]),
               "decay_rate": str(casimir_exponent(desc, weight))}
@@ -409,7 +403,7 @@ def _run_zonal_expansion(parser, args) -> int:
 
 
 def _run_simulate(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     step, limit = _sampler._MAX_STEP, _sampler._MAX_STEP_COUNT
     if args.steps is not None and args.steps < 1:
         parser.error("--steps must be >= 1")
@@ -476,7 +470,7 @@ def _omega_json(desc, args: argparse.Namespace,
 
 
 def _run_estimate(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     if args.paths < 2:
         parser.error("--paths must be >= 2: one path has no standard error")
     config = _sampler.SimulationConfig(paths=args.paths, seed=args.seed,
@@ -494,7 +488,7 @@ def _run_estimate(parser, args) -> int:
 
 
 def _run_profile(parser, args) -> int:
-    desc = _space(parser, args)
+    desc = _space(args)
     t0 = t_zero(desc)
     t_min = args.t_min if args.t_min is not None else 0.25 * t0
     t_max = args.t_max if args.t_max is not None else 2.5 * t0

@@ -108,47 +108,32 @@ class _Streams:
     i reads row i % _CHUNK of each.  A draw covers whole chunks, so an
     index's numbers do not depend on the other indices drawn with it; with
     no leading shape, rows past the last one read are left undrawn, which
-    changes none.  A single generator is switched between the streams by
-    setting its state, which is much cheaper than building a generator per
-    stream.  Consecutive draws on a stream give exactly the numbers of one
-    larger draw.
+    changes none.  Each chunk has a generator of its own, so consecutive
+    draws with a leading shape give exactly the numbers of one larger draw.
     """
 
     def __init__(self, seed: int, purpose: int, indices: Sequence[int]) -> None:
-        key = [seed & 0xFFFFFFFFFFFFFFFF, purpose]
-        self._bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
-        self._normals = np.random.Generator(self._bits).standard_normal
-        # counter 0, empty buffer, in the plain lists the setter reads fastest
-        self._start = {**self._bits.state, "buffer": [0] * 4,
-                       "state": {"counter": [0] * 4, "key": key}}
+        # an array: a tuple holding a key past 2^63 would cast through float
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
         index = np.asarray(indices, dtype=np.int64)
         chunk_of, row_of = np.divmod(index, _CHUNK)
         self._count = len(index)
-        # each stream's chunk until its first kept draw, then its saved state
-        self._positions: list = np.unique(chunk_of).tolist()
-        # per chunk: where its indices sit in a draw, and the rows they read
-        self._reads = []
-        for chunk in self._positions:
+        # per chunk: its stream, where its indices sit in a draw, and the
+        # rows they read
+        self._chunks = []
+        for chunk in np.unique(chunk_of).tolist():
+            bits = np.random.Philox(key=key, counter=(0, 0, chunk, 0))
             slots = np.flatnonzero(chunk_of == chunk)
-            self._reads.append((slots, row_of[slots]))
+            self._chunks.append((np.random.Generator(bits).standard_normal,
+                                 slots, row_of[slots]))
 
-    def draw(self, lead: tuple[int, ...], shape: tuple[int, ...],
-             keep: bool = False) -> np.ndarray:
+    def draw(self, lead: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
         """The next standard normals of every index, ``lead + (indices,) +
-        shape`` in index order.  Only with ``keep`` does a further draw
-        continue the streams."""
+        shape`` in index order."""
         out = np.empty((math.prod(lead), self._count, math.prod(shape)))
-        for pos, where in enumerate(self._positions):
-            if isinstance(where, dict):
-                self._bits.state = where
-            else:
-                self._start["state"]["counter"][2] = where
-                self._bits.state = self._start
-            slots, rows = self._reads[pos]
-            top = _CHUNK if lead or keep else int(rows.max()) + 1
-            block = self._normals((len(out), top, out.shape[2]))
-            if keep:
-                self._positions[pos] = self._bits.state
+        for normals, slots, rows in self._chunks:
+            top = _CHUNK if lead else int(rows.max()) + 1
+            block = normals((len(out), top, out.shape[2]))
             out[:, slots] = block[:, rows]
         return out.reshape(lead + (self._count,) + shape)
 
@@ -318,8 +303,7 @@ def simulate_endpoints(descriptor: SpaceDescriptor, t: float,
     window = max(1, min(_WINDOW, _WINDOW_NORMALS // (_CHUNK * dim)))
     step = 0
     for start in range(0, num_steps, window):
-        normals = streams.draw((min(window, num_steps - start),), (dim,),
-                               keep=start + window < num_steps)
+        normals = streams.draw((min(window, num_steps - start),), (dim,))
         normals *= sqrt_h
         for z in normals:
             xi = _algebra_elements(algebra, rank, z)
@@ -416,6 +400,8 @@ def estimate(descriptor: SpaceDescriptor, statistic: str, t: Optional[float],
         raise UnsupportedStatistic(statistic)
     if statistic == "indicator" and threshold is None:
         raise ValueError("the indicator statistic needs a threshold")
+    if statistic != "indicator" and threshold is not None:
+        raise ValueError("the threshold applies to the indicator statistic only")
     if threshold is not None and math.isnan(threshold):
         raise ValueError("the indicator threshold must not be NaN")
     n = config.paths

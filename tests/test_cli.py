@@ -784,12 +784,34 @@ def test_tv_bound_just_above_the_cut_off_is_uncertified_at_once(capsys, argv):
     assert elapsed < 1.0
 
 
+_LIBRARY_ERRORS = [
+    (("estimate", "--family", "SO", "--n", "4", "--t", "1", "--statistic",
+      "trace", "--paths", "1000000000"),
+     "1000000000 paths exceed the limit 1000000"),
+    # a rank or q that describe refuses
+    (("tv-bound", "--family", "SO", "--n", "2", "--eps", "1"),
+     "SO needs n >= 3, got 2"),
+    (("describe", "--family", "GrC", "--n", "6", "--q", "9"),
+     "q=9 out of range for GrC(6): need 1 <= q <= 5"),
+    (("describe", "--family", "SU", "--n", "5", "--q", "2"),
+     "SU takes no q parameter"),
+    # a base weight its kind refuses
+    (("eta", "--family", "GrH", "--n", "6", "--q", "3", "--base", "1"),
+     "kind doubledY needs paired non-zero parts: (2, 0, 0, 0, 0, 0)"),
+    # a knob the statistic would ignore
+    (("estimate", "--family", "SO", "--n", "3", "--statistic", "trace",
+      "--t", "0.1", "--paths", "4", "--threshold", "0.5"),
+     "the threshold applies to the indicator statistic only"),
+]
+
+
 def test_library_errors_print_one_line_without_usage(capsys):
-    code = cli.main(["estimate", "--family", "SO", "--n", "4", "--t", "1",
-                     "--statistic", "trace", "--paths", "1000000000"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "usage:" not in err
+    for argv, message in _LIBRARY_ERRORS:
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

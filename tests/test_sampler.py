@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,9 @@ def test_statistic_validation():
         sa.estimate(desc, "indicator", 1.0, config)
     with pytest.raises(ValueError, match="must not be NaN"):
         sa.estimate(desc, "indicator", 1.0, config, threshold=math.nan)
+    for statistic, t in (("trace", 1.0), ("abs_omega_sq", None)):
+        with pytest.raises(ValueError, match="indicator statistic only"):
+            sa.estimate(desc, statistic, t, config, threshold=0.5)
 
 
 def test_infinite_thresholds_keep_their_meaning():
@@ -302,9 +307,9 @@ def test_a_window_holds_a_bounded_count_of_normals(monkeypatch):
     sizes = []
     draw = sa._Streams.draw
 
-    def recording(self, lead, shape, keep=False):
+    def recording(self, lead, shape):
         sizes.append(lead[0] * 256 * shape[0])
-        return draw(self, lead, shape, keep)
+        return draw(self, lead, shape)
 
     monkeypatch.setattr(sa._Streams, "draw", recording)
     monkeypatch.setattr(sa, "_WINDOW_NORMALS", 256 * 66 * 3 + 5)
@@ -461,14 +466,14 @@ def test_batched_haar_samples_match_per_index_sampling(family, n, q):
 
 
 def test_streams_equal_one_generator_per_stream_at_large_seeds():
-    # the start state is set from plain lists: keys past 2^63 (a negative
-    # seed among them) and chunk counters past 2^32 must cast as the arrays
-    # do; index i reads row i % 256 of its chunk's step-major draws
+    # keys past 2^63 (a negative seed among them) and chunk counters past
+    # 2^32 reach each chunk's generator uncast; index i reads row i % 256 of
+    # its chunk's step-major draws, and a second draw continues the first
     import sampler_oracle
     indices = [0, 7, 2 ** 40 + 5]
     for seed in (-1, 2 ** 63, 2 ** 64 - 5):
         streams = sa._Streams(seed, 0, indices)
-        first = streams.draw((3,), (2, 2), keep=True)
+        first = streams.draw((3,), (2, 2))
         second = streams.draw((5,), (4,))
         for pos, index in enumerate(indices):
             rng = sampler_oracle._rng(seed, 0, index // 256)
@@ -495,6 +500,16 @@ def test_scattered_indices_read_the_rows_of_full_range_draws(family, n, q):
         sa.simulate_endpoints(desc, 0.12, config, range(701))[picked])
 
 
+def test_streams_set_no_generator_state():
+    # each chunk's generator continues from where its last draw stopped, so
+    # nothing in the sampler switches or restores a bit generator's state
+    tree = ast.parse(Path(sa.__file__).read_text())
+    stored = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "state"
+              and isinstance(node.ctx, ast.Store)]
+    assert not stored, f"sampler.py sets a state on lines {stored}"
+
+
 def test_estimate_draws_each_chunk_once_across_workers(monkeypatch):
     # two workers split 600 paths at the chunk boundary 256, not at 300,
     # where both would draw chunk 1's normals
@@ -503,7 +518,9 @@ def test_estimate_draws_each_chunk_once_across_workers(monkeypatch):
     class Recording(sa._Streams):
         def __init__(self, seed, purpose, indices):
             super().__init__(seed, purpose, indices)
-            made.extend(self._positions)
+            # the chunk number is the third word of each stream's counter
+            made.extend(int(normals.__self__.bit_generator.state["state"]
+                            ["counter"][2]) for normals, _, _ in self._chunks)
 
     monkeypatch.setattr(sa, "_Streams", Recording)
     desc = spaces.describe("SO", 4)

@@ -4,9 +4,10 @@ module-level private functions and assigned names that nothing in ``src/``,
 and instance attributes stored as ``self.name = ...``, that no attribute
 access there reads, and names in ``cutofflab.__all__`` that nothing there
 but ``__init__.py`` reads, unless ``perfbench/spans.py`` traces them by
-name.  References from tests do not count: a helper only a test calls is
-dead in the package.  The scan uses the standard library's
-``ast`` only, since neither pyflakes nor ruff is a test dependency.
+name, and parameters with a default that no call there passes.  References
+from tests do not count: a helper only a test calls is dead in the package.
+The scan uses the standard library's ``ast`` only, since neither pyflakes
+nor ruff is a test dependency.
 """
 
 from __future__ import annotations
@@ -262,3 +263,88 @@ def test_every_public_name_is_read_outside_the_tests():
     kept = refs | _traced_names()
     orphans = [name for name in cutofflab.__all__ if name not in kept]
     assert not orphans, f"public names only tests read: {orphans}"
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, object]]:
+    """(callee, parameter, slot) of each parameter with a default in a
+    module's functions and methods.  The callee is the name a call site
+    uses, the class's own for ``__init__``; the slot is the parameter's
+    position among a call's positional arguments, or None where it is
+    keyword-only."""
+    methods = {id(node): cls for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(node))
+        callee = cls.name if cls and node.name == "__init__" else node.name
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(callee, arg.arg, slot - bound)
+                for slot, arg in enumerate(positional) if slot >= first]
+        out += [(callee, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _passed_parameters(paths) -> set[tuple[str, object]]:
+    """(callee, keyword or position) of every argument some call passes; a
+    ``*`` argument passes every position and a ``**`` one every keyword,
+    both marked "*"."""
+    out = set()
+    for path in paths:
+        for call in ast.walk(_tree(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = (func.id if isinstance(func, ast.Name) else func.attr
+                      if isinstance(func, ast.Attribute) else None)
+            for slot, arg in enumerate(call.args):
+                out.add((callee, "*" if isinstance(arg, ast.Starred)
+                         else slot))
+            out |= {(callee, k.arg or "*") for k in call.keywords}
+    return out
+
+
+def _unpassed(defaulted, passed) -> list[str]:
+    return [f"{callee}({name})" for callee, name, slot in defaulted
+            if not {(callee, name), (callee, slot), (callee, "*")} & passed]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default nothing overrides is a knob no caller turns: fold it in.
+    # The traced functions and cli.main are entry points of their own
+    passed = _passed_parameters(CONSUMERS)
+    exempt = _traced_names() | {"main"}
+    dead = [f"{path.name}: {hit}" for path in MODULES
+            for hit in _unpassed(
+                [d for d in _defaulted_parameters(_tree(path))
+                 if d[0] not in exempt], passed)]
+    assert not dead, f"parameters no call site passes: {dead}"
+
+
+def test_the_parameter_scan_sees_a_default_nobody_passes(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("class Probe:\n"
+                      "    def __init__(self, a=1, b=2):\n"
+                      "        pass\n\n"
+                      "    def method(self, x, y=0, *, z=None):\n"
+                      "        pass\n\n\n"
+                      "def run(p, q=3, r=4, *, s=5):\n"
+                      "    Probe(7).method(1, 2)\n"
+                      "    run(1, r=0)\n"
+                      "    run(*[1, 2], **{})\n")
+    tree = _tree(module)
+    assert _defaulted_parameters(tree) == [
+        ("run", "q", 1), ("run", "r", 2), ("run", "s", None),
+        ("Probe", "a", 0), ("Probe", "b", 1), ("method", "y", 1),
+        ("method", "z", None)]
+    passed = _passed_parameters([module])
+    assert _unpassed(_defaulted_parameters(tree), passed) == [
+        "Probe(b)", "method(z)"]
